@@ -110,12 +110,13 @@ def degree_below(lam: float, mu, l_max: int = 4,
             raise UsageError("lambda coincides with the critical number %g"
                              % c.value)
     u = universe or _universe(l_max)
-    out = BurnsideElement.unit(u)
-    for c in crits:
-        if c.value < lam:
-            for j, l in c.contributors:
-                out = out * u.basic_degree(j, l)
-    return out
+    return BurnsideElement(u, u.from_marks(
+        u.degree_marks(_modes_below(lam, crits))))
+
+
+def _modes_below(lam, crits):
+    """The (j, l) modes whose critical number lies below lambda."""
+    return [jl for c in crits if c.value < lam for jl in c.contributors]
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,8 @@ def invariant(critical: CriticalNumber, mu, l_max: int = 4,
     The invariant is the jump of degree_below across the critical value,
     evaluated at geometric midpoints of the neighbouring gaps; its sign
     convention follows the printed invariant lists (degree above minus
-    degree below)."""
+    degree below).  Both degrees are taken in mark coordinates, where the
+    jump is the difference of two sign vectors."""
     crits = critical_set(mu, l_max)
     values = [c.value for c in crits]
     try:
@@ -198,8 +200,10 @@ def invariant(critical: CriticalNumber, mu, l_max: int = 4,
     if lam_plus >= unseen:
         raise UsageError("l_max too small to isolate this critical number")
     u = universe or _universe(l_max)
-    omega = (degree_below(lam_plus, mu, l_max, u)
-             - degree_below(lam_minus, mu, l_max, u))
+    above = u.degree_marks(_modes_below(lam_plus, crits))
+    below = u.degree_marks(_modes_below(lam_minus, crits))
+    omega = BurnsideElement(u, u.from_marks(
+        [a - b for a, b in zip(above, below)]))
     terms = omega.terms()
     maximal = tuple(
         (kl, c) for kl, c in terms
@@ -242,14 +246,10 @@ def independent_families(reports) -> tuple:
             doubled = False
             for earlier in families:
                 k = _integer_ratio(rep.critical, earlier.critical)
-                if k is not None and earlier.klass.universe is u:
-                    try:
-                        cover = u.fold_cover(earlier.klass, k)
-                    except Exception:
-                        continue
-                    if cover is kl:
-                        doubled = True
-                        break
+                if (k is not None and earlier.klass.universe is u
+                        and u.fold_cover(earlier.klass, k) is kl):
+                    doubled = True
+                    break
             if doubled:
                 continue
             j, l = _mode_of(u, kl, rep.critical)
@@ -313,7 +313,6 @@ def describe_symmetry(kl: AmalgamClass) -> SymmetryDescription:
     if not kl.is_finite:
         raise UsageError("continuous classes do not describe single orbits")
     preds = []
-    brake = False
     for perm, kind, angle in kl.elements():
         if perm == tuple(range(4)) and kind == "rot" and angle == 0:
             continue
@@ -323,8 +322,6 @@ def describe_symmetry(kl: AmalgamClass) -> SymmetryDescription:
             preds.append(Predicate(perm=perm, kind="shift", angle=angle,
                                    text=text))
         else:
-            if perm == tuple(range(4)):
-                brake = True
             text = ("configuration is reproduced by permuting/rotating with "
                     "%s after reflecting time about -%s turns" %
                     (_cycles(perm), angle))
@@ -336,9 +333,9 @@ def describe_symmetry(kl: AmalgamClass) -> SymmetryDescription:
     else:
         title = "symmetric periodic orbit"
         prose = "Orbit fixed by the group generated by the listed relations."
-        if brake:
+        if kl.brake:
             prose += " It is a brake orbit."
-    return SymmetryDescription(klass=kl, title=title, brake=brake,
+    return SymmetryDescription(klass=kl, title=title, brake=kl.brake,
                                predicates=tuple(preds), text=prose)
 
 

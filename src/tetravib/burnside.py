@@ -3,9 +3,13 @@
 Closed subgroups of S4 x O(2) up to conjugacy are Goursat amalgams
 H ^Z x_L K: a subgroup H of S4, a normal subgroup Z of H, and an epimorphism
 phi of H onto L = K/ker(psi) for a closed subgroup K of O(2).  Classes whose
-Weyl group is finite generate the ring A(G) used by the bifurcation
-invariants; multiplication follows the standard recursion over the
-subconjugacy partial order.
+Weyl group is finite (the Phi0 classes) generate the ring A(G) used by the
+bifurcation invariants.  Ring arithmetic runs in mark coordinates (the table
+of marks): with M[L, H] = n(L, H) |W(H)| over the Phi0 classes, x -> Mx is an
+injective ring map into Z^Phi0 with the pointwise product, and the basic
+degree of the (j, l) loop mode has marks (-1)^dim V_{j,l}^L.  Products and
+degrees are pointwise there; one exact top-down back-substitution over the
+subconjugacy order returns to class coefficients.
 
 All O(2) data is kept exact.  Every subgroup handled here either contains a
 reflection (dihedral projection to O(2)) or is handled analytically
@@ -26,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -145,13 +149,6 @@ def enumerate_s4_subgroups():
     return tuple(classes)
 
 
-def _s4_class_rep(label):
-    for c in enumerate_s4_subgroups():
-        if c.label == label:
-            return c.representative
-    raise KeyError(label)
-
-
 def _normal_subgroups_of(h):
     """Normal subgroups of the subgroup h (as frozensets of indices)."""
     out = []
@@ -181,7 +178,6 @@ class _CosetGroup:
         # cosets: tuple of frozensets; product(a, b) -> element
         self.cosets = tuple(cosets)
         self._where = {e: i for i, c in enumerate(cosets) for e in c}
-        self._product = product
         n = len(cosets)
         self.table = [[0] * n for _ in range(n)]
         for i, ci in enumerate(cosets):
@@ -366,12 +362,23 @@ class AmalgamClass:
             out.append((S4[p], "refl" if kind else "rot", Fraction(k, n)))
         return out
 
-    def contains_time_reflection(self):
-        """True if some element is (identity permutation, reflection)."""
+    def _reflection_perms(self):
+        """Permutation parts of the elements that reflect time."""
         if not self.is_finite:
             raise ValueError("continuous class")
-        return any(p == IDENTITY and kind == "refl"
-                   for p, kind, _ in self.elements())
+        return {p for p, kind, _ in map(self.universe.split, self.codes)
+                if kind}
+
+    @property
+    def brake(self):
+        """Some element is (identity permutation, reflection): the orbit is
+        time-reversible in place, so all velocities vanish together."""
+        return ID_PERM in self._reflection_perms()
+
+    @property
+    def has_time_reflection(self):
+        """Some element is a reflection of time."""
+        return bool(self._reflection_perms())
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +409,7 @@ class Universe:
         self._nbar = {}            # class index -> normalizer triples
         self._conjugates = {}      # class index -> list of frozensets
         self._ncount_memo = {}
-        self._product_memo = {}
+        self._parity_memo = {}     # (j, l) -> fixed-point dim parities
         self._name_index = {}
         self._enumerate()
         self._classes_sorted = sorted(self.classes,
@@ -488,10 +495,6 @@ class Universe:
         g1, f1, j1 = c1
         g2, f2, j2 = c2
         return (MUL[g1][g2], f1 ^ f2, (j1 + (j2 if f1 == 0 else -j2)) % self.N)
-
-    def conj_inverse(self, c):
-        g, f, j = c
-        return (INV[g], f, (-j) % self.N if f == 0 else j)
 
     def _conj_candidates(self, codes1, codes2):
         """Conjugator triples possibly mapping codes1 onto codes2."""
@@ -898,54 +901,7 @@ class Universe:
             return kl.order
         return 2 * len(kl.H_set) if kl.kind == "o2" else len(kl.H_set)
 
-    # -- ring arithmetic -----------------------------------------------------
-
-    def _class_product(self, c1, c2):
-        key = (min(c1.index, c2.index), max(c1.index, c2.index))
-        if key in self._product_memo:
-            return self._product_memo[key]
-        unit = self.unit
-        if c1 is unit:
-            result = {c2.index: 1}
-        elif c2 is unit:
-            result = {c1.index: 1}
-        else:
-            cands = [kl for kl in self._classes_sorted
-                     if kl.in_phi0 and self.leq(kl, c1) and self.leq(kl, c2)]
-            cands.sort(key=lambda kl: (kl.order == 0, self._order_rank(kl)),
-                       reverse=True)
-            coeffs = {}
-            w1 = self.weyl(c1)[1]
-            w2 = self.weyl(c2)[1]
-            for kl in cands:
-                total = (self.n_count(kl, c1) * w1
-                         * self.n_count(kl, c2) * w2)
-                for other in cands:
-                    if coeffs.get(other.index) and other is not kl \
-                            and self.leq(kl, other):
-                        total -= (self.n_count(kl, other)
-                                  * coeffs[other.index]
-                                  * self.weyl(other)[1])
-                wl = self.weyl(kl)[1]
-                if total % wl:
-                    raise InternalError(
-                        "non-exact division in product recursion")
-                if total:
-                    coeffs[kl.index] = total // wl
-            result = coeffs
-        self._product_memo[key] = result
-        return result
-
-    def multiply(self, a: dict, b: dict) -> dict:
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                for k, ck in self._class_product(
-                        self.classes[i], self.classes[j]).items():
-                    out[k] = out.get(k, 0) + ca * cb * ck
-        return {k: v for k, v in out.items() if v}
-
-    # -- fixed point dimensions and basic degrees ----------------------------
+    # -- fixed point dimensions ----------------------------------------------
 
     def fixed_point_dim(self, j, l, kl):
         """dim of the fixed space of the class inside the (j, l) loop mode."""
@@ -967,33 +923,70 @@ class Universe:
             raise InternalError("non-integer fixed-point dimension")
         return int(r)
 
+    # -- ring arithmetic in mark coordinates ---------------------------------
+
+    @cached_property
+    def _marks_weyl(self):
+        """|W(L)| of every Phi0 class L, keyed by class index, in
+        back-substitution order: continuous shapes first, then by falling
+        rank, so that each class follows every class above it."""
+        order = sorted(self.phi0_classes(),
+                       key=lambda kl: (kl.order == 0, self._order_rank(kl)),
+                       reverse=True)
+        return {kl.index: self.weyl(kl)[1] for kl in order}
+
+    def marks(self, coeffs: dict) -> list:
+        """Mark coordinates v_L = sum_H c_H n(L, H) |W(H)| of the element
+        with class coefficients `coeffs`, one entry per Phi0 class L in
+        back-substitution order."""
+        terms = [(self.classes[i], c * self._marks_weyl[i])
+                 for i, c in coeffs.items()]
+        return [sum(self.n_count(self.classes[low], high) * cw
+                    for high, cw in terms)
+                for low in self._marks_weyl]
+
+    def from_marks(self, v) -> dict:
+        """Class coefficients of the element whose mark vector is v.
+
+        The mark of L counts its own coefficient |W(L)| times plus
+        n(L, H) |W(H)| c_H for every class H above L, and those come first
+        in back-substitution order, so each coefficient is one exact
+        division once the nonzero ones above it are subtracted."""
+        coeffs = {}
+        done = []                   # (class, c_H |W(H)|) for c_H != 0
+        for (i, w), total in zip(self._marks_weyl.items(), v, strict=True):
+            low = self.classes[i]
+            total -= sum(self.n_count(low, high) * cw for high, cw in done)
+            c, rem = divmod(total, w)
+            if rem:
+                raise InternalError("non-exact division by |W(%s)| in mark "
+                                    "back-substitution" % low)
+            if c:
+                coeffs[i] = c
+                done.append((low, c * w))
+        return coeffs
+
+    def _parity(self, j, l):
+        """dim V_{j,l}^L mod 2 for every Phi0 class L, in marks order."""
+        key = (j, l)
+        if key not in self._parity_memo:
+            self._parity_memo[key] = tuple(
+                self.fixed_point_dim(j, l, self.classes[i]) % 2
+                for i in self._marks_weyl)
+        return self._parity_memo[key]
+
+    def degree_marks(self, modes) -> list:
+        """Marks of the product of the basic degrees of the (j, l) loop modes
+        in `modes`: (-1)^(sum of dim V_{j,l}^L) at each Phi0 class L."""
+        parity = [0] * len(self._marks_weyl)
+        for j, l in modes:
+            parity = [a ^ b for a, b in zip(parity, self._parity(j, l))]
+        return [1 - 2 * p for p in parity]
+
     def basic_degree(self, j, l) -> "BurnsideElement":
         """Gradient degree of -Id on the (j, l) isotypic loop component."""
-        key = ("deg", j, l)
-        if key in self._product_memo:
-            return BurnsideElement(self, dict(self._product_memo[key]))
-        unit = self.unit
-        cands = [kl for kl in self.phi0_classes()
-                 if kl is unit or (kl.is_finite
-                                   and self.fixed_point_dim(j, l, kl) >= 1)]
-        cands.sort(key=lambda kl: (kl.order == 0, self._order_rank(kl)),
-                   reverse=True)
-        coeffs = {}
-        for kl in cands:
-            fd = 0 if kl is unit else self.fixed_point_dim(j, l, kl)
-            total = (-1) ** fd
-            for other in cands:
-                if coeffs.get(other.index) and other is not kl \
-                        and self.leq(kl, other):
-                    total -= (self.n_count(kl, other) * coeffs[other.index]
-                              * self.weyl(other)[1])
-            wl = self.weyl(kl)[1]
-            if total % wl:
-                raise InternalError("non-exact division in degree recursion")
-            if total:
-                coeffs[kl.index] = total // wl
-        self._product_memo[key] = dict(coeffs)
-        return BurnsideElement(self, coeffs)
+        return BurnsideElement(self,
+                               self.from_marks(self.degree_marks([(j, l)])))
 
     def fold_cover(self, kl: AmalgamClass, k: int) -> AmalgamClass:
         """Class of the preimage under the k-fold cover of O(2).
@@ -1085,8 +1078,10 @@ class BurnsideElement:
             return BurnsideElement(
                 self.universe, {i: c * other for i, c in self.coeffs.items()})
         self._check(other)
-        return BurnsideElement(
-            self.universe, self.universe.multiply(self.coeffs, other.coeffs))
+        u = self.universe
+        return BurnsideElement(u, u.from_marks(
+            [a * b for a, b in zip(u.marks(self.coeffs),
+                                   u.marks(other.coeffs))]))
 
     __rmul__ = __mul__
 

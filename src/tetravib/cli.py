@@ -64,7 +64,13 @@ class RunConfig:
                                       % (key, section))
                 want = _SCHEMA[section][key]
                 if want is float and isinstance(raw, (int, float)):
-                    raw = float(raw)
+                    try:
+                        raw = float(raw)
+                    except OverflowError:       # integer beyond float range
+                        raw = math.inf
+                    if not math.isfinite(raw):
+                        raise ConfigError("key %s.%s must be finite"
+                                          % (section, key))
                 if not isinstance(raw, want) or isinstance(raw, bool):
                     raise ConfigError("key %s.%s expects %s"
                                       % (section, key, want.__name__))

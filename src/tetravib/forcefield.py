@@ -89,13 +89,6 @@ class PairPotential:
                 and self.vdw_B == 0.0 and self.sigma == 0.0):
             raise DegenerateParameters("all pair potential terms vanish")
 
-    def value(self, x):
-        return pair_potential(self, x)[0]
-
-    def derivatives(self, x):
-        """(U(x), U'(x), U''(x)) with respect to the squared separation."""
-        return pair_potential(self, x)
-
 
 def _check_domain(x):
     x = np.asarray(x, dtype=float)
@@ -149,9 +142,6 @@ class Configuration:
             if np.linalg.norm(pos[j] - pos[k]) == 0.0:
                 raise ValueError("particle positions must be distinct")
         object.__setattr__(self, "positions", pos)
-
-    def as_array(self) -> np.ndarray:
-        return self.positions
 
 
 def _positions(u) -> np.ndarray:

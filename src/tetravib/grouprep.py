@@ -23,7 +23,7 @@ from .forcefield import TETRAHEDRON
 __all__ = [
     "S4", "IDENTITY", "pmul", "pinv", "cycle_type", "conjugacy_class_index",
     "CLASS_ORDER", "CLASS_SIZES", "CHARACTER_TABLE", "IRREP_DIMS",
-    "TetrahedralRealization", "realization", "act", "action_matrix",
+    "realization", "act", "action_matrix",
     "representation_character", "multiplicities", "isotypic_projection",
     "IsotypicDecomposition", "isotypic_decomposition",
     "SO3_GENERATORS", "tangent_basis", "translation_basis",
@@ -101,22 +101,6 @@ def realization():
     return mats
 
 
-class TetrahedralRealization:
-    """The permutation group realized as orthogonal matrices on R^3."""
-
-    def __init__(self):
-        self.matrices = realization()
-
-    def matrix(self, p) -> np.ndarray:
-        return self.matrices[tuple(p)]
-
-    def is_homomorphism(self, tol: float = 1e-13) -> bool:
-        m = self.matrices
-        return all(
-            np.abs(m[pmul(p, q)] - m[p] @ m[q]).max() < tol
-            for p in S4 for q in S4)
-
-
 _REALIZATION = None
 
 
@@ -192,11 +176,6 @@ class IsotypicDecomposition:
 
     projections: tuple = field(repr=False)
     ranks: tuple
-
-    def component_basis(self, j: int) -> np.ndarray:
-        """Orthonormal basis (columns) of isotypic component j."""
-        w, v = np.linalg.eigh(self.projections[j])
-        return v[:, w > 0.5]
 
 
 def isotypic_decomposition() -> IsotypicDecomposition:

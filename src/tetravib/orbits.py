@@ -23,8 +23,8 @@ from .grouprep import SO3_GENERATORS, action_matrix, isotypic_projection
 
 __all__ = [
     "FourierOrbit", "SymmetryConstraint", "BranchPoint", "Branch",
-    "amplitude", "residual", "energy_profile", "symmetry_project",
-    "continue_branch", "verify_predicates", "frequency_extrapolation",
+    "amplitude", "residual", "energy_profile", "continue_branch",
+    "verify_predicates", "frequency_extrapolation",
 ]
 
 
@@ -178,10 +178,6 @@ class SymmetryConstraint:
             pm /= len(elements)
             self.projectors.append(pm)
         self.bases = [_range_basis(p) for p in self.projectors]
-        self.brake = any(perm == (0, 1, 2, 3) and kind == "refl"
-                         for perm, kind, _ in elements)
-        self.has_time_reflection = any(kind == "refl"
-                                       for _, kind, _ in elements)
 
     def fixed_dims(self):
         return tuple(b.shape[1] for b in self.bases)
@@ -230,12 +226,6 @@ def _range_basis(projector, tol=1e-9):
     if np.any((w > tol) & (w < 1.0 - tol)):
         raise ArithmeticError("symmetry averaging did not yield a projector")
     return cols
-
-
-def symmetry_project(orbit: FourierOrbit,
-                     constraint: SymmetryConstraint) -> FourierOrbit:
-    """Project a loop onto the symmetry-fixed subspace (idempotent)."""
-    return constraint.project(orbit)
 
 
 def verify_predicates(orbit: FourierOrbit, description: SymmetryDescription,
@@ -332,7 +322,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     lam0 = l / math.sqrt(eq.mu[j])
 
     constraint = SymmetryConstraint(klass, n_modes)
-    if not constraint.has_time_reflection:
+    if not klass.has_time_reflection:
         raise UsageError("class contains no time reflection; the phase of "
                          "the loop would be undetermined")
     description = describe_symmetry(klass)

@@ -200,13 +200,16 @@ def test_integer_scalar_multiple(u1):
 # basic degrees: golden tables and the involution property
 
 def test_basic_degree_tables_l1_l2(u12):
-    for j, table in DEGREE_TABLES.items():
-        for l in (1, 2):
-            deg = u12.basic_degree(j, l)
-            expected = as_class_set(u12, table, scale=l)
-            expected[u12.unit] = 1
-            got = dict(deg.terms())
-            assert got == expected, "degree table j=%d l=%d" % (j, l)
+    # l = 3, 4 run on the N = 144 grid of universe_for_modes([1, 2, 3, 4])
+    u1234 = bu.universe_for_modes([1, 2, 3, 4])
+    for u, modes in ((u12, (1, 2)), (u1234, (3, 4))):
+        for j, table in DEGREE_TABLES.items():
+            for l in modes:
+                deg = u.basic_degree(j, l)
+                expected = as_class_set(u, table, scale=l)
+                expected[u.unit] = 1
+                got = dict(deg.terms())
+                assert got == expected, "degree table j=%d l=%d" % (j, l)
 
 
 def test_degree_squares_to_unit(u12):
@@ -293,8 +296,9 @@ def test_element_lists_and_time_reflection(u1):
     breathing = u1.parse_class("(S4 x D1)")
     elems = breathing.elements()
     assert len(elems) == 48
-    assert breathing.contains_time_reflection()
+    assert breathing.brake and breathing.has_time_reflection
     wave = u1.parse_class("(D4^Z1 x_D4 D4)")
+    assert wave.has_time_reflection and not wave.brake
     kinds = {(p, kind) for p, kind, _ in wave.elements()}
     assert ((0, 1, 2, 3), "refl") not in kinds
     assert any(kind == "refl" for _, kind in kinds)

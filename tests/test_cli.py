@@ -4,6 +4,7 @@ import math
 import pytest
 
 import tetravib.bifurcation as bf
+import tetravib.burnside as bu
 from tetravib import cli
 
 
@@ -62,6 +63,25 @@ def test_bad_config_exits_one(tmp_path, capsys, body):
     code, _, err = run(capsys, "--config", str(path), "reps")
     assert code == 1
     assert "error" in err
+
+
+_FLOAT_KEYS = ["%s.%s" % (section, key)
+               for section, keys in sorted(cli._SCHEMA.items())
+               for key, want in sorted(keys.items()) if want is float]
+
+
+@pytest.mark.parametrize("value", [
+    "nan", "inf", "-inf",
+    pytest.param("1" + "0" * 400, id="int-beyond-float-range"),
+])
+@pytest.mark.parametrize("dotted", _FLOAT_KEYS)
+def test_non_finite_config_value_exits_one(tmp_path, capsys, dotted, value):
+    section, key = dotted.split(".")
+    path = tmp_path / "bad.toml"
+    path.write_text("[%s]\n%s = %s\n" % (section, key, value))
+    code, _, err = run(capsys, "--config", str(path), "equilibrium")
+    assert code == 1
+    assert "must be finite" in err
 
 
 def test_missing_config_file_exits_one(capsys, tmp_path):
@@ -244,6 +264,16 @@ def test_nonconvergence_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(cfg), "equilibrium")
     assert code == 2
     assert "non-convergence" in err
+
+
+def test_fold_cover_fault_exits_three(capsys, monkeypatch):
+    def broken(self, kl, k):
+        raise bu.InternalError("fold cover has wrong order (resolution?)")
+    monkeypatch.setattr(bu.Universe, "fold_cover", broken)
+    code, out, err = run(capsys, "invariants")
+    assert code == 3
+    assert out == ""
+    assert "internal consistency failure" in err
 
 
 def test_full_report_smoke(capsys, tmp_path):

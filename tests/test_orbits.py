@@ -132,7 +132,7 @@ def test_wave_projection_satisfies_predicates(wave_class):
 
 def test_brake_projection_kills_sine_coefficients(breathing_class):
     con = ob.SymmetryConstraint(breathing_class, n_modes=4)
-    assert con.brake and con.has_time_reflection
+    assert con.klass.brake and con.klass.has_time_reflection
     proj = con.project(_random_orbit(4, seed=9))
     assert np.max(np.abs(proj.sin_coeffs)) < 1e-13
     # the fixed subspace is the breathing direction in every mode
