@@ -158,13 +158,13 @@ def _normal_subgroups_of(h):
     return out
 
 
-def _s4_normalizer(h):
-    return frozenset(g for g in range(24)
-                     if frozenset(CONJ[g][p] for p in h) == h)
-
-
-def _s4_conjugates(h):
-    return {frozenset(CONJ[g][p] for p in h) for g in range(24)}
+@lru_cache(maxsize=None)
+def _s4_conjugate_pairs(rot, refl):
+    """Distinct images of the pair (rot, refl) under simultaneous
+    conjugation by S4; there are 24 / |Stab_S4(rot, refl)| of them."""
+    return frozenset((frozenset(CONJ[g][p] for p in rot),
+                      frozenset(CONJ[g][p] for p in refl))
+                     for g in range(24))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,11 @@ class AmalgamClass:
     kind is one of 'dihedral' (finite, reflection-containing projection to
     O(2)), 'cyclic' (finite, rotations only), 'so2', 'o2', 'o2z2' (the three
     continuous-K shapes H x SO(2), H x O(2), H ^Z x_{Z2} O(2)).
+
+    rot_perms and refl_perms are the permutations paired with a rotation
+    and with a reflection of time: (H, H) for H x O(2), (H, {}) for
+    H x SO(2), (Z, H \\ Z) for H ^Z x_{Z2} O(2), and read off the elements
+    for the finite kinds.
     """
 
     universe: "Universe" = field(repr=False)
@@ -283,8 +288,8 @@ class AmalgamClass:
     kind: str
     codes: frozenset = field(repr=False)          # None for continuous kinds
     H_set: frozenset = field(repr=False)
-    Z_set: frozenset = field(repr=False)
-    R_set: frozenset = field(repr=False)
+    rot_perms: frozenset = field(repr=False)
+    refl_perms: frozenset = field(repr=False)
     H_label: str
     Z_label: str
     R_label: str
@@ -362,23 +367,26 @@ class AmalgamClass:
             out.append((S4[p], "refl" if kind else "rot", Fraction(k, n)))
         return out
 
-    def _reflection_perms(self):
-        """Permutation parts of the elements that reflect time."""
-        if not self.is_finite:
-            raise ValueError("continuous class")
-        return {p for p, kind, _ in map(self.universe.split, self.codes)
-                if kind}
+    @cached_property
+    def _refl_axes(self):
+        """Permutation -> axis parameters of the reflections paired with it
+        (finite classes only)."""
+        axes = {}
+        for p, kind, k in map(self.universe.split, self.codes):
+            if kind:
+                axes.setdefault(p, []).append(k)
+        return axes
 
     @property
     def brake(self):
         """Some element is (identity permutation, reflection): the orbit is
         time-reversible in place, so all velocities vanish together."""
-        return ID_PERM in self._reflection_perms()
+        return ID_PERM in self.refl_perms
 
     @property
     def has_time_reflection(self):
         """Some element is a reflection of time."""
-        return bool(self._reflection_perms())
+        return bool(self.refl_perms)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +414,7 @@ class Universe:
         self.N = math.lcm(*self.orders)
         self.classes = []
         self._lookup = {}          # bucket key -> list of class indices
-        self._nbar = {}            # class index -> normalizer triples
-        self._conjugates = {}      # class index -> list of frozensets
+        self._nbar = {}            # class index -> normalizer triple count
         self._ncount_memo = {}
         self._parity_memo = {}     # (j, l) -> fixed-point dim parities
         self._name_index = {}
@@ -491,31 +498,22 @@ class Universe:
             return self.join(q, kind, k + j if kind else k)
         return self.join(q, kind, j - k if kind else -k)
 
-    def conj_compose(self, c1, c2):
-        g1, f1, j1 = c1
-        g2, f2, j2 = c2
-        return (MUL[g1][g2], f1 ^ f2, (j1 + (j2 if f1 == 0 else -j2)) % self.N)
-
-    def _conj_candidates(self, codes1, codes2):
-        """Conjugator triples possibly mapping codes1 onto codes2."""
-        refl1 = [(p, k) for p, kind, k in map(self.split, codes1) if kind]
-        out = []
-        if refl1:
-            p0, k0 = refl1[0]
-            refl2 = {}
-            for e in codes2:
-                p, kind, k = self.split(e)
-                if kind:
-                    refl2.setdefault(p, []).append(k)
-            for g in range(24):
-                q0 = CONJ[g][p0]
-                for k2 in refl2.get(q0, ()):
-                    out.append((g, 0, (k2 - k0) % self.N))
-                    out.append((g, 1, (k2 + k0) % self.N))
+    def _conj_candidates(self, elems, kl):
+        """Conjugator triples that may map the subgroup generated by `elems`
+        into the finite class kl: those sending its first reflection onto a
+        reflection of kl.  Without a reflection every (g, f) is listed with
+        j = 0 only, since j moves no rotation."""
+        for e in elems:
+            p0, kind, k0 = self.split(e)
+            if kind:
+                break
         else:
-            for g in range(24):
-                out.append((g, 0, 0))
-                out.append((g, 1, 0))
+            return [(g, f, 0) for g in range(24) for f in (0, 1)]
+        out = []
+        for g in range(24):
+            for k2 in kl._refl_axes.get(CONJ[g][p0], ()):
+                out.append((g, 0, (k2 - k0) % self.N))
+                out.append((g, 1, (k2 + k0) % self.N))
         return out
 
     def _maps_into(self, trip, gens, target):
@@ -533,7 +531,7 @@ class Universe:
         gens = self._generators(codes)
         for idx in self._lookup.get(key, ()):
             kl = self.classes[idx]
-            for trip in self._conj_candidates(codes, kl.codes):
+            for trip in self._conj_candidates(gens, kl):
                 if self._maps_into(trip, gens, kl.codes):
                     return kl
         if not register:
@@ -542,41 +540,27 @@ class Universe:
         return kl
 
     def _register(self, codes, gens, key, kind):
-        h_set = frozenset(self.split(e)[0] for e in codes)
-        z_set = frozenset(p for p, kk, k in map(self.split, codes)
-                          if kk == 0 and k == 0)
-        r_set = frozenset(p for p, kk, _ in map(self.split, codes) if kk == 0)
-        rot_ks = sorted({k for p, kk, k in map(self.split, codes) if kk == 0})
-        refl = [k for p, kk, k in map(self.split, codes) if kk == 1]
-        d = len(rot_ks)
-        if refl:
-            k_kind = "D"
-            ker_psi_refl = [k for p, kk, k in map(self.split, codes)
-                            if kk == 1 and p == ID_PERM]
-            ker_psi_rot = [k for p, kk, k in map(self.split, codes)
-                           if kk == 0 and p == ID_PERM]
-            if ker_psi_refl:
-                if len(ker_psi_rot) == d:
-                    l_label = "Z1"
-                else:
-                    l_label = "Z2"
-            else:
-                c = len(ker_psi_rot)
-                if d % c:
-                    raise InternalError("kernel size does not divide")
-                l_label = "D%d" % (d // c)
+        parts = [self.split(e) for e in codes]
+        rot_perms = frozenset(p for p, f, _ in parts if not f)
+        refl_perms = frozenset(p for p, f, _ in parts if f)
+        h_set = rot_perms | refl_perms
+        z_set = frozenset(p for p, f, k in parts if not f and k == 0)
+        d = len({k for _, f, k in parts if not f})
+        c = sum(1 for p, f, _ in parts if p == ID_PERM and not f)
+        if not refl_perms:
+            k_kind, l_label = "Z", "Z%d" % (d // c)
+        elif ID_PERM in refl_perms:
+            k_kind, l_label = "D", "Z1" if c == d else "Z2"
+        elif d % c:
+            raise InternalError("kernel size does not divide")
         else:
-            k_kind = "Z"
-            ker_psi_rot = [k for p, kk, k in map(self.split, codes)
-                           if kk == 0 and p == ID_PERM]
-            c = len(ker_psi_rot)
-            l_label = "Z%d" % (d // c)
+            k_kind, l_label = "D", "D%d" % (d // c)
         kl = AmalgamClass(
             universe=self, index=len(self.classes), kind=kind, codes=codes,
-            H_set=h_set, Z_set=z_set, R_set=r_set,
+            H_set=h_set, rot_perms=rot_perms, refl_perms=refl_perms,
             H_label=s4_subgroup_label(h_set),
             Z_label=s4_subgroup_label(z_set),
-            R_label=s4_subgroup_label(r_set),
+            R_label=s4_subgroup_label(rot_perms),
             L_label=l_label, K_kind=k_kind, K_order=d,
             order=len(codes), gens=gens)
         self.classes.append(kl)
@@ -584,58 +568,53 @@ class Universe:
         return kl
 
     def _register_continuous(self, kind, h_set, z_set):
+        rot, refl = {"o2": (h_set, h_set), "so2": (h_set, frozenset()),
+                     "o2z2": (z_set, h_set - z_set)}[kind]
+        # (rot, refl) fixes the shape, so a class is new unless its pair is
+        # S4-conjugate to one already registered
+        pairs = _s4_conjugate_pairs(rot, refl)
         for kl in self.classes:
-            if kl.kind == kind and kl.H_set in _s4_conjugates(h_set):
-                if kind != "o2z2":
-                    return kl
-                # the pair (H, Z) must match up to simultaneous conjugation
-                for g in range(24):
-                    if (frozenset(CONJ[g][p] for p in h_set) == kl.H_set and
-                            frozenset(CONJ[g][p] for p in z_set) == kl.Z_set):
-                        return kl
-        if kind == "o2":
-            l_label, k_kind = "Z1", "O2"
-            z_set = h_set
-        elif kind == "so2":
-            l_label, k_kind = "Z1", "SO2"
-            z_set = h_set
-        else:
-            l_label, k_kind = "Z2", "O2"
+            if not kl.is_finite and (kl.rot_perms, kl.refl_perms) in pairs:
+                return kl
         kl = AmalgamClass(
             universe=self, index=len(self.classes), kind=kind, codes=None,
-            H_set=h_set, Z_set=z_set, R_set=h_set,
+            H_set=h_set, rot_perms=rot, refl_perms=refl,
             H_label=s4_subgroup_label(h_set),
-            Z_label=s4_subgroup_label(z_set),
+            Z_label=s4_subgroup_label(rot),
             R_label=s4_subgroup_label(h_set),
-            L_label=l_label, K_kind=k_kind, K_order=0, order=0, gens=())
+            L_label="Z2" if kind == "o2z2" else "Z1",
+            K_kind="SO2" if kind == "so2" else "O2",
+            K_order=0, order=0, gens=())
         self.classes.append(kl)
         return kl
 
     # -- enumeration ---------------------------------------------------------
 
-    def _k_group(self, d):
-        """Codes of the base dihedral subgroup D_d (axis parameter 0)."""
-        step = self.N // d
-        rot = [self.join(ID_PERM, 0, i * step) for i in range(d)]
-        refl = [self.join(ID_PERM, 1, i * step) for i in range(d)]
-        return rot, refl
+    def _k_groups(self):
+        """(kind, codes of K, quotients of K) for every K of the Goursat
+        construction: the dihedral D_d (axis parameter 0) of each order,
+        then the cyclic Z_n, each with its quotients by the normal subgroups
+        with cyclic or dihedral quotient."""
+        def rot(c):
+            return [self.join(ID_PERM, 0, i * (self.N // c)) for i in range(c)]
 
-    def _kernels_dihedral(self, d):
-        """Normal subgroups of D_d with cyclic or dihedral quotient."""
-        step = self.N // d
-        rot, refl = self._k_group(d)
-        kers = []
-        for c in [c for c in range(1, d + 1) if d % c == 0]:
-            ker = frozenset(self.join(ID_PERM, 0, i * (self.N // c))
-                            for i in range(c))
-            kers.append(("rot%d" % c, ker))
-        if d % 2 == 0:
-            ker = frozenset(
-                [self.join(ID_PERM, 0, i * 2 * step) for i in range(d // 2)]
-                + [self.join(ID_PERM, 1, i * 2 * step) for i in range(d // 2)])
-            kers.append(("dih", ker))
-        kers.append(("full", frozenset(rot + refl)))
-        return kers
+        def refl(c):
+            return [self.join(ID_PERM, 1, i * (self.N // c)) for i in range(c)]
+
+        def divisors(n):
+            return [c for c in range(1, n + 1) if n % c == 0]
+
+        out = []
+        for d in self.orders:
+            kers = [rot(c) for c in divisors(d)]
+            if d % 2 == 0:
+                kers.append(rot(d // 2) + refl(d // 2))
+            kers.append(rot(d) + refl(d))
+            out.append(("dihedral", rot(d) + refl(d), kers))
+        for n in self.orders:
+            out.append(("cyclic", rot(n), [rot(c) for c in divisors(n)]))
+        return [(kind, k_codes, [self._quotient(k_codes, ker) for ker in kers])
+                for kind, k_codes, kers in out]
 
     def _quotient(self, k_codes, kernel):
         k_codes = sorted(k_codes)
@@ -662,16 +641,12 @@ class Universe:
         return _CosetGroup(cosets, lambda a, b: MUL[a][b])
 
     def _enumerate(self):
-        s4_classes = enumerate_s4_subgroups()
-        for s4c in s4_classes:
+        k_groups = self._k_groups()
+        for s4c in enumerate_s4_subgroups():
             h = s4c.representative
             normals = _normal_subgroups_of(h)
-            # dihedral K
-            for d in self.orders:
-                rot, refl = self._k_group(d)
-                k_codes = rot + refl
-                for name, ker in self._kernels_dihedral(d):
-                    qk = self._quotient(k_codes, ker)
+            for kind, k_codes, quotients in k_groups:
+                for qk in quotients:
                     for z in normals:
                         if len(h) != len(z) * len(qk):
                             continue
@@ -681,26 +656,7 @@ class Universe:
                                 self.join(p, *self.split(e)[1:])
                                 for p in h for e in k_codes
                                 if iso[qh.coset_of(p)] == qk.coset_of(e))
-                            self.classify(codes, register=True,
-                                          kind="dihedral")
-            # cyclic K
-            for n in self.orders:
-                rot = [self.join(ID_PERM, 0, i * (self.N // n))
-                       for i in range(n)]
-                for c in [c for c in range(1, n + 1) if n % c == 0]:
-                    ker = frozenset(self.join(ID_PERM, 0, i * (self.N // c))
-                                    for i in range(c))
-                    qk = self._quotient(rot, ker)
-                    for z in normals:
-                        if len(h) != len(z) * len(qk):
-                            continue
-                        qh = self._h_quotient(h, z)
-                        for iso in _isomorphisms(qh, qk):
-                            codes = frozenset(
-                                self.join(p, 0, self.split(e)[2])
-                                for p in h for e in rot
-                                if iso[qh.coset_of(p)] == qk.coset_of(e))
-                            self.classify(codes, register=True, kind="cyclic")
+                            self.classify(codes, register=True, kind=kind)
             # continuous K
             self._register_continuous("o2", h, h)
             self._register_continuous("so2", h, h)
@@ -763,69 +719,40 @@ class Universe:
             raise KeyError("unknown class string %r" % text)
         return kl
 
-    # -- normalizers, Weyl groups, conjugates ------------------------------
+    # -- normalizers, Weyl groups, containment counts ----------------------
 
-    def _normalizer_triples(self, kl):
+    def _conjugator_count(self, low, high):
+        """Number of conjugator triples t with t(low) inside finite high."""
+        hits = sum(1 for t in self._conj_candidates(low.gens, high)
+                   if self._maps_into(t, low.gens, high.codes))
+        # without a reflection in low only j = 0 was tried, and every j
+        # acts alike on rotations
+        return hits if low.refl_perms else hits * self.N
+
+    def _normalizer_count(self, kl):
         if kl.index not in self._nbar:
-            trips = [t for t in self._conj_candidates(kl.codes, kl.codes)
-                     if self._maps_into(t, kl.gens, kl.codes)]
-            self._nbar[kl.index] = trips
+            self._nbar[kl.index] = self._conjugator_count(kl, kl)
         return self._nbar[kl.index]
 
     def weyl(self, kl):
         """(finite flag, order of the Weyl group when finite)."""
         if kl.kind == "cyclic":
             return (False, None)
-        if kl.kind == "o2":
-            return (True, len(_s4_normalizer(kl.H_set)) // len(kl.H_set))
-        if kl.kind == "so2":
-            return (True, 2 * len(_s4_normalizer(kl.H_set)) // len(kl.H_set))
-        if kl.kind == "o2z2":
-            # normalizer is P x O(2) with P stabilizing the pair (H, Z),
-            # while the subgroup fills only half of each O(2) fiber
-            n = sum(1 for g in _s4_normalizer(kl.H_set)
-                    if frozenset(CONJ[g][p] for p in kl.Z_set) == kl.Z_set)
-            return (True, 2 * n // len(kl.H_set))
-        trips = self._normalizer_triples(kl)
-        if (2 * len(trips)) % kl.order:
+        if not kl.is_finite:
+            # the normalizer is Stab_S4(rot, refl) x O(2); H x O(2) fills
+            # each O(2) fiber, the other two shapes only half of it
+            stab = 24 // len(_s4_conjugate_pairs(kl.rot_perms, kl.refl_perms))
+            return (True, (1 if kl.kind == "o2" else 2) * stab
+                    // len(kl.H_set))
+        # each conjugator triple stands for two group elements
+        nbar = 2 * self._normalizer_count(kl)
+        if nbar % kl.order:
             raise InternalError("normalizer order not divisible by |H|")
-        return (True, 2 * len(trips) // kl.order)
-
-    def conjugates_of(self, kl):
-        """All distinct conjugate subgroups of a finite class representative."""
-        if kl.index in self._conjugates:
-            return self._conjugates[kl.index]
-        nbar = self._normalizer_triples(kl) if kl.kind == "dihedral" else None
-        out = []
-        if kl.kind == "dihedral":
-            seen = set()
-            for g in range(24):
-                for f in (0, 1):
-                    for j in range(self.N):
-                        c = (g, f, j)
-                        if c in seen:
-                            continue
-                        out.append(frozenset(self.conj_apply(c, e)
-                                             for e in kl.codes))
-                        for nb in nbar:
-                            seen.add(self.conj_compose(c, nb))
-        else:       # cyclic: rotation conjugators act trivially
-            seen = set()
-            for g in range(24):
-                for f in (0, 1):
-                    img = frozenset(self.conj_apply((g, f, 0), e)
-                                    for e in kl.codes)
-                    if img not in seen:
-                        seen.add(img)
-                        out.append(img)
-        self._conjugates[kl.index] = out
-        return out
-
-    # -- containment counting ----------------------------------------------
+        return (True, nbar // kl.order)
 
     def n_count(self, low, high):
         """Number of conjugates of `high` containing a representative of
-        `low` (the coefficient n(L, K) of the recursion formula)."""
+        `low`: the containment count n(L, H) of the table of marks."""
         key = (low.index, high.index)
         if key in self._ncount_memo:
             return self._ncount_memo[key]
@@ -836,54 +763,21 @@ class Universe:
     def _n_count_raw(self, low, high):
         if low is high:
             return 1
-        if high.kind in ("o2", "so2", "o2z2"):
-            return self._n_count_continuous(low, high)
-        if not low.is_finite:
-            return 0                      # infinite cannot sit inside finite
-        if low.order > high.order or high.order % low.order:
+        if not high.is_finite:
+            # O(2) conjugation maps a continuous shape to itself, so its
+            # conjugates are its S4-conjugate (rot, refl) pairs
+            return sum(1 for rot, refl in _s4_conjugate_pairs(
+                           high.rot_perms, high.refl_perms)
+                       if low.rot_perms <= rot and low.refl_perms <= refl)
+        if not low.is_finite or high.order % low.order:
             return 0
-        return sum(1 for conj in self.conjugates_of(high)
-                   if low.codes <= conj)
-
-    def _n_count_continuous(self, low, high):
-        # distinct conjugates of `high` are indexed by the S4-conjugates of
-        # H (and of the pair (H, Z) for the o2z2 shape)
-        pairs = set()
-        for g in range(24):
-            hs = frozenset(CONJ[g][p] for p in high.H_set)
-            zs = frozenset(CONJ[g][p] for p in high.Z_set)
-            pairs.add((hs, zs))
-        if low.is_finite:
-            rot_perms = frozenset(p for p, kk, _ in map(self.split, low.codes)
-                                  if kk == 0)
-            all_perms = low.H_set
-        elif low.kind in ("o2", "so2"):
-            rot_perms = low.H_set
-            all_perms = low.H_set
-        else:
-            rot_perms = low.Z_set if low.kind == "o2z2" else low.H_set
-            all_perms = low.H_set
-        count = 0
-        for hs, zs in pairs:
-            if high.kind == "o2":
-                ok = all_perms <= hs
-            elif high.kind == "so2":
-                has_refl = (low.is_finite and any(
-                    kk for _, kk, _ in map(self.split, low.codes)))
-                has_refl = has_refl or low.kind in ("o2", "o2z2")
-                ok = (not has_refl) and all_perms <= hs
-            else:       # o2z2: rotations over zs, reflections over hs \ zs
-                if low.is_finite:
-                    refl_perms = frozenset(
-                        p for p, kk, _ in map(self.split, low.codes) if kk)
-                elif low.kind == "o2z2":
-                    refl_perms = low.H_set - low.Z_set
-                elif low.kind == "o2":
-                    refl_perms = low.H_set
-                else:
-                    refl_perms = frozenset()
-                ok = rot_perms <= zs and refl_perms <= (hs - zs)
-            count += ok
+        # the conjugators t with t(L) inside H come in whole cosets of the
+        # normalizer, one coset per conjugate of H that contains L
+        count, rem = divmod(self._conjugator_count(low, high),
+                            self._normalizer_count(high))
+        if rem:
+            raise InternalError("conjugators of %s into %s do not fill "
+                                "normalizer cosets" % (low, high))
         return count
 
     def leq(self, low, high):
@@ -991,17 +885,16 @@ class Universe:
     def fold_cover(self, kl: AmalgamClass, k: int) -> AmalgamClass:
         """Class of the preimage under the k-fold cover of O(2).
 
-        Rotations by t pull back to rotations by (t + m)/k; the resulting
-        class has K-order multiplied by k (used by the mode-doubling
-        independence check)."""
+        An element with rotation angle or axis parameter t/N pulls back to
+        the k elements of parameter (t + jN)/(kN), 0 <= j < k, those on the
+        grid; the resulting class has K-order multiplied by k (used by the
+        mode-doubling independence check)."""
         if not kl.is_finite:
             raise ValueError("continuous class")
-        codes = frozenset(
-            e for e in (self.join(p, kind, kk)
-                        for p in range(24) for kind in (0, 1)
-                        for kk in range(self.N))
-            if self.join(self.split(e)[0], self.split(e)[1],
-                         (self.split(e)[2] * k) % self.N) in kl.codes)
+        n = self.N
+        codes = frozenset(self.join(p, kind, (t + j * n) // k)
+                          for p, kind, t in map(self.split, kl.codes)
+                          for j in range(k) if (t + j * n) % k == 0)
         if len(codes) != k * kl.order:
             raise InternalError("fold cover has wrong order (resolution?)")
         return self.classify(codes)

@@ -63,7 +63,9 @@ class RunConfig:
                     raise ConfigError("unknown key %r in section [%s]"
                                       % (key, section))
                 want = _SCHEMA[section][key]
-                if want is float and isinstance(raw, (int, float)):
+                is_number = (isinstance(raw, (int, float))
+                             and not isinstance(raw, bool))
+                if want is float and is_number:
                     try:
                         raw = float(raw)
                     except OverflowError:       # integer beyond float range
@@ -126,7 +128,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -515,8 +517,11 @@ def _write_output(text, args, config):
     out_dir = os.environ.get(_OUTPUT_DIR_ENV)
     if out_dir:
         path = os.path.join(out_dir, os.path.basename(path))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:       # ValueError: a NUL in the path
+        raise ConfigError("cannot write output: %s" % exc)
 
 
 def main(argv=None) -> int:

@@ -151,6 +151,24 @@ def test_n_count_d1_inside_d3(u1):
     assert u1.n_count(low, high) == 2
 
 
+def _conjugate_subgroups(u, kl):
+    """Distinct images of kl under all 48 N conjugator triples."""
+    return {frozenset(u.conj_apply((g, f, j), e) for e in kl.codes)
+            for g in range(24) for f in (0, 1) for j in range(u.N)}
+
+
+def test_n_count_matches_brute_force_conjugates(u1):
+    finite = [kl for kl in u1.all_classes() if kl.is_finite]
+    assert any(kl.kind == "cyclic" for kl in finite)
+    for high in u1.phi0_classes():
+        if not high.is_finite:
+            continue
+        conjugates = _conjugate_subgroups(u1, high)
+        for low in finite:
+            expected = sum(1 for c in conjugates if low.codes <= c)
+            assert u1.n_count(low, high) == expected, (str(low), str(high))
+
+
 def test_leq_antisymmetric_on_equal_order_classes(u1):
     finite = [kl for kl in u1.phi0_classes() if kl.is_finite]
     by_order = {}
@@ -250,10 +268,14 @@ def test_fixed_point_dim_matches_character_average(u1):
 
 
 def test_fixed_point_dim_constant_on_conjugates(u1):
+    triples = [(g, f, j) for g in (0, 5, 17) for f in (0, 1) for j in (0, 1, 7)]
     for name in ("(S4 x D1)", "(D2^D1 x_Z2 D2)", "(D3^Z1 x_D3 D3)"):
         kl = u1.parse_class(name)
         base = u1.fixed_point_dim(1, 1, kl)
-        for codes in u1.conjugates_of(kl)[:6]:
+        images = {frozenset(u1.conj_apply(t, e) for e in kl.codes)
+                  for t in triples}
+        assert len(images) > 1
+        for codes in images:
             assert abs(_manual_fixdim(u1, codes, 1, 1) - base) < 1e-9
 
 
@@ -287,6 +309,32 @@ def test_fold_cover_doubles_the_k_part(u12):
     doubled = u12.fold_cover(wave, 2)
     assert doubled.K_order == 6 and doubled.H_label == "D3"
     assert len(doubled.codes) == 2 * len(wave.codes)
+
+
+def _class_or_fault(find):
+    try:
+        return find()
+    except bu.InternalError:
+        return "fault"
+
+
+def test_fold_cover_matches_preimage_scan(u12):
+    n = u12.N
+    found = 0
+    for kl in u12.phi0_classes():
+        if not kl.is_finite:
+            continue
+        for k in (2, 3):
+            preimage = frozenset(
+                u12.join(p, kind, t) for p in range(24) for kind in (0, 1)
+                for t in range(n) if u12.join(p, kind, t * k) in kl.codes)
+            expected = "fault"          # off the grid, or not in the universe
+            if len(preimage) == k * kl.order:
+                expected = _class_or_fault(lambda: u12.classify(preimage))
+            got = _class_or_fault(lambda: u12.fold_cover(kl, k))
+            assert got == expected, (str(kl), k)
+            found += expected != "fault"
+    assert found > 100
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import tetravib.bifurcation as bf
 import tetravib.burnside as bu
@@ -56,6 +58,7 @@ def test_load_config_round_trip(tmp_path):
     "l_max = 2\n",                              # key outside any section
     "[analysis\nl_max = 2\n",                   # malformed header
     "[analysis]\nl_max\n",                      # missing '='
+    "[potential]\nbond_weight = true\n",        # boolean for a float
 ])
 def test_bad_config_exits_one(tmp_path, capsys, body):
     path = tmp_path / "bad.toml"
@@ -82,6 +85,51 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, dotted, value):
     code, _, err = run(capsys, "--config", str(path), "equilibrium")
     assert code == 1
     assert "must be finite" in err
+
+
+_SCHEMA_KEYS = [(section, key) for section, keys in sorted(cli._SCHEMA.items())
+                for key in sorted(keys)]
+_VALUES = st.one_of(
+    st.floats().map(repr),                      # nan and inf included
+    st.integers().map(str),
+    st.sampled_from(["true", "false"]),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters='"\\\r\n'),
+            max_size=8).map('"{}"'.format),
+)
+
+
+def _config_text(entries):
+    """(file bytes, whether some key is given a boolean)."""
+    body = "".join("[%s]\n%s = %s\n" % (section, key, value)
+                   for (section, key), value in entries)
+    return body.encode(), any(v in ("true", "false") for _, v in entries)
+
+
+# each key at most once, so a boolean is never overridden by a later line
+_SCHEMA_LINES = st.lists(st.tuples(st.sampled_from(_SCHEMA_KEYS), _VALUES),
+                         max_size=4, unique_by=lambda e: e[0]).map(_config_text)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(st.binary(max_size=80).map(lambda b: (b, False)),
+                      _SCHEMA_LINES))
+@example(case=(b"[potential]\nbond_weight = 1.0\xff\n", False))
+@example(case=(b"[potential]\nbond_weight = true\n", True))
+@example(case=(b'[output]\npath = "/"\n', False))   # names a directory
+def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys, case):
+    body, has_boolean = case
+    monkeypatch.setenv("TETRAVIB_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "fuzz.toml"
+    path.write_bytes(body)
+    code, _, err = run(capsys, "--config", str(path), "equilibrium")
+    assert code in (0, 1, 2)
+    if code:
+        prefix = "error: " if code == 1 else "non-convergence: "
+        assert err.splitlines()[-1].startswith(prefix)
+    if has_boolean:                     # no key takes a boolean
+        assert code == 1
 
 
 def test_missing_config_file_exits_one(capsys, tmp_path):
