@@ -21,8 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:                       # grouprep imports this module
+    from .grouprep import SliceSpectrum
 
 __all__ = [
     "DomainError",
@@ -236,6 +240,7 @@ class EquilibriumResult:
     s_o      squared pair separation 8 r_o^2 / 3
     nu0_sq   base vibrational eigenvalue (32/3) r_o^2 U''(s_o)
     mu       slice spectrum (mu_0, mu_1, mu_2) = (4, 2, 1) * nu0_sq
+    spectrum the Hessian's SliceSpectrum at u_o, which mu was checked against
     """
 
     r_o: float
@@ -243,6 +248,7 @@ class EquilibriumResult:
     s_o: float
     nu0_sq: float
     mu: tuple
+    spectrum: SliceSpectrum = field(repr=False)
 
     @property
     def lam_critical(self):
@@ -250,6 +256,10 @@ class EquilibriumResult:
         return tuple(1.0 / math.sqrt(m) for m in self.mu)
 
 
+# The bracketing grid spans twelve decades of r, so large coefficients
+# overflow to inf (or inf - inf) at its ends; such points are never the
+# minimum, and a parameter set with no finite minimum fails the checks below.
+@np.errstate(over="ignore", invalid="ignore")
 def find_equilibrium(p: PairPotential, r_min: float = 1e-3, r_max: float = 1e3,
                      grid: int = 4001, tol: float = 1e-12) -> EquilibriumResult:
     """Locate the tetrahedral equilibrium radius.
@@ -306,14 +316,13 @@ def find_equilibrium(p: PairPotential, r_min: float = 1e-3, r_max: float = 1e3,
     scale = max(1.0, abs(nu0_sq)) * max(1.0, r)
     if np.linalg.norm(g) > 1e-10 * scale:
         raise ConvergenceError("gradient at the symmetric equilibrium is not zero")
-    result = EquilibriumResult(
-        r_o=float(r), u_o=u_o, s_o=float(s_o), nu0_sq=float(nu0_sq),
-        mu=(4.0 * float(nu0_sq), 2.0 * float(nu0_sq), 1.0 * float(nu0_sq)))
+    mu = (4.0 * float(nu0_sq), 2.0 * float(nu0_sq), 1.0 * float(nu0_sq))
 
     # cross-validate the closed-form mu_j against the actual Hessian spectrum
     from .grouprep import slice_spectrum
     spec = slice_spectrum(hessian(p, u_o), u_o)
-    for a_val, b_val in zip(spec.mu, result.mu):
+    for a_val, b_val in zip(spec.mu, mu):
         if abs(a_val - b_val) > 1e-8 * scale:
             raise ConvergenceError("slice spectrum disagrees with (4,2,1)*nu0^2")
-    return result
+    return EquilibriumResult(r_o=float(r), u_o=u_o, s_o=float(s_o),
+                             nu0_sq=float(nu0_sq), mu=mu, spectrum=spec)

@@ -178,9 +178,33 @@ class SymmetryConstraint:
             pm /= len(elements)
             self.projectors.append(pm)
         self.bases = [_range_basis(p) for p in self.projectors]
+        # Fourier mode of each reduced coordinate, in pack/unpack order
+        self.modes = np.concatenate([np.full(b.shape[1], m)
+                                     for m, b in enumerate(self.bases)])
 
     def fixed_dims(self):
         return tuple(b.shape[1] for b in self.bases)
+
+    def h1_weights(self):
+        """H^1 weight w of each reduced coordinate: 2*pi on mode 0 and
+        pi*(1 + m^2) on mode m.
+
+        Each mode's basis is orthonormal, so the H^1 distance of unpack(x)
+        from a constant loop c with reduced point x_c is
+        sqrt(w @ (x - x_c)**2), provided c lies in the mode-0 fixed space,
+        as the equilibrium does.
+        """
+        m = self.modes
+        return np.where(m == 0, 2.0 * math.pi, math.pi * (1.0 + m ** 2))
+
+    def collocation(self, ts):
+        """D, D2 of shape (len(ts), 12, K): the loop of a reduced point x at
+        times ts is D @ x, and its acceleration D2 @ x."""
+        ts = np.asarray(ts, dtype=float)[:, None, None]
+        d = np.concatenate([np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:]
+                            if m else np.broadcast_to(b, ts.shape[:1] + b.shape)
+                            for m, b in enumerate(self.bases)], axis=2)
+        return d, d * -(self.modes ** 2)
 
     def project(self, orbit: FourierOrbit) -> FourierOrbit:
         if orbit.n_modes != self.n_modes:
@@ -330,26 +354,10 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
 
     ts = _collocation_times(n_points)
     weight = 1.0 / math.sqrt(n_points)
-    modes = np.arange(n_modes + 1)
-    ct = np.cos(np.outer(ts, modes))
-    st = np.sin(np.outer(ts, modes))
-
-    # constant basis tensors: value and second derivative of each reduced
-    # direction at every collocation time
-    cols = []
-    for m in range(n_modes + 1):
-        b = constraint.bases[m]
-        for k in range(b.shape[1]):
-            if m == 0:
-                prof = np.outer(np.ones(n_points), b[:, k])
-                cols.append((prof, np.zeros_like(prof)))
-            else:
-                prof = (np.outer(ct[:, m], b[:12, k])
-                        + np.outer(st[:, m], b[12:, k]))
-                cols.append((prof, -(m ** 2) * prof))
-    n_red = len(cols)
-    D = np.stack([c[0] for c in cols], axis=2)     # (M, 12, K)
-    D2 = np.stack([c[1] for c in cols], axis=2)
+    D, D2 = constraint.collocation(ts)
+    n_red = D.shape[2]
+    n_c = 12 * n_points             # collocation rows; then amplitude, gauge
+    h1 = constraint.h1_weights()
 
     # rotational gauge rows: H^1 inner product with the constant rotation
     # tangents at the equilibrium (zero whenever, as for every class arising
@@ -362,72 +370,8 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     gauge = np.zeros((3, n_red + 1))
     gauge[:, :k0] = 2.0 * math.pi * tangents @ constraint.bases[0]
 
-    amps_m = np.pi * (1.0 + modes[1:] ** 2)
-
-    def unpack(x, lam):
-        return constraint.unpack(x, lam)
-
-    def amp_and_grad(orbit):
-        d0 = orbit.cos_coeffs[0] - u_o
-        q = 2.0 * math.pi * float(d0 @ d0)
-        q += float(amps_m @ (np.sum(orbit.cos_coeffs[1:] ** 2, axis=1)
-                             + np.sum(orbit.sin_coeffs[1:] ** 2, axis=1)))
-        a = math.sqrt(q)
-        # gradient of q in coefficient space, then reduced
-        gcos = np.zeros((n_modes + 1, 12))
-        gsin = np.zeros((n_modes + 1, 12))
-        gcos[0] = 4.0 * math.pi * d0
-        gcos[1:] = 2.0 * amps_m[:, None] * orbit.cos_coeffs[1:]
-        gsin[1:] = 2.0 * amps_m[:, None] * orbit.sin_coeffs[1:]
-        grad = constraint.pack(FourierOrbit(gcos, gsin, orbit.lam))
-        return a, grad / (2.0 * a)
-
-    def system(x, lam, target):
-        orbit = unpack(x, lam)
-        u = ct @ orbit.cos_coeffs + st @ orbit.sin_coeffs
-        acc = ((ct * -(modes ** 2)) @ orbit.cos_coeffs
-               + (st * -(modes ** 2)) @ orbit.sin_coeffs)
-        conf = u.reshape(-1, 4, 3)
-        g = gradient(potential, conf).reshape(-1, 12)
-        h = hessian(potential, conf)
-        f_c = weight * (acc + lam ** 2 * g)
-        amp, amp_grad = amp_and_grad(orbit)
-        f = np.concatenate([f_c.ravel(), [amp - target],
-                            gauge[:, :-1] @ x])
-        jac_c = weight * (D2 + lam ** 2 * np.einsum("mab,mbk->mak", h, D))
-        jac = np.zeros((12 * n_points + 4, n_red + 1))
-        jac[:12 * n_points, :n_red] = jac_c.reshape(-1, n_red)
-        jac[:12 * n_points, n_red] = (weight * 2.0 * lam * g).ravel()
-        jac[12 * n_points, :n_red] = amp_grad
-        jac[12 * n_points + 1:, :] = gauge
-        return f, jac, amp
-
-    def correct(x, lam, target):
-        for _ in range(max_newton):
-            f, jac, _ = system(x, lam, target)
-            norm_c = float(np.linalg.norm(f[:12 * n_points]))
-            norm_all = float(np.linalg.norm(f))
-            if norm_c < newton_tol and norm_all < 10.0 * newton_tol:
-                return x, lam, norm_c
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            scale = 1.0
-            for _ in range(8):
-                xn = x + scale * step[:n_red]
-                ln = lam + scale * step[n_red]
-                fn = system(xn, ln, target)[0]
-                if np.linalg.norm(fn) < norm_all:
-                    x, lam = xn, ln
-                    break
-                scale *= 0.5
-            else:
-                return None
-        f, _, _ = system(x, lam, target)
-        norm_c = float(np.linalg.norm(f[:12 * n_points]))
-        if norm_c < newton_tol:
-            return x, lam, norm_c
-        return None
-
-    # seed: equilibrium plus a sliver of the kernel direction
+    # x0 is the equilibrium, the reference of the amplitude; the seed adds
+    # a sliver of the kernel direction
     x0 = constraint.pack(FourierOrbit(
         np.vstack([u_o, np.zeros((n_modes, 12))]),
         np.zeros((n_modes + 1, 12)), lam0))
@@ -436,6 +380,56 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     kc[l], ks[l] = kernel[:12], kernel[12:]
     kdir = constraint.pack(FourierOrbit(kc, ks, lam0))
 
+    def amp(x):
+        return math.sqrt(float(h1 @ (x - x0) ** 2))
+
+    def evaluate(x, lam, target):
+        """Residual at (x, lam), with the loop and potential gradient it used."""
+        u = (D @ x).reshape(-1, 4, 3)
+        g = gradient(potential, u).reshape(-1, 12)
+        f = np.concatenate([(weight * (D2 @ x + lam ** 2 * g)).ravel(),
+                            [amp(x) - target], gauge[:, :-1] @ x])
+        return f, u, g
+
+    def jacobian(x, lam, u, g):
+        jac_c = weight * (D2 + lam ** 2 * (hessian(potential, u) @ D))
+        jac = np.zeros((n_c + 4, n_red + 1))
+        jac[:n_c, :n_red] = jac_c.reshape(n_c, n_red)
+        jac[:n_c, n_red] = (weight * 2.0 * lam * g).ravel()
+        jac[n_c, :n_red] = h1 * (x - x0) / amp(x)
+        jac[n_c + 1:] = gauge
+        return jac
+
+    def correct(x, lam, target):
+        """Corrected (x, lam) or None, and the least collocation residual."""
+        f, u, g = evaluate(x, lam, target)
+        least = math.inf
+        for _ in range(max_newton):
+            norm_c = float(np.linalg.norm(f[:n_c]))
+            norm_all = float(np.linalg.norm(f))
+            least = min(least, norm_c)
+            if norm_c < newton_tol and norm_all < 10.0 * newton_tol:
+                return (x, lam), least
+            step, *_ = np.linalg.lstsq(jacobian(x, lam, u, g), -f, rcond=None)
+            scale = 1.0
+            for _ in range(8):
+                xn, ln = x + scale * step[:n_red], lam + scale * step[n_red]
+                fn, un, gn = evaluate(xn, ln, target)
+                if np.linalg.norm(fn) < norm_all:
+                    x, lam, f, u, g = xn, ln, fn, un, gn
+                    break
+                scale *= 0.5
+            else:
+                return None, least
+        norm_c = float(np.linalg.norm(f[:n_c]))
+        return ((x, lam) if norm_c < newton_tol else None), min(least, norm_c)
+
+    def stuck(what):
+        return ConvergenceError(
+            "%s on class %s at target amplitude %g (step %g): smallest "
+            "collocation residual %.3e against newton_tol %g"
+            % (what, klass.printed_form(), target, step, least, newton_tol))
+
     points = []
     history = []                    # (target, x, lam) of converged steps
     target = first_step
@@ -443,13 +437,11 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     x, lam = x0 + first_step * kdir, lam0
     failures = 0
     for _ in range(steps):
-        got = correct(x.copy(), lam, target)
+        got, least = correct(x, lam, target)
         if got is None:
             failures += 1
             if failures > 12:
-                raise ConvergenceError(
-                    "corrector failed repeatedly on class %s"
-                    % klass.printed_form())
+                raise stuck("corrector failed repeatedly")
             step *= 0.5
             if history:
                 target = history[-1][0] + step
@@ -458,25 +450,21 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
                 target *= 0.5
                 x, lam = x0 + target * kdir, lam0
             continue
-        x, lam, norm_c = got
-        orbit = unpack(x, lam)
-        amp, _ = amp_and_grad(orbit)
+        x, lam = got
+        orbit = constraint.unpack(x, lam)
         res = residual(orbit, potential, n_points)
         preds = verify_predicates(orbit, description, n_samples=32)
-        points.append(BranchPoint(amplitude=amp, lam=lam, residual=res,
+        points.append(BranchPoint(amplitude=amp(x), lam=lam, residual=res,
                                   predicate_residuals=preds))
-        history.append((target, x.copy(), lam))
-        if amp >= target_amplitude:
+        history.append((target, x, lam))
+        if points[-1].amplitude >= target_amplitude:
             break
         target = min(target + step, target_amplitude * 1.0001)
         x, lam = _predict(history, target, x0, kdir, lam0)
     else:
-        if not points or points[-1].amplitude < target_amplitude:
-            raise ConvergenceError(
-                "branch for %s did not reach amplitude %g in %d steps"
-                % (klass.printed_form(), target_amplitude, steps))
-    final = unpack(history[-1][1], history[-1][2])
-    return Branch(klass=klass, j=j, l=l, points=tuple(points), orbit=final,
+        raise stuck("branch did not reach amplitude %g in %d steps"
+                    % (target_amplitude, steps))
+    return Branch(klass=klass, j=j, l=l, points=tuple(points), orbit=orbit,
                   description=description)
 
 

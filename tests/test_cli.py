@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -312,6 +315,45 @@ def test_nonconvergence_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(cfg), "equilibrium")
     assert code == 2
     assert "non-convergence" in err
+
+
+@pytest.mark.parametrize("line", ["vdw_B = 1.0945e+262", "vdw_B = 1e300",
+                                  "sigma = 1e300"])
+def test_overflowing_parameter_prints_one_line(tmp_path, line):
+    # numpy reports overflow through the warnings machinery, which a test
+    # run inside this process would capture; only a fresh process shows
+    # what a user sees on stderr
+    cfg = tmp_path / "huge.toml"
+    cfg.write_text("[potential]\n%s\n" % line)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetravib.cli", "--config", str(cfg),
+         "equilibrium"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "non-convergence: no interior minimum of the radial energy in "
+        "[0.001, 1000]"]
+
+
+def test_truncation_floor_is_reported(capsys, tmp_path):
+    # two modes cannot carry the wave past amplitude ~1e-3 at newton_tol
+    # 1e-11: the collocation residual floor grows like amplitude^3
+    cfg = tmp_path / "coarse.toml"
+    cfg.write_text("[analysis]\nn_modes = 2\n")
+    code, out, err = run(capsys, "--config", str(cfg), "branch", "--class",
+                         "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "non-convergence: corrector failed repeatedly on class "
+        "(D3^Z1 x_D3 D3) at target amplitude ")
+    assert "(step " in lines[0]
+    least = float(lines[0].split("smallest collocation residual ")[1]
+                  .split()[0])
+    assert lines[0].endswith("against newton_tol 1e-11")
+    assert 1e-11 <= least < 2e-11          # stalled right at the floor
 
 
 def test_fold_cover_fault_exits_three(capsys, monkeypatch):

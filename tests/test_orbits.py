@@ -139,6 +139,28 @@ def test_brake_projection_kills_sine_coefficients(breathing_class):
     assert con.fixed_dims() == (1, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("which", ["breathing_class", "wave_class"])
+def test_collocation_model_matches_fourier_loop(request, eq, which):
+    # the corrector works on reduced points x alone: D @ x, D2 @ x and the
+    # weighted norm of x - x_eq must be the loop, its acceleration and its
+    # H^1 amplitude about the equilibrium
+    con = ob.SymmetryConstraint(request.getfixturevalue(which), n_modes=4)
+    ts = ob._collocation_times(17)
+    D, D2 = con.collocation(ts)
+    w = con.h1_weights()
+    u_o = eq.u_o.reshape(12)
+    x_eq = con.pack(ob.FourierOrbit(np.vstack([u_o, np.zeros((4, 12))]),
+                                    np.zeros((5, 12)), 1.0))
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        x = rng.standard_normal(D.shape[2])
+        orbit = con.unpack(x, 1.0)
+        assert np.max(np.abs(D @ x - orbit.evaluate(ts))) < 1e-13
+        assert np.max(np.abs(D2 @ x - orbit.acceleration(ts))) < 1e-13
+        assert math.sqrt(w @ (x - x_eq) ** 2) == pytest.approx(
+            ob.amplitude(orbit, u_o), rel=1e-13)
+
+
 def test_constraint_rejects_continuous_class(u2):
     with pytest.raises(UsageError):
         ob.SymmetryConstraint(u2.unit, n_modes=4)
