@@ -927,13 +927,6 @@ class BurnsideElement:
                 self.coeffs[idx] = int(c)
 
     @classmethod
-    def from_classes(cls, universe, terms):
-        coeffs = {}
-        for kl, c in terms:
-            coeffs[kl.index] = coeffs.get(kl.index, 0) + c
-        return cls(universe, coeffs)
-
-    @classmethod
     def unit(cls, universe):
         return cls(universe, {universe.unit.index: 1})
 

@@ -241,7 +241,7 @@ def _equilibrium_report(eq):
         "nu0_sq": eq.nu0_sq,
         "mu": list(eq.mu),
         "u_o": [[float(v) for v in row] for row in eq.u_o],
-        "lam_critical": [1.0 / math.sqrt(m) for m in eq.mu],
+        "lam_critical": list(eq.lam_critical),
     }
 
 
@@ -442,8 +442,12 @@ def _cmd_report(args, config):
 # wiring
 
 class _Parser(argparse.ArgumentParser):
+    """Bad arguments are usage errors: exit 1 with the one-line message that
+    every other usage error prints.  The message can echo argv, so line
+    breaks inside it become spaces."""
+
     def error(self, message):
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+        self.exit(1, "error: %s\n" % " ".join(message.splitlines()))
 
 
 def _build_parser():

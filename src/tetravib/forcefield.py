@@ -56,7 +56,15 @@ class DegenerateParameters(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach its tolerance."""
+    """An iterative solve failed to reach its tolerance.
+
+    diagnostics holds, by name, the values of the failed attempt that the
+    solver reports (empty where it reports none).
+    """
+
+    def __init__(self, message, diagnostics=None):
+        super().__init__(message)
+        self.diagnostics = dict(diagnostics or {})
 
 
 # Vertices of the regular tetrahedron with unit circumradius, centre of mass

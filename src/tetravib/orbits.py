@@ -19,7 +19,8 @@ from .bifurcation import SymmetryDescription, UsageError, describe_symmetry
 from .burnside import AmalgamClass
 from .forcefield import (ConvergenceError, PairPotential, find_equilibrium,
                          gradient, hessian, total_potential)
-from .grouprep import SO3_GENERATORS, action_matrix, isotypic_projection
+from .grouprep import (SO3_GENERATORS, action_matrix, isotypic_projection,
+                       translation_basis)
 
 __all__ = [
     "FourierOrbit", "SymmetryConstraint", "BranchPoint", "Branch",
@@ -129,6 +130,9 @@ def energy_profile(orbit: FourierOrbit, potential: PairPotential,
 # ---------------------------------------------------------------------------
 # symmetry constraints on Fourier coefficients
 
+# orthogonal projector onto configurations with the centre of mass fixed
+_COM_FREE = np.eye(12) - translation_basis().T @ translation_basis()
+
 class SymmetryConstraint:
     """Exact spatio-temporal symmetry, imposed mode by mode.
 
@@ -139,7 +143,10 @@ class SymmetryConstraint:
     reflection through the corresponding orthogonal reflection, both tensored
     with the 12-dimensional spatial action.  Averaging over the finite group
     yields one projector per mode; orthonormal bases of their ranges are the
-    reduced coordinates used by the corrector.
+    reduced coordinates used by the corrector.  The potential does not see a
+    translation of the whole molecule, so mode 0 keeps only the
+    centre-of-mass-free part of its fixed space: a fixed translation would
+    be an exact null direction of every Newton system.
     """
 
     def __init__(self, klass: AmalgamClass, n_modes: int):
@@ -155,8 +162,7 @@ class SymmetryConstraint:
         p0 = np.zeros((12, 12))
         for perm, kind, angle in elements:
             p0 += spatial[perm]
-        p0 /= len(elements)
-        self.projectors.append(p0)
+        self.projectors.append(_COM_FREE @ (p0 / len(elements)) @ _COM_FREE)
         for m in range(1, self.n_modes + 1):
             pm = np.zeros((24, 24))
             for perm, kind, angle in elements:
@@ -198,13 +204,13 @@ class SymmetryConstraint:
         return np.where(m == 0, 2.0 * math.pi, math.pi * (1.0 + m ** 2))
 
     def collocation(self, ts):
-        """D, D2 of shape (len(ts), 12, K): the loop of a reduced point x at
-        times ts is D @ x, and its acceleration D2 @ x."""
+        """D of shape (len(ts), 12, K): the loop of a reduced point x at
+        times ts is D @ x, and its acceleration D @ (-modes**2 * x)."""
         ts = np.asarray(ts, dtype=float)[:, None, None]
-        d = np.concatenate([np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:]
-                            if m else np.broadcast_to(b, ts.shape[:1] + b.shape)
-                            for m, b in enumerate(self.bases)], axis=2)
-        return d, d * -(self.modes ** 2)
+        return np.concatenate(
+            [np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:] if m
+             else np.broadcast_to(b, ts.shape[:1] + b.shape)
+             for m, b in enumerate(self.bases)], axis=2)
 
     def project(self, orbit: FourierOrbit) -> FourierOrbit:
         if orbit.n_modes != self.n_modes:
@@ -298,9 +304,7 @@ class Branch:
 
 def _kernel_direction(constraint, j, l):
     """Unit H^1 vector spanning the critical mode inside the fixed subspace."""
-    iso = isotypic_projection(j)
-    com = np.eye(12) - np.kron(np.ones((4, 4)) / 4.0, np.eye(3))
-    tilde = iso @ com
+    tilde = isotypic_projection(j) @ _COM_FREE
     basis = constraint.bases[l]
     if basis.shape[1] == 0:
         raise UsageError("symmetry class fixes nothing in mode %d" % l)
@@ -316,6 +320,33 @@ def _kernel_direction(constraint, j, l):
     vec = u_[:, 0]
     norm = math.sqrt(math.pi * (1.0 + l ** 2) * float(vec @ vec))
     return vec / norm, rank
+
+
+# Largest trusted condition estimate of a scaled Newton system.  The normal
+# equations square it, so at this bound a step keeps about four correct
+# digits, enough for Newton to converge; the default families stay below 5e3.
+MAX_CONDITION = 1e6
+
+
+def _normal_solve(a, b):
+    """Least-squares solution z of a @ z = b, from the Cholesky factor of
+    a.T @ a, and a condition estimate of a: the ratio of the largest to the
+    smallest diagonal entry of the factor.
+
+    z is None when the factorization fails, the estimate exceeds
+    MAX_CONDITION or the solution is not finite.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            chol = np.linalg.cholesky(a.T @ a)
+        except np.linalg.LinAlgError:
+            return None, math.inf
+        diag = np.abs(np.diagonal(chol))
+        cond = float(diag.max() / diag.min())
+        if not cond <= MAX_CONDITION:
+            return None, cond
+        z = np.linalg.solve(chol.T, np.linalg.solve(chol, a.T @ b))
+    return (z if np.all(np.isfinite(z)) else None), cond
 
 
 def continue_branch(potential: PairPotential, klass: AmalgamClass,
@@ -354,10 +385,18 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
 
     ts = _collocation_times(n_points)
     weight = 1.0 / math.sqrt(n_points)
-    D, D2 = constraint.collocation(ts)
+    D = constraint.collocation(ts)
     n_red = D.shape[2]
     n_c = 12 * n_points             # collocation rows; then amplitude, gauge
     h1 = constraint.h1_weights()
+    msq = constraint.modes ** 2.0
+    # the Newton system is solved for S^-1 (dx, dlam): S scales the column of
+    # mode m by (1 + m^2)^-1, which undoes the growth of the acceleration
+    # block with m; the lambda column is left as it is
+    col_scale = np.append(1.0 / (1.0 + msq), 1.0)
+    # the Jacobian is rebuilt in place, in this one array, at every Newton
+    # step; its amplitude row has no lambda entry, which stays zero
+    jac = np.zeros((n_c + 4, n_red + 1))
 
     # rotational gauge rows: H^1 inner product with the constant rotation
     # tangents at the equilibrium (zero whenever, as for every class arising
@@ -387,30 +426,38 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         """Residual at (x, lam), with the loop and potential gradient it used."""
         u = (D @ x).reshape(-1, 4, 3)
         g = gradient(potential, u).reshape(-1, 12)
-        f = np.concatenate([(weight * (D2 @ x + lam ** 2 * g)).ravel(),
+        f = np.concatenate([(weight * (D @ (-msq * x) + lam ** 2 * g)).ravel(),
                             [amp(x) - target], gauge[:, :-1] @ x])
         return f, u, g
 
-    def jacobian(x, lam, u, g):
-        jac_c = weight * (D2 + lam ** 2 * (hessian(potential, u) @ D))
-        jac = np.zeros((n_c + 4, n_red + 1))
-        jac[:n_c, :n_red] = jac_c.reshape(n_c, n_red)
+    def newton_step(x, lam, u, g, f):
+        """Gauss-Newton step from the column-scaled Jacobian, or None, and
+        the condition estimate of the scaled Jacobian."""
+        jac_c = jac[:n_c].reshape(n_points, 12, n_red + 1)[:, :, :n_red]
+        np.matmul(weight * lam ** 2 * hessian(potential, u), D, out=jac_c)
+        jac_c += D * -(weight * msq)
         jac[:n_c, n_red] = (weight * 2.0 * lam * g).ravel()
         jac[n_c, :n_red] = h1 * (x - x0) / amp(x)
         jac[n_c + 1:] = gauge
-        return jac
+        np.multiply(jac, col_scale, out=jac)
+        z, cond = _normal_solve(jac, -f)
+        return (None if z is None else z * col_scale), cond
 
     def correct(x, lam, target):
-        """Corrected (x, lam) or None, and the least collocation residual."""
+        """Corrected (x, lam) or None, the least collocation residual and
+        the condition estimate of the last Newton system (None if none)."""
         f, u, g = evaluate(x, lam, target)
         least = math.inf
+        cond = None
         for _ in range(max_newton):
             norm_c = float(np.linalg.norm(f[:n_c]))
             norm_all = float(np.linalg.norm(f))
             least = min(least, norm_c)
             if norm_c < newton_tol and norm_all < 10.0 * newton_tol:
-                return (x, lam), least
-            step, *_ = np.linalg.lstsq(jacobian(x, lam, u, g), -f, rcond=None)
+                return (x, lam), least, cond
+            step, cond = newton_step(x, lam, u, g, f)
+            if step is None:
+                return None, least, cond
             scale = 1.0
             for _ in range(8):
                 xn, ln = x + scale * step[:n_red], lam + scale * step[n_red]
@@ -420,15 +467,21 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
                     break
                 scale *= 0.5
             else:
-                return None, least
+                return None, least, cond
         norm_c = float(np.linalg.norm(f[:n_c]))
-        return ((x, lam) if norm_c < newton_tol else None), min(least, norm_c)
+        return (((x, lam) if norm_c < newton_tol else None),
+                min(least, norm_c), cond)
 
     def stuck(what):
+        diagnostics = {"class": klass.printed_form(), "target": target,
+                       "step": step, "smallest_residual": least,
+                       "newton_tol": newton_tol, "condition": cond}
         return ConvergenceError(
-            "%s on class %s at target amplitude %g (step %g): smallest "
-            "collocation residual %.3e against newton_tol %g"
-            % (what, klass.printed_form(), target, step, least, newton_tol))
+            ("{what} on class {class} at target amplitude {target:g} (step "
+             "{step:g}): smallest collocation residual {smallest_residual:.3e}"
+             " against newton_tol {newton_tol:g}").format(what=what,
+                                                          **diagnostics),
+            diagnostics)
 
     points = []
     history = []                    # (target, x, lam) of converged steps
@@ -437,7 +490,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     x, lam = x0 + first_step * kdir, lam0
     failures = 0
     for _ in range(steps):
-        got, least = correct(x, lam, target)
+        got, least, cond = correct(x, lam, target)
         if got is None:
             failures += 1
             if failures > 12:

@@ -135,6 +135,67 @@ def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys, case):
         assert code == 1
 
 
+def _not_an_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# argv from the CLI's own words, small integers and free text.  Integers
+# come only from the bounded strategy, because a large --l makes `degrees`
+# build a huge class universe; report, invariants and a converging branch
+# are too slow to draw, so no valid class name is offered.
+_INT = st.integers(-3, 3).map(str)
+_VALUE = st.one_of(_INT, st.sampled_from(["json", "csv", "/", ".", "-h"]),
+                   st.text(max_size=6).filter(_not_an_integer))
+# each option mostly with a value of its own type, sometimes with any value
+_OWN = {"--config": st.sampled_from(["/", ".", "nope.toml"]),
+        "--seed": _INT, "--output": st.sampled_from(["out.json", ".", "/"]),
+        "--format": st.sampled_from(["json", "csv"]), "--j": _INT,
+        "--l": _INT, "--class": st.text(max_size=6), "--steps": _INT,
+        "--critical": st.sampled_from(["0,1", "1,1", "2,2", "1"])}
+
+
+def _options(flags, stray):
+    pairs = [st.tuples(st.just(f), st.one_of(_OWN[f], _OWN[f], _VALUE))
+             for f in flags]
+    option = st.one_of(*pairs, *([st.tuples(_VALUE)] if stray else []))
+    return st.lists(option, max_size=3).map(
+        lambda opts: [tok for opt in opts for tok in opt])
+
+
+# global options, a subcommand (or none), subcommand options and a stray
+# token now and then
+_ARGV = st.tuples(
+    _options(["--config", "--seed", "--output", "--format"], stray=False),
+    st.sampled_from([[], ["equilibrium"], ["spectrum"], ["reps"],
+                     ["degrees"], ["branch"]]),
+    _options(["--j", "--l", "--class", "--steps", "--critical"],
+             stray=True)).map(lambda t: t[0] + t[1] + t[2])
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_ARGV)
+@example(argv=["bogus"])                    # argparse's own usage error
+@example(argv=["degrees", "--j", "x", "--l", "1"])
+@example(argv=["reps", "two\nlines"])      # argv echoed in the message
+def test_fuzzed_argv_exits_cleanly(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("TETRAVIB_OUTPUT_DIR", str(tmp_path))
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:               # argparse: --help or bad usage
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        prefix = "error: " if code == 1 else "non-convergence: "
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(prefix), err
+
+
 def test_missing_config_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(tmp_path / "nope.toml"), "reps")
     assert code == 1

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import tetravib.orbits as ob
-from tetravib.bifurcation import UsageError, _universe, describe_symmetry
-from tetravib.forcefield import PairPotential, find_equilibrium, gradient
+from tetravib import cli
+from tetravib.bifurcation import (UsageError, _universe, describe_symmetry,
+                                  independent_families)
+from tetravib.forcefield import (ConvergenceError, PairPotential,
+                                 find_equilibrium, gradient)
+from tetravib.grouprep import action_matrix, translation_basis
 
 BOND = PairPotential()
 
@@ -141,12 +145,12 @@ def test_brake_projection_kills_sine_coefficients(breathing_class):
 
 @pytest.mark.parametrize("which", ["breathing_class", "wave_class"])
 def test_collocation_model_matches_fourier_loop(request, eq, which):
-    # the corrector works on reduced points x alone: D @ x, D2 @ x and the
-    # weighted norm of x - x_eq must be the loop, its acceleration and its
-    # H^1 amplitude about the equilibrium
+    # the corrector works on reduced points x alone: D @ x,
+    # D @ (-modes**2 * x) and the weighted norm of x - x_eq must be the loop,
+    # its acceleration and its H^1 amplitude about the equilibrium
     con = ob.SymmetryConstraint(request.getfixturevalue(which), n_modes=4)
     ts = ob._collocation_times(17)
-    D, D2 = con.collocation(ts)
+    D = con.collocation(ts)
     w = con.h1_weights()
     u_o = eq.u_o.reshape(12)
     x_eq = con.pack(ob.FourierOrbit(np.vstack([u_o, np.zeros((4, 12))]),
@@ -156,9 +160,109 @@ def test_collocation_model_matches_fourier_loop(request, eq, which):
         x = rng.standard_normal(D.shape[2])
         orbit = con.unpack(x, 1.0)
         assert np.max(np.abs(D @ x - orbit.evaluate(ts))) < 1e-13
-        assert np.max(np.abs(D2 @ x - orbit.acceleration(ts))) < 1e-13
+        assert np.max(np.abs(D @ (-(con.modes ** 2) * x)
+                             - orbit.acceleration(ts))) < 1e-13
         assert math.sqrt(w @ (x - x_eq) ** 2) == pytest.approx(
             ob.amplitude(orbit, u_o), rel=1e-13)
+
+
+# the default families whose mode-0 fixed space holds a translation
+TRANSLATING = ["(D3^Z1 x_D3 D3)", "(D3 x D1)", "(D2^D1 x_Z2 D2)"]
+
+
+@pytest.mark.parametrize("name", TRANSLATING)
+def test_mode_zero_basis_is_free_of_translation(u2, eq, name):
+    klass = u2.parse_class(name)
+    t = translation_basis()
+    # the class does fix a translation: its spatial average keeps one
+    spatial = np.mean([action_matrix(list(perm))
+                       for perm, _, _ in klass.elements()], axis=0)
+    assert np.linalg.matrix_rank(t @ spatial @ t.T, tol=1e-9) >= 1
+    con = ob.SymmetryConstraint(klass, n_modes=4)
+    assert np.max(np.abs(t @ con.bases[0])) < 1e-14
+    # the centred equilibrium survives the round trip unchanged
+    u_o = eq.u_o.reshape(12)
+    orbit = ob.FourierOrbit(np.vstack([u_o, np.zeros((4, 12))]),
+                            np.zeros((5, 12)), 1.0)
+    back = con.unpack(con.pack(orbit), 1.0)
+    assert np.max(np.abs(back.cos_coeffs - orbit.cos_coeffs)) < 1e-14
+    assert np.max(np.abs(back.sin_coeffs)) == 0.0
+
+
+def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
+    # every Newton system of every default family at n_modes = 16: the
+    # column-scaled Jacobian keeps its smallest singular value well clear of
+    # zero (largest measured condition number 4.9e3).  A screened term is
+    # added because the bare bond potential makes the breathing branch
+    # exactly harmonic, so that family would take no Newton step at all.
+    potential = PairPotential(bond_weight=1.0, sigma=0.05)
+    eq = find_equilibrium(potential)
+    seen = []
+    solve = ob._normal_solve
+
+    def spy(a, b):
+        seen.append(np.linalg.svd(a, compute_uv=False))
+        return solve(a, b)
+
+    monkeypatch.setattr(ob, "_normal_solve", spy)
+    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    assert len(families) == 7
+    for fam in families:
+        del seen[:]
+        ob.continue_branch(potential, fam.klass, fam.j, fam.l, n_modes=16,
+                           equilibrium=eq)
+        assert seen, fam.klass.printed_form()
+        for sv in seen:
+            assert sv[-1] > 0.0 and sv[0] / sv[-1] < 1e5, (
+                fam.klass.printed_form(), sv[0] / sv[-1])
+
+
+_ONES = np.ones(6)
+_NAN_AT_0 = np.where(np.arange(6) == 0, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("a, b, trusted", [
+    (np.outer(np.arange(1.0, 7.0), [1.0, 2.0, 3.0]), _ONES, False),  # rank 1
+    (np.hstack([np.eye(6)[:, :3], np.eye(6)[:, :1]]), _ONES, False),  # twice
+    (np.diag([1.0, 1e-8, 1.0, 1.0, 1.0, 1.0])[:, :3], _ONES, False),
+    (np.full((6, 3), np.nan), _ONES, False),
+    (np.eye(6)[:, :3], _NAN_AT_0, True),    # well posed, but no finite step
+])
+def test_normal_solve_reports_failure(a, b, trusted):
+    z, cond = ob._normal_solve(a, b)
+    assert z is None
+    assert (cond <= ob.MAX_CONDITION) == trusted
+
+
+def test_normal_solve_matches_least_squares():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 6))
+    b = rng.standard_normal(40)
+    z, cond = ob._normal_solve(a, b)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.max(np.abs(z - want)) < 1e-12
+    assert 1.0 <= cond < 10.0
+
+
+def test_convergence_error_carries_diagnostics(eq, wave_class):
+    # two modes cannot carry the wave far: its truncation floor meets
+    # newton_tol near amplitude 0.0012
+    with pytest.raises(ConvergenceError) as info:
+        ob.continue_branch(BOND, wave_class, 1, 1, n_modes=2,
+                           equilibrium=eq)
+    d = info.value.diagnostics
+    assert set(d) == {"class", "target", "step", "smallest_residual",
+                      "newton_tol", "condition"}
+    assert d["class"] == wave_class.printed_form()
+    assert d["newton_tol"] == 1e-11
+    assert d["newton_tol"] < d["smallest_residual"] < 2e-11
+    assert 0.001 < d["target"] < 0.002
+    assert 1.0 <= d["condition"] <= ob.MAX_CONDITION
+    assert str(info.value) == (
+        "corrector failed repeatedly on class %s at target amplitude %g "
+        "(step %g): smallest collocation residual %.3e against newton_tol %g"
+        % (d["class"], d["target"], d["step"], d["smallest_residual"],
+           d["newton_tol"]))
 
 
 def test_constraint_rejects_continuous_class(u2):
