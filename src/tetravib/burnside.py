@@ -23,6 +23,15 @@ Element encoding inside a grid universe: code = perm_index * 2N + kind * N + k
 with kind 0 a rotation by k/N turns and kind 1 the reflection with axis
 parameter k/N (the conjugate of the base reflection by a rotation of k/2N
 turns).
+
+Each finite class keeps generators read off its Goursat data: lifts (p, e)
+of generators pZ of H/Z with e in the coset of the kernel R of K -> L that
+the quotient isomorphism assigns to pZ, plus (z, 1) for generators z of Z
+and (1, r) for generators r of R.  A subgroup maps into a conjugate of a
+finite class exactly when some conjugator maps every generator into it; one
+numpy kernel applies all candidate conjugators to all generators at once and
+tests membership by binary search in the class's sorted code array, so no
+array is longer than a multiple of the class order.
 """
 from __future__ import annotations
 
@@ -40,7 +49,7 @@ from .grouprep import (S4, IDENTITY, pmul, pinv, cycle_type,
 __all__ = [
     "InternalError", "S4SubgroupClass", "enumerate_s4_subgroups",
     "s4_subgroup_label", "AmalgamClass", "Universe", "BurnsideElement",
-    "universe_for_modes", "basic_degree", "pi0",
+    "universe_for_modes", "basic_degree",
 ]
 
 
@@ -54,26 +63,40 @@ class InternalError(RuntimeError):
 P_INDEX = {p: i for i, p in enumerate(S4)}
 MUL = [[P_INDEX[pmul(p, q)] for q in S4] for p in S4]
 INV = [P_INDEX[pinv(p)] for p in S4]
-# CONJ[g][p] = g p g^{-1}
-CONJ = [[MUL[g][MUL[p][INV[g]]] for p in range(24)] for g in range(24)]
-PERM_CLASS = [conjugacy_class_index(p) for p in S4]
+# CONJ[g, p] = g p g^{-1}
+CONJ = np.array([[MUL[g][MUL[p][INV[g]]] for p in range(24)]
+                 for g in range(24)])
+PERM_CLASS = np.array([conjugacy_class_index(p) for p in S4])
 ID_PERM = P_INDEX[IDENTITY]
 
 
 def _perm_closure(seed):
     """Subgroup of S4 generated by the given permutation indices."""
-    elems = {ID_PERM}
-    frontier = set(seed)
+    elems = frontier = {ID_PERM}
     while frontier:
-        new = set()
-        for a in frontier | elems:
-            for b in seed:
-                c = MUL[a][b]
-                if c not in elems and c not in frontier:
-                    new.add(c)
-        elems |= frontier
-        frontier = new
+        frontier = {MUL[a][b] for a in frontier for b in seed} - elems
+        elems = elems | frontier
     return frozenset(elems)
+
+
+@lru_cache(maxsize=None)
+def _perm_generators(h):
+    """A generating list of the subgroup h of S4, picked greedily."""
+    gens, have = [], frozenset([ID_PERM])
+    for p in sorted(h):
+        if p not in have:
+            gens.append(p)
+            have = _perm_closure(gens)
+    return gens
+
+
+@lru_cache(maxsize=None)
+def _conj_maps_into(low, high):
+    """Boolean vector over g in S4: does CONJ[g] map the set of
+    permutations `low` into the set `high`?"""
+    mask = np.zeros(24, dtype=bool)
+    mask[sorted(high)] = True
+    return mask[CONJ[:, sorted(low)]].all(axis=1)
 
 
 @lru_cache(maxsize=1)
@@ -141,7 +164,7 @@ def enumerate_s4_subgroups():
     for h in subs:
         if h in seen:
             continue
-        orbit = {frozenset(CONJ[g][p] for p in h) for g in range(24)}
+        orbit = set(map(frozenset, CONJ[:, sorted(h)].tolist()))
         seen |= orbit
         members = tuple(sorted(orbit, key=sorted))
         classes.append(S4SubgroupClass(label=s4_subgroup_label(h),
@@ -153,7 +176,8 @@ def _normal_subgroups_of(h):
     """Normal subgroups of the subgroup h (as frozensets of indices)."""
     out = []
     for z in _all_s4_subgroups():
-        if z <= h and all(frozenset(CONJ[g][p] for p in z) == z for g in h):
+        if z <= h and all(frozenset(row) == z for row in
+                          CONJ[np.ix_(sorted(h), sorted(z))].tolist()):
             out.append(z)
     return out
 
@@ -162,9 +186,8 @@ def _normal_subgroups_of(h):
 def _s4_conjugate_pairs(rot, refl):
     """Distinct images of the pair (rot, refl) under simultaneous
     conjugation by S4; there are 24 / |Stab_S4(rot, refl)| of them."""
-    return frozenset((frozenset(CONJ[g][p] for p in rot),
-                      frozenset(CONJ[g][p] for p in refl))
-                     for g in range(24))
+    return frozenset(zip(map(frozenset, CONJ[:, sorted(rot)].tolist()),
+                         map(frozenset, CONJ[:, sorted(refl)].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +195,27 @@ def _s4_conjugate_pairs(rot, refl):
 
 
 class _CosetGroup:
-    """Finite quotient group given by coset partition and a product rule."""
+    """Quotient of the finite group `members` by its normal subgroup
+    `kernel` under the product rule product(a, b) -> element."""
 
-    def __init__(self, cosets, product):
-        # cosets: tuple of frozensets; product(a, b) -> element
+    def __init__(self, members, kernel, product):
+        cosets = []
+        where = {}
+        for e in sorted(members):
+            if e not in where:
+                coset = frozenset(product(e, z) for z in kernel)
+                where.update(dict.fromkeys(coset, len(cosets)))
+                cosets.append(coset)
         self.cosets = tuple(cosets)
-        self._where = {e: i for i, c in enumerate(cosets) for e in c}
         n = len(cosets)
         self.table = [[0] * n for _ in range(n)]
         for i, ci in enumerate(cosets):
             a = next(iter(ci))
             for j, cj in enumerate(cosets):
                 b = next(iter(cj))
-                self.table[i][j] = self._where[product(a, b)]
-        self.identity = self._where_identity()
-
-    def _where_identity(self):
-        n = len(self.cosets)
-        for i in range(n):
-            if all(self.table[i][j] == j for j in range(n)):
-                return i
-        raise InternalError("coset group has no identity")
-
-    def coset_of(self, e):
-        return self._where[e]
+                self.table[i][j] = where[product(a, b)]
+        # the kernel is the identity coset
+        self.identity = where[next(iter(kernel))]
 
     def __len__(self):
         return len(self.cosets)
@@ -245,22 +265,14 @@ def _isomorphisms(q1: _CosetGroup, q2: _CosetGroup):
     isos = []
     for images in itertools.product(*candidates):
         phi = [None] * n
-        ok = True
         for x in range(n):
             y = q2.identity
             for gi in words[x]:
                 y = q2.table[y][images[gi]]
             phi[x] = y
-        if len(set(phi)) != n:
-            continue
-        for a in range(n):
-            for b in range(n):
-                if phi[q1.table[a][b]] != q2.table[phi[a]][phi[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if len(set(phi)) == n and all(
+                phi[q1.table[a][b]] == q2.table[phi[a]][phi[b]]
+                for a in range(n) for b in range(n)):
             isos.append(tuple(phi))
     return isos
 
@@ -297,7 +309,7 @@ class AmalgamClass:
     K_kind: str                                    # 'D', 'Z', 'SO2', 'O2'
     K_order: int                                   # d or n; 0 for SO2/O2
     order: int                                     # |H|; 0 means infinite
-    gens: tuple = field(repr=False, default=())
+    gens: tuple = field(repr=False, default=())    # codes generating it
 
     def __hash__(self):
         return hash((id(self.universe), self.index))
@@ -368,14 +380,16 @@ class AmalgamClass:
         return out
 
     @cached_property
-    def _refl_axes(self):
-        """Permutation -> axis parameters of the reflections paired with it
-        (finite classes only)."""
-        axes = {}
-        for p, kind, k in map(self.universe.split, self.codes):
-            if kind:
-                axes.setdefault(p, []).append(k)
-        return axes
+    def code_array(self):
+        """The codes as a sorted int64 array, for membership tests by
+        binary search (finite classes only)."""
+        return np.array(sorted(self.codes), dtype=np.int64)
+
+    @cached_property
+    def _reflections(self):
+        """(permutation, axis parameter) arrays of the reflections."""
+        p, kind, k = self.universe.parts(self.code_array)
+        return p[kind == 1], k[kind == 1]
 
     @property
     def brake(self):
@@ -393,13 +407,12 @@ class AmalgamClass:
 # the grid universe
 
 
+def _divisors(n):
+    return [c for c in range(1, n + 1) if n % c == 0]
+
+
 def _divisor_closure(orders):
-    out = set()
-    for n in orders:
-        for d in range(1, n + 1):
-            if n % d == 0:
-                out.add(d)
-    return tuple(sorted(out))
+    return tuple(sorted({c for n in orders for c in _divisors(n)}))
 
 
 class Universe:
@@ -461,30 +474,11 @@ class Universe:
             return self.join(INV[p], 1, k)
         return self.join(INV[p], 0, -k)
 
-    def closure(self, seed):
-        elems = {self.join(ID_PERM, 0, 0)}
-        frontier = set(seed)
-        while frontier:
-            new = set()
-            for a in frontier | elems:
-                for b in seed:
-                    c = self.mul(a, b)
-                    if c not in elems and c not in frontier:
-                        new.add(c)
-            elems |= frontier
-            frontier = new
-        return frozenset(elems)
-
-    def _generators(self, codes):
-        gens = []
-        have = {self.join(ID_PERM, 0, 0)}
-        for e in sorted(codes):
-            if e not in have:
-                gens.append(e)
-                have = self.closure(gens)
-                if len(have) == len(codes):
-                    break
-        return tuple(gens)
+    def parts(self, codes):
+        """(permutation, kind, k) arrays of an int64 array of codes."""
+        p, rem = np.divmod(codes, 2 * self.N)
+        kind, k = np.divmod(rem, self.N)
+        return p, kind, k
 
     # -- conjugation by (gamma, rotation a) or (gamma, reflection b) ---------
     # A conjugator triple (g, f, j) acts with 2a = j/N (f=0) or 2b = j/N
@@ -493,76 +487,70 @@ class Universe:
     def conj_apply(self, trip, e):
         g, f, j = trip
         p, kind, k = self.split(e)
-        q = CONJ[g][p]
+        q = int(CONJ[g, p])
         if f == 0:
             return self.join(q, kind, k + j if kind else k)
         return self.join(q, kind, j - k if kind else -k)
 
-    def _conj_candidates(self, elems, kl):
-        """Conjugator triples that may map the subgroup generated by `elems`
-        into the finite class kl: those sending its first reflection onto a
-        reflection of kl.  Without a reflection every (g, f) is listed with
-        j = 0 only, since j moves no rotation."""
-        for e in elems:
-            p0, kind, k0 = self.split(e)
-            if kind:
-                break
+    def _conjugators(self, gens, rot_perms, refl_perms, high):
+        """Which candidate conjugator triples map every generator into the
+        finite class `high`, as a boolean vector over the candidates.
+
+        `gens` are the codes of generators of a finite subgroup whose
+        permutations paired with rotations and with reflections of time are
+        `rot_perms` and `refl_perms`.  Candidates have a g whose CONJ[g]
+        maps those two sets into high's, and send the subgroup's first
+        reflection onto a reflection of high.  Without a reflection every
+        (g, f) is listed with j = 0 only, since j moves no rotation."""
+        n = self.N
+        g = np.flatnonzero(_conj_maps_into(rot_perms, high.rot_perms)
+                           & _conj_maps_into(refl_perms, high.refl_perms))
+        p, kind, k = self.parts(np.fromiter(gens, np.int64, len(gens)))
+        if refl_perms:
+            first = np.flatnonzero(kind)[0]
+            hp, hk = high._reflections
+            gi, ri = np.nonzero(CONJ[g, p[first]][:, None] == hp)
+            g = g[gi]
+            j = np.concatenate(((hk[ri] - k[first]) % n,
+                                (hk[ri] + k[first]) % n))
         else:
-            return [(g, f, 0) for g in range(24) for f in (0, 1)]
-        out = []
-        for g in range(24):
-            for k2 in kl._refl_axes.get(CONJ[g][p0], ()):
-                out.append((g, 0, (k2 - k0) % self.N))
-                out.append((g, 1, (k2 + k0) % self.N))
-        return out
+            j = np.zeros(2 * len(g), dtype=np.int64)
+        sign = np.repeat([1, -1], len(g))
+        g = np.concatenate((g, g))
+        # image of generator (p, kind, k) under (g, f, j): CONJ[g, p], kind,
+        # and k, k + j, -k or j - k for (f, kind) = 00, 01, 10, 11
+        images = (CONJ[g[:, None], p] * (2 * n) + kind * n
+                  + (sign[:, None] * k + kind * j[:, None]) % n)
+        target = high.code_array
+        pos = np.minimum(np.searchsorted(target, images), len(target) - 1)
+        return (target[pos] == images).all(axis=1)
 
-    def _maps_into(self, trip, gens, target):
-        return all(self.conj_apply(trip, e) in target for e in gens)
+    def _bucket_key(self, p, kind, k):
+        n = self.N
+        rot = np.where(kind == 0, np.minimum(k, (n - k) % n), -1)
+        return np.sort((PERM_CLASS[p] * 2 + kind) * (n + 1) + rot + 1
+                       ).tobytes()
 
-    def _bucket_key(self, codes):
-        prof = sorted((PERM_CLASS[p], kind, min(k, (self.N - k) % self.N)
-                       if kind == 0 else -1)
-                      for p, kind, k in map(self.split, codes))
-        return (len(codes), tuple(prof))
-
-    def classify(self, codes, register=False, **info):
-        """Find the class of a concrete subgroup; optionally register new."""
-        key = self._bucket_key(codes)
-        gens = self._generators(codes)
+    def classify(self, codes, gens, **fields):
+        """Find the class of the finite subgroup with element codes `codes`
+        generated by the codes `gens`.  Given the naming fields of a new
+        AmalgamClass (kind, H, Z, L and K), register the subgroup as a new
+        class when none matches."""
+        p, f, k = self.parts(np.fromiter(codes, np.int64, len(codes)))
+        rot_perms = frozenset(p[f == 0].tolist())
+        refl_perms = frozenset(p[f == 1].tolist())
+        key = self._bucket_key(p, f, k)
         for idx in self._lookup.get(key, ()):
             kl = self.classes[idx]
-            for trip in self._conj_candidates(gens, kl):
-                if self._maps_into(trip, gens, kl.codes):
-                    return kl
-        if not register:
+            if self._conjugators(gens, rot_perms, refl_perms, kl).any():
+                return kl
+        if not fields:
             raise InternalError("subgroup does not match any class")
-        kl = self._register(codes, gens, key, **info)
-        return kl
-
-    def _register(self, codes, gens, key, kind):
-        parts = [self.split(e) for e in codes]
-        rot_perms = frozenset(p for p, f, _ in parts if not f)
-        refl_perms = frozenset(p for p, f, _ in parts if f)
-        h_set = rot_perms | refl_perms
-        z_set = frozenset(p for p, f, k in parts if not f and k == 0)
-        d = len({k for _, f, k in parts if not f})
-        c = sum(1 for p, f, _ in parts if p == ID_PERM and not f)
-        if not refl_perms:
-            k_kind, l_label = "Z", "Z%d" % (d // c)
-        elif ID_PERM in refl_perms:
-            k_kind, l_label = "D", "Z1" if c == d else "Z2"
-        elif d % c:
-            raise InternalError("kernel size does not divide")
-        else:
-            k_kind, l_label = "D", "D%d" % (d // c)
         kl = AmalgamClass(
-            universe=self, index=len(self.classes), kind=kind, codes=codes,
-            H_set=h_set, rot_perms=rot_perms, refl_perms=refl_perms,
-            H_label=s4_subgroup_label(h_set),
-            Z_label=s4_subgroup_label(z_set),
-            R_label=s4_subgroup_label(rot_perms),
-            L_label=l_label, K_kind=k_kind, K_order=d,
-            order=len(codes), gens=gens)
+            universe=self, index=len(self.classes), codes=codes,
+            H_set=rot_perms | refl_perms, rot_perms=rot_perms,
+            refl_perms=refl_perms, R_label=s4_subgroup_label(rot_perms),
+            order=len(codes), gens=tuple(gens), **fields)
         self.classes.append(kl)
         self._lookup.setdefault(key, []).append(kl.index)
         return kl
@@ -591,72 +579,67 @@ class Universe:
     # -- enumeration ---------------------------------------------------------
 
     def _k_groups(self):
-        """(kind, codes of K, quotients of K) for every K of the Goursat
-        construction: the dihedral D_d (axis parameter 0) of each order,
-        then the cyclic Z_n, each with its quotients by the normal subgroups
-        with cyclic or dihedral quotient."""
+        """(AmalgamClass fields of K, [(K/R, generators of R, label of
+        L = K/R)]) for every K of the Goursat construction: the dihedral
+        D_d (axis parameter 0) of each order, then the cyclic Z_n, each with
+        its quotients by the normal subgroups R with cyclic or dihedral
+        quotient."""
         def rot(c):
             return [self.join(ID_PERM, 0, i * (self.N // c)) for i in range(c)]
 
         def refl(c):
             return [self.join(ID_PERM, 1, i * (self.N // c)) for i in range(c)]
 
-        def divisors(n):
-            return [c for c in range(1, n + 1) if n % c == 0]
+        def quotient(k_codes, c, l_label, dihedral=False):
+            # R is Z_c, or D_c with axis parameter 0
+            ker, r_gens = rot(c), rot(c)[1:2]
+            if dihedral:
+                ker, r_gens = ker + refl(c), r_gens + refl(c)[:1]
+            return _CosetGroup(k_codes, ker, self.mul), r_gens, l_label
 
         out = []
         for d in self.orders:
-            kers = [rot(c) for c in divisors(d)]
+            k_codes = rot(d) + refl(d)
+            qs = [quotient(k_codes, c, "D%d" % (d // c)) for c in _divisors(d)]
             if d % 2 == 0:
-                kers.append(rot(d // 2) + refl(d // 2))
-            kers.append(rot(d) + refl(d))
-            out.append(("dihedral", rot(d) + refl(d), kers))
+                qs.append(quotient(k_codes, d // 2, "Z2", dihedral=True))
+            qs.append(quotient(k_codes, d, "Z1", dihedral=True))
+            out.append((dict(kind="dihedral", K_kind="D", K_order=d), qs))
         for n in self.orders:
-            out.append(("cyclic", rot(n), [rot(c) for c in divisors(n)]))
-        return [(kind, k_codes, [self._quotient(k_codes, ker) for ker in kers])
-                for kind, k_codes, kers in out]
-
-    def _quotient(self, k_codes, kernel):
-        k_codes = sorted(k_codes)
-        cosets = []
-        seen = set()
-        for e in k_codes:
-            if e in seen:
-                continue
-            coset = frozenset(self.mul(e, z) for z in kernel)
-            seen |= coset
-            cosets.append(coset)
-        return _CosetGroup(cosets, self.mul)
-
-    def _h_quotient(self, h, z):
-        members = sorted(h)
-        cosets = []
-        seen = set()
-        for p in members:
-            if p in seen:
-                continue
-            coset = frozenset(MUL[p][q] for q in z)
-            seen |= coset
-            cosets.append(coset)
-        return _CosetGroup(cosets, lambda a, b: MUL[a][b])
+            out.append((dict(kind="cyclic", K_kind="Z", K_order=n),
+                        [quotient(rot(n), c, "Z%d" % (n // c))
+                         for c in _divisors(n)]))
+        return out
 
     def _enumerate(self):
         k_groups = self._k_groups()
         for s4c in enumerate_s4_subgroups():
             h = s4c.representative
             normals = _normal_subgroups_of(h)
-            for kind, k_codes, quotients in k_groups:
-                for qk in quotients:
+            for k_fields, quotients in k_groups:
+                for qk, r_gens, l_label in quotients:
                     for z in normals:
                         if len(h) != len(z) * len(qk):
                             continue
-                        qh = self._h_quotient(h, z)
+                        qh = _CosetGroup(h, z, lambda a, b: MUL[a][b])
+                        h_gens = qh.generating_words()[0]
+                        z_gens = [self.join(p, 0, 0)
+                                  for p in _perm_generators(z)]
                         for iso in _isomorphisms(qh, qk):
                             codes = frozenset(
                                 self.join(p, *self.split(e)[1:])
-                                for p in h for e in k_codes
-                                if iso[qh.coset_of(p)] == qk.coset_of(e))
-                            self.classify(codes, register=True, kind=kind)
+                                for x, ps in enumerate(qh.cosets)
+                                for p in ps for e in qk.cosets[iso[x]])
+                            # lifts (p, e) of generators pZ of H/Z, e in
+                            # the coset iso[pZ] of R, with (Z, 1) and
+                            # (1, R) generate the amalgam
+                            lifts = [self.join(min(qh.cosets[x]), *self.split(
+                                         min(qk.cosets[iso[x]]))[1:])
+                                     for x in h_gens]
+                            self.classify(
+                                codes, lifts + z_gens + r_gens,
+                                H_label=s4c.label, L_label=l_label,
+                                Z_label=s4_subgroup_label(z), **k_fields)
             # continuous K
             self._register_continuous("o2", h, h)
             self._register_continuous("so2", h, h)
@@ -723,8 +706,8 @@ class Universe:
 
     def _conjugator_count(self, low, high):
         """Number of conjugator triples t with t(low) inside finite high."""
-        hits = sum(1 for t in self._conj_candidates(low.gens, high)
-                   if self._maps_into(t, low.gens, high.codes))
+        hits = int(self._conjugators(low.gens, low.rot_perms, low.refl_perms,
+                                     high).sum())
         # without a reflection in low only j = 0 was tried, and every j
         # acts alike on rotations
         return hits if low.refl_perms else hits * self.N
@@ -805,13 +788,10 @@ class Universe:
             raise ValueError("Fourier mode must be >= 1")
         if not kl.is_finite:
             return 0        # a full circle of rotations averages to zero
-        total = 0.0
-        for e in kl.codes:
-            p, kind, k = self.split(e)
-            if kind == 0:
-                total += (CHARACTER_TABLE[j, PERM_CLASS[p]]
-                          * 2.0 * math.cos(2.0 * math.pi * l * k / self.N))
-        dim = total / kl.order
+        p, kind, k = self.parts(kl.code_array)
+        rot = kind == 0
+        dim = (CHARACTER_TABLE[j, PERM_CLASS[p[rot]]]
+               @ (2.0 * np.cos(2.0 * np.pi * l * k[rot] / self.N))) / kl.order
         r = round(dim)
         if abs(dim - r) > 1e-9:
             raise InternalError("non-integer fixed-point dimension")
@@ -883,12 +863,19 @@ class Universe:
                                self.from_marks(self.degree_marks([(j, l)])))
 
     def fold_cover(self, kl: AmalgamClass, k: int) -> AmalgamClass:
-        """Class of the preimage under the k-fold cover of O(2).
+        """Class of the preimage under the k-fold cover of O(2); it has
+        K-order multiplied by k (used by the mode-doubling independence
+        check)."""
+        return self.classify(*self._fold_preimage(kl, k))
+
+    def _fold_preimage(self, kl, k):
+        """Codes and generators of the preimage of kl under the k-fold cover
+        of O(2).
 
         An element with rotation angle or axis parameter t/N pulls back to
         the k elements of parameter (t + jN)/(kN), 0 <= j < k, those on the
-        grid; the resulting class has K-order multiplied by k (used by the
-        mode-doubling independence check)."""
+        grid.  The preimage is generated by one lift of each generator of kl
+        and the kernel of the cover, the rotation by 1/k turn."""
         if not kl.is_finite:
             raise ValueError("continuous class")
         n = self.N
@@ -897,7 +884,10 @@ class Universe:
                           for j in range(k) if (t + j * n) % k == 0)
         if len(codes) != k * kl.order:
             raise InternalError("fold cover has wrong order (resolution?)")
-        return self.classify(codes)
+        lifts = [self.join(p, kind, next((t + j * n) // k for j in range(k)
+                                         if (t + j * n) % k == 0))
+                 for p, kind, t in map(self.split, kl.gens)]
+        return codes, lifts + [self.join(ID_PERM, 0, n // k)]
 
 
 def universe_for_modes(modes):
@@ -960,6 +950,8 @@ class BurnsideElement:
                                {i: -c for i, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        """Ring product, pointwise in mark coordinates (an int scales the
+        coefficients).  The ring-axiom tests check this product."""
         if isinstance(other, int):
             return BurnsideElement(
                 self.universe, {i: c * other for i, c in self.coeffs.items()})
@@ -1001,11 +993,3 @@ def basic_degree(j, l, universe=None) -> BurnsideElement:
     u = universe or universe_for_modes([l])
     return u.basic_degree(j, l)
 
-
-def pi0(universe, terms) -> BurnsideElement:
-    """Truncation onto finite-Weyl classes: drops the others."""
-    coeffs = {}
-    for kl, c in terms:
-        if kl.in_phi0:
-            coeffs[kl.index] = coeffs.get(kl.index, 0) + c
-    return BurnsideElement(universe, coeffs)

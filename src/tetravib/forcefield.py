@@ -281,7 +281,9 @@ def find_equilibrium(p: PairPotential, r_min: float = 1e-3, r_max: float = 1e3,
     i = int(np.argmin(vals))
     if i == 0 or i == grid - 1:
         raise ConvergenceError(
-            "no interior minimum of the radial energy in [%g, %g]" % (r_min, r_max))
+            "no interior minimum of the radial energy in [%g, %g]" % (r_min, r_max),
+            {"r_min": r_min, "r_max": r_max, "grid": grid,
+             "argmin_r": float(rs[i])})
     a, b = rs[i - 1], rs[i + 1]
 
     # golden-section shrink to a tight bracket
@@ -305,25 +307,31 @@ def find_equilibrium(p: PairPotential, r_min: float = 1e-3, r_max: float = 1e3,
     for _ in range(100):
         _, dphi, d2phi = _radial_derivatives(p, r)
         if d2phi <= 0.0:
-            raise ConvergenceError("radial energy is not convex at the iterate")
+            raise ConvergenceError("radial energy is not convex at the iterate",
+                                   {"r": r, "d2phi": d2phi})
         step = dphi / d2phi
         r -= step
         if abs(step) < 1e-16 * max(1.0, r):
             break
     _, dphi, d2phi = _radial_derivatives(p, r)
     if not (abs(dphi) < tol):
-        raise ConvergenceError("Newton polish stalled at |phi'|=%g" % abs(dphi))
+        raise ConvergenceError("Newton polish stalled at |phi'|=%g" % abs(dphi),
+                               {"r": r, "abs_dphi": abs(dphi), "tol": tol})
 
     s_o = TETRA_PAIR_X * r * r
     _, _, d2u = pair_potential(p, s_o)
     if d2u <= 0.0:
-        raise ConvergenceError("U''(s_o) <= 0: radius is not a stable minimum")
+        raise ConvergenceError("U''(s_o) <= 0: radius is not a stable minimum",
+                               {"r": r, "s_o": s_o, "d2u": d2u})
     nu0_sq = (32.0 / 3.0) * r * r * d2u
     u_o = r * TETRAHEDRON
     g = gradient(p, u_o)
     scale = max(1.0, abs(nu0_sq)) * max(1.0, r)
-    if np.linalg.norm(g) > 1e-10 * scale:
-        raise ConvergenceError("gradient at the symmetric equilibrium is not zero")
+    g_norm = float(np.linalg.norm(g))
+    if g_norm > 1e-10 * scale:
+        raise ConvergenceError("gradient at the symmetric equilibrium is not zero",
+                               {"r": r, "gradient_norm": g_norm,
+                                "limit": 1e-10 * scale})
     mu = (4.0 * float(nu0_sq), 2.0 * float(nu0_sq), 1.0 * float(nu0_sq))
 
     # cross-validate the closed-form mu_j against the actual Hessian spectrum
@@ -331,6 +339,8 @@ def find_equilibrium(p: PairPotential, r_min: float = 1e-3, r_max: float = 1e3,
     spec = slice_spectrum(hessian(p, u_o), u_o)
     for a_val, b_val in zip(spec.mu, mu):
         if abs(a_val - b_val) > 1e-8 * scale:
-            raise ConvergenceError("slice spectrum disagrees with (4,2,1)*nu0^2")
+            raise ConvergenceError("slice spectrum disagrees with (4,2,1)*nu0^2",
+                                   {"mu": mu, "spectrum_mu": tuple(spec.mu),
+                                    "limit": 1e-8 * scale})
     return EquilibriumResult(r_o=float(r), u_o=u_o, s_o=float(s_o),
                              nu0_sq=float(nu0_sq), mu=mu, spectrum=spec)

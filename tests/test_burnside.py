@@ -29,13 +29,12 @@ def _compose(p, q):
     return tuple(p[q[i]] for i in range(4))
 
 
-def _closure(gens):
-    identity = (0, 1, 2, 3)
-    group = {identity}
-    frontier = set(gens)
+def _closure(gens, compose=_compose, identity=(0, 1, 2, 3)):
+    """Every product of the generators: the finite group they generate."""
+    group = frontier = {identity}
     while frontier:
-        group |= frontier
-        frontier = {_compose(a, b) for a in group for b in group} - group
+        frontier = {compose(a, b) for a in frontier for b in gens} - group
+        group = group | frontier
     return frozenset(group)
 
 
@@ -82,6 +81,35 @@ def test_universe_orders_and_unit(u1):
     unit = u1.unit
     assert unit.printed_form() == "(S4 x O2)"
     assert u1.weyl(unit) == (True, 1)
+
+
+@pytest.mark.parametrize("l_max, census", [
+    (1, (12, 227, 158)), (2, (24, 355, 239)), (3, (72, 459, 305)),
+    (4, (144, 522, 345)), (5, (720, 716, 470))])
+def test_universe_census(l_max, census):
+    u = bu.universe_for_modes(range(1, l_max + 1))
+    assert (u.N, len(u.all_classes()), len(u.phi0_classes())) == census
+
+
+def _generated(u, gens):
+    return _closure(gens, u.mul, u.join(bu.ID_PERM, 0, 0))
+
+
+def test_generators_generate_each_finite_class(u12):
+    finite = [kl for kl in u12.all_classes() if kl.is_finite]
+    for kl in finite:
+        assert _generated(u12, kl.gens) == kl.codes, str(kl)
+    covers = 0
+    for kl in finite:
+        for k in (2, 3):
+            try:
+                u12.fold_cover(kl, k)
+            except bu.InternalError:
+                continue
+            codes, gens = u12._fold_preimage(kl, k)
+            assert _generated(u12, gens) == codes, (str(kl), k)
+            covers += 1
+    assert covers > 200
 
 
 def test_name_round_trip_every_class(u12):
@@ -291,15 +319,7 @@ def test_fixed_point_dim_examples(u12):
 
 
 # ---------------------------------------------------------------------------
-# truncation and covers
-
-def test_pi0_drops_cyclic_classes(u12):
-    dihedral = lookup(u12, "S4", "S4", None, "Z1", 1)
-    cyclic = u12.find_class("S4", l_label="Z1", k_order=1, kind="cyclic")
-    out = bu.pi0(u12, [(dihedral, 3), (cyclic, 5)])
-    assert out.coefficient(dihedral) == 3
-    assert len(out.terms()) == 1
-
+# covers
 
 def test_fold_cover_doubles_the_k_part(u12):
     d1 = lookup(u12, "S4", "S4", None, "Z1", 1)
@@ -330,7 +350,9 @@ def test_fold_cover_matches_preimage_scan(u12):
                 for t in range(n) if u12.join(p, kind, t * k) in kl.codes)
             expected = "fault"          # off the grid, or not in the universe
             if len(preimage) == k * kl.order:
-                expected = _class_or_fault(lambda: u12.classify(preimage))
+                # every element of the preimage serves as a generator
+                expected = _class_or_fault(
+                    lambda: u12.classify(preimage, preimage))
             got = _class_or_fault(lambda: u12.fold_cover(kl, k))
             assert got == expected, (str(kl), k)
             found += expected != "fault"

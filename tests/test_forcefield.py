@@ -220,6 +220,22 @@ def test_no_minimizer_raises():
         ff.find_equilibrium(p)
 
 
+def test_equilibrium_errors_carry_diagnostics():
+    with pytest.raises(ff.ConvergenceError) as info:
+        ff.find_equilibrium(ff.PairPotential(), r_min=10.0, r_max=100.0)
+    assert str(info.value) == (
+        "no interior minimum of the radial energy in [10, 100]")
+    assert info.value.diagnostics == {"r_min": 10.0, "r_max": 100.0,
+                                      "grid": 4001, "argmin_r": 10.0}
+    # no iterate meets a zero tolerance
+    with pytest.raises(ff.ConvergenceError) as info:
+        ff.find_equilibrium(ff.PairPotential(), tol=0.0)
+    d = info.value.diagnostics
+    assert set(d) == {"r", "abs_dphi", "tol"} and d["tol"] == 0.0
+    assert abs(d["r"] - math.sqrt(3.0 / 8.0)) < 1e-12
+    assert str(info.value) == "Newton polish stalled at |phi'|=%g" % d["abs_dphi"]
+
+
 def test_radial_energy_consistency():
     p = P4_LIKE
     for r in (0.4, 0.8, 1.5):
