@@ -6,17 +6,21 @@ of u'' + lambda^2 grad V(u) measures how far a loop is from a genuine orbit
 of period 2*pi*lambda.  A symmetry class from the bifurcation analysis is
 imposed exactly, mode by mode, by averaging the induced action on Fourier
 coefficients; Gauss-Newton corrections then run inside the fixed subspace
-with the loop amplitude as continuation parameter.
+with the loop amplitude as continuation parameter.  The corrector uses the
+class twice more: its time reflection at angle 0 makes the residual at -t an
+orthogonal image of the residual at t, so only half of the collocation grid is
+solved, and no coordinate of the fixed subspace moves the centre of mass.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bifurcation import SymmetryDescription, UsageError, describe_symmetry
-from .burnside import AmalgamClass
+from .burnside import AmalgamClass, InternalError
 from .forcefield import (ConvergenceError, PairPotential, find_equilibrium,
                          gradient, hessian, total_potential)
 from .grouprep import (SO3_GENERATORS, action_matrix, isotypic_projection,
@@ -54,32 +58,57 @@ class FourierOrbit:
     def n_modes(self):
         return self.cos_coeffs.shape[0] - 1
 
-    def _trig(self, t, deriv=0):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def _combine(self, cos, sin, deriv=0):
+        """The loop (deriv 0), velocity (1) or acceleration (2) at the times
+        whose tables cos(m t), sin(m t), m = 0..n_modes, are given."""
         m = np.arange(self.n_modes + 1)
-        phase = np.outer(t, m)
-        cos, sin = np.cos(phase), np.sin(phase)
-        if deriv == 0:
-            return cos, sin
         if deriv == 1:
-            return -m * sin, m * cos
-        return -(m ** 2) * cos, -(m ** 2) * sin
+            cos, sin = -m * sin, m * cos
+        elif deriv == 2:
+            cos, sin = -(m ** 2) * cos, -(m ** 2) * sin
+        return cos @ self.cos_coeffs + sin @ self.sin_coeffs
+
+    def _at(self, t, deriv):
+        out = self._combine(*_trig(t, self.n_modes), deriv)
+        return out[0] if np.isscalar(t) else out
 
     def evaluate(self, t):
         """Positions (..., 12) at scaled times t."""
-        cos, sin = self._trig(t)
-        out = cos @ self.cos_coeffs + sin @ self.sin_coeffs
-        return out[0] if np.isscalar(t) else out
+        return self._at(t, 0)
 
     def velocity(self, t):
-        cos, sin = self._trig(t, deriv=1)
-        out = cos @ self.cos_coeffs + sin @ self.sin_coeffs
-        return out[0] if np.isscalar(t) else out
+        return self._at(t, 1)
 
     def acceleration(self, t):
-        cos, sin = self._trig(t, deriv=2)
-        out = cos @ self.cos_coeffs + sin @ self.sin_coeffs
-        return out[0] if np.isscalar(t) else out
+        return self._at(t, 2)
+
+
+def _trig(t, n_modes):
+    phase = np.outer(np.atleast_1d(np.asarray(t, dtype=float)),
+                     np.arange(n_modes + 1))
+    return np.cos(phase), np.sin(phase)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=128)
+def _sample_trig(n_modes, n_points, kind="shift", angle=0):
+    """Tables cos(m t), sin(m t), m = 0..n_modes, at the n_points equispaced
+    times moved as a predicate moves them: t + 2*pi*angle for a shift,
+    -t - 2*pi*angle for a reflection.  Built once per key; read-only."""
+    ts = _collocation_times(n_points)
+    tau = 2.0 * math.pi * float(angle)
+    return tuple(_read_only(a) for a in _trig(
+        ts + tau if kind == "shift" else -ts - tau, n_modes))
+
+
+@functools.lru_cache(maxsize=None)
+def _spatial(perm):
+    """action_matrix of a permutation tuple, built once; read-only."""
+    return _read_only(action_matrix(list(perm)))
 
 
 def amplitude(orbit: FourierOrbit, reference) -> float:
@@ -101,9 +130,9 @@ def residual(orbit: FourierOrbit, potential: PairPotential,
     """RMS of u'' + lam^2 grad V(u) over equispaced collocation times."""
     if n_points is None:
         n_points = 4 * orbit.n_modes + 1
-    ts = _collocation_times(n_points)
-    u = orbit.evaluate(ts).reshape(-1, 4, 3)
-    acc = orbit.acceleration(ts)
+    table = _sample_trig(orbit.n_modes, n_points)
+    u = orbit._combine(*table).reshape(-1, 4, 3)
+    acc = orbit._combine(*table, deriv=2)
     res = acc + orbit.lam ** 2 * gradient(potential, u).reshape(-1, 12)
     return math.sqrt(float(np.mean(np.sum(res ** 2, axis=1))))
 
@@ -133,6 +162,7 @@ def energy_profile(orbit: FourierOrbit, potential: PairPotential,
 # orthogonal projector onto configurations with the centre of mass fixed
 _COM_FREE = np.eye(12) - translation_basis().T @ translation_basis()
 
+
 class SymmetryConstraint:
     """Exact spatio-temporal symmetry, imposed mode by mode.
 
@@ -143,10 +173,12 @@ class SymmetryConstraint:
     reflection through the corresponding orthogonal reflection, both tensored
     with the 12-dimensional spatial action.  Averaging over the finite group
     yields one projector per mode; orthonormal bases of their ranges are the
-    reduced coordinates used by the corrector.  The potential does not see a
-    translation of the whole molecule, so mode 0 keeps only the
-    centre-of-mass-free part of its fixed space: a fixed translation would
-    be an exact null direction of every Newton system.
+    reduced coordinates used by the corrector.  The pair forces sum to zero,
+    so the centre of mass of a periodic loop never moves, and the potential
+    does not see it: every mode keeps only the centre-of-mass-free part of
+    its fixed space.  A translation coordinate would be an exact null
+    direction of every Newton system in mode 0 and a decoupled unknown that
+    must come out zero in every other mode.
     """
 
     def __init__(self, klass: AmalgamClass, n_modes: int):
@@ -157,16 +189,15 @@ class SymmetryConstraint:
         self.klass = klass
         self.n_modes = int(n_modes)
         elements = klass.elements()
-        spatial = {perm: action_matrix(list(perm)) for perm, _, _ in elements}
-        self.projectors = []
         p0 = np.zeros((12, 12))
         for perm, kind, angle in elements:
-            p0 += spatial[perm]
-        self.projectors.append(_COM_FREE @ (p0 / len(elements)) @ _COM_FREE)
+            p0 += _spatial(perm)
+        self.projectors = [_COM_FREE @ (p0 / len(elements)) @ _COM_FREE]
+        free = np.kron(np.eye(2), _COM_FREE)
         for m in range(1, self.n_modes + 1):
             pm = np.zeros((24, 24))
             for perm, kind, angle in elements:
-                rho = spatial[perm]
+                rho = _spatial(perm)
                 c = math.cos(2.0 * math.pi * m * angle)
                 s = math.sin(2.0 * math.pi * m * angle)
                 block = np.zeros((24, 24))
@@ -181,8 +212,7 @@ class SymmetryConstraint:
                     block[12:, :12] = -s * rho
                     block[12:, 12:] = -c * rho
                 pm += block
-            pm /= len(elements)
-            self.projectors.append(pm)
+            self.projectors.append(free @ (pm / len(elements)) @ free)
         self.bases = [_range_basis(p) for p in self.projectors]
         # Fourier mode of each reduced coordinate, in pack/unpack order
         self.modes = np.concatenate([np.full(b.shape[1], m)
@@ -261,14 +291,12 @@ def _range_basis(projector, tol=1e-9):
 def verify_predicates(orbit: FourierOrbit, description: SymmetryDescription,
                       n_samples: int = 64):
     """Max violation of each symmetry relation along the loop."""
-    ts = _collocation_times(n_samples)
-    base = orbit.evaluate(ts)
+    base = orbit._combine(*_sample_trig(orbit.n_modes, n_samples))
     out = []
     for pred in description.predicates:
-        rho = action_matrix(list(pred.perm))
-        tau = 2.0 * math.pi * float(pred.angle)
-        mapped = ts + tau if pred.kind == "shift" else -ts - tau
-        err = orbit.evaluate(mapped) @ rho.T - base
+        mapped = orbit._combine(*_sample_trig(orbit.n_modes, n_samples,
+                                             pred.kind, pred.angle))
+        err = mapped @ _spatial(pred.perm).T - base
         out.append(float(np.max(np.linalg.norm(err, axis=1))))
     return tuple(out)
 
@@ -349,6 +377,94 @@ def _normal_solve(a, b):
     return (z if np.all(np.isfinite(z)) else None), cond
 
 
+class _NewtonSystem:
+    """The corrector's least-squares system F(x, lam) = 0 in the reduced
+    coordinates x of a constraint, and its column-scaled Jacobian.
+
+    Rows: the weighted collocation residual r = u'' + lam^2 grad V(u), then
+    the amplitude row and three rotational gauge rows.  The class holds a
+    time reflection at angle 0, (sigma, 0), so every loop of the fixed space
+    satisfies u(-t) = rho(sigma) u(t); since V is invariant, also
+    r(-t) = rho(sigma) r(t), and the row at t_{N-k} is an orthogonal image
+    of the row at t_k.  Only t_k = 2*pi*k/N, k = 0..N//2, is collocated,
+    with the row weight sqrt(mult_k / N): mult_k is 1 when t_k is its own
+    mirror (2k = 0 mod N) and 2 otherwise.  J^T J, J^T F and |F| are then
+    those of all N rows weighted by 1/sqrt(N).
+    """
+
+    def __init__(self, potential: PairPotential,
+                 constraint: SymmetryConstraint, equilibrium, n_points: int):
+        klass = constraint.klass
+        if not any(kind == "refl" and angle == 0
+                   for _, kind, angle in klass.elements()):
+            raise InternalError(
+                "class %s has a time reflection but none at angle 0, which "
+                "the half collocation grid needs" % klass.printed_form())
+        self.potential = potential
+        k = np.arange(n_points // 2 + 1)
+        self.weight = np.sqrt(np.where(2 * k % n_points == 0, 1.0, 2.0)
+                              / n_points)[:, None]
+        self.D = constraint.collocation(_collocation_times(n_points)[k])
+        self.n_red = n_red = self.D.shape[2]
+        self.n_c = n_c = 12 * k.size  # then the amplitude and gauge rows
+        self.h1 = constraint.h1_weights()
+        self.msq = msq = constraint.modes ** 2.0
+        # the weighted acceleration block, the same at every Newton step
+        self.acc = self.D * -(self.weight[:, :, None] * msq)
+        # the Newton system is solved for S^-1 (dx, dlam): S scales the
+        # column of mode m by (1 + m^2)^-1, which undoes the growth of the
+        # acceleration block with m; the lambda column is left as it is
+        self.col_scale = np.append(1.0 / (1.0 + msq), 1.0)
+        # the Jacobian is rebuilt in place, in this one array, at every
+        # Newton step; its amplitude row has no lambda entry, which stays zero
+        self.jac = np.zeros((n_c + 4, n_red + 1))
+
+        # rotational gauge rows: H^1 inner product with the constant rotation
+        # tangents at the equilibrium (zero whenever, as for every class
+        # arising from the invariants here, the fixed subspace contains no
+        # rigid rotations; appended regardless so that an accidental
+        # rotational freedom is pinned rather than wandering)
+        u_o = equilibrium.u_o
+        tangents = np.stack([(g @ u_o.T).T.reshape(12)
+                             for g in SO3_GENERATORS])
+        k0 = constraint.bases[0].shape[1]
+        self.gauge = np.zeros((3, n_red + 1))
+        self.gauge[:, :k0] = 2.0 * math.pi * tangents @ constraint.bases[0]
+
+        # x0 is the equilibrium, the reference of the amplitude
+        n_modes = constraint.n_modes
+        self.x0 = constraint.pack(FourierOrbit(
+            np.vstack([u_o.reshape(12), np.zeros((n_modes, 12))]),
+            np.zeros((n_modes + 1, 12)), 0.0))
+
+    def amplitude(self, x):
+        return math.sqrt(float(self.h1 @ (x - self.x0) ** 2))
+
+    def residual(self, x, lam, target):
+        """F at (x, lam), with the loop and potential gradient it used."""
+        u = (self.D @ x).reshape(-1, 4, 3)
+        g = gradient(self.potential, u).reshape(-1, 12)
+        r = self.D @ (-self.msq * x) + lam ** 2 * g
+        f = np.concatenate([(self.weight * r).ravel(),
+                            [self.amplitude(x) - target],
+                            self.gauge[:, :-1] @ x])
+        return f, u, g
+
+    def jacobian(self, x, lam, u, g):
+        """The column-scaled Jacobian J S at (x, lam), where residual gave
+        the loop u and the gradient g."""
+        jac, n_c, n_red = self.jac, self.n_c, self.n_red
+        jac_c = jac[:n_c].reshape(-1, 12, n_red + 1)[:, :, :n_red]
+        np.matmul((lam ** 2 * self.weight)[:, :, None]
+                  * hessian(self.potential, u), self.D, out=jac_c)
+        jac_c += self.acc
+        jac[:n_c, n_red] = (2.0 * lam * self.weight * g).ravel()
+        jac[n_c, :n_red] = self.h1 * (x - self.x0) / self.amplitude(x)
+        jac[n_c + 1:] = self.gauge
+        np.multiply(jac, self.col_scale, out=jac)
+        return jac
+
+
 def continue_branch(potential: PairPotential, klass: AmalgamClass,
                     j: int, l: int, *, n_modes: int = 16,
                     n_points: int = None, steps: int = 40,
@@ -373,80 +489,33 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         raise UsageError("isotypic index j must be 0, 1 or 2")
     if not 1 <= l <= n_modes:
         raise UsageError("mode l must lie within the truncation")
-    u_o = eq.u_o.reshape(12)
     lam0 = l / math.sqrt(eq.mu[j])
 
     constraint = SymmetryConstraint(klass, n_modes)
     if not klass.has_time_reflection:
         raise UsageError("class contains no time reflection; the phase of "
                          "the loop would be undetermined")
+    system = _NewtonSystem(potential, constraint, eq, n_points)
     description = describe_symmetry(klass)
     kernel, _ = _kernel_direction(constraint, j, l)
+    x0, n_red, n_c = system.x0, system.n_red, system.n_c
 
-    ts = _collocation_times(n_points)
-    weight = 1.0 / math.sqrt(n_points)
-    D = constraint.collocation(ts)
-    n_red = D.shape[2]
-    n_c = 12 * n_points             # collocation rows; then amplitude, gauge
-    h1 = constraint.h1_weights()
-    msq = constraint.modes ** 2.0
-    # the Newton system is solved for S^-1 (dx, dlam): S scales the column of
-    # mode m by (1 + m^2)^-1, which undoes the growth of the acceleration
-    # block with m; the lambda column is left as it is
-    col_scale = np.append(1.0 / (1.0 + msq), 1.0)
-    # the Jacobian is rebuilt in place, in this one array, at every Newton
-    # step; its amplitude row has no lambda entry, which stays zero
-    jac = np.zeros((n_c + 4, n_red + 1))
-
-    # rotational gauge rows: H^1 inner product with the constant rotation
-    # tangents at the equilibrium (zero whenever, as for every class arising
-    # from the invariants here, the fixed subspace contains no rigid
-    # rotations; appended regardless so that an accidental rotational
-    # freedom is pinned rather than wandering)
-    tangents = np.stack([(g @ eq.u_o.T).T.reshape(12)
-                         for g in SO3_GENERATORS])
-    k0 = constraint.bases[0].shape[1]
-    gauge = np.zeros((3, n_red + 1))
-    gauge[:, :k0] = 2.0 * math.pi * tangents @ constraint.bases[0]
-
-    # x0 is the equilibrium, the reference of the amplitude; the seed adds
-    # a sliver of the kernel direction
-    x0 = constraint.pack(FourierOrbit(
-        np.vstack([u_o, np.zeros((n_modes, 12))]),
-        np.zeros((n_modes + 1, 12)), lam0))
+    # the seed adds a sliver of the kernel direction to the equilibrium x0
     kc = np.zeros((n_modes + 1, 12))
     ks = np.zeros((n_modes + 1, 12))
     kc[l], ks[l] = kernel[:12], kernel[12:]
     kdir = constraint.pack(FourierOrbit(kc, ks, lam0))
 
-    def amp(x):
-        return math.sqrt(float(h1 @ (x - x0) ** 2))
-
-    def evaluate(x, lam, target):
-        """Residual at (x, lam), with the loop and potential gradient it used."""
-        u = (D @ x).reshape(-1, 4, 3)
-        g = gradient(potential, u).reshape(-1, 12)
-        f = np.concatenate([(weight * (D @ (-msq * x) + lam ** 2 * g)).ravel(),
-                            [amp(x) - target], gauge[:, :-1] @ x])
-        return f, u, g
-
     def newton_step(x, lam, u, g, f):
         """Gauss-Newton step from the column-scaled Jacobian, or None, and
         the condition estimate of the scaled Jacobian."""
-        jac_c = jac[:n_c].reshape(n_points, 12, n_red + 1)[:, :, :n_red]
-        np.matmul(weight * lam ** 2 * hessian(potential, u), D, out=jac_c)
-        jac_c += D * -(weight * msq)
-        jac[:n_c, n_red] = (weight * 2.0 * lam * g).ravel()
-        jac[n_c, :n_red] = h1 * (x - x0) / amp(x)
-        jac[n_c + 1:] = gauge
-        np.multiply(jac, col_scale, out=jac)
-        z, cond = _normal_solve(jac, -f)
-        return (None if z is None else z * col_scale), cond
+        z, cond = _normal_solve(system.jacobian(x, lam, u, g), -f)
+        return (None if z is None else z * system.col_scale), cond
 
     def correct(x, lam, target):
         """Corrected (x, lam) or None, the least collocation residual and
         the condition estimate of the last Newton system (None if none)."""
-        f, u, g = evaluate(x, lam, target)
+        f, u, g = system.residual(x, lam, target)
         least = math.inf
         cond = None
         for _ in range(max_newton):
@@ -461,7 +530,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             scale = 1.0
             for _ in range(8):
                 xn, ln = x + scale * step[:n_red], lam + scale * step[n_red]
-                fn, un, gn = evaluate(xn, ln, target)
+                fn, un, gn = system.residual(xn, ln, target)
                 if np.linalg.norm(fn) < norm_all:
                     x, lam, f, u, g = xn, ln, fn, un, gn
                     break
@@ -507,8 +576,8 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         orbit = constraint.unpack(x, lam)
         res = residual(orbit, potential, n_points)
         preds = verify_predicates(orbit, description, n_samples=32)
-        points.append(BranchPoint(amplitude=amp(x), lam=lam, residual=res,
-                                  predicate_residuals=preds))
+        points.append(BranchPoint(amplitude=system.amplitude(x), lam=lam,
+                                  residual=res, predicate_residuals=preds))
         history.append((target, x, lam))
         if points[-1].amplitude >= target_amplitude:
             break

@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import tetravib.burnside as bu
 import tetravib.orbits as ob
 from tetravib import cli
 from tetravib.bifurcation import (UsageError, _universe, describe_symmetry,
                                   independent_families)
 from tetravib.forcefield import (ConvergenceError, PairPotential,
-                                 find_equilibrium, gradient)
+                                 find_equilibrium, gradient, hessian)
 from tetravib.grouprep import action_matrix, translation_basis
 
 BOND = PairPotential()
@@ -172,6 +174,8 @@ TRANSLATING = ["(D3^Z1 x_D3 D3)", "(D3 x D1)", "(D2^D1 x_Z2 D2)"]
 
 @pytest.mark.parametrize("name", TRANSLATING)
 def test_mode_zero_basis_is_free_of_translation(u2, eq, name):
+    # the rule of mode 0 holds in every mode: no basis vector moves the
+    # centre of mass
     klass = u2.parse_class(name)
     t = translation_basis()
     # the class does fix a translation: its spatial average keeps one
@@ -180,6 +184,9 @@ def test_mode_zero_basis_is_free_of_translation(u2, eq, name):
     assert np.linalg.matrix_rank(t @ spatial @ t.T, tol=1e-9) >= 1
     con = ob.SymmetryConstraint(klass, n_modes=4)
     assert np.max(np.abs(t @ con.bases[0])) < 1e-14
+    t2 = np.kron(np.eye(2), t)
+    for m in range(1, 5):
+        assert np.max(np.abs(t2 @ con.bases[m]), initial=0.0) < 1e-14, m
     # the centred equilibrium survives the round trip unchanged
     u_o = eq.u_o.reshape(12)
     orbit = ob.FourierOrbit(np.vstack([u_o, np.zeros((4, 12))]),
@@ -189,10 +196,133 @@ def test_mode_zero_basis_is_free_of_translation(u2, eq, name):
     assert np.max(np.abs(back.sin_coeffs)) == 0.0
 
 
+def test_newton_system_size_at_64_modes(u2, eq):
+    # one translation fewer in each of the 64 modes m >= 1 than the fixed
+    # space holds (258 coordinates), and 129 of the 257 collocation times:
+    # 12 * 129 collocation rows, the amplitude row and three gauge rows
+    con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
+    assert con.modes.size == 194
+    system = ob._NewtonSystem(BOND, con, eq, 257)
+    assert system.jac.shape == (1552, 195)
+
+
+def _full_grid_system(system, con, x, lam, target, n_points):
+    """(J S, F) of all n_points collocation rows, each weighted by
+    1/sqrt(n_points), assembled here from the Fourier loop, and the RMS
+    size of the loop's acceleration; the amplitude and gauge rows are the
+    half-grid system's own."""
+    f_half, u_half, g_half = system.residual(x, lam, target)
+    tail = system.jacobian(x, lam, u_half, g_half)[system.n_c:].copy()
+    ts = ob._collocation_times(n_points)
+    orbit = con.unpack(x, lam)
+    u = orbit.evaluate(ts).reshape(-1, 4, 3)
+    g = gradient(BOND, u).reshape(-1, 12)
+    D = con.collocation(ts)
+    w = 1.0 / math.sqrt(n_points)
+    msq = con.modes ** 2.0
+    jac_c = w * (lam ** 2 * np.matmul(hessian(BOND, u), D) - D * msq)
+    lam_col = (w * 2.0 * lam * g).reshape(-1, 1)
+    jac = np.vstack([np.hstack([jac_c.reshape(-1, msq.size), lam_col])
+                     * system.col_scale, tail])
+    acc = orbit.acceleration(ts)
+    f = np.concatenate([w * (acc + lam ** 2 * g).ravel(),
+                        f_half[system.n_c:]])
+    return jac, f, w * float(np.linalg.norm(acc))
+
+
+@pytest.mark.parametrize("n_points", [65, 66])
+def test_half_grid_matches_full_grid(u2, eq, n_points):
+    # J^T J, J^T F and the collocation norm of the half grid equal those of
+    # all n_points rows, for N = 4n+1 and for an even N = 4n+2, where t = pi
+    # is its own mirror: at the seed of each default family and at its last
+    # converged point, with the amplitude row at zero.  There the residual
+    # is a near-cancellation of u'' and lam^2 grad V, and rounding differs
+    # between mirror times, so what is built from F is compared relative to
+    # the size of u'' (measured: 8e-14 at most).
+    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    assert len(families) == 7
+    for fam in families:
+        con = ob.SymmetryConstraint(fam.klass, 16)
+        system = ob._NewtonSystem(BOND, con, eq, n_points)
+        kernel, _ = ob._kernel_direction(con, fam.j, fam.l)
+        kc = np.zeros((17, 12))
+        ks = np.zeros((17, 12))
+        kc[fam.l], ks[fam.l] = kernel[:12], kernel[12:]
+        lam0 = fam.l / math.sqrt(eq.mu[fam.j])
+        seed = system.x0 + 1e-3 * con.pack(ob.FourierOrbit(kc, ks, lam0))
+        branch = ob.continue_branch(BOND, fam.klass, fam.j, fam.l,
+                                    n_modes=16, n_points=n_points,
+                                    equilibrium=eq)
+        name = fam.klass.printed_form()
+        for x, lam in ((seed, lam0), (con.pack(branch.orbit),
+                                      branch.final_lam)):
+            target = system.amplitude(x)
+            f, u, g = system.residual(x, lam, target)
+            a = system.jacobian(x, lam, u, g)
+            a_full, f_full, scale = _full_grid_system(system, con, x, lam,
+                                                      target, n_points)
+            gram = a_full.T @ a_full
+            assert np.linalg.norm(a.T @ a - gram) < 1e-12 * np.linalg.norm(
+                gram), name
+            assert np.linalg.norm(a.T @ f - a_full.T @ f_full) < (
+                1e-12 * np.linalg.norm(a_full) * scale), name
+            assert abs(np.linalg.norm(f[:system.n_c])
+                       - np.linalg.norm(f_full[:-4])) < 1e-12 * scale, name
+
+
+def test_every_reflecting_class_reflects_time_at_angle_zero():
+    # the half collocation grid rests on a time reflection at angle 0; no
+    # finite class of the universes at l_max 2 and 4 lacks one
+    for l_max, count in ((2, 206), (4, 312)):
+        reflecting = [c for c in _universe(l_max).classes
+                      if c.is_finite and c.has_time_reflection]
+        assert len(reflecting) == count
+        for c in reflecting:
+            assert any(kind == "refl" and angle == 0
+                       for _, kind, angle in c.elements()), c.printed_form()
+
+
+class _ShiftedReflections:
+    """A finite class conjugated by a quarter-period time shift: every
+    reflection of time moves from axis parameter a to a + 1/2, so the class
+    keeps a time reflection but none at angle 0."""
+
+    is_finite = True
+    has_time_reflection = True
+
+    def __init__(self, klass):
+        self.klass = klass
+
+    def elements(self):
+        return [(perm, kind, angle + Fraction(1, 2) if kind == "refl"
+                 else angle) for perm, kind, angle in self.klass.elements()]
+
+    def printed_form(self):
+        return "shifted " + self.klass.printed_form()
+
+
+def test_reflection_off_angle_zero_is_an_internal_error(eq, breathing_class,
+                                                        monkeypatch, capsys):
+    stub = _ShiftedReflections(breathing_class)
+    # still a group: the constraint's averages are projectors
+    ob.SymmetryConstraint(stub, n_modes=4)
+    with pytest.raises(bu.InternalError, match="none at angle 0"):
+        ob.continue_branch(BOND, stub, 0, 1, n_modes=4, equilibrium=eq)
+    monkeypatch.setattr(bu.Universe, "parse_class", lambda self, name: stub)
+    code = cli.main(["branch", "--class", "stub", "--j", "0", "--l", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency failure: class "
+                                   "shifted (S4 x D1) has a time reflection")
+
+
 def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
     # every Newton system of every default family at n_modes = 16: the
     # column-scaled Jacobian keeps its smallest singular value well clear of
-    # zero (largest measured condition number 4.9e3).  A screened term is
+    # zero (largest measured condition number 4.9e3, on (S4^V4 x_D3 D3); the
+    # half grid and the translation-free bases leave every family's
+    # largest value unchanged to 1e-12 relative).  A screened term is
     # added because the bare bond potential makes the breathing branch
     # exactly harmonic, so that family would take no Newton step at all.
     potential = PairPotential(bond_weight=1.0, sigma=0.05)
