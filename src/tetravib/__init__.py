@@ -6,7 +6,16 @@ invariants in the Burnside ring of the full spatio-temporal symmetry group ->
 numerical continuation of the predicted symmetric periodic orbit families.
 """
 
-from .forcefield import (
+import os
+
+# One BLAS thread, set before the first numpy import below.  The largest
+# linear system in the pipeline is 1552 x 195 (a branch at n_modes = 64);
+# at that size OpenBLAS worker threads only spin, nearly doubling the CPU
+# time for no gain in wall time.  A count the caller has set wins; numpy
+# imported before tetravib has already sized its pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .forcefield import (  # noqa: E402
     PairPotential, Configuration, EquilibriumResult,
     pair_potential, total_potential, gradient, hessian, find_equilibrium,
     DomainError, DegenerateParameters, ConvergenceError,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .burnside import (AmalgamClass, BurnsideElement, Universe,
+from .burnside import (MAX_MODE, AmalgamClass, BurnsideElement, Universe,
                        universe_for_modes)
 
 __all__ = [
@@ -97,6 +97,10 @@ def critical_set(mu, l_max: int = 4):
 
 
 def _universe(l_max) -> Universe:
+    if l_max > MAX_MODE:
+        raise UsageError("Fourier mode %d is above %d, the largest whose "
+                         "element codes fit in 64-bit integers"
+                         % (l_max, MAX_MODE))
     return universe_for_modes(range(1, l_max + 1))
 
 

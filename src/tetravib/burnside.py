@@ -49,7 +49,7 @@ from .grouprep import (S4, IDENTITY, pmul, pinv, cycle_type,
 __all__ = [
     "InternalError", "S4SubgroupClass", "enumerate_s4_subgroups",
     "s4_subgroup_label", "AmalgamClass", "Universe", "BurnsideElement",
-    "universe_for_modes", "basic_degree",
+    "universe_for_modes", "MAX_MODE", "basic_degree",
 ]
 
 
@@ -890,13 +890,26 @@ class Universe:
         return codes, lifts + [self.join(ID_PERM, 0, n // k)]
 
 
+def _mode_orders(modes):
+    return tuple(sorted({m * l for l in modes for m in (1, 2, 3, 4)}))
+
+
 def universe_for_modes(modes):
     """Universe able to host isotropy groups of the loop modes in `modes`."""
-    orders = set()
-    for l in modes:
-        for m in (1, 2, 3, 4):
-            orders.add(m * l)
-    return Universe.for_orders(tuple(sorted(orders)))
+    return Universe.for_orders(_mode_orders(modes))
+
+
+def _largest_mode():
+    """Largest l_max whose universe keeps every element code, which lies
+    below 48 N (24 permutations, two kinds, N grid steps), inside the int64
+    arrays of the conjugator kernel."""
+    l_max = 0
+    while 48 * math.lcm(*_mode_orders(range(1, l_max + 2))) < 2 ** 63:
+        l_max += 1
+    return l_max
+
+
+MAX_MODE = _largest_mode()
 
 
 # ---------------------------------------------------------------------------

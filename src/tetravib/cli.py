@@ -383,6 +383,8 @@ def _parse_critical(text):
 
 
 def _cmd_branch(args, config):
+    orbits.check_branch_request(args.j, args.l, config.analysis["n_modes"],
+                                args.steps)
     potential = config.potential()
     universe = bifurcation._universe(max(config.analysis["l_max"], args.l))
     try:

@@ -28,8 +28,8 @@ from .grouprep import (SO3_GENERATORS, action_matrix, isotypic_projection,
 
 __all__ = [
     "FourierOrbit", "SymmetryConstraint", "BranchPoint", "Branch",
-    "amplitude", "residual", "energy_profile", "continue_branch",
-    "verify_predicates", "frequency_extrapolation",
+    "amplitude", "residual", "energy_profile", "check_branch_request",
+    "continue_branch", "verify_predicates", "frequency_extrapolation",
 ]
 
 
@@ -465,6 +465,18 @@ class _NewtonSystem:
         return jac
 
 
+def check_branch_request(j: int, l: int, n_modes: int, steps: int) -> None:
+    """Raise UsageError unless continue_branch can serve (j, l) at this
+    truncation in `steps` steps; cheap, so callers run it before building
+    anything."""
+    if not 0 <= j <= 2:
+        raise UsageError("isotypic index j must be 0, 1 or 2")
+    if not 1 <= l <= n_modes:
+        raise UsageError("mode l must lie within the truncation")
+    if steps < 1:
+        raise UsageError("steps must be at least 1")
+
+
 def continue_branch(potential: PairPotential, klass: AmalgamClass,
                     j: int, l: int, *, n_modes: int = 16,
                     n_points: int = None, steps: int = 40,
@@ -480,15 +492,12 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     coordinates) and the frequency parameter lambda.  Steps halve on
     corrector failure; the branch stops once target_amplitude is reached.
     """
+    check_branch_request(j, l, n_modes, steps)
     if n_points is None:
         n_points = 4 * n_modes + 1
     if n_points < 4 * n_modes + 1:
         raise UsageError("need at least 4*n_modes+1 collocation points")
     eq = equilibrium or find_equilibrium(potential)
-    if not 0 <= j <= 2:
-        raise UsageError("isotypic index j must be 0, 1 or 2")
-    if not 1 <= l <= n_modes:
-        raise UsageError("mode l must lie within the truncation")
     lam0 = l / math.sqrt(eq.mu[j])
 
     constraint = SymmetryConstraint(klass, n_modes)
@@ -558,6 +567,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     step = step_size
     x, lam = x0 + first_step * kdir, lam0
     failures = 0
+    least, cond = math.inf, None
     for _ in range(steps):
         got, least, cond = correct(x, lam, target)
         if got is None:

@@ -370,6 +370,48 @@ def test_usage_error_exits_one(capsys):
     capsys.readouterr()
 
 
+def _no_universe(*args, **kwargs):
+    raise AssertionError("a class universe was built")
+
+
+@pytest.mark.parametrize("option, message", [
+    (("--steps", "0"), "error: steps must be at least 1"),
+    (("--steps", "-1"), "error: steps must be at least 1"),
+    (("--l", "40"), "error: mode l must lie within the truncation"),
+    (("--j", "3"), "error: isotypic index j must be 0, 1 or 2"),
+], ids=["steps0", "steps-1", "l40", "j3"])
+def test_branch_arguments_checked_before_universe(capsys, monkeypatch,
+                                                  option, message):
+    monkeypatch.setattr(bf, "_universe", _no_universe)
+    args = {"--j": "1", "--l": "1", "--steps": "40"}
+    args[option[0]] = option[1]
+    code, out, err = run(capsys, "branch", "--class", "(D3^Z1 x_D3 D3)",
+                         *(tok for kv in args.items() for tok in kv))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ("", ("degrees", "--j", "1", "--l", "41")),
+    ("[analysis]\nn_modes = 41\n",
+     ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "41")),
+    ("[analysis]\nl_max = 41\n", ("invariants",)),
+    ("[analysis]\nl_max = 41\n", ("report",)),
+], ids=["degrees", "branch", "invariants", "report"])
+def test_mode_beyond_int64_codes_exits_one(capsys, monkeypatch, tmp_path,
+                                           config, argv):
+    # at l = 41 the element codes of the grid universe pass 2**63
+    assert bu.MAX_MODE == 40
+    monkeypatch.setattr(bu.Universe, "for_orders", _no_universe)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(config)
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: Fourier mode 41 is above 40, the largest whose element "
+        "codes fit in 64-bit integers"]
+
+
 def test_nonconvergence_exits_two(capsys, tmp_path):
     cfg = tmp_path / "bad.toml"
     cfg.write_text("[potential]\nbond_weight = 0.0\nvdw_A = 1.0\n")

@@ -542,6 +542,9 @@ def test_continue_branch_rejects_bad_modes(eq, breathing_class):
     with pytest.raises(UsageError):
         ob.continue_branch(BOND, breathing_class, 0, 0, n_modes=4,
                            equilibrium=eq)
+    with pytest.raises(UsageError, match="steps must be at least 1"):
+        ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=4, steps=0,
+                           equilibrium=eq)
     # the breathing class fixes nothing in the j = 1 isotypic component
     with pytest.raises(UsageError):
         ob.continue_branch(BOND, breathing_class, 1, 1, n_modes=4,
