@@ -37,6 +37,7 @@ __all__ = [
     "EquilibriumResult",
     "TETRAHEDRON",
     "PAIRS",
+    "INCIDENCE",
     "TETRA_PAIR_X",
     "pair_potential",
     "total_potential",
@@ -80,6 +81,19 @@ TETRAHEDRON = np.array([
 # |gamma_j - gamma_k|^2 = 2 - 2*(-1/3) = 8/3 for every pair.
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 TETRA_PAIR_X = 8.0 / 3.0
+
+# Signed pair-particle incidence: row p, for the pair (j, k), holds +1 at j
+# and -1 at k.  INCIDENCE @ u stacks the differences u_j - u_k, and
+# INCIDENCE.T sums the pair forces onto the particles.  Every weight is 0 or
+# +-1, so every product is exact, and the sums equal those of a loop over
+# the pairs bit for bit.
+INCIDENCE = np.zeros((6, 4))
+INCIDENCE[np.arange(6), [j for j, _ in PAIRS]] = 1.0
+INCIDENCE[np.arange(6), [k for _, k in PAIRS]] = -1.0
+INCIDENCE.flags.writeable = False
+# weight of pair p in the Hessian block (j, k): INCIDENCE[p, j] INCIDENCE[p, k]
+_BLOCK_SIGNS = np.einsum("pj,pk->jkp", INCIDENCE, INCIDENCE).reshape(16, 6)
+_BLOCK_SIGNS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -167,9 +181,7 @@ def _positions(u) -> np.ndarray:
 
 def _pair_geometry(u):
     """Difference vectors and squared separations for the six pairs."""
-    idx_j = [j for j, _ in PAIRS]
-    idx_k = [k for _, k in PAIRS]
-    d = u[..., idx_j, :] - u[..., idx_k, :]          # (..., 6, 3)
+    d = INCIDENCE @ u                                 # (..., 6, 3)
     x = np.einsum("...pi,...pi->...p", d, d)         # (..., 6)
     return d, x
 
@@ -187,12 +199,7 @@ def gradient(p: PairPotential, u):
     u = _positions(u)
     d, x = _pair_geometry(u)
     _, du, _ = pair_potential(p, x)
-    g = np.zeros_like(u)
-    for idx, (j, k) in enumerate(PAIRS):
-        f = 2.0 * du[..., idx, None] * d[..., idx, :]
-        g[..., j, :] += f
-        g[..., k, :] -= f
-    return g
+    return INCIDENCE.T @ (2.0 * du[..., None] * d)
 
 
 def hessian(p: PairPotential, u):
@@ -205,19 +212,13 @@ def hessian(p: PairPotential, u):
     u = _positions(u)
     d, x = _pair_geometry(u)
     _, du, d2u = pair_potential(p, x)
-    eye = np.eye(3)
     shape = u.shape[:-2]
-    h = np.zeros(shape + (12, 12))
-    outer = np.einsum("...pi,...pj->...pij", d, d)
-    for idx, (j, k) in enumerate(PAIRS):
-        blk = (2.0 * du[..., idx, None, None] * eye
-               + 4.0 * d2u[..., idx, None, None] * outer[..., idx, :, :])
-        sj, sk = slice(3 * j, 3 * j + 3), slice(3 * k, 3 * k + 3)
-        h[..., sj, sj] += blk
-        h[..., sk, sk] += blk
-        h[..., sj, sk] -= blk
-        h[..., sk, sj] -= blk
-    return h
+    blk = np.einsum("...pi,...pj->...pij", d, d)      # (..., 6, 3, 3)
+    blk *= 4.0 * d2u[..., None, None]
+    blk += 2.0 * du[..., None, None] * np.eye(3)
+    h = _BLOCK_SIGNS @ blk.reshape(shape + (6, 9))    # (..., (j, k), (a, b))
+    return h.reshape(shape + (4, 4, 3, 3)).swapaxes(-3, -2).reshape(
+        shape + (12, 12))
 
 
 def radial_energy(p: PairPotential, r):

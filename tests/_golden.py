@@ -102,6 +102,27 @@ FAMILIES = [(0, 1, "S4", "S4", None, "Z1", 1),
             (2, 1, "S4", "V4", None, "D3", 3)]
 
 
+# the "branches" of the default `tetravib report` (bond potential, l_max 2,
+# n_modes 16), in report order: (class, j, l, steps, brake, final_amplitude,
+# final_lambda, frequency_extrapolation); the floats hold to 1e-12 relative
+BRANCHES = [
+    ("(S4 x D1)", 0, 1, 11, True, 0.050004999999999994,
+     0.35355339059327373, 0.3535533905932736),
+    ("(D4^Z1 x_D4 D4)", 1, 1, 11, False, 0.050004999999999994,
+     0.4999982231173889, 0.5000000000002967),
+    ("(D4^D2 x_Z2 D2)", 1, 1, 11, True, 0.050004999999999994,
+     0.4999893423201482, 0.49999999999763706),
+    ("(D3^Z1 x_D3 D3)", 1, 1, 11, False, 0.050005,
+     0.5000236848487826, 0.5000000000040887),
+    ("(D3 x D1)", 1, 1, 11, True, 0.050005,
+     0.5000912729020867, 0.4999999999208456),
+    ("(D2^D1 x_Z2 D2)", 1, 1, 11, True, 0.050005,
+     0.5000657382434462, 0.49999999999710604),
+    ("(S4^V4 x_D3 D3)", 2, 1, 11, False, 0.050005000000000015,
+     0.7070364724385559, 0.7071067811398085),
+]
+
+
 def lookup(universe, h, z, r, l_label, k_order):
     """Resolve one golden tuple to the universe's class object."""
     return universe.find_class(h, z_label=z, r_label=r, l_label=l_label,

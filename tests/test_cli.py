@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 
 import tetravib.bifurcation as bf
 import tetravib.burnside as bu
-from tetravib import cli
+from tetravib import cli, orbits
+
+from _golden import BRANCHES
 
 
 def run(capsys, *argv):
@@ -479,3 +483,60 @@ def test_full_report_smoke(capsys, tmp_path):
         assert b["final_residual"] < 1e-9
     assert doc["equilibrium"]["r_o"] == pytest.approx(
         math.sqrt(3.0 / 8.0), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    """The default `tetravib report`, parsed, and the number of calls that
+    went through orbits.hessian and orbits.gradient while it ran."""
+    counts = {"hessian": 0, "gradient": 0}
+
+    def counting(name):
+        fn = getattr(orbits, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in counts:
+            mp.setattr(orbits, name, counting(name))
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["report"])
+    assert code == 0
+    return json.loads(out.getvalue()), counts
+
+
+def test_default_report_corrector_work(default_report):
+    # one Hessian per Newton step, one gradient per residual: the seven
+    # branches at n_modes 16 make exactly this much corrector work
+    _, counts = default_report
+    assert counts == {"hessian": 126, "gradient": 280}
+
+
+def test_default_report_branches_match_golden(default_report):
+    doc, _ = default_report
+    got = doc["branches"]
+    assert [b["class"] for b in got] == [g[0] for g in BRANCHES]
+    for b, (name, j, l, steps, brake, amp, lam, lam_star) in zip(got,
+                                                                BRANCHES):
+        assert (b["j"], b["l"], b["steps"], b["brake"]) == (j, l, steps,
+                                                            brake), name
+        assert b["final_amplitude"] == pytest.approx(amp, rel=1e-12), name
+        assert b["final_lambda"] == pytest.approx(lam, rel=1e-12), name
+        assert b["frequency_extrapolation"] == pytest.approx(
+            lam_star, rel=1e-12), name
+
+
+def test_one_point_branches_have_no_extrapolation(capsys, tmp_path):
+    # the first corrector step already passes this target, so each branch
+    # has one point, and one point cannot fix a limit
+    cfg = tmp_path / "tiny.toml"
+    cfg.write_text("[analysis]\ntarget_amplitude = 0.0005\n")
+    doc = run_json(capsys, "--config", str(cfg), "report")
+    assert len(doc["branches"]) == 7
+    for b in doc["branches"]:
+        assert b["steps"] == 1
+        assert b["frequency_extrapolation"] is None

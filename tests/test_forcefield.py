@@ -130,6 +130,56 @@ def test_hessian_matches_finite_differences():
         assert np.linalg.norm(fd - m) < 1e-5 * max(1.0, np.linalg.norm(m))
 
 
+# The per-pair accumulation that the incidence matrix replaced, kept as the
+# oracle of the differential tests below.
+def _loop_geometry(u):
+    j, k = zip(*ff.PAIRS)
+    d = u[..., list(j), :] - u[..., list(k), :]
+    return d, np.einsum("...pi,...pi->...p", d, d)
+
+
+def _loop_gradient(p, u):
+    d, x = _loop_geometry(u)
+    _, du, _ = ff.pair_potential(p, x)
+    g = np.zeros_like(u)
+    for idx, (j, k) in enumerate(ff.PAIRS):
+        f = 2.0 * du[..., idx, None] * d[..., idx, :]
+        g[..., j, :] += f
+        g[..., k, :] -= f
+    return g
+
+
+def _loop_hessian(p, u):
+    d, x = _loop_geometry(u)
+    _, du, d2u = ff.pair_potential(p, x)
+    h = np.zeros(u.shape[:-2] + (12, 12))
+    outer = np.einsum("...pi,...pj->...pij", d, d)
+    for idx, (j, k) in enumerate(ff.PAIRS):
+        blk = (2.0 * du[..., idx, None, None] * np.eye(3)
+               + 4.0 * d2u[..., idx, None, None] * outer[..., idx, :, :])
+        sj, sk = slice(3 * j, 3 * j + 3), slice(3 * k, 3 * k + 3)
+        h[..., sj, sj] += blk
+        h[..., sk, sk] += blk
+        h[..., sj, sk] -= blk
+        h[..., sk, sj] -= blk
+    return h
+
+
+@pytest.mark.parametrize("shape", [(), (33,), (5, 7)])
+def test_incidence_forces_equal_the_pair_loop(shape):
+    # bond, van der Waals and screened terms all on; bit for bit, since
+    # every weight of the incidence matrix is 0 or +-1
+    rng = np.random.default_rng(8)
+    u = ff.TETRAHEDRON * 0.61 + 0.05 * rng.standard_normal(shape + (4, 3))
+    for _ in range(3):
+        g = ff.gradient(P4_LIKE, u)
+        h = ff.hessian(P4_LIKE, u)
+        assert g.shape == shape + (4, 3) and h.shape == shape + (12, 12)
+        assert np.array_equal(g, _loop_gradient(P4_LIKE, u))
+        assert np.array_equal(h, _loop_hessian(P4_LIKE, u))
+        u = u + 0.1 * rng.standard_normal(u.shape)
+
+
 def test_hessian_symmetric():
     p = P4_LIKE
     for u in random_configs(5):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -143,6 +144,92 @@ def test_brake_projection_kills_sine_coefficients(breathing_class):
     assert np.max(np.abs(proj.sin_coeffs)) < 1e-13
     # the fixed subspace is the breathing direction in every mode
     assert con.fixed_dims() == (1, 1, 1, 1, 1)
+
+
+# The per-(mode, element) and per-predicate loops that the array passes of
+# SymmetryConstraint and verify_predicates replaced, kept as the oracles of
+# the differential tests below.
+def _loop_projectors(klass, n_modes):
+    elements = klass.elements()
+    p0 = np.zeros((12, 12))
+    for perm, kind, angle in elements:
+        p0 += ob._spatial(perm)
+    projectors = [ob._COM_FREE @ (p0 / len(elements)) @ ob._COM_FREE]
+    free = np.kron(np.eye(2), ob._COM_FREE)
+    for m in range(1, n_modes + 1):
+        pm = np.zeros((24, 24))
+        for perm, kind, angle in elements:
+            rho = ob._spatial(perm)
+            c = math.cos(2.0 * math.pi * m * angle)
+            s = math.sin(2.0 * math.pi * m * angle)
+            block = np.zeros((24, 24))
+            if kind == "rot":
+                block[:12, :12] = c * rho
+                block[:12, 12:] = s * rho
+                block[12:, :12] = -s * rho
+                block[12:, 12:] = c * rho
+            else:
+                block[:12, :12] = c * rho
+                block[:12, 12:] = -s * rho
+                block[12:, :12] = -s * rho
+                block[12:, 12:] = -c * rho
+            pm += block
+        projectors.append(free @ (pm / len(elements)) @ free)
+    return projectors
+
+
+def _loop_basis(projector, tol=1e-9):
+    w, v = np.linalg.eigh(projector)
+    return v[:, w > 1.0 - tol]
+
+
+def _loop_verify_predicates(orbit, description, n_samples):
+    base = orbit._combine(*ob._sample_trig(orbit.n_modes, n_samples))
+    out = []
+    for pred in description.predicates:
+        mapped = orbit._combine(*ob._sample_trig(orbit.n_modes, n_samples,
+                                                 pred.kind, pred.angle))
+        err = mapped @ ob._spatial(pred.perm).T - base
+        out.append(float(np.max(np.linalg.norm(err, axis=1))))
+    return tuple(out)
+
+
+def _reflecting_classes(l_max):
+    return [c for c in _universe(l_max).classes
+            if c.is_finite and c.has_time_reflection]
+
+
+@pytest.mark.parametrize("l_max", [2, 4])
+def test_projectors_and_bases_equal_the_element_loop(l_max):
+    for c in _reflecting_classes(l_max):
+        con = ob.SymmetryConstraint(c, n_modes=8)
+        want = _loop_projectors(c, 8)
+        assert len(con.projectors) == len(con.bases) == 9
+        for m, (got, exp) in enumerate(zip(con.projectors, want)):
+            assert np.array_equal(got, exp), (c.printed_form(), m)
+            assert np.array_equal(con.bases[m], _loop_basis(exp)), (
+                c.printed_form(), m)
+        assert np.array_equal(con.modes, np.concatenate(
+            [np.full(b.shape[1], m) for m, b in enumerate(con.bases)]))
+
+
+def test_verify_predicates_equals_the_predicate_loop(wave_branch):
+    for k, c in enumerate(_reflecting_classes(2)):
+        desc = describe_symmetry(c)
+        orbit = _random_orbit(8, seed=k)
+        for n_samples in (32, 64):
+            got = ob.verify_predicates(orbit, desc, n_samples)
+            assert got == _loop_verify_predicates(orbit, desc, n_samples), (
+                c.printed_form())
+    desc = wave_branch.description
+    assert (ob.verify_predicates(wave_branch.orbit, desc, 32)
+            == _loop_verify_predicates(wave_branch.orbit, desc, 32))
+
+
+def test_verify_predicates_without_predicates(wave_class):
+    # the stacked evaluation needs its guard: stacking no arrays raises
+    empty = dataclasses.replace(describe_symmetry(wave_class), predicates=())
+    assert ob.verify_predicates(_random_orbit(4), empty) == ()
 
 
 @pytest.mark.parametrize("which", ["breathing_class", "wave_class"])
