@@ -157,9 +157,6 @@ class InvariantReport:
     maximal: tuple              # (AmalgamClass, coefficient) pairs
     descriptions: tuple         # SymmetryDescription per maximal class
 
-    def family_classes(self):
-        return tuple(kl for kl, _ in self.maximal)
-
 
 @dataclass(frozen=True)
 class Family:

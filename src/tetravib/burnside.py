@@ -28,10 +28,12 @@ Each finite class keeps generators read off its Goursat data: lifts (p, e)
 of generators pZ of H/Z with e in the coset of the kernel R of K -> L that
 the quotient isomorphism assigns to pZ, plus (z, 1) for generators z of Z
 and (1, r) for generators r of R.  A subgroup maps into a conjugate of a
-finite class exactly when some conjugator maps every generator into it; one
-numpy kernel applies all candidate conjugators to all generators at once and
-tests membership by binary search in the class's sorted code array, so no
-array is longer than a multiple of the class order.
+finite class exactly when some conjugator maps every generator into it.  One
+numpy kernel runs this test for many subgroups at once: the table of marks is
+built column by column, one pass over all finite classes per high class
+(Pfeiffer, Experiment. Math. 6, 1997), and the normalizers in one pass.  It
+tests generators one at a time on the surviving candidate conjugators, taken
+BATCH at a time; other arrays span subgroups x 24 or the highs' elements.
 """
 from __future__ import annotations
 
@@ -68,6 +70,18 @@ CONJ = np.array([[MUL[g][MUL[p][INV[g]]] for p in range(24)]
                  for g in range(24)])
 PERM_CLASS = np.array([conjugacy_class_index(p) for p in S4])
 ID_PERM = P_INDEX[IDENTITY]
+# CONJ_BITS[g, p] = 1 << CONJ[g, p]: a 0/1 row b over S4 maps to the 24-bit
+# masks of its conjugates by every g as b @ CONJ_BITS.T
+CONJ_BITS = np.left_shift(1, CONJ).astype(np.int64)
+# the conjugator kernel takes candidates, and the normalizer pass class
+# elements, in batches of about this many, so no array outgrows it
+BATCH = 2 ** 14
+
+
+@lru_cache(maxsize=None)
+def _bits(perms):
+    """The set of permutation indices `perms` as a 24-bit mask."""
+    return sum(1 << p for p in perms)
 
 
 def _perm_closure(seed):
@@ -88,15 +102,6 @@ def _perm_generators(h):
             gens.append(p)
             have = _perm_closure(gens)
     return gens
-
-
-@lru_cache(maxsize=None)
-def _conj_maps_into(low, high):
-    """Boolean vector over g in S4: does CONJ[g] map the set of
-    permutations `low` into the set `high`?"""
-    mask = np.zeros(24, dtype=bool)
-    mask[sorted(high)] = True
-    return mask[CONJ[:, sorted(low)]].all(axis=1)
 
 
 @lru_cache(maxsize=1)
@@ -121,28 +126,16 @@ def _all_s4_subgroups():
 def s4_subgroup_label(h) -> str:
     """Conjugacy-class label of a subgroup of S4 (Z1..S4 naming)."""
     n = len(h)
-    if n == 1:
-        return "Z1"
-    if n == 2:
-        has_transposition = any(cycle_type(S4[p]) == (2, 1, 1) for p in h)
-        return "D1" if has_transposition else "Z2"
-    if n == 3:
-        return "Z3"
-    if n == 4:
-        if any(cycle_type(S4[p]) == (4,) for p in h):
-            return "Z4"
-        if all(cycle_type(S4[p]) in ((1, 1, 1, 1), (2, 2)) for p in h):
-            return "V4"
-        return "D2"
-    if n == 6:
-        return "D3"
-    if n == 8:
-        return "D4"
-    if n == 12:
-        return "A4"
-    if n == 24:
-        return "S4"
-    raise InternalError("impossible subgroup order %d" % n)
+    if n in (2, 4):
+        types = {cycle_type(S4[p]) for p in h}
+        if n == 2:
+            return "D1" if (2, 1, 1) in types else "Z2"
+        return ("Z4" if (4,) in types else
+                "V4" if types <= {(1, 1, 1, 1), (2, 2)} else "D2")
+    label = {1: "Z1", 3: "Z3", 6: "D3", 8: "D4", 12: "A4", 24: "S4"}.get(n)
+    if label is None:
+        raise InternalError("impossible subgroup order %d" % n)
+    return label
 
 
 @dataclass(frozen=True)
@@ -158,28 +151,22 @@ class S4SubgroupClass:
 @lru_cache(maxsize=1)
 def enumerate_s4_subgroups():
     """All subgroups of S4 grouped into conjugacy classes, labeled."""
-    subs = sorted(_all_s4_subgroups(), key=lambda s: (len(s), sorted(s)))
-    seen = set()
-    classes = []
-    for h in subs:
-        if h in seen:
-            continue
-        orbit = set(map(frozenset, CONJ[:, sorted(h)].tolist()))
-        seen |= orbit
-        members = tuple(sorted(orbit, key=sorted))
-        classes.append(S4SubgroupClass(label=s4_subgroup_label(h),
-                                       members=members))
+    seen, classes = set(), []
+    for h in sorted(_all_s4_subgroups(), key=lambda s: (len(s), sorted(s))):
+        if h not in seen:
+            orbit = set(map(frozenset, CONJ[:, sorted(h)].tolist()))
+            seen |= orbit
+            classes.append(S4SubgroupClass(
+                label=s4_subgroup_label(h),
+                members=tuple(sorted(orbit, key=sorted))))
     return tuple(classes)
 
 
 def _normal_subgroups_of(h):
     """Normal subgroups of the subgroup h (as frozensets of indices)."""
-    out = []
-    for z in _all_s4_subgroups():
-        if z <= h and all(frozenset(row) == z for row in
-                          CONJ[np.ix_(sorted(h), sorted(z))].tolist()):
-            out.append(z)
-    return out
+    return [z for z in _all_s4_subgroups()
+            if z <= h and all(frozenset(row) == z for row in
+                              CONJ[np.ix_(sorted(h), sorted(z))].tolist())]
 
 
 @lru_cache(maxsize=None)
@@ -199,21 +186,15 @@ class _CosetGroup:
     `kernel` under the product rule product(a, b) -> element."""
 
     def __init__(self, members, kernel, product):
-        cosets = []
-        where = {}
+        cosets, where = [], {}
         for e in sorted(members):
             if e not in where:
                 coset = frozenset(product(e, z) for z in kernel)
                 where.update(dict.fromkeys(coset, len(cosets)))
                 cosets.append(coset)
         self.cosets = tuple(cosets)
-        n = len(cosets)
-        self.table = [[0] * n for _ in range(n)]
-        for i, ci in enumerate(cosets):
-            a = next(iter(ci))
-            for j, cj in enumerate(cosets):
-                b = next(iter(cj))
-                self.table[i][j] = where[product(a, b)]
+        reps = [next(iter(c)) for c in cosets]
+        self.table = [[where[product(a, b)] for b in reps] for a in reps]
         # the kernel is the identity coset
         self.identity = where[next(iter(kernel))]
 
@@ -227,6 +208,7 @@ class _CosetGroup:
             n += 1
         return n
 
+    @cached_property
     def generating_words(self):
         """A small generating tuple and words expressing every element.
 
@@ -254,10 +236,8 @@ class _CosetGroup:
 
 
 def _isomorphisms(q1: _CosetGroup, q2: _CosetGroup):
-    """All isomorphisms q1 -> q2 as index maps."""
-    if len(q1) != len(q2):
-        return []
-    gens, words = q1.generating_words()
+    """All isomorphisms q1 -> q2, groups of one order, as index maps."""
+    gens, words = q1.generating_words
     orders = [q1.element_order(g) for g in gens]
     n = len(q1)
     candidates = [[y for y in range(n) if q2.element_order(y) == o]
@@ -322,11 +302,7 @@ class AmalgamClass:
     # -- naming ------------------------------------------------------------
 
     def _k_name(self):
-        if self.K_kind == "D":
-            return "D%d" % self.K_order
-        if self.K_kind == "Z":
-            return "Z%d" % self.K_order
-        return self.K_kind
+        return self.K_kind + ("%d" % self.K_order if self.K_order else "")
 
     def canonical_form(self) -> str:
         """Fully explicit name (H^Z_R x_L K); see README for the grammar."""
@@ -341,9 +317,7 @@ class AmalgamClass:
         if self.L_label == "Z1":
             return "(%s x %s)" % (self.H_label, self._k_name())
         if self.universe._needs_r(self):
-            return "(%s^%s_%s x_%s %s)" % (
-                self.H_label, self.Z_label, self.R_label, self.L_label,
-                self._k_name())
+            return self.canonical_form()
         return "(%s^%s x_%s %s)" % (
             self.H_label, self.Z_label, self.L_label, self._k_name())
 
@@ -373,23 +347,14 @@ class AmalgamClass:
         if not self.is_finite:
             raise ValueError("continuous class has no finite element list")
         n = self.universe.N
-        out = []
-        for e in sorted(self.codes):
-            p, kind, k = self.universe.split(e)
-            out.append((S4[p], "refl" if kind else "rot", Fraction(k, n)))
-        return out
+        return [(S4[p], "refl" if kind else "rot", Fraction(k, n))
+                for p, kind, k in map(self.universe.split, sorted(self.codes))]
 
     @cached_property
     def code_array(self):
         """The codes as a sorted int64 array, for membership tests by
         binary search (finite classes only)."""
         return np.array(sorted(self.codes), dtype=np.int64)
-
-    @cached_property
-    def _reflections(self):
-        """(permutation, axis parameter) arrays of the reflections."""
-        p, kind, k = self.universe.parts(self.code_array)
-        return p[kind == 1], k[kind == 1]
 
     @property
     def brake(self):
@@ -415,6 +380,28 @@ def _divisor_closure(orders):
     return tuple(sorted({c for n in orders for c in _divisors(n)}))
 
 
+class _Rows:
+    """Subgroups (generator codes, rotation and reflection permutations,
+    order) laid out for the conjugator kernel: both permutation sets as
+    24-bit masks conjugated by every g (rows x 24), the first reflection
+    generator (p0, k0; 0 without one), the other generators' parts."""
+
+    def __init__(self, universe, subgroups):
+        gens, rot, refl, order = zip(*subgroups)
+        first = [next((e for e in g if universe.split(e)[1]), -1)
+                 for g in gens]
+        rest = [[e for e in g if e != f] for g, f in zip(gens, first)]
+        width = max(map(len, rest))
+        self.p, self.kind, self.k = universe.parts(np.array(
+            [r + [-1] * (width - len(r)) for r in rest], dtype=np.int64))
+        self.has_refl = np.array(first) >= 0
+        self.p0, _, self.k0 = universe.parts(np.maximum(first, 0))
+        self.order = np.array(order)
+        self.rot, self.refl = (
+            (np.array([_bits(s) for s in sets])[:, None] >> np.arange(24) & 1)
+            @ CONJ_BITS.T for sets in (rot, refl))
+
+
 class Universe:
     """All conjugacy classes of closed subgroups of S4 x O(2) whose O(2)
     projection is dihedral of an order in `orders` (plus cyclic projections
@@ -427,9 +414,8 @@ class Universe:
         self.N = math.lcm(*self.orders)
         self.classes = []
         self._lookup = {}          # bucket key -> list of class indices
-        self._nbar = {}            # class index -> normalizer triple count
-        self._ncount_memo = {}
-        self._parity_memo = {}     # (j, l) -> fixed-point dim parities
+        self._columns = {}         # class index -> column of the table
+        self._dims_memo = {}       # l -> fixed-point dims of every j
         self._name_index = {}
         self._enumerate()
         self._classes_sorted = sorted(self.classes,
@@ -452,83 +438,98 @@ class Universe:
         return p, kind, k
 
     def join(self, p, kind, k):
-        n = self.N
-        return p * 2 * n + kind * n + (k % n)
+        return (2 * p + kind) * self.N + k % self.N
 
     def mul(self, e1, e2):
-        n = self.N
         p1, f1, k1 = self.split(e1)
         p2, f2, k2 = self.split(e2)
-        p = MUL[p1][p2]
-        if f1 == 0 and f2 == 0:
-            return self.join(p, 0, k1 + k2)
-        if f1 == 0:
-            return self.join(p, 1, k2 + k1)
-        if f2 == 0:
-            return self.join(p, 1, k1 - k2)
-        return self.join(p, 0, k1 - k2)
+        # a reflection reverses the rotation or axis parameter after it
+        return self.join(MUL[p1][p2], f1 ^ f2, k1 - k2 if f1 else k1 + k2)
 
     def inv(self, e):
         p, f, k = self.split(e)
-        if f:
-            return self.join(INV[p], 1, k)
-        return self.join(INV[p], 0, -k)
+        return self.join(INV[p], f, k if f else -k)
 
     def parts(self, codes):
         """(permutation, kind, k) arrays of an int64 array of codes."""
         p, rem = np.divmod(codes, 2 * self.N)
-        kind, k = np.divmod(rem, self.N)
-        return p, kind, k
+        return (p, *np.divmod(rem, self.N))
 
     # -- conjugation by (gamma, rotation a) or (gamma, reflection b) ---------
     # A conjugator triple (g, f, j) acts with 2a = j/N (f=0) or 2b = j/N
     # (f=1); each triple corresponds to exactly two group elements.
 
-    def conj_apply(self, trip, e):
-        g, f, j = trip
-        p, kind, k = self.split(e)
-        q = int(CONJ[g, p])
-        if f == 0:
-            return self.join(q, kind, k + j if kind else k)
-        return self.join(q, kind, j - k if kind else -k)
+    def _conjugator_counts(self, rows, highs):
+        """Number of conjugator triples t with t(S) inside the finite class
+        high, for every subgroup S of `rows`: against highs[r] for row r,
+        or against highs[0] for every row when one high is given.
 
-    def _conjugators(self, gens, rot_perms, refl_perms, high):
-        """Which candidate conjugator triples map every generator into the
-        finite class `high`, as a boolean vector over the candidates.
-
-        `gens` are the codes of generators of a finite subgroup whose
-        permutations paired with rotations and with reflections of time are
-        `rot_perms` and `refl_perms`.  Candidates have a g whose CONJ[g]
-        maps those two sets into high's, and send the subgroup's first
-        reflection onto a reflection of high.  Without a reflection every
-        (g, f) is listed with j = 0 only, since j moves no rotation."""
-        n = self.N
-        g = np.flatnonzero(_conj_maps_into(rot_perms, high.rot_perms)
-                           & _conj_maps_into(refl_perms, high.refl_perms))
-        p, kind, k = self.parts(np.fromiter(gens, np.int64, len(gens)))
-        if refl_perms:
-            first = np.flatnonzero(kind)[0]
-            hp, hk = high._reflections
-            gi, ri = np.nonzero(CONJ[g, p[first]][:, None] == hp)
-            g = g[gi]
-            j = np.concatenate(((hk[ri] - k[first]) % n,
-                                (hk[ri] + k[first]) % n))
-        else:
-            j = np.zeros(2 * len(g), dtype=np.int64)
-        sign = np.repeat([1, -1], len(g))
-        g = np.concatenate((g, g))
-        # image of generator (p, kind, k) under (g, f, j): CONJ[g, p], kind,
-        # and k, k + j, -k or j - k for (f, kind) = 00, 01, 10, 11
-        images = (CONJ[g[:, None], p] * (2 * n) + kind * n
-                  + (sign[:, None] * k + kind * j[:, None]) % n)
-        target = high.code_array
-        pos = np.minimum(np.searchsorted(target, images), len(target) - 1)
-        return (target[pos] == images).all(axis=1)
+        Candidates have a g whose CONJ[g] maps S's rotation and reflection
+        permutations into high's.  S's first reflection generator, if any,
+        lands on a reflection of high with the same permutation, which
+        fixes j and that generator's test; else only j = 0 is listed (every
+        j acts alike on rotations) and hits count N times.  When high holds
+        a reflection h only f = 0 is listed: t -> h t maps the hits with
+        f = 0 one to one onto those with f = 1 (h commutes with the central
+        half turn pairing the two group elements of a triple), so they count
+        twice.  Cyclic highs, met in `classify`, get f = 1 listed.
+        Generators are tested one at a time, on the survivors."""
+        n, many = self.N, len(highs) > 1
+        slot = (np.arange if many else np.zeros)(len(rows.order), dtype=int)
+        h_rot, h_refl, h_order = np.array(
+            [(_bits(h.rot_perms), _bits(h.refl_perms), h.order)
+             for h in highs])[slot].T
+        fits = ((rows.rot & ~h_rot[:, None]) | (rows.refl & ~h_refl[:, None])
+                ) == 0
+        r, g = np.nonzero(fits & (h_order % rows.order == 0)[:, None])
+        # the reflections of every high, sorted by (slot, permutation)
+        codes = np.concatenate([h.code_array for h in highs])
+        owner = np.repeat(np.arange(len(highs)), [h.order for h in highs])
+        p, kind, k = self.parts(codes)
+        h_perm, h_k = (24 * owner + p)[kind == 1], np.append(k[kind == 1], 0)
+        key = 24 * slot[r] + CONJ[g, rows.p0[r]]
+        lo = np.searchsorted(h_perm, key)
+        refl = rows.has_refl[r]
+        count = np.where(refl, np.searchsorted(h_perm, key, "right") - lo,
+                         1 + (h_refl[r] == 0))
+        ids = np.append(codes, 48 * n)          # 48 N is above every code
+        if many:
+            # the codes of the highs as ids in their union, offset by slot
+            ids = np.sort(ids)
+            ids = ids[np.append(True, ids[1:] != ids[:-1])]
+            table = np.append(owner * len(ids) + np.searchsorted(ids, codes),
+                              len(highs) * len(ids))
+        hits = np.zeros(len(rows.order), dtype=np.int64)
+        cut = np.searchsorted(np.cumsum(count),
+                              np.arange(0, count.sum(), BATCH), "right")
+        for part in map(slice, cut, np.append(cut[1:], len(r))):
+            c = np.repeat(np.arange(part.start, part.stop), count[part])
+            nth = np.arange(len(c)) - np.repeat(np.cumsum(count[part])
+                                                - count[part], count[part])
+            rr, gg, f_refl = r[c], g[c], refl[c]
+            # f = 0 and j from the matched reflection, or j = 0 and f = nth;
+            # k0 = 0 on rows without a reflection picks h_k[-1] = 0
+            j = (h_k[np.where(f_refl, lo[c] + nth, -1)] - rows.k0[rr]) % n
+            sign = np.where(f_refl, 1, 1 - 2 * nth)
+            for i in range(rows.p.shape[1]):
+                # (p, kind, k) goes to CONJ[g, p], kind, and k, k + j, -k or
+                # j - k for (f, kind) = 00, 01, 10, 11
+                p, kind, k = rows.p[rr, i], rows.kind[rr, i], rows.k[rr, i]
+                image = (CONJ[gg, p] * (2 * n) + kind * n
+                         + (sign * k + kind * j) % n)
+                at = np.searchsorted(ids, image)
+                inside = ids[at] == image
+                if many:
+                    key = slot[rr] * len(ids) + at
+                    inside &= table[np.searchsorted(table, key)] == key
+                keep = (p < 0) | inside
+                rr, gg, j, sign = rr[keep], gg[keep], j[keep], sign[keep]
+            hits += np.bincount(rr, minlength=len(rows.order))
+        return hits * np.where(rows.has_refl, 1, n) * (1 + (h_refl != 0))
 
     def _bucket_key(self, p, kind, k):
-        n = self.N
-        rot = np.where(kind == 0, np.minimum(k, (n - k) % n), -1)
-        return np.sort((PERM_CLASS[p] * 2 + kind) * (n + 1) + rot + 1
+        rot = np.where(kind == 0, np.minimum(k, (self.N - k) % self.N), -1)
+        return np.sort((PERM_CLASS[p] * 2 + kind) * (self.N + 1) + rot + 1
                        ).tobytes()
 
     def classify(self, codes, gens, **fields):
@@ -540,10 +541,12 @@ class Universe:
         rot_perms = frozenset(p[f == 0].tolist())
         refl_perms = frozenset(p[f == 1].tolist())
         key = self._bucket_key(p, f, k)
-        for idx in self._lookup.get(key, ()):
-            kl = self.classes[idx]
-            if self._conjugators(gens, rot_perms, refl_perms, kl).any():
-                return kl
+        if key in self._lookup:
+            row = _Rows(self, [(gens, rot_perms, refl_perms, len(codes))])
+            for idx in self._lookup[key]:
+                kl = self.classes[idx]
+                if self._conjugator_counts(row, [kl])[0]:
+                    return kl
         if not fields:
             raise InternalError("subgroup does not match any class")
         kl = AmalgamClass(
@@ -567,8 +570,7 @@ class Universe:
         kl = AmalgamClass(
             universe=self, index=len(self.classes), kind=kind, codes=None,
             H_set=h_set, rot_perms=rot, refl_perms=refl,
-            H_label=s4_subgroup_label(h_set),
-            Z_label=s4_subgroup_label(rot),
+            H_label=s4_subgroup_label(h_set), Z_label=s4_subgroup_label(rot),
             R_label=s4_subgroup_label(h_set),
             L_label="Z2" if kind == "o2z2" else "Z1",
             K_kind="SO2" if kind == "so2" else "O2",
@@ -584,22 +586,21 @@ class Universe:
         D_d (axis parameter 0) of each order, then the cyclic Z_n, each with
         its quotients by the normal subgroups R with cyclic or dihedral
         quotient."""
-        def rot(c):
-            return [self.join(ID_PERM, 0, i * (self.N // c)) for i in range(c)]
-
-        def refl(c):
-            return [self.join(ID_PERM, 1, i * (self.N // c)) for i in range(c)]
+        def grid(c, kind=0):
+            # the c rotations, or reflections, spaced 1/c turn from 0
+            return [self.join(ID_PERM, kind, i * (self.N // c))
+                    for i in range(c)]
 
         def quotient(k_codes, c, l_label, dihedral=False):
             # R is Z_c, or D_c with axis parameter 0
-            ker, r_gens = rot(c), rot(c)[1:2]
+            ker, r_gens = grid(c), grid(c)[1:2]
             if dihedral:
-                ker, r_gens = ker + refl(c), r_gens + refl(c)[:1]
+                ker, r_gens = ker + grid(c, 1), r_gens + grid(c, 1)[:1]
             return _CosetGroup(k_codes, ker, self.mul), r_gens, l_label
 
         out = []
         for d in self.orders:
-            k_codes = rot(d) + refl(d)
+            k_codes = grid(d) + grid(d, 1)
             qs = [quotient(k_codes, c, "D%d" % (d // c)) for c in _divisors(d)]
             if d % 2 == 0:
                 qs.append(quotient(k_codes, d // 2, "Z2", dihedral=True))
@@ -607,7 +608,7 @@ class Universe:
             out.append((dict(kind="dihedral", K_kind="D", K_order=d), qs))
         for n in self.orders:
             out.append((dict(kind="cyclic", K_kind="Z", K_order=n),
-                        [quotient(rot(n), c, "Z%d" % (n // c))
+                        [quotient(grid(n), c, "Z%d" % (n // c))
                          for c in _divisors(n)]))
         return out
 
@@ -616,15 +617,16 @@ class Universe:
         for s4c in enumerate_s4_subgroups():
             h = s4c.representative
             normals = _normal_subgroups_of(h)
+            # H/Z and the generators of Z depend on (h, z) only
+            h_quotients = [(z, _CosetGroup(h, z, lambda a, b: MUL[a][b]),
+                            [self.join(p, 0, 0) for p in _perm_generators(z)])
+                           for z in normals]
             for k_fields, quotients in k_groups:
                 for qk, r_gens, l_label in quotients:
-                    for z in normals:
-                        if len(h) != len(z) * len(qk):
+                    for z, qh, z_gens in h_quotients:
+                        if len(qh) != len(qk):
                             continue
-                        qh = _CosetGroup(h, z, lambda a, b: MUL[a][b])
-                        h_gens = qh.generating_words()[0]
-                        z_gens = [self.join(p, 0, 0)
-                                  for p in _perm_generators(z)]
+                        h_gens = qh.generating_words[0]
                         for iso in _isomorphisms(qh, qk):
                             codes = frozenset(
                                 self.join(p, *self.split(e)[1:])
@@ -650,9 +652,8 @@ class Universe:
     def _finalize_names(self):
         sig = {}
         for kl in self.classes:
-            key = (kl.H_label, kl.Z_label, kl.L_label, kl.K_kind, kl.K_order,
-                   kl.kind)
-            sig.setdefault(key, []).append(kl.index)
+            sig.setdefault((kl.H_label, kl.Z_label, kl.L_label, kl.K_kind,
+                            kl.K_order, kl.kind), []).append(kl.index)
         self._ambiguous = {
             idx for members in sig.values() if len(members) > 1
             for idx in members}
@@ -678,19 +679,11 @@ class Universe:
     def find_class(self, h_label, z_label=None, r_label=None, l_label=None,
                    k_order=None, kind="dihedral"):
         """The unique class matching the given name fragments."""
-        hits = []
-        for kl in self.classes:
-            if kl.kind != kind or kl.H_label != h_label:
-                continue
-            if z_label is not None and kl.Z_label != z_label:
-                continue
-            if r_label is not None and kl.R_label != r_label:
-                continue
-            if l_label is not None and kl.L_label != l_label:
-                continue
-            if k_order is not None and kl.K_order != k_order:
-                continue
-            hits.append(kl)
+        want = dict(kind=kind, H_label=h_label, Z_label=z_label,
+                    R_label=r_label, L_label=l_label, K_order=k_order)
+        hits = [kl for kl in self.classes
+                if all(v is None or getattr(kl, f) == v
+                       for f, v in want.items())]
         if len(hits) != 1:
             raise KeyError("class lookup matched %d candidates" % len(hits))
         return hits[0]
@@ -704,18 +697,28 @@ class Universe:
 
     # -- normalizers, Weyl groups, containment counts ----------------------
 
-    def _conjugator_count(self, low, high):
-        """Number of conjugator triples t with t(low) inside finite high."""
-        hits = int(self._conjugators(low.gens, low.rot_perms, low.refl_perms,
-                                     high).sum())
-        # without a reflection in low only j = 0 was tried, and every j
-        # acts alike on rotations
-        return hits if low.refl_perms else hits * self.N
+    def _rows(self, classes):
+        return _Rows(self, [(kl.gens, kl.rot_perms, kl.refl_perms, kl.order)
+                            for kl in classes])
 
-    def _normalizer_count(self, kl):
-        if kl.index not in self._nbar:
-            self._nbar[kl.index] = self._conjugator_count(kl, kl)
-        return self._nbar[kl.index]
+    @cached_property
+    def _finite_rows(self):
+        """(class indices, kernel rows) of every finite class."""
+        finite = [kl for kl in self.classes if kl.is_finite]
+        return np.array([kl.index for kl in finite]), self._rows(finite)
+
+    @cached_property
+    def _normalizers(self):
+        """Normalizer triple count of every finite class by class index: the
+        diagonal, each class against itself, BATCH elements at a time."""
+        finite = [kl for kl in self.classes if kl.is_finite]
+        batch = np.cumsum([kl.order for kl in finite]) // BATCH
+        out = np.zeros(len(self.classes), dtype=np.int64)
+        for b in sorted(set(batch.tolist())):
+            part = [kl for kl, at in zip(finite, batch) if at == b]
+            out[[kl.index for kl in part]] = self._conjugator_counts(
+                self._rows(part), part)
+        return out
 
     def weyl(self, kl):
         """(finite flag, order of the Weyl group when finite)."""
@@ -725,10 +728,9 @@ class Universe:
             # the normalizer is Stab_S4(rot, refl) x O(2); H x O(2) fills
             # each O(2) fiber, the other two shapes only half of it
             stab = 24 // len(_s4_conjugate_pairs(kl.rot_perms, kl.refl_perms))
-            return (True, (1 if kl.kind == "o2" else 2) * stab
-                    // len(kl.H_set))
+            return True, (1 if kl.kind == "o2" else 2) * stab // len(kl.H_set)
         # each conjugator triple stands for two group elements
-        nbar = 2 * self._normalizer_count(kl)
+        nbar = 2 * int(self._normalizers[kl.index])
         if nbar % kl.order:
             raise InternalError("normalizer order not divisible by |H|")
         return (True, nbar // kl.order)
@@ -736,66 +738,73 @@ class Universe:
     def n_count(self, low, high):
         """Number of conjugates of `high` containing a representative of
         `low`: the containment count n(L, H) of the table of marks."""
-        key = (low.index, high.index)
-        if key in self._ncount_memo:
-            return self._ncount_memo[key]
-        val = self._n_count_raw(low, high)
-        self._ncount_memo[key] = val
-        return val
+        return int(self._column(high)[low.index])
 
-    def _n_count_raw(self, low, high):
-        if low is high:
-            return 1
+    def _column(self, high):
+        """n(L, high) for every class L by class index, built on first use."""
+        if high.index in self._columns:
+            return self._columns[high.index]
+        col = np.zeros(len(self.classes), dtype=np.int64)
         if not high.is_finite:
             # O(2) conjugation maps a continuous shape to itself, so its
             # conjugates are its S4-conjugate (rot, refl) pairs
-            return sum(1 for rot, refl in _s4_conjugate_pairs(
-                           high.rot_perms, high.refl_perms)
-                       if low.rot_perms <= rot and low.refl_perms <= refl)
-        if not low.is_finite or high.order % low.order:
-            return 0
-        # the conjugators t with t(L) inside H come in whole cosets of the
-        # normalizer, one coset per conjugate of H that contains L
-        count, rem = divmod(self._conjugator_count(low, high),
-                            self._normalizer_count(high))
-        if rem:
-            raise InternalError("conjugators of %s into %s do not fill "
-                                "normalizer cosets" % (low, high))
-        return count
+            for rot, refl in _s4_conjugate_pairs(high.rot_perms,
+                                                 high.refl_perms):
+                col += [kl.rot_perms <= rot and kl.refl_perms <= refl
+                        for kl in self.classes]
+        else:
+            # the conjugators t with t(L) inside H come in whole cosets of
+            # the normalizer, one coset per conjugate of H that contains L
+            index, rows = self._finite_rows
+            count, rem = np.divmod(self._conjugator_counts(rows, [high]),
+                                   self._normalizers[high.index])
+            if rem.any():
+                raise InternalError("conjugators into %s do not fill "
+                                    "normalizer cosets" % high)
+            col[index] = count
+        self._columns[high.index] = col
+        return col
 
     def leq(self, low, high):
         """Subconjugacy partial order on classes."""
-        if low is high:
-            return True
-        return self.n_count(low, high) >= 1
-
-    def _order_rank(self, kl):
-        """Strictly monotone along the partial order (for topdown recursion).
-
-        For the continuous shapes the rank is the size of the S4 content
-        weighted by the density of the O(2) part inside O(2)."""
-        if kl.is_finite:
-            return kl.order
-        return 2 * len(kl.H_set) if kl.kind == "o2" else len(kl.H_set)
+        return low is high or self.n_count(low, high) >= 1
 
     # -- fixed point dimensions ----------------------------------------------
 
+    @cached_property
+    def _rotations(self):
+        """Owner class (int32), character column (int8) and grid step of the
+        rotations of all finite classes; and class orders, 1 if continuous."""
+        finite = [kl for kl in self.classes if kl.is_finite]
+        p, kind, k = self.parts(np.concatenate([kl.code_array
+                                                for kl in finite]))
+        owner = np.repeat(np.int32([kl.index for kl in finite]),
+                          [kl.order for kl in finite])
+        rot = kind == 0
+        return (owner[rot], PERM_CLASS[p[rot]].astype(np.int8), k[rot],
+                np.array([kl.order or 1 for kl in self.classes]))
+
+    def _fixed_dims(self, j, l):
+        """dim V_{j,l}^L of every class L by class index: the character
+        averages over the rotations of all classes, all five j at once; a
+        full circle of rotations averages to zero, so continuous ones get 0."""
+        if not (0 <= j <= 4 and l >= 1):
+            raise ValueError("no loop mode (j, l) = (%r, %r)" % (j, l))
+        if l not in self._dims_memo:
+            owner, cls, k, order = self._rotations
+            cos = 2.0 * np.cos(2.0 * np.pi * l * k / self.N)
+            dim = np.array([np.bincount(owner, chi[cls] * cos,
+                                        minlength=len(order))
+                            for chi in CHARACTER_TABLE]) / order
+            r = np.rint(dim)
+            if np.abs(dim - r).max() > 1e-9:
+                raise InternalError("non-integer fixed-point dimension")
+            self._dims_memo[l] = r.astype(np.int64)
+        return self._dims_memo[l][j]
+
     def fixed_point_dim(self, j, l, kl):
         """dim of the fixed space of the class inside the (j, l) loop mode."""
-        if not 0 <= j <= 4:
-            raise ValueError("isotypic index out of range")
-        if l < 1:
-            raise ValueError("Fourier mode must be >= 1")
-        if not kl.is_finite:
-            return 0        # a full circle of rotations averages to zero
-        p, kind, k = self.parts(kl.code_array)
-        rot = kind == 0
-        dim = (CHARACTER_TABLE[j, PERM_CLASS[p[rot]]]
-               @ (2.0 * np.cos(2.0 * np.pi * l * k[rot] / self.N))) / kl.order
-        r = round(dim)
-        if abs(dim - r) > 1e-9:
-            raise InternalError("non-integer fixed-point dimension")
-        return int(r)
+        return int(self._fixed_dims(j, l)[kl.index])
 
     # -- ring arithmetic in mark coordinates ---------------------------------
 
@@ -803,59 +812,57 @@ class Universe:
     def _marks_weyl(self):
         """|W(L)| of every Phi0 class L, keyed by class index, in
         back-substitution order: continuous shapes first, then by falling
-        rank, so that each class follows every class above it."""
-        order = sorted(self.phi0_classes(),
-                       key=lambda kl: (kl.order == 0, self._order_rank(kl)),
-                       reverse=True)
+        rank, strictly monotone along the partial order: the order, or the
+        size of the S4 content weighted by the density of the O(2) part."""
+        order = sorted(self.phi0_classes(), key=lambda kl: (
+            kl.order == 0,
+            kl.order or len(kl.H_set) * (2 if kl.kind == "o2" else 1)),
+            reverse=True)
         return {kl.index: self.weyl(kl)[1] for kl in order}
 
-    def marks(self, coeffs: dict) -> list:
+    def _mark_column(self, i):
+        """Column n(., H) of the class with index i over the Phi0 classes in
+        back-substitution order, as Python ints."""
+        return self._column(self.classes[i])[list(self._marks_weyl)
+                                             ].astype(object)
+
+    def marks(self, coeffs: dict) -> np.ndarray:
         """Mark coordinates v_L = sum_H c_H n(L, H) |W(H)| of the element
-        with class coefficients `coeffs`, one entry per Phi0 class L in
-        back-substitution order."""
-        terms = [(self.classes[i], c * self._marks_weyl[i])
-                 for i, c in coeffs.items()]
-        return [sum(self.n_count(self.classes[low], high) * cw
-                    for high, cw in terms)
-                for low in self._marks_weyl]
+        with class coefficients `coeffs`, one exact Python int per Phi0
+        class L in back-substitution order."""
+        v = np.zeros(len(self._marks_weyl), dtype=object)
+        for i, c in coeffs.items():
+            v += c * self._marks_weyl[i] * self._mark_column(i)
+        return v
 
     def from_marks(self, v) -> dict:
         """Class coefficients of the element whose mark vector is v.
 
         The mark of L counts its own coefficient |W(L)| times plus
         n(L, H) |W(H)| c_H for every class H above L, and those come first
-        in back-substitution order, so each coefficient is one exact
-        division once the nonzero ones above it are subtracted."""
+        in back-substitution order: each coefficient is one exact division,
+        then c_L |W(L)| times column L leaves the marks still to come.  The
+        marks are Python ints, so nothing wraps around."""
+        if len(v) != len(self._marks_weyl):
+            raise ValueError("mark vector has the wrong length")
+        v = np.asarray(v).astype(object)        # int64 entries become ints
         coeffs = {}
-        done = []                   # (class, c_H |W(H)|) for c_H != 0
-        for (i, w), total in zip(self._marks_weyl.items(), v, strict=True):
-            low = self.classes[i]
-            total -= sum(self.n_count(low, high) * cw for high, cw in done)
-            c, rem = divmod(total, w)
+        for pos, (i, w) in enumerate(self._marks_weyl.items()):
+            c, rem = divmod(v[pos], w)
             if rem:
                 raise InternalError("non-exact division by |W(%s)| in mark "
-                                    "back-substitution" % low)
+                                    "back-substitution" % self.classes[i])
             if c:
                 coeffs[i] = c
-                done.append((low, c * w))
+                v -= c * w * self._mark_column(i)
         return coeffs
-
-    def _parity(self, j, l):
-        """dim V_{j,l}^L mod 2 for every Phi0 class L, in marks order."""
-        key = (j, l)
-        if key not in self._parity_memo:
-            self._parity_memo[key] = tuple(
-                self.fixed_point_dim(j, l, self.classes[i]) % 2
-                for i in self._marks_weyl)
-        return self._parity_memo[key]
 
     def degree_marks(self, modes) -> list:
         """Marks of the product of the basic degrees of the (j, l) loop modes
         in `modes`: (-1)^(sum of dim V_{j,l}^L) at each Phi0 class L."""
-        parity = [0] * len(self._marks_weyl)
-        for j, l in modes:
-            parity = [a ^ b for a, b in zip(parity, self._parity(j, l))]
-        return [1 - 2 * p for p in parity]
+        dims = sum((self._fixed_dims(j, l) for j, l in modes),
+                   np.zeros(len(self.classes), dtype=np.int64))
+        return (1 - 2 * (dims[list(self._marks_weyl)] % 2)).tolist()
 
     def basic_degree(self, j, l) -> "BurnsideElement":
         """Gradient degree of -Id on the (j, l) isotypic loop component."""
@@ -950,17 +957,15 @@ class BurnsideElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) + c
-        return BurnsideElement(self.universe, out)
+        return BurnsideElement(self.universe, {
+            i: self.coeffs.get(i, 0) + other.coeffs.get(i, 0)
+            for i in {**self.coeffs, **other.coeffs}})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BurnsideElement(self.universe,
-                               {i: -c for i, c in self.coeffs.items()})
+        return self * -1
 
     def __mul__(self, other):
         """Ring product, pointwise in mark coordinates (an int scales the
@@ -971,8 +976,7 @@ class BurnsideElement:
         self._check(other)
         u = self.universe
         return BurnsideElement(u, u.from_marks(
-            [a * b for a, b in zip(u.marks(self.coeffs),
-                                   u.marks(other.coeffs))]))
+            u.marks(self.coeffs) * u.marks(other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -988,16 +992,11 @@ class BurnsideElement:
         return bool(self.coeffs)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for kl, c in self.terms():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            coeff = "" if mag == 1 else "%d" % mag
-            parts.append("%s %s%s" % (sign, coeff, kl.printed_form()))
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else text
+        text = " ".join("%s %s%s" % ("-" if c < 0 else "+",
+                                     "" if abs(c) == 1 else abs(c),
+                                     kl.printed_form())
+                        for kl, c in self.terms())
+        return (text[2:] if text.startswith("+ ") else text) or "0"
 
     __repr__ = __str__
 

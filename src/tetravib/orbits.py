@@ -567,9 +567,13 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
 
     points = []
     history = []                    # (target, x, lam) of converged steps
-    target = first_step
+    # the last target lies a little above target_amplitude, so that the
+    # corrector's amplitude error cannot leave the branch just short of it;
+    # a target_amplitude below first_step is the first and last target
+    ceiling = target_amplitude * 1.0001
+    target = min(first_step, ceiling)
     step = step_size
-    x, lam = x0 + first_step * kdir, lam0
+    x, lam = x0 + target * kdir, lam0
     failures = 0
     least, cond = math.inf, None
     for _ in range(steps):
@@ -595,7 +599,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         history.append((target, x, lam))
         if points[-1].amplitude >= target_amplitude:
             break
-        target = min(target + step, target_amplitude * 1.0001)
+        target = min(target + step, ceiling)
         x, lam = _predict(history, target, x0, kdir, lam0)
     else:
         raise stuck("branch did not reach amplitude %g in %d steps"

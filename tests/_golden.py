@@ -123,6 +123,11 @@ BRANCHES = [
 ]
 
 
+# sha256 of the stdout of `tetravib invariants` with `[analysis] l_max = 4`
+INVARIANTS_L4_SHA256 = (
+    "b1ff3be00c19647c73f4c11b97977d8c346a1917e457a8ac23637bac9ed15479")
+
+
 def lookup(universe, h, z, r, l_label, k_order):
     """Resolve one golden tuple to the universe's class object."""
     return universe.find_class(h, z_label=z, r_label=r, l_label=l_label,

@@ -1,0 +1,113 @@
+"""Reference containment counts, one (low, high) pair at a time.
+
+This is the per-pair conjugator kernel that the column-by-column table of
+marks in `tetravib.burnside` replaced, kept here as an independent check:
+it lists the f = 0 and the f = 1 candidate triples of every pair, applies
+all of them to all generators at once, and divides by the normalizer count
+of the high class.  `conj_apply` is the plain definition of a conjugator
+triple acting on one element code.
+
+Run as a script, it compares every entry of every Phi0 column (every class
+as low) and the normalizer of every finite class with the library at one
+l_max:
+
+    PYTHONPATH=src python tests/_pair_reference.py 4
+"""
+import sys
+
+import numpy as np
+
+import tetravib.burnside as bu
+
+
+def conj_apply(u, trip, e):
+    """Image of the element code e under the conjugator triple (g, f, j):
+    conjugation by (g, rotation a) with 2a = j/N when f = 0, or by
+    (g, reflection b) with 2b = j/N when f = 1."""
+    g, f, j = trip
+    p, kind, k = u.split(e)
+    q = int(bu.CONJ[g, p])
+    if f == 0:
+        return u.join(q, kind, k + j if kind else k)
+    return u.join(q, kind, j - k if kind else -k)
+
+
+def _maps_into(low, high):
+    """Boolean vector over g in S4: does CONJ[g] map the set `low` of
+    permutations into the set `high`?"""
+    mask = np.zeros(24, dtype=bool)
+    mask[sorted(high)] = True
+    return mask[bu.CONJ[:, sorted(low)]].all(axis=1)
+
+
+def conjugators(u, low, high):
+    """Which candidate triples, f = 0 and f = 1 alike, map every generator
+    of the finite class `low` into the finite class `high`."""
+    n = u.N
+    g = np.flatnonzero(_maps_into(low.rot_perms, high.rot_perms)
+                       & _maps_into(low.refl_perms, high.refl_perms))
+    p, kind, k = u.parts(np.array(low.gens, dtype=np.int64))
+    if low.refl_perms:
+        first = np.flatnonzero(kind)[0]
+        hp, h_kind, hk = u.parts(high.code_array)
+        hp, hk = hp[h_kind == 1], hk[h_kind == 1]
+        gi, ri = np.nonzero(bu.CONJ[g, p[first]][:, None] == hp)
+        g = g[gi]
+        j = np.concatenate(((hk[ri] - k[first]) % n,
+                            (hk[ri] + k[first]) % n))
+    else:
+        j = np.zeros(2 * len(g), dtype=np.int64)
+    sign = np.repeat([1, -1], len(g))
+    g = np.concatenate((g, g))
+    images = (bu.CONJ[g[:, None], p] * (2 * n) + kind * n
+              + (sign[:, None] * k + kind * j[:, None]) % n)
+    target = high.code_array
+    pos = np.minimum(np.searchsorted(target, images), len(target) - 1)
+    return (target[pos] == images).all(axis=1)
+
+
+def conjugator_count(u, low, high):
+    """Number of conjugator triples t with t(low) inside the finite high."""
+    hits = int(conjugators(u, low, high).sum())
+    # without a reflection in low only j = 0 was tried, and every j acts
+    # alike on rotations
+    return hits if low.refl_perms else hits * u.N
+
+
+def n_count(u, low, high):
+    """n(low, high), per pair."""
+    if low is high:
+        return 1
+    if not high.is_finite:
+        # O(2) conjugation maps a continuous shape to itself, so its
+        # conjugates are its S4-conjugate (rot, refl) pairs
+        return sum(1 for rot, refl in bu._s4_conjugate_pairs(
+                       high.rot_perms, high.refl_perms)
+                   if low.rot_perms <= rot and low.refl_perms <= refl)
+    if not low.is_finite or high.order % low.order:
+        return 0
+    count, rem = divmod(conjugator_count(u, low, high),
+                        conjugator_count(u, high, high))
+    assert rem == 0, (str(low), str(high))
+    return count
+
+
+def compare(l_max):
+    """(pairs, normalizers) compared between the library and this module
+    at l_max; raises AssertionError on the first difference."""
+    u = bu.universe_for_modes(range(1, l_max + 1))
+    finite = [kl for kl in u.all_classes() if kl.is_finite]
+    for kl in finite:
+        assert u._normalizers[kl.index] == conjugator_count(u, kl, kl), str(kl)
+    pairs = [(low, high) for high in u.phi0_classes()
+             for low in u.all_classes()]
+    for low, high in pairs:
+        assert u.n_count(low, high) == n_count(u, low, high), (str(low),
+                                                               str(high))
+    return len(pairs), len(finite)
+
+
+if __name__ == "__main__":
+    pairs, normalizers = compare(int(sys.argv[1]))
+    print("l_max %s: %d pairs and %d normalizers agree"
+          % (sys.argv[1], pairs, normalizers))

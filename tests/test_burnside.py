@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ import tetravib.burnside as bu
 from tetravib.grouprep import CHARACTER_TABLE
 
 from _golden import DEGREE_TABLES, as_class_set, lookup
+import _pair_reference as per_pair
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,18 @@ def test_universe_orders_and_unit(u1):
 def test_universe_census(l_max, census):
     u = bu.universe_for_modes(range(1, l_max + 1))
     assert (u.N, len(u.all_classes()), len(u.phi0_classes())) == census
+
+
+@pytest.mark.parametrize("l_max, digest", [
+    (2, "9e87b74ff96d72517ec7dd6eda2d583590ea8745d91812c15501c5b829772ed1"),
+    (4, "a43e8291520d6d95b708c5240e2a24779e47084492e0de06c94465260b67ab73")])
+def test_class_list_order_and_generators_are_pinned(l_max, digest):
+    # the enumeration order fixes class indices and generators; a change
+    # in how the Goursat loops run must leave both alone
+    u = bu.universe_for_modes(range(1, l_max + 1))
+    text = "\n".join("%s %s" % (kl.canonical_form(), kl.gens)
+                     for kl in u.classes)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _generated(u, gens):
@@ -181,7 +195,7 @@ def test_n_count_d1_inside_d3(u1):
 
 def _conjugate_subgroups(u, kl):
     """Distinct images of kl under all 48 N conjugator triples."""
-    return {frozenset(u.conj_apply((g, f, j), e) for e in kl.codes)
+    return {frozenset(per_pair.conj_apply(u, (g, f, j), e) for e in kl.codes)
             for g in range(24) for f in (0, 1) for j in range(u.N)}
 
 
@@ -195,6 +209,24 @@ def test_n_count_matches_brute_force_conjugates(u1):
         for low in finite:
             expected = sum(1 for c in conjugates if low.codes <= c)
             assert u1.n_count(low, high) == expected, (str(low), str(high))
+
+
+def test_columns_match_per_pair_reference(u1):
+    # every class as low, cyclic and continuous ones included
+    assert any(kl.kind == "cyclic" for kl in u1.all_classes())
+    for high in u1.phi0_classes():
+        for low in u1.all_classes():
+            assert u1.n_count(low, high) == per_pair.n_count(u1, low, high), (
+                str(low), str(high))
+
+
+@pytest.mark.parametrize("l_max", [1, 2])
+def test_normalizers_match_per_pair_reference(l_max):
+    u = bu.universe_for_modes(range(1, l_max + 1))
+    for kl in u.all_classes():
+        if kl.is_finite:
+            assert (u._normalizers[kl.index]
+                    == per_pair.conjugator_count(u, kl, kl)), str(kl)
 
 
 def test_leq_antisymmetric_on_equal_order_classes(u1):
@@ -234,6 +266,17 @@ def test_ring_axioms_on_random_elements(u1):
         b = _random_element(u1, rng, classes)
         c = _random_element(u1, rng, classes)
         assert (a * b) * c == a * (b * c)
+
+
+def test_mark_arithmetic_is_exact_beyond_int64(u1):
+    big = 2 ** 70
+    unit = bu.BurnsideElement.unit(u1)
+    assert u1.from_marks(u1.marks({u1.unit.index: big})) == {
+        u1.unit.index: big}
+    assert (unit * big) * (unit * big) == unit * big ** 2
+    # every column of a basic degree takes part; Deg * Deg = unit
+    d = u1.basic_degree(1, 1) * big
+    assert d * d == unit * big ** 2
 
 
 def test_integer_scalar_multiple(u1):
@@ -300,7 +343,7 @@ def test_fixed_point_dim_constant_on_conjugates(u1):
     for name in ("(S4 x D1)", "(D2^D1 x_Z2 D2)", "(D3^Z1 x_D3 D3)"):
         kl = u1.parse_class(name)
         base = u1.fixed_point_dim(1, 1, kl)
-        images = {frozenset(u1.conj_apply(t, e) for e in kl.codes)
+        images = {frozenset(per_pair.conj_apply(u1, t, e) for e in kl.codes)
                   for t in triples}
         assert len(images) > 1
         for codes in images:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import tetravib.bifurcation as bf
 import tetravib.burnside as bu
 from tetravib import cli, orbits
 
-from _golden import BRANCHES
+from _golden import BRANCHES, INVARIANTS_L4_SHA256
 
 
 def run(capsys, *argv):
@@ -275,6 +276,14 @@ def test_invariants_full_run_lists_seven_families(capsys):
     u = bf._universe(2)
     for f in doc["families"]:
         assert u.parse_class(f["canonical"]).printed_form() == f["class"]
+
+
+def test_invariants_at_l_max_4_are_byte_identical(capsys, tmp_path):
+    cfg = tmp_path / "l4.toml"
+    cfg.write_text("[analysis]\nl_max = 4\n")
+    code, out, err = run(capsys, "--config", str(cfg), "invariants")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_L4_SHA256
 
 
 def test_invariants_unresolvable_mode_exits_one(capsys):
@@ -540,3 +549,7 @@ def test_one_point_branches_have_no_extrapolation(capsys, tmp_path):
     for b in doc["branches"]:
         assert b["steps"] == 1
         assert b["frequency_extrapolation"] is None
+        # the first step asks for the target (with the 1e-4 overshoot of
+        # every branch's last step), not for first_step = 0.001
+        assert b["final_amplitude"] == pytest.approx(0.0005 * 1.0001,
+                                                     rel=1e-6)
