@@ -16,13 +16,13 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .forcefield import (  # noqa: E402
-    PairPotential, Configuration, EquilibriumResult,
+    PairPotential, EquilibriumResult,
     pair_potential, total_potential, gradient, hessian, find_equilibrium,
     DomainError, DegenerateParameters, ConvergenceError,
 )
 from .grouprep import (
     realization, act, action_matrix, multiplicities,
-    isotypic_projection, isotypic_decomposition, slice_spectrum,
+    isotypic_projection, projection_ranks, slice_spectrum,
 )
 
 __version__ = "0.1.0"

@@ -143,7 +143,6 @@ class Predicate:
 class SymmetryDescription:
     klass: AmalgamClass
     title: str
-    brake: bool
     predicates: tuple
     text: str
 
@@ -317,17 +316,12 @@ def describe_symmetry(kl: AmalgamClass) -> SymmetryDescription:
     for perm, kind, angle in kl.elements():
         if perm == tuple(range(4)) and kind == "rot" and angle == 0:
             continue
-        if kind == "rot":
-            text = ("configuration is reproduced by permuting/rotating with "
-                    "%s after a time shift of %s turns" % (_cycles(perm), angle))
-            preds.append(Predicate(perm=perm, kind="shift", angle=angle,
-                                   text=text))
-        else:
-            text = ("configuration is reproduced by permuting/rotating with "
-                    "%s after reflecting time about -%s turns" %
-                    (_cycles(perm), angle))
-            preds.append(Predicate(perm=perm, kind="reflect", angle=angle,
-                                   text=text))
+        how = ("a time shift of " if kind == "rot"
+               else "reflecting time about -")
+        text = ("configuration is reproduced by permuting/rotating with "
+                "%s after %s%s turns" % (_cycles(perm), how, angle))
+        preds.append(Predicate(perm=perm, angle=angle, text=text,
+                               kind="shift" if kind == "rot" else "reflect"))
     key = (kl.H_label, kl.Z_label, kl.L_label, kl.K_order)
     if key in _FAMILY_PROSE:
         title, prose = _FAMILY_PROSE[key]
@@ -336,7 +330,7 @@ def describe_symmetry(kl: AmalgamClass) -> SymmetryDescription:
         prose = "Orbit fixed by the group generated by the listed relations."
         if kl.brake:
             prose += " It is a brake orbit."
-    return SymmetryDescription(klass=kl, title=title, brake=kl.brake,
+    return SymmetryDescription(klass=kl, title=title,
                                predicates=tuple(preds), text=prose)
 
 

@@ -51,7 +51,7 @@ from .grouprep import (S4, IDENTITY, pmul, pinv, cycle_type,
 __all__ = [
     "InternalError", "S4SubgroupClass", "enumerate_s4_subgroups",
     "s4_subgroup_label", "AmalgamClass", "Universe", "BurnsideElement",
-    "universe_for_modes", "MAX_MODE", "basic_degree",
+    "universe_for_modes", "MAX_MODE",
 ]
 
 
@@ -163,7 +163,10 @@ def enumerate_s4_subgroups():
 
 
 def _normal_subgroups_of(h):
-    """Normal subgroups of the subgroup h (as frozensets of indices)."""
+    """Normal subgroups of the subgroup h (as frozensets of indices), in
+    the iteration order of the frozenset _all_s4_subgroups().  That order
+    fixes every class index: the same 30 subgroups built another way can
+    iterate in another order, which moves class indices and `report` floats."""
     return [z for z in _all_s4_subgroups()
             if z <= h and all(frozenset(row) == z for row in
                               CONJ[np.ix_(sorted(h), sorted(z))].tolist())]
@@ -446,10 +449,6 @@ class Universe:
         # a reflection reverses the rotation or axis parameter after it
         return self.join(MUL[p1][p2], f1 ^ f2, k1 - k2 if f1 else k1 + k2)
 
-    def inv(self, e):
-        p, f, k = self.split(e)
-        return self.join(INV[p], f, k if f else -k)
-
     def parts(self, codes):
         """(permutation, kind, k) arrays of an int64 array of codes."""
         p, rem = np.divmod(codes, 2 * self.N)
@@ -628,15 +627,16 @@ class Universe:
                             continue
                         h_gens = qh.generating_words[0]
                         for iso in _isomorphisms(qh, qk):
+                            # K's codes carry ID_PERM = 0: (p, e) is p 2N + e
                             codes = frozenset(
-                                self.join(p, *self.split(e)[1:])
+                                p * 2 * self.N + e
                                 for x, ps in enumerate(qh.cosets)
                                 for p in ps for e in qk.cosets[iso[x]])
                             # lifts (p, e) of generators pZ of H/Z, e in
                             # the coset iso[pZ] of R, with (Z, 1) and
                             # (1, R) generate the amalgam
-                            lifts = [self.join(min(qh.cosets[x]), *self.split(
-                                         min(qk.cosets[iso[x]]))[1:])
+                            lifts = [min(qh.cosets[x]) * 2 * self.N
+                                     + min(qk.cosets[iso[x]])
                                      for x in h_gens]
                             self.classify(
                                 codes, lifts + z_gens + r_gens,
@@ -946,9 +946,6 @@ class BurnsideElement:
                 sorted(self.coeffs.items(),
                        key=lambda ic: self.universe.classes[ic[0]].sort_key())]
 
-    def coefficient(self, kl: AmalgamClass) -> int:
-        return self.coeffs.get(kl.index, 0)
-
     def _check(self, other):
         if not isinstance(other, BurnsideElement):
             raise TypeError("expected a ring element")
@@ -999,9 +996,4 @@ class BurnsideElement:
         return (text[2:] if text.startswith("+ ") else text) or "0"
 
     __repr__ = __str__
-
-
-def basic_degree(j, l, universe=None) -> BurnsideElement:
-    u = universe or universe_for_modes([l])
-    return u.basic_degree(j, l)
 

@@ -20,7 +20,7 @@ from .forcefield import (ConvergenceError, DegenerateParameters, DomainError,
 # slice_spectrum is not called here (find_equilibrium keeps its result), but
 # perfbench/tracer.py counts calls through this name
 from .grouprep import (CHARACTER_TABLE, CLASS_SIZES, IRREP_DIMS,  # noqa: F401
-                       isotypic_decomposition, multiplicities,
+                       multiplicities, projection_ranks,
                        representation_character, slice_spectrum)
 
 __all__ = ["main", "RunConfig", "ConfigError", "load_config", "dumps"]
@@ -35,14 +35,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-_SCHEMA = {
-    "potential": {"bond_weight": float, "vdw_A": float, "vdw_B": float,
-                  "sigma": float},
-    "analysis": {"l_max": int, "n_modes": int, "newton_tol": float,
-                 "target_amplitude": float, "step_size": float},
-    "output": {"format": str, "path": str},
-}
-
 _DEFAULTS = {
     "potential": {"bond_weight": 1.0, "vdw_A": 0.0, "vdw_B": 0.0,
                   "sigma": 0.0},
@@ -50,6 +42,9 @@ _DEFAULTS = {
                  "target_amplitude": 0.05, "step_size": 5e-3},
     "output": {"format": "json", "path": ""},
 }
+# every key takes values of its default's type
+_SCHEMA = {section: {key: type(v) for key, v in values.items()}
+           for section, values in _DEFAULTS.items()}
 
 
 class RunConfig:
@@ -122,8 +117,8 @@ def load_config(path) -> RunConfig:
     """Parse a flat TOML-style file: [section] headers and key = value lines.
 
     Supported values: double-quoted strings (no escapes), integers, floats
-    and true/false.  Comments start with '#'.  Nested tables, arrays and
-    multi-line strings are deliberately out of scope.
+    and true/false.  Comments start with a '#' outside a string.  Nested
+    tables, arrays and multi-line strings are deliberately out of scope.
     """
     sections = {}
     current = None
@@ -133,8 +128,11 @@ def load_config(path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line.startswith("#") or not line:
+        # a '#' after an even number of quotes starts a comment
+        cut = next((i for i, ch in enumerate(raw) if ch == "#"
+                    and raw.count('"', 0, i) % 2 == 0), len(raw))
+        line = raw[:cut].strip()
+        if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
@@ -147,8 +145,6 @@ def load_config(path) -> RunConfig:
         if current is None:
             raise ConfigError("line %d: key outside any section" % lineno)
         key, _, value = line.partition("=")
-        if "#" in value and '"' not in value:
-            value = value.split("#", 1)[0]
         current[key.strip()] = _parse_scalar(value)
     return RunConfig(sections)
 
@@ -257,14 +253,13 @@ def _spectrum_report(eq):
 
 
 def _reps_report():
-    dec = isotypic_decomposition()
     return {
         "character_table": [list(map(int, row)) for row in CHARACTER_TABLE],
         "class_sizes": list(CLASS_SIZES),
         "irrep_dims": list(IRREP_DIMS),
         "representation_character": list(map(int, representation_character())),
         "multiplicities": list(multiplicities()),
-        "projection_ranks": list(dec.ranks),
+        "projection_ranks": list(projection_ranks()),
     }
 
 
@@ -278,9 +273,16 @@ def _invariant_report(rep):
         "maximal": [_class_entry(kl, c) for kl, c in rep.maximal],
         "descriptions": [
             {"class": d.klass.printed_form(), "title": d.title,
-             "brake": d.brake, "text": d.text}
+             "brake": d.klass.brake, "text": d.text}
             for d in rep.descriptions],
     }
+
+
+def _family_entry(f):
+    return {"class": f.klass.printed_form(),
+            "canonical": f.klass.canonical_form(),
+            "j": f.j, "l": f.l, "coeff": f.coefficient,
+            "critical_value": f.value}
 
 
 def _invariant_reports(mu, l_max, universe):
@@ -314,7 +316,7 @@ def _branch_summary(branch, potential):
         "final_residual": last.residual,
         "max_predicate_residual": max(last.predicate_residuals),
         "energy_spread": spread,
-        "brake": branch.description.brake,
+        "brake": branch.klass.brake,
         "frequency_extrapolation": orbits.frequency_extrapolation(branch),
     }
 
@@ -348,29 +350,31 @@ def _cmd_degrees(args, config):
             "degree": _element_terms(element)}
 
 
-def _cmd_invariants(args, config):
+def _analysis(config, critical=None):
+    """The potential, its equilibrium, the isolatable invariants (those of
+    the mode `critical` only, when given) and their independent families."""
     potential = config.potential()
     eq = find_equilibrium(potential)
     l_max = config.analysis["l_max"]
     universe = bifurcation._universe(l_max)
     reports = _invariant_reports(eq.mu, l_max, universe)
-    if args.critical is not None:
-        j, l = args.critical
+    if critical is not None:
+        j, l = critical
         picked = [r for r in reports if (j, l) in r.critical.contributors]
         if not picked:
             raise UsageError("no isolatable critical number for mode "
                              "(%d, %d) within l_max=%d" % (j, l, l_max))
         reports = picked
-    families = bifurcation.independent_families(reports)
+    return (potential, eq, reports,
+            bifurcation.independent_families(reports))
+
+
+def _cmd_invariants(args, config):
+    _, _, reports, families = _analysis(config, args.critical)
     return {
         "meta": _meta(args),
         "invariants": [_invariant_report(r) for r in reports],
-        "families": [
-            {"class": f.klass.printed_form(),
-             "canonical": f.klass.canonical_form(),
-             "j": f.j, "l": f.l, "coeff": f.coefficient,
-             "critical_value": f.value}
-            for f in families],
+        "families": [_family_entry(f) for f in families],
     }
 
 
@@ -408,12 +412,7 @@ def _cmd_branch(args, config):
 
 
 def _cmd_report(args, config):
-    potential = config.potential()
-    eq = find_equilibrium(potential)
-    l_max = config.analysis["l_max"]
-    universe = bifurcation._universe(l_max)
-    reports = _invariant_reports(eq.mu, l_max, universe)
-    families = bifurcation.independent_families(reports)
+    potential, eq, reports, families = _analysis(config)
     branches = []
     for fam in families:
         branch = orbits.continue_branch(
@@ -430,12 +429,7 @@ def _cmd_report(args, config):
         "spectrum": _spectrum_report(eq),
         "representation": _reps_report(),
         "invariants": [_invariant_report(r) for r in reports],
-        "families": [
-            {"class": f.klass.printed_form(),
-             "canonical": f.klass.canonical_form(),
-             "j": f.j, "l": f.l, "coeff": f.coefficient,
-             "critical_value": f.value}
-            for f in families],
+        "families": [_family_entry(f) for f in families],
         "branches": branches,
     }
 

@@ -33,7 +33,6 @@ __all__ = [
     "DegenerateParameters",
     "ConvergenceError",
     "PairPotential",
-    "Configuration",
     "EquilibriumResult",
     "TETRAHEDRON",
     "PAIRS",
@@ -151,28 +150,7 @@ def pair_potential(p: PairPotential, x):
     return u, du, d2u
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Positions of the four particles (rows), centre of mass at the origin."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        if pos.shape != (4, 3):
-            raise ValueError("configuration must be a 4x3 array")
-        com = pos.mean(axis=0)
-        if np.linalg.norm(com) > 1e-9 * max(1.0, np.abs(pos).max()):
-            raise ValueError("centre of mass must sit at the origin")
-        for j, k in PAIRS:
-            if np.linalg.norm(pos[j] - pos[k]) == 0.0:
-                raise ValueError("particle positions must be distinct")
-        object.__setattr__(self, "positions", pos)
-
-
 def _positions(u) -> np.ndarray:
-    if isinstance(u, Configuration):
-        return u.positions
     u = np.asarray(u, dtype=float)
     if u.shape[-2:] != (4, 3):
         raise ValueError("expected positions of shape (..., 4, 3)")

@@ -12,8 +12,8 @@ composed with (p * q)(i) = p(q(i)).
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +25,9 @@ __all__ = [
     "CLASS_ORDER", "CLASS_SIZES", "CHARACTER_TABLE", "IRREP_DIMS",
     "realization", "act", "action_matrix",
     "representation_character", "multiplicities", "isotypic_projection",
-    "IsotypicDecomposition", "isotypic_decomposition",
-    "SO3_GENERATORS", "tangent_basis", "translation_basis",
-    "centre_of_mass_free_basis", "SliceSpectrum", "slice_spectrum",
+    "projection_ranks", "SO3_GENERATORS", "tangent_basis",
+    "translation_basis", "COM_FREE", "centre_of_mass_free_basis",
+    "SliceSpectrum", "slice_spectrum",
     "TEST_VECTORS",
 ]
 
@@ -101,29 +101,18 @@ def realization():
     return mats
 
 
-_REALIZATION = None
-
-
+@functools.lru_cache(maxsize=1)
 def _matrices():
-    global _REALIZATION
-    if _REALIZATION is None:
-        _REALIZATION = realization()
-    return _REALIZATION
+    return realization()
 
 
-def act(p, u, matrix=None):
+def act(p, u):
     """Action of a permutation on a configuration (rows = particles).
 
     Row j of the result is A_p u_{p^{-1}(j)}; the reference tetrahedron is
-    fixed by every permutation under this action.  An explicit matrix may be
-    supplied in place of the canonical realization; it must be orthogonal.
+    fixed by every permutation under this action.
     """
-    if matrix is None:
-        a = _matrices()[tuple(p)]
-    else:
-        a = np.asarray(matrix, dtype=float)
-        if np.abs(a @ a.T - np.eye(3)).max() > 1e-10:
-            raise ValueError("spatial action matrix must be orthogonal")
+    a = _matrices()[tuple(p)]
     u = np.asarray(u, dtype=float)
     inv = pinv(tuple(p))
     return u[..., list(inv), :] @ a.T
@@ -170,18 +159,10 @@ def isotypic_projection(j: int) -> np.ndarray:
     return (dim / 24.0) * proj
 
 
-@dataclass(frozen=True)
-class IsotypicDecomposition:
-    """Projections and ranks of the isotypic components of R^12."""
-
-    projections: tuple = field(repr=False)
-    ranks: tuple
-
-
-def isotypic_decomposition() -> IsotypicDecomposition:
-    projs = tuple(isotypic_projection(j) for j in range(5))
-    ranks = tuple(int(round(np.trace(p))) for p in projs)
-    return IsotypicDecomposition(projections=projs, ranks=ranks)
+def projection_ranks() -> tuple:
+    """Ranks of the isotypic projections of R^12, one per irreducible."""
+    return tuple(int(round(np.trace(isotypic_projection(j))))
+                 for j in range(5))
 
 
 # infinitesimal rotations about the coordinate axes
@@ -206,11 +187,14 @@ def translation_basis() -> np.ndarray:
     return t
 
 
+# orthogonal projector onto configurations with the centre of mass fixed
+COM_FREE = np.eye(12) - translation_basis().T @ translation_basis()
+COM_FREE.flags.writeable = False
+
+
 def centre_of_mass_free_basis() -> np.ndarray:
     """Orthonormal columns spanning the centre-of-mass-free subspace (dim 9)."""
-    t = translation_basis()
-    q = np.eye(12) - t.T @ t
-    w, v = np.linalg.eigh(q)
+    w, v = np.linalg.eigh(COM_FREE)
     return v[:, w > 0.5]
 
 

@@ -23,8 +23,8 @@ from .bifurcation import SymmetryDescription, UsageError, describe_symmetry
 from .burnside import AmalgamClass, InternalError
 from .forcefield import (ConvergenceError, PairPotential, find_equilibrium,
                          gradient, hessian, total_potential)
-from .grouprep import (SO3_GENERATORS, action_matrix, isotypic_projection,
-                       translation_basis)
+from .grouprep import (COM_FREE, action_matrix, isotypic_projection,
+                       tangent_basis)
 
 __all__ = [
     "FourierOrbit", "SymmetryConstraint", "BranchPoint", "Branch",
@@ -159,9 +159,6 @@ def energy_profile(orbit: FourierOrbit, potential: PairPotential,
 # ---------------------------------------------------------------------------
 # symmetry constraints on Fourier coefficients
 
-# orthogonal projector onto configurations with the centre of mass fixed
-_COM_FREE = np.eye(12) - translation_basis().T @ translation_basis()
-
 
 class SymmetryConstraint:
     """Exact spatio-temporal symmetry, imposed mode by mode.
@@ -203,13 +200,12 @@ class SymmetryConstraint:
             total += (blocks.reshape(-1, 2, 1, 2, 1)
                       * _spatial(perm).reshape(1, 1, 12, 1, 12))
         total /= len(elements)
-        p0 = _COM_FREE @ total[0, 0, :, 0] @ _COM_FREE
-        free = np.kron(np.eye(2), _COM_FREE)
+        p0 = COM_FREE @ total[0, 0, :, 0] @ COM_FREE
+        free = np.kron(np.eye(2), COM_FREE)
         # one product per mode: the product of the whole stack at once saves
         # 0.03 ms a class at n_modes = 16 but raised peak memory by 0.5 MB
         # at n_modes = 64
         pm = [free @ t @ free for t in total[1:].reshape(-1, 24, 24)]
-        self.projectors = [p0, *pm]
         self.bases = _range_bases(p0[None]) + _range_bases(np.stack(pm))
         # Fourier mode of each reduced coordinate, in pack/unpack order
         self.modes = np.repeat(m, self.fixed_dims())
@@ -237,18 +233,6 @@ class SymmetryConstraint:
             [np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:] if m
              else np.broadcast_to(b, ts.shape[:1] + b.shape)
              for m, b in enumerate(self.bases)], axis=2)
-
-    def project(self, orbit: FourierOrbit) -> FourierOrbit:
-        if orbit.n_modes != self.n_modes:
-            raise UsageError("orbit and constraint disagree on n_modes")
-        cos = orbit.cos_coeffs.copy()
-        sin = orbit.sin_coeffs.copy()
-        cos[0] = self.projectors[0] @ cos[0]
-        sin[0] = 0.0
-        for m in range(1, self.n_modes + 1):
-            v = self.projectors[m] @ np.concatenate([cos[m], sin[m]])
-            cos[m], sin[m] = v[:12], v[12:]
-        return FourierOrbit(cos, sin, orbit.lam)
 
     # reduced coordinates <-> coefficients ---------------------------------
 
@@ -336,14 +320,12 @@ class Branch:
 
 def _kernel_direction(constraint, j, l):
     """Unit H^1 vector spanning the critical mode inside the fixed subspace."""
-    tilde = isotypic_projection(j) @ _COM_FREE
+    tilde = isotypic_projection(j) @ COM_FREE
     basis = constraint.bases[l]
     if basis.shape[1] == 0:
         raise UsageError("symmetry class fixes nothing in mode %d" % l)
-    big = np.zeros((24, 24))
-    big[:12, :12] = tilde
-    big[12:, 12:] = tilde
-    proj = big @ basis            # columns spanning the critical directions
+    # columns spanning the critical directions
+    proj = np.kron(np.eye(2), tilde) @ basis
     u_, s_, _ = np.linalg.svd(proj, full_matrices=False)
     rank = int(np.sum(s_ > 1e-9))
     if rank == 0:
@@ -358,6 +340,10 @@ def _kernel_direction(constraint, j, l):
 # equations square it, so at this bound a step keeps about four correct
 # digits, enough for Newton to converge; the default families stay below 5e3.
 MAX_CONDITION = 1e6
+# The first step's amplitude (unless target_amplitude is smaller), and the
+# most Newton steps of one corrector call.
+FIRST_STEP = 1e-3
+MAX_NEWTON = 25
 
 
 def _normal_solve(a, b):
@@ -429,11 +415,10 @@ class _NewtonSystem:
         # rigid rotations; appended regardless so that an accidental
         # rotational freedom is pinned rather than wandering)
         u_o = equilibrium.u_o
-        tangents = np.stack([(g @ u_o.T).T.reshape(12)
-                             for g in SO3_GENERATORS])
         k0 = constraint.bases[0].shape[1]
         self.gauge = np.zeros((3, n_red + 1))
-        self.gauge[:, :k0] = 2.0 * math.pi * tangents @ constraint.bases[0]
+        self.gauge[:, :k0] = (2.0 * math.pi * tangent_basis(u_o)
+                              @ constraint.bases[0])
 
         # x0 is the equilibrium, the reference of the amplitude
         n_modes = constraint.n_modes
@@ -485,8 +470,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
                     j: int, l: int, *, n_modes: int = 16,
                     n_points: int = None, steps: int = 40,
                     target_amplitude: float = 0.05,
-                    step_size: float = 5e-3, first_step: float = 1e-3,
-                    newton_tol: float = 1e-11, max_newton: int = 25,
+                    step_size: float = 5e-3, newton_tol: float = 1e-11,
                     equilibrium=None) -> Branch:
     """Follow one symmetric branch from the equilibrium up in amplitude.
 
@@ -531,7 +515,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         f, u, g = system.residual(x, lam, target)
         least = math.inf
         cond = None
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             norm_c = float(np.linalg.norm(f[:n_c]))
             norm_all = float(np.linalg.norm(f))
             least = min(least, norm_c)
@@ -569,9 +553,9 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     history = []                    # (target, x, lam) of converged steps
     # the last target lies a little above target_amplitude, so that the
     # corrector's amplitude error cannot leave the branch just short of it;
-    # a target_amplitude below first_step is the first and last target
+    # a target_amplitude below FIRST_STEP is the first and last target
     ceiling = target_amplitude * 1.0001
-    target = min(first_step, ceiling)
+    target = min(FIRST_STEP, ceiling)
     step = step_size
     x, lam = x0 + target * kdir, lam0
     failures = 0

@@ -176,7 +176,7 @@ def test_describe_symmetry_brake_flags(reports, u2):
     }
     for f in bf.independent_families(reports):
         desc = bf.describe_symmetry(f.klass)
-        assert desc.brake == brake_expect[f.klass.printed_form()]
+        assert desc.klass.brake == brake_expect[f.klass.printed_form()]
         assert len(desc.predicates) == f.klass.order - 1
 
 

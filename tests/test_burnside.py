@@ -423,7 +423,8 @@ def test_elements_form_a_closed_group(u1):
     kl = u1.parse_class("(D2^D1 x_Z2 D2)")
     codes = kl.codes
     assert len(codes) == kl.order
+    identity = u1.join(bu.ID_PERM, 0, 0)
     for a in codes:
-        assert u1.inv(a) in codes
+        assert any(u1.mul(a, b) == identity for b in codes)
         for b in codes:
             assert u1.mul(a, b) in codes

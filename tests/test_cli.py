@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -55,6 +56,28 @@ def test_load_config_round_trip(tmp_path):
     assert config.analysis["n_modes"] == 8
     assert config.analysis["newton_tol"] == 1e-11       # default survives
     assert config.output["format"] == "csv"
+
+
+def test_readme_config_block_gives_the_defaults(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"```toml\n(.*?)```", fh.read(), re.S).group(1)
+    path = tmp_path / "defaults.toml"
+    path.write_text(block, encoding="utf-8")
+    config, default = cli.load_config(path), cli.RunConfig()
+    assert config.potential_params == default.potential_params
+    assert config.analysis == default.analysis
+    assert config.output == default.output
+    code, out, err = run(capsys, "--config", str(path), "report")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "report")[1]
+
+
+def test_hash_inside_a_string_is_not_a_comment(tmp_path):
+    path = tmp_path / "hash.toml"
+    path.write_text('[output]  # "d"\npath = "a#b"   # "c"\nformat = "csv"#\n')
+    assert cli.load_config(path).output == {"path": "a#b", "format": "csv"}
 
 
 @pytest.mark.parametrize("body", [
@@ -550,6 +573,6 @@ def test_one_point_branches_have_no_extrapolation(capsys, tmp_path):
         assert b["steps"] == 1
         assert b["frequency_extrapolation"] is None
         # the first step asks for the target (with the 1e-4 overshoot of
-        # every branch's last step), not for first_step = 0.001
+        # every branch's last step), not for FIRST_STEP = 0.001
         assert b["final_amplitude"] == pytest.approx(0.0005 * 1.0001,
                                                      rel=1e-6)

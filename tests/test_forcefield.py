@@ -83,17 +83,6 @@ def test_total_potential_invariances():
     assert abs(ff.total_potential(p, u + t) - v0) < 1e-10 * max(1.0, abs(v0))
 
 
-def test_configuration_validation():
-    ff.Configuration(ff.TETRAHEDRON)
-    with pytest.raises(ValueError):
-        ff.Configuration(ff.TETRAHEDRON + 1.0)          # centre of mass off origin
-    bad = ff.TETRAHEDRON.copy()
-    bad[1] = bad[0]
-    bad -= bad.mean(axis=0)
-    with pytest.raises(ValueError):
-        ff.Configuration(bad)                            # coincident particles
-
-
 def test_gradient_vanishes_at_equilibrium():
     for p in (ff.PairPotential(bond_weight=1.0), P4_LIKE):
         eq = ff.find_equilibrium(p)

@@ -1,0 +1,47 @@
+"""The public surface: every name a module exports or the package imports
+resolves, and the README's library example runs as printed."""
+import ast
+import contextlib
+import importlib
+import io
+import os
+import re
+
+import pytest
+
+import tetravib
+
+from _golden import BRANCHES
+
+MODULES = ("forcefield", "grouprep", "burnside", "bifurcation", "orbits", "cli")
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module("tetravib." + name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_package_import_is_public():
+    with open(tetravib.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module("tetravib." + node.module)
+        for alias in node.names:
+            assert alias.name in module.__all__, (node.module, alias.name)
+            assert getattr(tetravib, alias.name) is getattr(module, alias.name)
+
+
+def test_readme_library_example_runs():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    # one line per family: its class, final amplitude and final lambda
+    names = [line.rsplit(" ", 2)[0] for line in out.getvalue().splitlines()]
+    assert names == [b[0] for b in BRANCHES]
