@@ -23,7 +23,7 @@ from .burnside import (MAX_MODE, AmalgamClass, BurnsideElement, Universe,
 
 __all__ = [
     "UsageError", "CriticalNumber", "InvariantReport", "Family",
-    "Predicate", "SymmetryDescription", "critical_set", "degree_below",
+    "SymmetryDescription", "critical_set", "degree_below",
     "invariant", "independent_families", "describe_symmetry",
 ]
 
@@ -124,26 +124,9 @@ def _modes_below(lam, crits):
 
 
 @dataclass(frozen=True)
-class Predicate:
-    """One machine-checkable symmetry relation for a periodic orbit.
-
-    kind 'shift':   u(t) = rho(perm) u(t + 2*pi*angle)
-    kind 'reflect': u(t) = rho(perm) u(-t - 2*pi*angle)
-    (rho acts by particle permutation and the realized spatial matrix;
-    angle is in turns).
-    """
-
-    perm: tuple
-    kind: str
-    angle: Fraction
-    text: str
-
-
-@dataclass(frozen=True)
 class SymmetryDescription:
     klass: AmalgamClass
     title: str
-    predicates: tuple
     text: str
 
 
@@ -309,19 +292,11 @@ _FAMILY_PROSE = {
 
 
 def describe_symmetry(kl: AmalgamClass) -> SymmetryDescription:
-    """Generator list and machine-checkable predicates for an orbit class."""
+    """Title and prose for an orbit class.  Its machine-checkable relations
+    are the class's own non-identity elements (AmalgamClass.elements),
+    which orbits.verify_predicates checks."""
     if not kl.is_finite:
         raise UsageError("continuous classes do not describe single orbits")
-    preds = []
-    for perm, kind, angle in kl.elements():
-        if perm == tuple(range(4)) and kind == "rot" and angle == 0:
-            continue
-        how = ("a time shift of " if kind == "rot"
-               else "reflecting time about -")
-        text = ("configuration is reproduced by permuting/rotating with "
-                "%s after %s%s turns" % (_cycles(perm), how, angle))
-        preds.append(Predicate(perm=perm, angle=angle, text=text,
-                               kind="shift" if kind == "rot" else "reflect"))
     key = (kl.H_label, kl.Z_label, kl.L_label, kl.K_order)
     if key in _FAMILY_PROSE:
         title, prose = _FAMILY_PROSE[key]
@@ -330,21 +305,4 @@ def describe_symmetry(kl: AmalgamClass) -> SymmetryDescription:
         prose = "Orbit fixed by the group generated by the listed relations."
         if kl.brake:
             prose += " It is a brake orbit."
-    return SymmetryDescription(klass=kl, title=title,
-                               predicates=tuple(preds), text=prose)
-
-
-def _cycles(perm):
-    """Cycle notation on particles 1..4 for readable predicate text."""
-    seen, parts = set(), []
-    for i in range(4):
-        if i in seen or perm[i] == i:
-            seen.add(i)
-            continue
-        cyc, j = [], i
-        while j not in seen:
-            seen.add(j)
-            cyc.append(str(j + 1))
-            j = perm[j]
-        parts.append("(" + " ".join(cyc) + ")")
-    return "".join(parts) if parts else "identity"
+    return SymmetryDescription(klass=kl, title=title, text=prose)

@@ -343,15 +343,21 @@ class AmalgamClass:
         return self.universe.weyl(self)[0]
 
     def elements(self):
-        """Concrete members as (permutation tuple, 'rot'|'refl', Fraction).
+        """Concrete members as (permutation tuple, 'rot'|'refl', Fraction),
+        built once per class; the identity, code 0, comes first.
 
         The Fraction is the rotation angle or the reflection-axis parameter
         in turns.  Only available for finite classes."""
+        return self._elements
+
+    @cached_property
+    def _elements(self):
         if not self.is_finite:
             raise ValueError("continuous class has no finite element list")
         n = self.universe.N
-        return [(S4[p], "refl" if kind else "rot", Fraction(k, n))
-                for p, kind, k in map(self.universe.split, sorted(self.codes))]
+        return tuple((S4[p], "refl" if kind else "rot", Fraction(k, n))
+                     for p, kind, k in map(self.universe.split,
+                                           sorted(self.codes)))
 
     @cached_property
     def code_array(self):

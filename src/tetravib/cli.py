@@ -84,14 +84,14 @@ class RunConfig:
                 raise ConfigError("analysis.%s must be positive" % key)
         if self.analysis["n_modes"] < 1:
             raise ConfigError("analysis.n_modes must be at least 1")
+        if self.analysis["n_modes"] > orbits.MAX_N_MODES:
+            raise ConfigError("analysis.n_modes must be at most %d"
+                              % orbits.MAX_N_MODES)
         if self.output["format"] not in ("json", "csv"):
             raise ConfigError("output.format must be json or csv")
 
     def potential(self):
-        try:
-            return PairPotential(**self.potential_params)
-        except DegenerateParameters as exc:
-            raise ConfigError(str(exc))
+        return PairPotential(**self.potential_params)
 
 
 def _parse_scalar(text):
@@ -279,9 +279,7 @@ def _invariant_report(rep):
 
 
 def _family_entry(f):
-    return {"class": f.klass.printed_form(),
-            "canonical": f.klass.canonical_form(),
-            "j": f.j, "l": f.l, "coeff": f.coefficient,
+    return {**_class_entry(f.klass, f.coefficient), "j": f.j, "l": f.l,
             "critical_value": f.value}
 
 
@@ -307,8 +305,7 @@ def _branch_summary(branch, potential):
     last = branch.points[-1]
     _, spread = orbits.energy_profile(branch.orbit, potential)
     return {
-        "class": branch.klass.printed_form(),
-        "canonical": branch.klass.canonical_form(),
+        **_class_entry(branch.klass),
         "j": branch.j, "l": branch.l,
         "steps": len(branch.points),
         "final_amplitude": last.amplitude,

@@ -119,12 +119,19 @@ def act(p, u):
 
 
 def action_matrix(p) -> np.ndarray:
-    """The 12x12 orthogonal matrix of act(p, .) on stacked coordinates."""
-    a = _matrices()[tuple(p)]
+    """The 12x12 orthogonal matrix of act(p, .) on stacked coordinates, for
+    a permutation tuple or list; built once per permutation, read-only."""
+    return _action_matrix(tuple(p))
+
+
+@functools.lru_cache(maxsize=None)
+def _action_matrix(p):
+    a = _matrices()[p]
     rho = np.zeros((12, 12))
     for i in range(4):
         j = p[i]
         rho[3 * j:3 * j + 3, 3 * i:3 * i + 3] = a
+    rho.flags.writeable = False
     return rho
 
 
@@ -150,13 +157,17 @@ def multiplicities():
     return tuple(int(v) for v in out)
 
 
+@functools.lru_cache(maxsize=None)
 def isotypic_projection(j: int) -> np.ndarray:
-    """Projection of R^12 onto the isotypic component of irreducible j."""
+    """Projection of R^12 onto the isotypic component of irreducible j;
+    built once per j, read-only."""
     dim = IRREP_DIMS[j]
     proj = np.zeros((12, 12))
     for p in S4:
         proj += CHARACTER_TABLE[j, conjugacy_class_index(p)] * action_matrix(p)
-    return (dim / 24.0) * proj
+    proj *= dim / 24.0
+    proj.flags.writeable = False
+    return proj
 
 
 def projection_ranks() -> tuple:

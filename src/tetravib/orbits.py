@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bifurcation import SymmetryDescription, UsageError, describe_symmetry
+from .bifurcation import UsageError
 from .burnside import AmalgamClass, InternalError
 from .forcefield import (ConvergenceError, PairPotential, find_equilibrium,
                          gradient, hessian, total_potential)
@@ -95,20 +95,14 @@ def _read_only(a):
 
 
 @functools.lru_cache(maxsize=128)
-def _sample_trig(n_modes, n_points, kind="shift", angle=0):
+def _sample_trig(n_modes, n_points, kind="rot", angle=0):
     """Tables cos(m t), sin(m t), m = 0..n_modes, at the n_points equispaced
-    times moved as a predicate moves them: t + 2*pi*angle for a shift,
-    -t - 2*pi*angle for a reflection.  Built once per key; read-only."""
+    times moved as a class element moves them: t + 2*pi*angle for a 'rot',
+    -t - 2*pi*angle for a 'refl'.  Built once per key; read-only."""
     ts = _collocation_times(n_points)
     tau = 2.0 * math.pi * float(angle)
     return tuple(_read_only(a) for a in _trig(
-        ts + tau if kind == "shift" else -ts - tau, n_modes))
-
-
-@functools.lru_cache(maxsize=None)
-def _spatial(perm):
-    """action_matrix of a permutation tuple, built once; read-only."""
-    return _read_only(action_matrix(list(perm)))
+        ts + tau if kind == "rot" else -ts - tau, n_modes))
 
 
 def amplitude(orbit: FourierOrbit, reference) -> float:
@@ -198,7 +192,7 @@ class SymmetryConstraint:
             sign = 1.0 if kind == "rot" else -1.0
             blocks = np.stack([c, sign * s, -s, sign * c], axis=1)
             total += (blocks.reshape(-1, 2, 1, 2, 1)
-                      * _spatial(perm).reshape(1, 1, 12, 1, 12))
+                      * action_matrix(perm).reshape(1, 1, 12, 1, 12))
         total /= len(elements)
         p0 = COM_FREE @ total[0, 0, :, 0] @ COM_FREE
         free = np.kron(np.eye(2), COM_FREE)
@@ -268,23 +262,26 @@ def _range_bases(projectors, tol=1e-9):
     return [vk[:, wk > 1.0 - tol] for wk, vk in zip(w, v)]
 
 
-def verify_predicates(orbit: FourierOrbit, description: SymmetryDescription,
+def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass,
                       n_samples: int = 64):
-    """Max violation of each symmetry relation along the loop.
+    """Max violation along the loop of each relation of the class, one per
+    non-identity element in element order: u(t) = rho(perm) u(s) with s
+    = t + 2*pi*angle for a 'rot' and s = -t - 2*pi*angle for a 'refl'.
 
     All relations are checked in one evaluation: the time tables of the
     relations are stacked into one table of every moved time, and their
     spatial matrices into one stack.
     """
-    preds = description.predicates
-    if not preds:
+    relations = klass.elements()[1:]
+    if not relations:
         return ()
     n_modes = orbit.n_modes
-    cos, sin, rho = zip(*[(*_sample_trig(n_modes, n_samples, p.kind, p.angle),
-                           _spatial(p.perm)) for p in preds])
+    cos, sin, rho = zip(*[(*_sample_trig(n_modes, n_samples, kind, angle),
+                           action_matrix(perm))
+                          for perm, kind, angle in relations])
     base = orbit._combine(*_sample_trig(n_modes, n_samples))
     mapped = orbit._combine(np.concatenate(cos), np.concatenate(sin))
-    err = (mapped.reshape(len(preds), n_samples, 12)
+    err = (mapped.reshape(len(relations), n_samples, 12)
            @ np.stack(rho).swapaxes(1, 2) - base)
     return tuple(np.max(np.linalg.norm(err, axis=2), axis=1).tolist())
 
@@ -307,7 +304,6 @@ class Branch:
     l: int
     points: tuple
     orbit: FourierOrbit
-    description: SymmetryDescription
 
     @property
     def final_amplitude(self):
@@ -344,6 +340,10 @@ MAX_CONDITION = 1e6
 # most Newton steps of one corrector call.
 FIRST_STEP = 1e-3
 MAX_NEWTON = 25
+# The most Fourier modes a configuration may ask for.  The corrector's
+# arrays grow as n_modes^2 (a branch on (Z1 x D1) peaks at 50 MB at 64 modes
+# and at 265 MB at 256); far above, they would not fit in memory.
+MAX_N_MODES = 256
 
 
 def _normal_solve(a, b):
@@ -493,7 +493,6 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         raise UsageError("class contains no time reflection; the phase of "
                          "the loop would be undetermined")
     system = _NewtonSystem(potential, constraint, eq, n_points)
-    description = describe_symmetry(klass)
     kernel, _ = _kernel_direction(constraint, j, l)
     x0, n_red, n_c = system.x0, system.n_red, system.n_c
 
@@ -577,7 +576,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         x, lam = got
         orbit = constraint.unpack(x, lam)
         res = residual(orbit, potential, n_points)
-        preds = verify_predicates(orbit, description, n_samples=32)
+        preds = verify_predicates(orbit, klass, n_samples=32)
         points.append(BranchPoint(amplitude=system.amplitude(x), lam=lam,
                                   residual=res, predicate_residuals=preds))
         history.append((target, x, lam))
@@ -588,8 +587,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     else:
         raise stuck("branch did not reach amplitude %g in %d steps"
                     % (target_amplitude, steps))
-    return Branch(klass=klass, j=j, l=l, points=tuple(points), orbit=orbit,
-                  description=description)
+    return Branch(klass=klass, j=j, l=l, points=tuple(points), orbit=orbit)
 
 
 def _predict(history, target, x0, kdir, lam0):

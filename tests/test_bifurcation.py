@@ -177,18 +177,23 @@ def test_describe_symmetry_brake_flags(reports, u2):
     for f in bf.independent_families(reports):
         desc = bf.describe_symmetry(f.klass)
         assert desc.klass.brake == brake_expect[f.klass.printed_form()]
-        assert len(desc.predicates) == f.klass.order - 1
+        # the relations: every element but the identity, which comes first
+        elements = f.klass.elements()
+        assert len(elements) == f.klass.order
+        assert elements[0] == ((0, 1, 2, 3), "rot", 0)
+        assert all(e != elements[0] for e in elements[1:])
 
 
 def test_rotating_wave_predicates(u2):
     wave = lookup(u2, "D3", "Z1", None, "D3", 3)
-    desc = bf.describe_symmetry(wave)
-    shifts = [p for p in desc.predicates if p.kind == "shift"]
-    thirds = [p for p in shifts if p.angle in (Fraction(1, 3), Fraction(2, 3))]
+    shifts = [(perm, angle) for perm, kind, angle in wave.elements()[1:]
+              if kind == "rot"]
+    thirds = [(perm, angle) for perm, angle in shifts
+              if angle in (Fraction(1, 3), Fraction(2, 3))]
     assert len(thirds) == 2
     # the time-shifting permutations are the two 3-cycles of the triangle
-    assert all(sum(p.perm[i] == i for i in range(4)) == 1 for p in thirds)
-    assert {p.angle for p in thirds} == {Fraction(1, 3), Fraction(2, 3)}
+    assert all(sum(perm[i] == i for i in range(4)) == 1 for perm, _ in thirds)
+    assert {angle for _, angle in thirds} == {Fraction(1, 3), Fraction(2, 3)}
 
 
 def test_describe_symmetry_rejects_continuous(u2):

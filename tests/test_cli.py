@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import tetravib.bifurcation as bf
 import tetravib.burnside as bu
+import tetravib.grouprep as gr
 from tetravib import cli, orbits
 
 from _golden import BRANCHES, INVARIANTS_L4_SHA256
@@ -72,6 +74,29 @@ def test_readme_config_block_gives_the_defaults(tmp_path, capsys):
     code, out, err = run(capsys, "--config", str(path), "report")
     assert (code, err) == (0, "")
     assert out == run(capsys, "report")[1]
+
+
+def test_readme_command_line_block_runs(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("tetravib ")]
+    assert len(commands) == 8
+    for argv in commands:
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        if argv[1:] == ["invariants", "--critical", "0,1"]:
+            # the example the README prints below the block
+            inv, = json.loads(out)["invariants"]
+            assert inv["critical_value"] == 0.35355339059327373
+            assert inv["omega"] == [
+                {"class": "(S4 x D1)", "canonical": "(S4^S4_S4 x_Z1 D1)",
+                 "coeff": -1}]
+            assert inv["omega"] == json.loads(
+                re.search(r"```json\n(.*?)```", section, re.S).group(1))
 
 
 def test_hash_inside_a_string_is_not_a_comment(tmp_path):
@@ -448,6 +473,60 @@ def test_mode_beyond_int64_codes_exits_one(capsys, monkeypatch, tmp_path,
         "codes fit in 64-bit integers"]
 
 
+@pytest.mark.parametrize("n_modes", [257, 10000000])
+@pytest.mark.parametrize("argv", [
+    ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"),
+    ("report",),
+], ids=["branch", "report"])
+def test_n_modes_above_the_cap_exits_one(capsys, monkeypatch, tmp_path,
+                                         n_modes, argv):
+    # the corrector's arrays grow as n_modes^2: 10**7 modes would ask for
+    # tens of GiB, so such a config is refused before anything is built
+    assert orbits.MAX_N_MODES == 256
+    cli.RunConfig({"analysis": {"n_modes": 256}})
+    monkeypatch.setattr(bu.Universe, "for_orders", _no_universe)
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("[analysis]\nn_modes = %d\n" % n_modes)
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: analysis.n_modes must be at most 256"]
+
+
+@pytest.mark.parametrize("line", ["step_size = 1e300",
+                                  "target_amplitude = 1e300",
+                                  "newton_tol = 1e-300"])
+def test_extreme_continuation_settings_end_cleanly(tmp_path, line):
+    # a fresh process, so that a numpy warning would show on stderr as it
+    # does to a user
+    cfg = tmp_path / "extreme.toml"
+    cfg.write_text("[analysis]\n%s\n" % line)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tetravib.cli", "--config", str(cfg), "branch",
+         "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    lines = proc.stderr.splitlines()
+    if proc.returncode == 0:
+        assert lines == [] and proc.stdout
+    else:
+        prefix = "error: " if proc.returncode == 1 else "non-convergence: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ("equilibrium",), ("report",),
+    ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"),
+], ids=["equilibrium", "report", "branch"])
+def test_vanishing_potential_exits_one(capsys, tmp_path, argv):
+    cfg = tmp_path / "zero.toml"
+    cfg.write_text("[potential]\nbond_weight = 0.0\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: all pair potential terms vanish\n"
+
+
 def test_nonconvergence_exits_two(capsys, tmp_path):
     cfg = tmp_path / "bad.toml"
     cfg.write_text("[potential]\nbond_weight = 0.0\nvdw_A = 1.0\n")
@@ -519,9 +598,14 @@ def test_full_report_smoke(capsys, tmp_path):
 
 @pytest.fixture(scope="module")
 def default_report():
-    """The default `tetravib report`, parsed, and the number of calls that
-    went through orbits.hessian and orbits.gradient while it ran."""
+    """The default `tetravib report`, parsed; the number of calls that went
+    through orbits.hessian and orbits.gradient while it ran; and every
+    result of describe_symmetry, AmalgamClass.elements, action_matrix and
+    isotypic_projection it asked for, kept alive so that distinct results
+    have distinct ids."""
     counts = {"hessian": 0, "gradient": 0}
+    derived = {"describe_symmetry": [], "elements": [], "action_matrix": [],
+               "isotypic_projection": []}
 
     def counting(name):
         fn = getattr(orbits, name)
@@ -531,25 +615,59 @@ def default_report():
             return fn(*args, **kwargs)
         return wrapper
 
+    def keeping(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            derived[name].append(out)
+            return out
+        return wrapper
+
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         for name in counts:
             mp.setattr(orbits, name, counting(name))
+        mp.setattr(bf, "describe_symmetry",
+                   keeping("describe_symmetry", bf.describe_symmetry))
+        mp.setattr(bu.AmalgamClass, "elements",
+                   keeping("elements", bu.AmalgamClass.elements))
+        for name in ("action_matrix", "isotypic_projection"):
+            fn = keeping(name, getattr(gr, name))
+            for module in (gr, orbits):
+                mp.setattr(module, name, fn)
         with contextlib.redirect_stdout(out):
             code = cli.main(["report"])
     assert code == 0
-    return json.loads(out.getvalue()), counts
+    return json.loads(out.getvalue()), counts, derived
 
 
 def test_default_report_corrector_work(default_report):
     # one Hessian per Newton step, one gradient per residual: the seven
     # branches at n_modes 16 make exactly this much corrector work
-    _, counts = default_report
+    _, counts, _ = default_report
     assert counts == {"hessian": 126, "gradient": 280}
 
 
+def test_default_report_derives_each_class_once(default_report):
+    # one description per maximal class of the five invariants (the seven
+    # families and the dropped frequency-doubled breathing class); one
+    # element list per branch class, whose relations every branch point
+    # checks; one action matrix per permutation and at most one projection
+    # per irreducible
+    _, _, derived = default_report
+    distinct = {name: len({id(x) for x in kept})
+                for name, kept in derived.items()}
+    # orbits holds no name from bifurcation but UsageError, so no call to
+    # describe_symmetry goes past the count
+    assert {name for name, v in vars(orbits).items()
+            if getattr(v, "__module__", None) == bf.__name__} == {"UsageError"}
+    assert len(derived["describe_symmetry"]) == 8
+    assert distinct["elements"] == 7
+    assert distinct["action_matrix"] == 24
+    assert distinct["isotypic_projection"] <= 5
+
+
 def test_default_report_branches_match_golden(default_report):
-    doc, _ = default_report
+    doc, _, _ = default_report
     got = doc["branches"]
     assert [b["class"] for b in got] == [g[0] for g in BRANCHES]
     for b, (name, j, l, steps, brake, amp, lam, lam_star) in zip(got,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,8 +7,7 @@ import pytest
 import tetravib.burnside as bu
 import tetravib.orbits as ob
 from tetravib import cli
-from tetravib.bifurcation import (UsageError, _universe, describe_symmetry,
-                                  independent_families)
+from tetravib.bifurcation import UsageError, _universe, independent_families
 from tetravib.forcefield import (ConvergenceError, PairPotential,
                                  find_equilibrium, gradient, hessian)
 from tetravib.grouprep import COM_FREE, action_matrix, translation_basis
@@ -124,18 +122,17 @@ def test_projection_is_idempotent_and_satisfies_predicates(breathing_class):
     twice = con.unpack(con.pack(once), once.lam)
     assert np.allclose(once.cos_coeffs, twice.cos_coeffs, atol=1e-14)
     assert np.allclose(once.sin_coeffs, twice.sin_coeffs, atol=1e-14)
-    desc = describe_symmetry(breathing_class)
-    assert max(ob.verify_predicates(once, desc)) < 1e-12
+    assert max(ob.verify_predicates(once, breathing_class)) < 1e-12
 
 
 def test_wave_projection_satisfies_predicates(wave_class):
     con = ob.SymmetryConstraint(wave_class, n_modes=4)
     orbit = _random_orbit(4, seed=5)
     orbit = con.unpack(con.pack(orbit), orbit.lam)
-    desc = describe_symmetry(wave_class)
-    assert max(ob.verify_predicates(orbit, desc)) < 1e-12
+    assert max(ob.verify_predicates(orbit, wave_class)) < 1e-12
     # a generic random loop does not satisfy them
-    assert max(ob.verify_predicates(_random_orbit(4, seed=6), desc)) > 0.1
+    assert max(ob.verify_predicates(_random_orbit(4, seed=6),
+                                    wave_class)) > 0.1
 
 
 def test_brake_projection_kills_sine_coefficients(breathing_class):
@@ -148,20 +145,20 @@ def test_brake_projection_kills_sine_coefficients(breathing_class):
     assert con.fixed_dims() == (1, 1, 1, 1, 1)
 
 
-# The per-(mode, element) and per-predicate loops that the array passes of
+# The per-(mode, element) and per-relation loops that the array passes of
 # SymmetryConstraint and verify_predicates replaced, kept as the oracles of
 # the differential tests below.
 def _loop_projectors(klass, n_modes):
     elements = klass.elements()
     p0 = np.zeros((12, 12))
     for perm, kind, angle in elements:
-        p0 += ob._spatial(perm)
+        p0 += action_matrix(perm)
     projectors = [COM_FREE @ (p0 / len(elements)) @ COM_FREE]
     free = np.kron(np.eye(2), COM_FREE)
     for m in range(1, n_modes + 1):
         pm = np.zeros((24, 24))
         for perm, kind, angle in elements:
-            rho = ob._spatial(perm)
+            rho = action_matrix(perm)
             c = math.cos(2.0 * math.pi * m * angle)
             s = math.sin(2.0 * math.pi * m * angle)
             block = np.zeros((24, 24))
@@ -185,13 +182,15 @@ def _loop_basis(projector, tol=1e-9):
     return v[:, w > 1.0 - tol]
 
 
-def _loop_verify_predicates(orbit, description, n_samples):
+def _loop_verify_predicates(orbit, klass, n_samples):
     base = orbit._combine(*ob._sample_trig(orbit.n_modes, n_samples))
     out = []
-    for pred in description.predicates:
+    for perm, kind, angle in klass.elements():
+        if perm == (0, 1, 2, 3) and kind == "rot" and angle == 0:
+            continue            # the identity is no relation
         mapped = orbit._combine(*ob._sample_trig(orbit.n_modes, n_samples,
-                                                 pred.kind, pred.angle))
-        err = mapped @ ob._spatial(pred.perm).T - base
+                                                 kind, angle))
+        err = mapped @ action_matrix(perm).T - base
         out.append(float(np.max(np.linalg.norm(err, axis=1))))
     return tuple(out)
 
@@ -216,21 +215,22 @@ def test_projectors_and_bases_equal_the_element_loop(l_max):
 
 def test_verify_predicates_equals_the_predicate_loop(wave_branch):
     for k, c in enumerate(_reflecting_classes(2)):
-        desc = describe_symmetry(c)
         orbit = _random_orbit(8, seed=k)
         for n_samples in (32, 64):
-            got = ob.verify_predicates(orbit, desc, n_samples)
-            assert got == _loop_verify_predicates(orbit, desc, n_samples), (
+            got = ob.verify_predicates(orbit, c, n_samples)
+            assert got == _loop_verify_predicates(orbit, c, n_samples), (
                 c.printed_form())
-    desc = wave_branch.description
-    assert (ob.verify_predicates(wave_branch.orbit, desc, 32)
-            == _loop_verify_predicates(wave_branch.orbit, desc, 32))
+    klass = wave_branch.klass
+    assert (ob.verify_predicates(wave_branch.orbit, klass, 32)
+            == _loop_verify_predicates(wave_branch.orbit, klass, 32))
 
 
-def test_verify_predicates_without_predicates(wave_class):
-    # the stacked evaluation needs its guard: stacking no arrays raises
-    empty = dataclasses.replace(describe_symmetry(wave_class), predicates=())
-    assert ob.verify_predicates(_random_orbit(4), empty) == ()
+def test_verify_predicates_without_predicates(u2):
+    # the stacked evaluation needs its guard: stacking no arrays raises.  The
+    # trivial class's only element is the identity, so it has no relations
+    trivial = u2.parse_class("(Z1 x Z1)")
+    assert trivial.is_finite and len(trivial.elements()) == 1
+    assert ob.verify_predicates(_random_orbit(4), trivial) == ()
 
 
 @pytest.mark.parametrize("which", ["breathing_class", "wave_class"])
@@ -577,13 +577,11 @@ def test_wave_is_not_a_brake_orbit(wave_branch):
 
 
 def test_wave_particles_share_one_delayed_trajectory(wave_branch):
-    desc = wave_branch.description
-    pred = next(p for p in desc.predicates
-                if p.kind == "shift" and p.angle.denominator == 3)
-    perm = pred.perm
+    perm, _, angle = next(e for e in wave_branch.klass.elements()
+                          if e[1] == "rot" and e[2].denominator == 3)
     axis = next(i for i in range(4) if perm[i] == i)
     ts = np.linspace(0.0, 2.0 * math.pi, 33)
-    tau = 2.0 * math.pi * float(pred.angle)
+    tau = 2.0 * math.pi * float(angle)
     v_now = wave_branch.orbit.velocity(ts).reshape(-1, 4, 3)
     v_later = wave_branch.orbit.velocity(ts + tau).reshape(-1, 4, 3)
     # u_i(t) = A u_{perm^-1(i)}(t + tau) with A orthogonal, so the speed
