@@ -14,6 +14,7 @@ spatio-temporal symmetries.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -64,8 +65,14 @@ def _ratio_keys(mu, tol=1e-9):
     return keys
 
 
-def critical_set(mu, l_max: int = 4):
-    """Sorted critical numbers l/sqrt(mu_j) for j = 0, 1, 2 and l <= l_max."""
+def critical_set(mu, l_max: int = 4) -> tuple:
+    """Sorted critical numbers l/sqrt(mu_j) for j = 0, 1, 2 and l <= l_max,
+    as a tuple computed once per (mu, l_max)."""
+    return _critical_set(tuple(mu), l_max)
+
+
+@functools.lru_cache(maxsize=64)
+def _critical_set(mu, l_max):
     if not (0.0 < mu[2] < mu[1] < mu[0]):
         raise UsageError("slice eigenvalues must satisfy 0 < mu_2 < mu_1 < mu_0")
     if l_max < 1:
@@ -93,7 +100,7 @@ def critical_set(mu, l_max: int = 4):
     out = [CriticalNumber(value=v, contributors=tuple(sorted(c)), key=k)
            for v, (c, k) in crits.items()]
     out.sort(key=lambda c: c.value)
-    return out
+    return tuple(out)
 
 
 def _universe(l_max) -> Universe:

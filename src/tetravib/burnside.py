@@ -28,12 +28,22 @@ Each finite class keeps generators read off its Goursat data: lifts (p, e)
 of generators pZ of H/Z with e in the coset of the kernel R of K -> L that
 the quotient isomorphism assigns to pZ, plus (z, 1) for generators z of Z
 and (1, r) for generators r of R.  A subgroup maps into a conjugate of a
-finite class exactly when some conjugator maps every generator into it.  One
-numpy kernel runs this test for many subgroups at once: the table of marks is
-built column by column, one pass over all finite classes per high class
-(Pfeiffer, Experiment. Math. 6, 1997), and the normalizers in one pass.  It
-tests generators one at a time on the surviving candidate conjugators, taken
-BATCH at a time; other arrays span subgroups x 24 or the highs' elements.
+finite class exactly when some conjugator maps every generator into it.
+
+The universe is built in batched passes: every Goursat candidate is listed
+once, with its codes formed by array arithmetic over the cosets of Z and R;
+one array pass gives all of them their bucket keys (a conjugacy invariant);
+then conjugacy is resolved in rounds, one kernel call per round testing each
+pending candidate against the classes of its bucket.  Classes are numbered
+in listing order, continuous shapes in their place, as a one-by-one build
+would number them.
+
+One numpy kernel runs the conjugator test for many subgroups at once: the
+table of marks is built column by column, one pass over all finite classes
+per high class (Pfeiffer, Experiment. Math. 6, 1997), and the normalizers in
+one pass.  It tests generators one at a time on the surviving candidate
+conjugators, taken BATCH at a time; other arrays span subgroups x 24 or the
+highs' elements.
 """
 from __future__ import annotations
 
@@ -64,6 +74,7 @@ class InternalError(RuntimeError):
 
 P_INDEX = {p: i for i, p in enumerate(S4)}
 MUL = [[P_INDEX[pmul(p, q)] for q in S4] for p in S4]
+MUL_ARRAY = np.array(MUL)
 INV = [P_INDEX[pinv(p)] for p in S4]
 # CONJ[g, p] = g p g^{-1}
 CONJ = np.array([[MUL[g][MUL[p][INV[g]]] for p in range(24)]
@@ -106,23 +117,35 @@ def _perm_generators(h):
 
 @lru_cache(maxsize=1)
 def _all_s4_subgroups():
+    """Every subgroup of S4, closed up from the cyclic ones by joins.
+
+    A pair of subgroups known a round earlier was joined then, so a round
+    joins only pairs with a member new in the last round; it visits them
+    in the order of the full double loop, which keeps the frozenset's
+    iteration order (see _normal_subgroups_of)."""
     subs = {frozenset([ID_PERM])}
     for p in range(24):
         subs.add(_perm_closure([p]))
+    fresh, closures = subs, {}
     while True:
         new = set()
         for a in subs:
             for b in subs:
+                if a not in fresh and b not in fresh:
+                    continue
                 u = a | b
                 if u not in subs:
-                    c = _perm_closure(list(u))
-                    if c not in subs:
-                        new.add(c)
+                    if u not in closures:
+                        closures[u] = _perm_closure(list(u))
+                    if closures[u] not in subs:
+                        new.add(closures[u])
         if not new:
             return frozenset(subs)
         subs |= new
+        fresh = new
 
 
+@lru_cache(maxsize=None)
 def s4_subgroup_label(h) -> str:
     """Conjugacy-class label of a subgroup of S4 (Z1..S4 naming)."""
     n = len(h)
@@ -184,25 +207,39 @@ def _s4_conjugate_pairs(rot, refl):
 # small-group helpers for the Goursat construction
 
 
-class _CosetGroup:
-    """Quotient of the finite group `members` by its normal subgroup
-    `kernel` under the product rule product(a, b) -> element."""
+def _group(elements, product):
+    """A finite group as its sorted int64 element codes and the table of
+    positions of products, where product(a, b) multiplies int64 arrays
+    elementwise."""
+    elements = np.array(sorted(elements), dtype=np.int64)
+    return elements, np.searchsorted(elements,
+                                     product(elements[:, None], elements))
 
-    def __init__(self, members, kernel, product):
-        cosets, where = [], {}
-        for e in sorted(members):
-            if e not in where:
-                coset = frozenset(product(e, z) for z in kernel)
-                where.update(dict.fromkeys(coset, len(cosets)))
-                cosets.append(coset)
-        self.cosets = tuple(cosets)
-        reps = [next(iter(c)) for c in cosets]
-        self.table = [[where[product(a, b)] for b in reps] for a in reps]
+
+class _CosetGroup:
+    """Quotient of a finite group, given by `_group`, by its normal
+    subgroup `kernel`.
+
+    The cosets are numbered by their smallest member; `rows` holds them as
+    sorted rows of codes and `table` the product of coset numbers, both
+    read off the group's table."""
+
+    def __init__(self, group, kernel):
+        elements, table = group
+        kernel = np.searchsorted(elements, sorted(kernel))
+        # positions are in code order, so the coset of an element starts
+        # at its smallest position
+        smallest = table[:, kernel].min(axis=1)
+        low = np.flatnonzero(smallest == np.arange(len(elements)))
+        where = np.searchsorted(low, smallest)      # coset of each element
+        self.rows = elements[np.sort(table[low][:, kernel], axis=1)]
+        self.table = tuple(map(tuple, where[table[np.ix_(low, low)]
+                                            ].tolist()))
         # the kernel is the identity coset
-        self.identity = where[next(iter(kernel))]
+        self.identity = int(where[kernel[0]])
 
     def __len__(self):
-        return len(self.cosets)
+        return len(self.table)
 
     def element_order(self, i):
         n, x = 1, i
@@ -218,7 +255,7 @@ class _CosetGroup:
         Returns (gens, words) with words[x] a tuple of generator indices
         whose product is x (empty word = identity).
         """
-        n = len(self.cosets)
+        n = len(self)
         order = sorted(range(n), key=self.element_order, reverse=True)
         for r in (1, 2):
             for gens in itertools.combinations(order, r):
@@ -238,8 +275,22 @@ class _CosetGroup:
         raise InternalError("quotient group is not 2-generated")
 
 
+_ISOMORPHISMS = {}
+
+
 def _isomorphisms(q1: _CosetGroup, q2: _CosetGroup):
-    """All isomorphisms q1 -> q2, groups of one order, as index maps."""
+    """All isomorphisms q1 -> q2, groups of one order, as the rows of an
+    int array of index maps.  They depend on the two tables only, and the
+    hundreds of quotient pairs of a universe share a dozen pairs of tables,
+    so each pair is solved once."""
+    key = (q1.table, q2.table)
+    if key not in _ISOMORPHISMS:
+        _ISOMORPHISMS[key] = np.array(_solve_isomorphisms(q1, q2),
+                                      dtype=np.int64).reshape(-1, len(q1))
+    return _ISOMORPHISMS[key]
+
+
+def _solve_isomorphisms(q1, q2):
     gens, words = q1.generating_words
     orders = [q1.element_order(g) for g in gens]
     n = len(q1)
@@ -411,6 +462,38 @@ class _Rows:
             @ CONJ_BITS.T for sets in (rot, refl))
 
 
+@lru_cache(maxsize=None)
+def _perm_set(mask):
+    """The permutation indices in a 24-bit mask, as a frozenset."""
+    return frozenset(p for p in range(24) if mask >> p & 1)
+
+
+@dataclass(eq=False)
+class _Candidate:
+    """A finite subgroup to classify, with the attributes the conjugator
+    kernel reads of a high: codes, generators, rotation and reflection
+    permutations; and the naming fields of the class it founds when none
+    holds a conjugate of it (None: one must)."""
+
+    codes: np.ndarray
+    gens: list
+    rot_perms: frozenset
+    refl_perms: frozenset
+    fields: dict
+
+    @cached_property
+    def code_array(self):
+        return np.sort(self.codes)
+
+    @property
+    def order(self):
+        return len(self.codes)
+
+    @property
+    def row(self):
+        return self.gens, self.rot_perms, self.refl_perms, self.order
+
+
 class Universe:
     """All conjugacy classes of closed subgroups of S4 x O(2) whose O(2)
     projection is dihedral of an order in `orders` (plus cyclic projections
@@ -422,7 +505,7 @@ class Universe:
         self.orders = _divisor_closure(orders)
         self.N = math.lcm(*self.orders)
         self.classes = []
-        self._lookup = {}          # bucket key -> list of class indices
+        self._lookup = {}          # bucket key -> its finite classes
         self._columns = {}         # class index -> column of the table
         self._dims_memo = {}       # l -> fixed-point dims of every j
         self._name_index = {}
@@ -450,10 +533,12 @@ class Universe:
         return (2 * p + kind) * self.N + k % self.N
 
     def mul(self, e1, e2):
+        """Product of two element codes, or of int64 code arrays
+        elementwise."""
         p1, f1, k1 = self.split(e1)
         p2, f2, k2 = self.split(e2)
         # a reflection reverses the rotation or axis parameter after it
-        return self.join(MUL[p1][p2], f1 ^ f2, k1 - k2 if f1 else k1 + k2)
+        return self.join(MUL_ARRAY[p1, p2], f1 ^ f2, k1 + k2 - 2 * f1 * k2)
 
     def parts(self, codes):
         """(permutation, kind, k) arrays of an int64 array of codes."""
@@ -532,56 +617,83 @@ class Universe:
             hits += np.bincount(rr, minlength=len(rows.order))
         return hits * np.where(rows.has_refl, 1, n) * (1 + (h_refl != 0))
 
-    def _bucket_key(self, p, kind, k):
+    def _bucket_keys(self, p, kind, k, sizes):
+        """A conjugacy invariant of each subgroup, from one pass over the
+        (permutation, kind, k) arrays of all their elements, `sizes[i]` of
+        them for the i-th: the sorted (permutation class, kind, rotation
+        angle up to sign) of its elements, as bytes."""
         rot = np.where(kind == 0, np.minimum(k, (self.N - k) % self.N), -1)
-        return np.sort((PERM_CLASS[p] * 2 + kind) * (self.N + 1) + rot + 1
-                       ).tobytes()
+        value = (PERM_CLASS[p] * 2 + kind) * (self.N + 1) + rot + 1
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        text = value[np.lexsort((value, owner))].tobytes()
+        ends = np.cumsum(sizes).tolist()
+        return [text[8 * a:8 * b] for a, b in zip([0] + ends, ends)]
 
-    def classify(self, codes, gens, **fields):
-        """Find the class of the finite subgroup with element codes `codes`
-        generated by the codes `gens`.  Given the naming fields of a new
-        AmalgamClass (kind, H, Z, L and K), register the subgroup as a new
-        class when none matches."""
-        p, f, k = self.parts(np.fromiter(codes, np.int64, len(codes)))
-        rot_perms = frozenset(p[f == 0].tolist())
-        refl_perms = frozenset(p[f == 1].tolist())
-        key = self._bucket_key(p, f, k)
-        if key in self._lookup:
-            row = _Rows(self, [(gens, rot_perms, refl_perms, len(codes))])
-            for idx in self._lookup[key]:
-                kl = self.classes[idx]
-                if self._conjugator_counts(row, [kl])[0]:
-                    return kl
-        if not fields:
-            raise InternalError("subgroup does not match any class")
-        kl = AmalgamClass(
-            universe=self, index=len(self.classes), codes=codes,
-            H_set=rot_perms | refl_perms, rot_perms=rot_perms,
-            refl_perms=refl_perms, R_label=s4_subgroup_label(rot_perms),
-            order=len(codes), gens=tuple(gens), **fields)
-        self.classes.append(kl)
-        self._lookup.setdefault(key, []).append(kl.index)
-        return kl
+    def _candidates(self, codes, gens, fields):
+        """Subgroups to classify from their code arrays, generator
+        lists and naming fields, and their bucket keys, in one array pass
+        over all their elements."""
+        sizes = [len(c) for c in codes]
+        p, kind, k = self.parts(np.concatenate(codes))
+        starts = np.cumsum(sizes) - sizes
+        bit = np.left_shift(1, p)
+        rot, refl = (np.bitwise_or.reduceat(np.where(kind == f, bit, 0),
+                                            starts).tolist() for f in (0, 1))
+        return ([_Candidate(*c) for c in zip(codes, gens, map(_perm_set, rot),
+                                             map(_perm_set, refl), fields)],
+                self._bucket_keys(p, kind, k, sizes))
 
-    def _register_continuous(self, kind, h_set, z_set):
-        rot, refl = {"o2": (h_set, h_set), "so2": (h_set, frozenset()),
-                     "o2z2": (z_set, h_set - z_set)}[kind]
-        # (rot, refl) fixes the shape, so a class is new unless its pair is
-        # S4-conjugate to one already registered
-        pairs = _s4_conjugate_pairs(rot, refl)
-        for kl in self.classes:
-            if not kl.is_finite and (kl.rot_perms, kl.refl_perms) in pairs:
-                return kl
-        kl = AmalgamClass(
-            universe=self, index=len(self.classes), kind=kind, codes=None,
-            H_set=h_set, rot_perms=rot, refl_perms=refl,
-            H_label=s4_subgroup_label(h_set), Z_label=s4_subgroup_label(rot),
-            R_label=s4_subgroup_label(h_set),
-            L_label="Z2" if kind == "o2z2" else "Z1",
-            K_kind="SO2" if kind == "so2" else "O2",
-            K_order=0, order=0, gens=())
-        self.classes.append(kl)
-        return kl
+    def _resolve(self, candidates, keys, known):
+        """The class of every candidate, or the candidate itself when it
+        founds one.  `known` maps bucket keys to their classes so far, and
+        each founder joins its bucket's list.
+
+        Conjugacy is decided in rounds.  In each round the first pending
+        candidate of a bucket that has met all of the bucket's classes
+        founds a new one (InternalError if it has no naming fields).  Then
+        one kernel call tests every pending candidate against each class of
+        its bucket that it has not met yet and that has its order: it is
+        conjugate to such a class exactly when some conjugator maps it
+        inside.  Conjugacy is an equivalence relation and the classes of a
+        bucket are pairwise not conjugate, so this gives what classifying
+        one candidate at a time in list order gives."""
+        found, met, queues = [None] * len(candidates), [0] * len(keys), {}
+        for i, key in enumerate(keys):
+            queues.setdefault(key, []).append(i)
+        while queues:
+            pairs = []
+            for key, queue in queues.items():
+                first = queue[0]
+                if met[first] == len(known.get(key, ())):
+                    if candidates[first].fields is None:
+                        raise InternalError("subgroup does not match any "
+                                            "class")
+                    found[first] = candidates[first]
+                    known.setdefault(key, []).append(found[first])
+                highs = known[key]
+                for i in queue:
+                    if found[i] is None:
+                        pairs += [(i, h) for h in highs[met[i]:]
+                                  if h.order == candidates[i].order]
+                        met[i] = len(highs)
+            if pairs:
+                hits = self._conjugator_counts(
+                    _Rows(self, [candidates[i].row for i, _ in pairs]),
+                    [h for _, h in pairs])
+                for (i, h), hit in zip(pairs, hits):
+                    if hit and found[i] is None:
+                        found[i] = h
+            queues = {key: rest for key, queue in queues.items()
+                      if (rest := [i for i in queue if found[i] is None])}
+        return found
+
+    def classify(self, codes, gens):
+        """The class holding a conjugate of the finite subgroup with element
+        codes `codes` generated by the codes `gens`: the one-candidate call
+        of `_resolve`, which raises InternalError when no class does."""
+        candidates, keys = self._candidates(
+            [np.fromiter(codes, np.int64, len(codes))], [list(gens)], [None])
+        return self._resolve(candidates, keys, self._lookup)[0]
 
     # -- enumeration ---------------------------------------------------------
 
@@ -596,64 +708,113 @@ class Universe:
             return [self.join(ID_PERM, kind, i * (self.N // c))
                     for i in range(c)]
 
-        def quotient(k_codes, c, l_label, dihedral=False):
+        def quotient(k, c, l_label, dihedral=False):
             # R is Z_c, or D_c with axis parameter 0
             ker, r_gens = grid(c), grid(c)[1:2]
             if dihedral:
                 ker, r_gens = ker + grid(c, 1), r_gens + grid(c, 1)[:1]
-            return _CosetGroup(k_codes, ker, self.mul), r_gens, l_label
+            return _CosetGroup(k, ker), r_gens, l_label
 
         out = []
         for d in self.orders:
-            k_codes = grid(d) + grid(d, 1)
-            qs = [quotient(k_codes, c, "D%d" % (d // c)) for c in _divisors(d)]
+            k = _group(grid(d) + grid(d, 1), self.mul)
+            qs = [quotient(k, c, "D%d" % (d // c)) for c in _divisors(d)]
             if d % 2 == 0:
-                qs.append(quotient(k_codes, d // 2, "Z2", dihedral=True))
-            qs.append(quotient(k_codes, d, "Z1", dihedral=True))
+                qs.append(quotient(k, d // 2, "Z2", dihedral=True))
+            qs.append(quotient(k, d, "Z1", dihedral=True))
             out.append((dict(kind="dihedral", K_kind="D", K_order=d), qs))
         for n in self.orders:
+            k = _group(grid(n), self.mul)
             out.append((dict(kind="cyclic", K_kind="Z", K_order=n),
-                        [quotient(grid(n), c, "Z%d" % (n // c))
+                        [quotient(k, c, "Z%d" % (n // c))
                          for c in _divisors(n)]))
         return out
 
     def _enumerate(self):
+        """List every Goursat candidate, with the continuous shapes in their
+        place; key all candidates in one array pass; resolve conjugacy in
+        batched rounds; then number the classes in listing order."""
+        n2 = 2 * self.N
         k_groups = self._k_groups()
+        codes, gens, fields = [], [], []
+        events = []     # candidate positions, and (kind, H, rot, refl)
         for s4c in enumerate_s4_subgroups():
             h = s4c.representative
             normals = _normal_subgroups_of(h)
-            # H/Z and the generators of Z depend on (h, z) only
-            h_quotients = [(z, _CosetGroup(h, z, lambda a, b: MUL[a][b]),
-                            [self.join(p, 0, 0) for p in _perm_generators(z)])
-                           for z in normals]
+            group = _group(h, lambda a, b: MUL_ARRAY[a, b])
+            # each quotient H/Z with its cosets times 2N, its generators
+            # pZ and 2N times their smallest members p, the generators
+            # (z, 1) of Z and the naming fields of H and Z
+            h_quotients = []
+            for z in normals:
+                qh = _CosetGroup(group, z)
+                h_gens = list(qh.generating_words[0])
+                h_quotients.append((
+                    qh, qh.rows * n2, h_gens, qh.rows[h_gens, 0] * n2,
+                    [self.join(p, 0, 0) for p in _perm_generators(z)],
+                    dict(H_label=s4c.label, Z_label=s4_subgroup_label(z))))
             for k_fields, quotients in k_groups:
                 for qk, r_gens, l_label in quotients:
-                    for z, qh, z_gens in h_quotients:
-                        if len(qh) != len(qk):
+                    for qh, ph, h_gens, h_lifts, z_gens, hz in h_quotients:
+                        iso = (_isomorphisms(qh, qk) if len(qh) == len(qk)
+                               else ())
+                        if not len(iso):
                             continue
-                        h_gens = qh.generating_words[0]
-                        for iso in _isomorphisms(qh, qk):
-                            # K's codes carry ID_PERM = 0: (p, e) is p 2N + e
-                            codes = frozenset(
-                                p * 2 * self.N + e
-                                for x, ps in enumerate(qh.cosets)
-                                for p in ps for e in qk.cosets[iso[x]])
-                            # lifts (p, e) of generators pZ of H/Z, e in
-                            # the coset iso[pZ] of R, with (Z, 1) and
-                            # (1, R) generate the amalgam
-                            lifts = [min(qh.cosets[x]) * 2 * self.N
-                                     + min(qk.cosets[iso[x]])
-                                     for x in h_gens]
-                            self.classify(
-                                codes, lifts + z_gens + r_gens,
-                                H_label=s4c.label, L_label=l_label,
-                                Z_label=s4_subgroup_label(z), **k_fields)
-            # continuous K
-            self._register_continuous("o2", h, h)
-            self._register_continuous("so2", h, h)
-            for z in normals:
-                if len(h) == 2 * len(z):
-                    self._register_continuous("o2z2", h, z)
+                        # K's codes carry ID_PERM = 0: (p, e) is p 2N + e,
+                        # p in a coset of Z, e in the coset of R that the
+                        # isomorphism assigns to it
+                        codes += list((ph[:, :, None] + qk.rows[iso][
+                            :, :, None, :]).reshape(len(iso), -1))
+                        # lifts (p, e) of generators pZ of H/Z, e in the
+                        # coset iso[pZ] of R, with (Z, 1) and (1, R)
+                        # generate the amalgam
+                        lifts = h_lifts + qk.rows[iso[:, h_gens], 0]
+                        gens += [g + z_gens + r_gens for g in lifts.tolist()]
+                        fields += [dict(L_label=l_label, **hz, **k_fields)
+                                   ] * len(iso)
+                        events += range(len(codes) - len(iso), len(codes))
+            # continuous K: H x O(2), H x SO(2), H ^Z x_Z2 O(2), each by
+            # its rotation and reflection permutations
+            events += [("o2", h, h, h), ("so2", h, h, frozenset())]
+            events += [("o2z2", h, z, h - z) for z in normals
+                       if len(h) == 2 * len(z)]
+        candidates, keys = self._candidates(codes, gens, fields)
+        found = self._resolve(candidates, keys, {})
+        # (rot, refl) fixes a continuous shape, so it is new unless its pair
+        # is S4-conjugate to one already numbered
+        shapes = set()
+        for event in events:
+            if isinstance(event, tuple):
+                if event[2:] in shapes:
+                    continue
+                shapes |= _s4_conjugate_pairs(*event[2:])
+                kl = self._continuous(*event)
+            elif found[event] is candidates[event]:
+                kl = self._finite(candidates[event])
+                self._lookup.setdefault(keys[event], []).append(kl)
+            else:
+                continue
+            self.classes.append(kl)
+
+    def _finite(self, c):
+        """The next class, founded by the candidate c."""
+        return AmalgamClass(
+            universe=self, index=len(self.classes),
+            codes=frozenset(c.codes.tolist()),
+            H_set=c.rot_perms | c.refl_perms, rot_perms=c.rot_perms,
+            refl_perms=c.refl_perms, R_label=s4_subgroup_label(c.rot_perms),
+            order=c.order, gens=tuple(c.gens), **c.fields)
+
+    def _continuous(self, kind, h_set, rot, refl):
+        """The next class, of continuous shape `kind`."""
+        return AmalgamClass(
+            universe=self, index=len(self.classes), kind=kind, codes=None,
+            H_set=h_set, rot_perms=rot, refl_perms=refl,
+            H_label=s4_subgroup_label(h_set), Z_label=s4_subgroup_label(rot),
+            R_label=s4_subgroup_label(h_set),
+            L_label="Z2" if kind == "o2z2" else "Z1",
+            K_kind="SO2" if kind == "so2" else "O2",
+            K_order=0, order=0, gens=())
 
     def _finalize_names(self):
         sig = {}

@@ -135,15 +135,19 @@ def _action_matrix(p):
     return rho
 
 
+@functools.lru_cache(maxsize=1)
 def representation_character():
-    """Character of the 12-dimensional configuration representation."""
+    """Character of the 12-dimensional configuration representation, one
+    value per conjugacy class; built once, read-only."""
     chi = np.zeros(5)
     counts = np.zeros(5)
     for p in S4:
         c = conjugacy_class_index(p)
         chi[c] += np.trace(action_matrix(p))
         counts[c] += 1
-    return chi / counts
+    chi /= counts
+    chi.flags.writeable = False
+    return chi
 
 
 def multiplicities():

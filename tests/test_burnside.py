@@ -11,6 +11,7 @@ import tetravib.burnside as bu
 from tetravib.grouprep import CHARACTER_TABLE
 
 from _golden import DEGREE_TABLES, as_class_set, lookup
+import _enumerate_reference as per_candidate
 import _pair_reference as per_pair
 
 
@@ -103,6 +104,72 @@ def test_class_list_order_and_generators_are_pinned(l_max, digest):
     text = "\n".join("%s %s" % (kl.canonical_form(), kl.gens)
                      for kl in u.classes)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("l_max", range(1, 7))
+def test_class_list_matches_sequential_reference(l_max):
+    # canonical form, kind, codes, generators and permutations of every
+    # class, in index order, against the one-candidate-at-a-time build
+    u = bu.universe_for_modes(range(1, l_max + 1))
+    assert per_candidate.differences(u) == []
+
+
+def _class_fields(u):
+    return [(kl.canonical_form(), kl.codes, kl.gens) for kl in u.classes]
+
+
+def _counting_kernel(monkeypatch):
+    calls = []
+    kernel = bu.Universe._conjugator_counts
+
+    def counting(self, rows, highs):
+        calls.append(len(rows.order))
+        return kernel(self, rows, highs)
+    monkeypatch.setattr(bu.Universe, "_conjugator_counts", counting)
+    return calls
+
+
+def test_universe_build_makes_one_kernel_call_per_round(monkeypatch):
+    # at l_max 2 every bucket holds one class, so one round resolves all
+    # 130 candidates that are not the first of their bucket in one call
+    orders = bu.universe_for_modes([1, 2]).orders
+    calls = _counting_kernel(monkeypatch)
+    u = bu.Universe(orders)
+    assert calls == [130]
+    assert _class_fields(u) == _class_fields(bu.universe_for_modes([1, 2]))
+
+
+def test_one_bucket_for_every_candidate_keeps_the_class_list(monkeypatch):
+    # a constant bucket key sends every candidate through one round per
+    # finite class, the path of a bucket with several classes; a round
+    # makes no call when no pending candidate has the new class's order
+    u1 = bu.universe_for_modes([1])
+    finite = [kl for kl in u1.classes if kl.is_finite]
+    monkeypatch.setattr(bu.Universe, "_bucket_keys",
+                        lambda self, p, kind, k, sizes: [b""] * len(sizes))
+    calls = _counting_kernel(monkeypatch)
+    u = bu.Universe(u1.orders)
+    assert len(finite) // 2 < len(calls) < len(finite)
+    assert _class_fields(u) == _class_fields(u1)
+    # classify then meets every finite class of the same order in one call
+    del calls[:]
+    sample = finite[::25]
+    for kl in sample:
+        assert u.classify(kl.codes, kl.gens).index == kl.index
+    assert calls == [sum(f.order == kl.order for f in finite) for kl in sample]
+    assert max(calls) > 1
+
+
+def test_fold_cover_matches_sequential_reference(u12):
+    reference = per_candidate.Sequential(u12)
+    reference.enumerate()
+    for kl in u12.phi0_classes():
+        if kl.is_finite:
+            for k in (2, 3):
+                got = _class_or_fault(lambda: u12.fold_cover(kl, k).index)
+                expected = _class_or_fault(lambda: reference.classify(
+                    *u12._fold_preimage(kl, k)).index)
+                assert got == expected, (str(kl), k)
 
 
 def _generated(u, gens):

@@ -602,7 +602,8 @@ def default_report():
     through orbits.hessian and orbits.gradient while it ran; and every
     result of describe_symmetry, AmalgamClass.elements, action_matrix and
     isotypic_projection it asked for, kept alive so that distinct results
-    have distinct ids."""
+    have distinct ids; and (computations, calls) of the cached critical set
+    and representation character, counted from empty caches."""
     counts = {"hessian": 0, "gradient": 0}
     derived = {"describe_symmetry": [], "elements": [], "action_matrix": [],
                "isotypic_projection": []}
@@ -634,16 +635,23 @@ def default_report():
             fn = keeping(name, getattr(gr, name))
             for module in (gr, orbits):
                 mp.setattr(module, name, fn)
+        cached = {"critical_set": bf._critical_set,
+                  "representation_character": gr.representation_character}
+        for fn in cached.values():
+            fn.cache_clear()
         with contextlib.redirect_stdout(out):
             code = cli.main(["report"])
     assert code == 0
-    return json.loads(out.getvalue()), counts, derived
+    builds = {name: (fn.cache_info().misses,
+                     fn.cache_info().hits + fn.cache_info().misses)
+              for name, fn in cached.items()}
+    return json.loads(out.getvalue()), counts, derived, builds
 
 
 def test_default_report_corrector_work(default_report):
     # one Hessian per Newton step, one gradient per residual: the seven
     # branches at n_modes 16 make exactly this much corrector work
-    _, counts, _ = default_report
+    _, counts, _, _ = default_report
     assert counts == {"hessian": 126, "gradient": 280}
 
 
@@ -653,7 +661,7 @@ def test_default_report_derives_each_class_once(default_report):
     # element list per branch class, whose relations every branch point
     # checks; one action matrix per permutation and at most one projection
     # per irreducible
-    _, _, derived = default_report
+    _, _, derived, _ = default_report
     distinct = {name: len({id(x) for x in kept})
                 for name, kept in derived.items()}
     # orbits holds no name from bifurcation but UsageError, so no call to
@@ -666,8 +674,25 @@ def test_default_report_derives_each_class_once(default_report):
     assert distinct["isotypic_projection"] <= 5
 
 
+def test_default_report_computes_shared_inputs_once(default_report):
+    # the critical set serves _invariant_reports and each of the five
+    # invariant calls; the character serves reps and multiplicities
+    _, _, _, builds = default_report
+    assert builds == {"critical_set": (1, 6),
+                      "representation_character": (1, 2)}
+
+
+def test_cached_results_are_read_only():
+    crits = bf.critical_set((4.0, 2.0, 1.0), l_max=2)
+    assert isinstance(crits, tuple) and len(crits[:3]) == 3
+    assert bf.critical_set([4.0, 2.0, 1.0], l_max=2) is crits
+    chi = gr.representation_character()
+    with pytest.raises(ValueError):
+        chi[0] = 0.0
+
+
 def test_default_report_branches_match_golden(default_report):
-    doc, _, _ = default_report
+    doc, _, _, _ = default_report
     got = doc["branches"]
     assert [b["class"] for b in got] == [g[0] for g in BRANCHES]
     for b, (name, j, l, steps, brake, amp, lam, lam_star) in zip(got,
