@@ -342,7 +342,7 @@ class AmalgamClass:
     L_label: str
     K_kind: str                                    # 'D', 'Z', 'SO2', 'O2'
     K_order: int                                   # d or n; 0 for SO2/O2
-    order: int                                     # |H|; 0 means infinite
+    order: int                                     # len(codes); 0 means infinite
     gens: tuple = field(repr=False, default=())    # codes generating it
 
     def __hash__(self):
@@ -452,10 +452,10 @@ class _Rows:
                  for g in gens]
         rest = [[e for e in g if e != f] for g, f in zip(gens, first)]
         width = max(map(len, rest))
-        self.p, self.kind, self.k = universe.parts(np.array(
+        self.p, self.kind, self.k = universe.split(np.array(
             [r + [-1] * (width - len(r)) for r in rest], dtype=np.int64))
         self.has_refl = np.array(first) >= 0
-        self.p0, _, self.k0 = universe.parts(np.maximum(first, 0))
+        self.p0, _, self.k0 = universe.split(np.maximum(first, 0))
         self.order = np.array(order)
         self.rot, self.refl = (
             (np.array([_bits(s) for s in sets])[:, None] >> np.arange(24) & 1)
@@ -540,11 +540,6 @@ class Universe:
         # a reflection reverses the rotation or axis parameter after it
         return self.join(MUL_ARRAY[p1, p2], f1 ^ f2, k1 + k2 - 2 * f1 * k2)
 
-    def parts(self, codes):
-        """(permutation, kind, k) arrays of an int64 array of codes."""
-        p, rem = np.divmod(codes, 2 * self.N)
-        return (p, *np.divmod(rem, self.N))
-
     # -- conjugation by (gamma, rotation a) or (gamma, reflection b) ---------
     # A conjugator triple (g, f, j) acts with 2a = j/N (f=0) or 2b = j/N
     # (f=1); each triple corresponds to exactly two group elements.
@@ -575,7 +570,7 @@ class Universe:
         # the reflections of every high, sorted by (slot, permutation)
         codes = np.concatenate([h.code_array for h in highs])
         owner = np.repeat(np.arange(len(highs)), [h.order for h in highs])
-        p, kind, k = self.parts(codes)
+        p, kind, k = self.split(codes)
         h_perm, h_k = (24 * owner + p)[kind == 1], np.append(k[kind == 1], 0)
         key = 24 * slot[r] + CONJ[g, rows.p0[r]]
         lo = np.searchsorted(h_perm, key)
@@ -634,7 +629,7 @@ class Universe:
         lists and naming fields, and their bucket keys, in one array pass
         over all their elements."""
         sizes = [len(c) for c in codes]
-        p, kind, k = self.parts(np.concatenate(codes))
+        p, kind, k = self.split(np.concatenate(codes))
         starts = np.cumsum(sizes) - sizes
         bit = np.left_shift(1, p)
         rot, refl = (np.bitwise_or.reduceat(np.where(kind == f, bit, 0),
@@ -943,7 +938,7 @@ class Universe:
         """Owner class (int32), character column (int8) and grid step of the
         rotations of all finite classes; and class orders, 1 if continuous."""
         finite = [kl for kl in self.classes if kl.is_finite]
-        p, kind, k = self.parts(np.concatenate([kl.code_array
+        p, kind, k = self.split(np.concatenate([kl.code_array
                                                 for kl in finite]))
         owner = np.repeat(np.int32([kl.index for kl in finite]),
                           [kl.order for kl in finite])

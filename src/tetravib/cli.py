@@ -9,6 +9,7 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -55,6 +56,9 @@ class RunConfig:
         for section, values in (sections or {}).items():
             if section not in _SCHEMA:
                 raise ConfigError("unknown config section [%s]" % section)
+            if not isinstance(values, dict):
+                raise ConfigError("config section [%s] must be a table"
+                                  % section)
             for key, raw in values.items():
                 if key not in _SCHEMA[section]:
                     raise ConfigError("unknown key %r in section [%s]"
@@ -94,58 +98,14 @@ class RunConfig:
         return PairPotential(**self.potential_params)
 
 
-def _parse_scalar(text):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-        body = text[1:-1]
-        if '"' in body or "\\" in body:
-            raise ConfigError("unsupported escape in string %s" % text)
-        return body
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text, 10)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError("cannot parse value %r" % text)
-
-
 def load_config(path) -> RunConfig:
-    """Parse a flat TOML-style file: [section] headers and key = value lines.
-
-    Supported values: double-quoted strings (no escapes), integers, floats
-    and true/false.  Comments start with a '#' outside a string.  Nested
-    tables, arrays and multi-line strings are deliberately out of scope.
-    """
-    sections = {}
-    current = None
+    """Read a TOML file whose tables are the sections of RunConfig."""
+    import tomllib      # here, so that runs without --config skip the import
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            sections = tomllib.load(fh)
+    except (OSError, UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
-    for lineno, raw in enumerate(lines, start=1):
-        # a '#' after an even number of quotes starts a comment
-        cut = next((i for i, ch in enumerate(raw) if ch == "#"
-                    and raw.count('"', 0, i) % 2 == 0), len(raw))
-        line = raw[:cut].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError("line %d: malformed section header" % lineno)
-            name = line[1:-1].strip()
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value" % lineno)
-        if current is None:
-            raise ConfigError("line %d: key outside any section" % lineno)
-        key, _, value = line.partition("=")
-        current[key.strip()] = _parse_scalar(value)
     return RunConfig(sections)
 
 
@@ -210,10 +170,12 @@ def _csv_cell(v):
 
 
 def _to_csv(rows, fieldnames):
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[f]) for f in fieldnames))
-    return "\n".join(lines) + "\n"
+    import csv          # here, so that JSON runs skip the import
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([_csv_cell(row[f]) for f in fieldnames] for row in rows)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +409,7 @@ def _build_parser():
     parser = _Parser(prog="tetravib",
                      description="Symmetric vibration and bifurcation "
                                  "analysis of the four-particle molecule.")
-    parser.add_argument("--config", help="flat TOML-style configuration file")
+    parser.add_argument("--config", help="TOML configuration file")
     parser.add_argument("--seed", type=int, default=None,
                         help="recorded in output metadata; the pipeline is "
                              "deterministic and ignores it")

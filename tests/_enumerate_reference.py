@@ -161,7 +161,7 @@ class Sequential:
 
     def classify(self, codes, gens, **fields):
         u = self.u
-        p, f, k = u.parts(np.fromiter(codes, np.int64, len(codes)))
+        p, f, k = u.split(np.fromiter(codes, np.int64, len(codes)))
         rot_perms = frozenset(p[f == 0].tolist())
         refl_perms = frozenset(p[f == 1].tolist())
         key = _bucket_key(u, p, f, k)

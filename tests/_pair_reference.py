@@ -46,10 +46,10 @@ def conjugators(u, low, high):
     n = u.N
     g = np.flatnonzero(_maps_into(low.rot_perms, high.rot_perms)
                        & _maps_into(low.refl_perms, high.refl_perms))
-    p, kind, k = u.parts(np.array(low.gens, dtype=np.int64))
+    p, kind, k = u.split(np.array(low.gens, dtype=np.int64))
     if low.refl_perms:
         first = np.flatnonzero(kind)[0]
-        hp, h_kind, hk = u.parts(high.code_array)
+        hp, h_kind, hk = u.split(high.code_array)
         hp, hk = hp[h_kind == 1], hk[h_kind == 1]
         gi, ri = np.nonzero(bu.CONJ[g, p[first]][:, None] == hp)
         g = g[gi]

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -115,6 +116,8 @@ def test_hash_inside_a_string_is_not_a_comment(tmp_path):
     "[analysis\nl_max = 2\n",                   # malformed header
     "[analysis]\nl_max\n",                      # missing '='
     "[potential]\nbond_weight = true\n",        # boolean for a float
+    "analysis = 3\n",                           # section that is no table
+    "[analysis]\nl_max = 2\nl_max = 3\n",      # duplicated key
 ])
 def test_bad_config_exits_one(tmp_path, capsys, body):
     path = tmp_path / "bad.toml"
@@ -157,12 +160,14 @@ _VALUES = st.one_of(
 
 def _config_text(entries):
     """(file bytes, whether some key is given a boolean)."""
-    body = "".join("[%s]\n%s = %s\n" % (section, key, value)
-                   for (section, key), value in entries)
+    body = "".join("[%s]\n" % section + "".join(
+        "%s = %s\n" % (key, value) for (s, key), value in entries
+        if s == section) for section in sorted({s for (s, _), _ in entries}))
     return body.encode(), any(v in ("true", "false") for _, v in entries)
 
 
-# each key at most once, so a boolean is never overridden by a later line
+# each key at most once and each section under one header: TOML rejects
+# a repeated key or table before any value is checked
 _SCHEMA_LINES = st.lists(st.tuples(st.sampled_from(_SCHEMA_KEYS), _VALUES),
                          max_size=4, unique_by=lambda e: e[0]).map(_config_text)
 
@@ -405,6 +410,21 @@ def test_csv_rendering_flattens_keys(capsys):
     assert lines[0] == "key,value"
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert "representation.multiplicities.0" in keys
+
+
+def test_csv_quotes_values_with_commas(capsys):
+    doc = run_json(capsys, "invariants")
+    code, out, err = run(capsys, "--format", "csv", "invariants")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    values = dict(rows[1:])
+    texts = {"invariants.%d.descriptions.%d.text" % (i, k): d["text"]
+             for i, inv in enumerate(doc["invariants"])
+             for k, d in enumerate(inv["descriptions"])}
+    assert any("," in text for text in texts.values())
+    assert {key: values[key] for key in texts} == texts
 
 
 def test_output_file_and_dir_override(capsys, tmp_path, monkeypatch):
