@@ -24,6 +24,10 @@ with kind 0 a rotation by k/N turns and kind 1 the reflection with axis
 parameter k/N (the conjugate of the base reflection by a rotation of k/2N
 turns).
 
+A finite class stores its elements once, as a sorted read-only int64 array
+of codes; membership is a binary search in it.  Its order and H are read off
+that array and its permutation sets.
+
 Each finite class keeps generators read off its Goursat data: lifts (p, e)
 of generators pZ of H/Z with e in the coset of the kernel R of K -> L that
 the quotient isomorphism assigns to pZ, plus (z, 1) for generators z of Z
@@ -332,8 +336,7 @@ class AmalgamClass:
     universe: "Universe" = field(repr=False)
     index: int
     kind: str
-    codes: frozenset = field(repr=False)          # None for continuous kinds
-    H_set: frozenset = field(repr=False)
+    codes: np.ndarray = field(repr=False)         # sorted; None if continuous
     rot_perms: frozenset = field(repr=False)
     refl_perms: frozenset = field(repr=False)
     H_label: str
@@ -342,7 +345,6 @@ class AmalgamClass:
     L_label: str
     K_kind: str                                    # 'D', 'Z', 'SO2', 'O2'
     K_order: int                                   # d or n; 0 for SO2/O2
-    order: int                                     # len(codes); 0 means infinite
     gens: tuple = field(repr=False, default=())    # codes generating it
 
     def __hash__(self):
@@ -386,6 +388,15 @@ class AmalgamClass:
     # -- structure ---------------------------------------------------------
 
     @property
+    def order(self):
+        """len(codes); 0 means infinite."""
+        return 0 if self.codes is None else len(self.codes)
+
+    @property
+    def H_set(self):
+        return self.rot_perms | self.refl_perms
+
+    @property
     def is_finite(self):
         return self.kind in ("dihedral", "cyclic")
 
@@ -408,13 +419,7 @@ class AmalgamClass:
         n = self.universe.N
         return tuple((S4[p], "refl" if kind else "rot", Fraction(k, n))
                      for p, kind, k in map(self.universe.split,
-                                           sorted(self.codes)))
-
-    @cached_property
-    def code_array(self):
-        """The codes as a sorted int64 array, for membership tests by
-        binary search (finite classes only)."""
-        return np.array(sorted(self.codes), dtype=np.int64)
+                                           self.codes.tolist()))
 
     @property
     def brake(self):
@@ -441,13 +446,14 @@ def _divisor_closure(orders):
 
 
 class _Rows:
-    """Subgroups (generator codes, rotation and reflection permutations,
-    order) laid out for the conjugator kernel: both permutation sets as
-    24-bit masks conjugated by every g (rows x 24), the first reflection
-    generator (p0, k0; 0 without one), the other generators' parts."""
+    """Subgroups (anything with gens, rot_perms, refl_perms and order) laid
+    out for the conjugator kernel: both permutation sets as 24-bit masks
+    conjugated by every g (rows x 24), the first reflection generator (p0,
+    k0; 0 without one), the other generators' parts."""
 
     def __init__(self, universe, subgroups):
-        gens, rot, refl, order = zip(*subgroups)
+        gens, rot, refl, order = zip(*((s.gens, s.rot_perms, s.refl_perms,
+                                        s.order) for s in subgroups))
         first = [next((e for e in g if universe.split(e)[1]), -1)
                  for g in gens]
         rest = [[e for e in g if e != f] for g, f in zip(gens, first)]
@@ -471,9 +477,9 @@ def _perm_set(mask):
 @dataclass(eq=False)
 class _Candidate:
     """A finite subgroup to classify, with the attributes the conjugator
-    kernel reads of a high: codes, generators, rotation and reflection
-    permutations; and the naming fields of the class it founds when none
-    holds a conjugate of it (None: one must)."""
+    kernel reads of a high: sorted codes, generators, rotation and
+    reflection permutations; and the naming fields of the class it founds
+    when none holds a conjugate of it (None: one must)."""
 
     codes: np.ndarray
     gens: list
@@ -481,17 +487,9 @@ class _Candidate:
     refl_perms: frozenset
     fields: dict
 
-    @cached_property
-    def code_array(self):
-        return np.sort(self.codes)
-
     @property
     def order(self):
         return len(self.codes)
-
-    @property
-    def row(self):
-        return self.gens, self.rot_perms, self.refl_perms, self.order
 
 
 class Universe:
@@ -568,7 +566,7 @@ class Universe:
                 ) == 0
         r, g = np.nonzero(fits & (h_order % rows.order == 0)[:, None])
         # the reflections of every high, sorted by (slot, permutation)
-        codes = np.concatenate([h.code_array for h in highs])
+        codes = np.concatenate([h.codes for h in highs])
         owner = np.repeat(np.arange(len(highs)), [h.order for h in highs])
         p, kind, k = self.split(codes)
         h_perm, h_k = (24 * owner + p)[kind == 1], np.append(k[kind == 1], 0)
@@ -673,7 +671,7 @@ class Universe:
                         met[i] = len(highs)
             if pairs:
                 hits = self._conjugator_counts(
-                    _Rows(self, [candidates[i].row for i, _ in pairs]),
+                    _Rows(self, [candidates[i] for i, _ in pairs]),
                     [h for _, h in pairs])
                 for (i, h), hit in zip(pairs, hits):
                     if hit and found[i] is None:
@@ -687,7 +685,7 @@ class Universe:
         codes `codes` generated by the codes `gens`: the one-candidate call
         of `_resolve`, which raises InternalError when no class does."""
         candidates, keys = self._candidates(
-            [np.fromiter(codes, np.int64, len(codes))], [list(gens)], [None])
+            [np.sort(np.fromiter(codes, np.int64))], [list(gens)], [None])
         return self._resolve(candidates, keys, self._lookup)[0]
 
     # -- enumeration ---------------------------------------------------------
@@ -758,8 +756,8 @@ class Universe:
                         # K's codes carry ID_PERM = 0: (p, e) is p 2N + e,
                         # p in a coset of Z, e in the coset of R that the
                         # isomorphism assigns to it
-                        codes += list((ph[:, :, None] + qk.rows[iso][
-                            :, :, None, :]).reshape(len(iso), -1))
+                        codes += list(np.sort((ph[:, :, None] + qk.rows[iso][
+                            :, :, None, :]).reshape(len(iso), -1), axis=1))
                         # lifts (p, e) of generators pZ of H/Z, e in the
                         # coset iso[pZ] of R, with (Z, 1) and (1, R)
                         # generate the amalgam
@@ -793,23 +791,23 @@ class Universe:
 
     def _finite(self, c):
         """The next class, founded by the candidate c."""
+        codes = c.codes.copy()          # not a view holding its whole block
+        codes.flags.writeable = False
         return AmalgamClass(
-            universe=self, index=len(self.classes),
-            codes=frozenset(c.codes.tolist()),
-            H_set=c.rot_perms | c.refl_perms, rot_perms=c.rot_perms,
-            refl_perms=c.refl_perms, R_label=s4_subgroup_label(c.rot_perms),
-            order=c.order, gens=tuple(c.gens), **c.fields)
+            universe=self, index=len(self.classes), codes=codes,
+            rot_perms=c.rot_perms, refl_perms=c.refl_perms,
+            R_label=s4_subgroup_label(c.rot_perms), gens=tuple(c.gens),
+            **c.fields)
 
     def _continuous(self, kind, h_set, rot, refl):
         """The next class, of continuous shape `kind`."""
         return AmalgamClass(
             universe=self, index=len(self.classes), kind=kind, codes=None,
-            H_set=h_set, rot_perms=rot, refl_perms=refl,
+            rot_perms=rot, refl_perms=refl,
             H_label=s4_subgroup_label(h_set), Z_label=s4_subgroup_label(rot),
             R_label=s4_subgroup_label(h_set),
             L_label="Z2" if kind == "o2z2" else "Z1",
-            K_kind="SO2" if kind == "so2" else "O2",
-            K_order=0, order=0, gens=())
+            K_kind="SO2" if kind == "so2" else "O2", K_order=0)
 
     def _finalize_names(self):
         sig = {}
@@ -824,7 +822,7 @@ class Universe:
             self._name_index.setdefault(kl.printed_form(), kl)
 
     def _needs_r(self, kl):
-        return kl.index in getattr(self, "_ambiguous", frozenset())
+        return kl.index in self._ambiguous
 
     # -- lookups ---------------------------------------------------------
 
@@ -859,15 +857,11 @@ class Universe:
 
     # -- normalizers, Weyl groups, containment counts ----------------------
 
-    def _rows(self, classes):
-        return _Rows(self, [(kl.gens, kl.rot_perms, kl.refl_perms, kl.order)
-                            for kl in classes])
-
     @cached_property
     def _finite_rows(self):
         """(class indices, kernel rows) of every finite class."""
         finite = [kl for kl in self.classes if kl.is_finite]
-        return np.array([kl.index for kl in finite]), self._rows(finite)
+        return np.array([kl.index for kl in finite]), _Rows(self, finite)
 
     @cached_property
     def _normalizers(self):
@@ -879,7 +873,7 @@ class Universe:
         for b in sorted(set(batch.tolist())):
             part = [kl for kl, at in zip(finite, batch) if at == b]
             out[[kl.index for kl in part]] = self._conjugator_counts(
-                self._rows(part), part)
+                _Rows(self, part), part)
         return out
 
     def weyl(self, kl):
@@ -938,8 +932,7 @@ class Universe:
         """Owner class (int32), character column (int8) and grid step of the
         rotations of all finite classes; and class orders, 1 if continuous."""
         finite = [kl for kl in self.classes if kl.is_finite]
-        p, kind, k = self.split(np.concatenate([kl.code_array
-                                                for kl in finite]))
+        p, kind, k = self.split(np.concatenate([kl.codes for kl in finite]))
         owner = np.repeat(np.int32([kl.index for kl in finite]),
                           [kl.order for kl in finite])
         rot = kind == 0
@@ -1038,8 +1031,8 @@ class Universe:
         return self.classify(*self._fold_preimage(kl, k))
 
     def _fold_preimage(self, kl, k):
-        """Codes and generators of the preimage of kl under the k-fold cover
-        of O(2).
+        """Sorted codes and generators of the preimage of kl under the
+        k-fold cover of O(2).
 
         An element with rotation angle or axis parameter t/N pulls back to
         the k elements of parameter (t + jN)/(kN), 0 <= j < k, those on the
@@ -1048,9 +1041,10 @@ class Universe:
         if not kl.is_finite:
             raise ValueError("continuous class")
         n = self.N
-        codes = frozenset(self.join(p, kind, (t + j * n) // k)
-                          for p, kind, t in map(self.split, kl.codes)
-                          for j in range(k) if (t + j * n) % k == 0)
+        p, kind, t = (np.repeat(a, k) for a in self.split(kl.codes))
+        t = t + np.tile(np.arange(k) * n, kl.order)
+        on = t % k == 0
+        codes = np.sort(self.join(p[on], kind[on], t[on] // k))
         if len(codes) != k * kl.order:
             raise InternalError("fold cover has wrong order (resolution?)")
         lifts = [self.join(p, kind, next((t + j * n) // k for j in range(k)

@@ -55,6 +55,9 @@ class RunConfig:
         data = {s: dict(v) for s, v in _DEFAULTS.items()}
         for section, values in (sections or {}).items():
             if section not in _SCHEMA:
+                if not isinstance(values, dict):
+                    raise ConfigError("config key %r needs a [section] "
+                                      "header above it" % section)
                 raise ConfigError("unknown config section [%s]" % section)
             if not isinstance(values, dict):
                 raise ConfigError("config section [%s] must be a table"

@@ -16,6 +16,7 @@ generators and index order) with the library at one l_max:
 import itertools
 import sys
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -166,7 +167,9 @@ class Sequential:
         refl_perms = frozenset(p[f == 1].tolist())
         key = _bucket_key(u, p, f, k)
         if key in self.lookup:
-            row = bu._Rows(u, [(gens, rot_perms, refl_perms, len(codes))])
+            row = bu._Rows(u, [SimpleNamespace(
+                gens=gens, rot_perms=rot_perms, refl_perms=refl_perms,
+                order=len(codes))])
             for idx in self.lookup[key]:
                 kl = self.classes[idx]
                 if u._conjugator_counts(row, [kl])[0]:
@@ -174,10 +177,11 @@ class Sequential:
         if not fields:
             raise bu.InternalError("subgroup does not match any class")
         kl = bu.AmalgamClass(
-            universe=u, index=len(self.classes), codes=codes,
-            H_set=rot_perms | refl_perms, rot_perms=rot_perms,
-            refl_perms=refl_perms, R_label=bu.s4_subgroup_label(rot_perms),
-            order=len(codes), gens=tuple(gens), **fields)
+            universe=u, index=len(self.classes),
+            codes=np.array(sorted(codes), dtype=np.int64),
+            rot_perms=rot_perms, refl_perms=refl_perms,
+            R_label=bu.s4_subgroup_label(rot_perms), gens=tuple(gens),
+            **fields)
         self.classes.append(kl)
         self.lookup.setdefault(key, []).append(kl.index)
         return kl
@@ -191,13 +195,13 @@ class Sequential:
                 return kl
         kl = bu.AmalgamClass(
             universe=self.u, index=len(self.classes), kind=kind, codes=None,
-            H_set=h_set, rot_perms=rot, refl_perms=refl,
+            rot_perms=rot, refl_perms=refl,
             H_label=bu.s4_subgroup_label(h_set),
             Z_label=bu.s4_subgroup_label(rot),
             R_label=bu.s4_subgroup_label(h_set),
             L_label="Z2" if kind == "o2z2" else "Z1",
             K_kind="SO2" if kind == "so2" else "O2",
-            K_order=0, order=0, gens=())
+            K_order=0, gens=())
         self.classes.append(kl)
         return kl
 
@@ -244,7 +248,8 @@ def enumerate_classes(u):
 
 
 def _fields(kl):
-    return (kl.canonical_form(), kl.kind, kl.codes, kl.gens, kl.rot_perms,
+    codes = None if kl.codes is None else kl.codes.tolist()
+    return (kl.canonical_form(), kl.kind, codes, kl.gens, kl.rot_perms,
             kl.refl_perms)
 
 

@@ -49,7 +49,7 @@ def conjugators(u, low, high):
     p, kind, k = u.split(np.array(low.gens, dtype=np.int64))
     if low.refl_perms:
         first = np.flatnonzero(kind)[0]
-        hp, h_kind, hk = u.split(high.code_array)
+        hp, h_kind, hk = u.split(high.codes)
         hp, hk = hp[h_kind == 1], hk[h_kind == 1]
         gi, ri = np.nonzero(bu.CONJ[g, p[first]][:, None] == hp)
         g = g[gi]
@@ -61,7 +61,7 @@ def conjugators(u, low, high):
     g = np.concatenate((g, g))
     images = (bu.CONJ[g[:, None], p] * (2 * n) + kind * n
               + (sign[:, None] * k + kind * j[:, None]) % n)
-    target = high.code_array
+    target = high.codes
     pos = np.minimum(np.searchsorted(target, images), len(target) - 1)
     return (target[pos] == images).all(axis=1)
 

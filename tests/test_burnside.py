@@ -1,7 +1,10 @@
+import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -114,8 +117,14 @@ def test_class_list_matches_sequential_reference(l_max):
     assert per_candidate.differences(u) == []
 
 
+def _code_set(kl):
+    """The element codes of a finite class, as a set of ints."""
+    return frozenset(kl.codes.tolist())
+
+
 def _class_fields(u):
-    return [(kl.canonical_form(), kl.codes, kl.gens) for kl in u.classes]
+    return [(kl.canonical_form(), _code_set(kl) if kl.is_finite else None,
+             kl.gens) for kl in u.classes]
 
 
 def _counting_kernel(monkeypatch):
@@ -179,7 +188,7 @@ def _generated(u, gens):
 def test_generators_generate_each_finite_class(u12):
     finite = [kl for kl in u12.all_classes() if kl.is_finite]
     for kl in finite:
-        assert _generated(u12, kl.gens) == kl.codes, str(kl)
+        assert _generated(u12, kl.gens) == _code_set(kl), str(kl)
     covers = 0
     for kl in finite:
         for k in (2, 3):
@@ -188,9 +197,57 @@ def test_generators_generate_each_finite_class(u12):
             except bu.InternalError:
                 continue
             codes, gens = u12._fold_preimage(kl, k)
-            assert _generated(u12, gens) == codes, (str(kl), k)
+            assert _generated(u12, gens) == frozenset(codes.tolist()), (
+                str(kl), k)
             covers += 1
     assert covers > 200
+
+
+@pytest.mark.parametrize("l_max", [2, 4])
+def test_class_stores_its_elements_once_as_a_sorted_read_only_array(l_max):
+    u = bu.universe_for_modes(range(1, l_max + 1))
+    for kl in u.classes:
+        assert kl.H_set == kl.rot_perms | kl.refl_perms, str(kl)
+        if not kl.is_finite:
+            assert kl.codes is None and kl.order == 0, str(kl)
+            continue
+        codes = kl.codes
+        assert isinstance(codes, np.ndarray) and codes.dtype == np.int64
+        assert len(codes) == kl.order
+        assert (np.diff(codes) > 0).all(), str(kl)
+        with pytest.raises(ValueError):
+            codes[0] = codes[-1]
+    assert {"order", "H_set"}.isdisjoint(
+        f.name for f in dataclasses.fields(bu.AmalgamClass))
+    checked = 0
+    for kl in u.phi0_classes():
+        if kl.is_finite:
+            for k in (2, 3):
+                try:
+                    codes, _ = u._fold_preimage(kl, k)
+                except bu.InternalError:        # off the grid
+                    continue
+                assert isinstance(codes, np.ndarray)
+                assert codes.dtype == np.int64
+                assert (np.diff(codes) > 0).all(), (str(kl), k)
+                checked += 1
+    assert checked > 100
+
+
+def test_universe_at_l_max_8_holds_under_5_mib():
+    # orders that for_orders has not built yet, so the build is measured
+    orders = bu._divisor_closure(bu._mode_orders(range(1, 9)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = bu.Universe(orders)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(u.classes) == 1105
+    assert held < 5 * 2 ** 20, "%.2f MiB" % (held / 2 ** 20)
 
 
 def test_name_round_trip_every_class(u12):
@@ -262,7 +319,8 @@ def test_n_count_d1_inside_d3(u1):
 
 def _conjugate_subgroups(u, kl):
     """Distinct images of kl under all 48 N conjugator triples."""
-    return {frozenset(per_pair.conj_apply(u, (g, f, j), e) for e in kl.codes)
+    codes = _code_set(kl)
+    return {frozenset(per_pair.conj_apply(u, (g, f, j), e) for e in codes)
             for g in range(24) for f in (0, 1) for j in range(u.N)}
 
 
@@ -274,7 +332,8 @@ def test_n_count_matches_brute_force_conjugates(u1):
             continue
         conjugates = _conjugate_subgroups(u1, high)
         for low in finite:
-            expected = sum(1 for c in conjugates if low.codes <= c)
+            codes = _code_set(low)
+            expected = sum(1 for c in conjugates if codes <= c)
             assert u1.n_count(low, high) == expected, (str(low), str(high))
 
 
@@ -454,10 +513,11 @@ def test_fold_cover_matches_preimage_scan(u12):
     for kl in u12.phi0_classes():
         if not kl.is_finite:
             continue
+        codes = _code_set(kl)
         for k in (2, 3):
             preimage = frozenset(
                 u12.join(p, kind, t) for p in range(24) for kind in (0, 1)
-                for t in range(n) if u12.join(p, kind, t * k) in kl.codes)
+                for t in range(n) if u12.join(p, kind, t * k) in codes)
             expected = "fault"          # off the grid, or not in the universe
             if len(preimage) == k * kl.order:
                 # every element of the preimage serves as a generator
@@ -488,7 +548,7 @@ def test_element_lists_and_time_reflection(u1):
 
 def test_elements_form_a_closed_group(u1):
     kl = u1.parse_class("(D2^D1 x_Z2 D2)")
-    codes = kl.codes
+    codes = _code_set(kl)
     assert len(codes) == kl.order
     identity = u1.join(bu.ID_PERM, 0, 0)
     for a in codes:

@@ -118,6 +118,7 @@ def test_hash_inside_a_string_is_not_a_comment(tmp_path):
     "[potential]\nbond_weight = true\n",        # boolean for a float
     "analysis = 3\n",                           # section that is no table
     "[analysis]\nl_max = 2\nl_max = 3\n",      # duplicated key
+    "l_max = 2\n[analysis]\nn_modes = 8\n",     # key above the first header
 ])
 def test_bad_config_exits_one(tmp_path, capsys, body):
     path = tmp_path / "bad.toml"
@@ -125,6 +126,16 @@ def test_bad_config_exits_one(tmp_path, capsys, body):
     code, _, err = run(capsys, "--config", str(path), "reps")
     assert code == 1
     assert "error" in err
+    assert _BAD_CONFIG_MESSAGES.get(body, "") in err
+
+
+# the message of a key above the first header names the key, not a section
+_BAD_CONFIG_MESSAGES = {
+    "l_max = 2\n": "config key 'l_max' needs a [section] header",
+    "l_max = 2\n[analysis]\nn_modes = 8\n":
+        "config key 'l_max' needs a [section] header",
+    "analysis = 3\n": "config section [analysis] must be a table",
+}
 
 
 _FLOAT_KEYS = ["%s.%s" % (section, key)
