@@ -185,10 +185,11 @@ class SymmetryConstraint:
         # (c, s) = (cos, sin)(2*pi*m*angle); mode 0 is the (cos, cos) block
         elements = klass.elements()
         m = np.arange(self.n_modes + 1)
+        phase = np.multiply.outer([float(angle) for _, _, angle in elements],
+                                  2.0 * math.pi * m)
+        cos, sin = np.cos(phase), np.sin(phase)
         total = np.zeros((self.n_modes + 1, 2, 12, 2, 12))
-        for perm, kind, angle in elements:
-            phase = 2.0 * math.pi * m * float(angle)
-            c, s = np.cos(phase), np.sin(phase)
+        for (perm, kind, _), c, s in zip(elements, cos, sin):
             sign = 1.0 if kind == "rot" else -1.0
             blocks = np.stack([c, sign * s, -s, sign * c], axis=1)
             total += (blocks.reshape(-1, 2, 1, 2, 1)
@@ -272,18 +273,29 @@ def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass,
     relations are stacked into one table of every moved time, and their
     spatial matrices into one stack.
     """
-    relations = klass.elements()[1:]
-    if not relations:
+    n_relations = len(klass.elements()) - 1
+    if not n_relations:
         return ()
     n_modes = orbit.n_modes
+    cos, sin, rho_t = _relation_tables(klass, n_modes, n_samples)
+    base = orbit._combine(*_sample_trig(n_modes, n_samples))
+    mapped = orbit._combine(cos, sin)
+    err = mapped.reshape(n_relations, n_samples, 12) @ rho_t - base
+    return tuple(np.max(np.linalg.norm(err, axis=2), axis=1).tolist())
+
+
+# one entry: every point of a branch checks the same class at the same sizes,
+# and the tables of one class are no larger than one call's own would be
+@functools.lru_cache(maxsize=1)
+def _relation_tables(klass, n_modes, n_samples):
+    """The stacked time tables cos(m s), sin(m s) of the moved times of every
+    relation of the class, and the stack of their transposed spatial
+    matrices; read-only."""
     cos, sin, rho = zip(*[(*_sample_trig(n_modes, n_samples, kind, angle),
                            action_matrix(perm))
-                          for perm, kind, angle in relations])
-    base = orbit._combine(*_sample_trig(n_modes, n_samples))
-    mapped = orbit._combine(np.concatenate(cos), np.concatenate(sin))
-    err = (mapped.reshape(len(relations), n_samples, 12)
-           @ np.stack(rho).swapaxes(1, 2) - base)
-    return tuple(np.max(np.linalg.norm(err, axis=2), axis=1).tolist())
+                          for perm, kind, angle in klass.elements()[1:]])
+    return (_read_only(np.concatenate(cos)), _read_only(np.concatenate(sin)),
+            _read_only(np.stack(rho).swapaxes(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +352,16 @@ MAX_CONDITION = 1e6
 # most Newton steps of one corrector call.
 FIRST_STEP = 1e-3
 MAX_NEWTON = 25
+# The Jacobian's collocation rows are built in blocks of collocation points
+# that fill about this many bytes: the weighted acceleration block D * -(w m^2)
+# is added one block at a time, from a temporary of this size, rather than
+# stored whole beside D and the Jacobian.  Blocks of 4 to 55 points cost the
+# same at n_modes = 64; at 16 modes this budget keeps the system one block.
+JACOBIAN_BLOCK_BYTES = 256 * 1024
 # The most Fourier modes a configuration may ask for.  The corrector's
-# arrays grow as n_modes^2 (a branch on (Z1 x D1) peaks at 50 MB at 64 modes
-# and at 265 MB at 256); far above, they would not fit in memory.
+# arrays grow as n_modes^2 (on (Z1 x D1), the largest class, a process that
+# builds the corrector and takes one Newton step peaks at 66 MB at 64 modes
+# and at 400 MB at 256); far above, they would not fit in memory.
 MAX_N_MODES = 256
 
 
@@ -399,8 +418,11 @@ class _NewtonSystem:
         self.n_c = n_c = 12 * k.size  # then the amplitude and gauge rows
         self.h1 = constraint.h1_weights()
         self.msq = msq = constraint.modes ** 2.0
-        # the weighted acceleration block, the same at every Newton step
-        self.acc = self.D * -(self.weight[:, :, None] * msq)
+        # the weighted acceleration block is D times this factor, the same
+        # at every Newton step; it is formed one row block at a time
+        self.acc_factor = -(self.weight[:, :, None] * msq)
+        # collocation points per row block of the Jacobian
+        self.block = max(1, JACOBIAN_BLOCK_BYTES // (12 * 8 * (n_red + 1)))
         # the Newton system is solved for S^-1 (dx, dlam): S scales the
         # column of mode m by (1 + m^2)^-1, which undoes the growth of the
         # acceleration block with m; the lambda column is left as it is
@@ -442,15 +464,22 @@ class _NewtonSystem:
     def jacobian(self, x, lam, u, g):
         """The column-scaled Jacobian J S at (x, lam), where residual gave
         the loop u and the gradient g."""
-        jac, n_c, n_red = self.jac, self.n_c, self.n_red
-        jac_c = jac[:n_c].reshape(-1, 12, n_red + 1)[:, :, :n_red]
-        np.matmul((lam ** 2 * self.weight)[:, :, None]
-                  * hessian(self.potential, u), self.D, out=jac_c)
-        jac_c += self.acc
-        jac[:n_c, n_red] = (2.0 * lam * self.weight * g).ravel()
-        jac[n_c, :n_red] = self.h1 * (x - self.x0) / self.amplitude(x)
-        jac[n_c + 1:] = self.gauge
-        np.multiply(jac, self.col_scale, out=jac)
+        jac, n_c, n_red, D = self.jac, self.n_c, self.n_red, self.D
+        rows = jac[:n_c].reshape(-1, 12, n_red + 1)
+        weighted = (lam ** 2 * self.weight)[:, :, None] * hessian(
+            self.potential, u)
+        lam_col = 2.0 * lam * self.weight * g
+        for b in range(0, len(rows), self.block):
+            blk = slice(b, b + self.block)
+            jac_b = rows[blk, :, :n_red]
+            np.matmul(weighted[blk], D[blk], out=jac_b)
+            jac_b += D[blk] * self.acc_factor[blk]
+            rows[blk, :, n_red] = lam_col[blk]
+            np.multiply(rows[blk], self.col_scale, out=rows[blk])
+        tail = jac[n_c:]
+        tail[0, :n_red] = self.h1 * (x - self.x0) / self.amplitude(x)
+        tail[1:] = self.gauge
+        np.multiply(tail, self.col_scale, out=tail)
         return jac
 
 
@@ -566,23 +595,27 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             if failures > 12:
                 raise stuck("corrector failed repeatedly")
             step *= 0.5
-            if history:
-                target = history[-1][0] + step
-                x, lam = _predict(history, target, x0, kdir, lam0)
-            else:
+            if not history:
                 target *= 0.5
                 x, lam = x0 + target * kdir, lam0
-            continue
-        x, lam = got
-        orbit = constraint.unpack(x, lam)
-        res = residual(orbit, potential, n_points)
-        preds = verify_predicates(orbit, klass, n_samples=32)
-        points.append(BranchPoint(amplitude=system.amplitude(x), lam=lam,
-                                  residual=res, predicate_residuals=preds))
-        history.append((target, x, lam))
-        if points[-1].amplitude >= target_amplitude:
-            break
-        target = min(target + step, ceiling)
+                continue
+            target = history[-1][0] + step
+        else:
+            x, lam = got
+            orbit = constraint.unpack(x, lam)
+            res = residual(orbit, potential, n_points)
+            preds = verify_predicates(orbit, klass, n_samples=32)
+            points.append(BranchPoint(amplitude=system.amplitude(x), lam=lam,
+                                      residual=res,
+                                      predicate_residuals=preds))
+            history.append((target, x, lam))
+            if points[-1].amplitude >= target_amplitude:
+                break
+            target = min(target + step, ceiling)
+        # a step below the resolution of the target, or an amplitude whose
+        # squares underflow to 0 at the ceiling, leaves the target in place
+        if not target > history[-1][0]:
+            raise stuck("continuation stalled")
         x, lam = _predict(history, target, x0, kdir, lam0)
     else:
         raise stuck("branch did not reach amplitude %g in %d steps"

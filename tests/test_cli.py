@@ -523,10 +523,20 @@ def test_n_modes_above_the_cap_exits_one(capsys, monkeypatch, tmp_path,
     assert err.splitlines() == ["error: analysis.n_modes must be at most 256"]
 
 
-@pytest.mark.parametrize("line", ["step_size = 1e300",
-                                  "target_amplitude = 1e300",
-                                  "newton_tol = 1e-300"])
-def test_extreme_continuation_settings_end_cleanly(tmp_path, line):
+_BRANCH_ARGV = ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l",
+                "1")
+
+
+@pytest.mark.parametrize("line, argv", [
+    pytest.param(line, _BRANCH_ARGV, id=line)
+    for line in ("step_size = 1e300", "target_amplitude = 1e300",
+                 "newton_tol = 1e-300")] + [
+    # at 1e-300 the amplitude's squares underflow, so the point converged
+    # at the last target reads amplitude 0 and the target cannot move on
+    pytest.param(line, argv, id="%s-%s" % (line, argv[0]))
+    for line in ("target_amplitude = 1e-300", "target_amplitude = 1e-100")
+    for argv in (_BRANCH_ARGV, ("report",))])
+def test_extreme_continuation_settings_end_cleanly(tmp_path, line, argv):
     # a fresh process, so that a numpy warning would show on stderr as it
     # does to a user
     cfg = tmp_path / "extreme.toml"
@@ -534,8 +544,7 @@ def test_extreme_continuation_settings_end_cleanly(tmp_path, line):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "tetravib.cli", "--config", str(cfg), "branch",
-         "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"],
+        [sys.executable, "-m", "tetravib.cli", "--config", str(cfg), *argv],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode in (0, 1, 2), proc.stderr
     lines = proc.stderr.splitlines()

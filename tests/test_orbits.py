@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +357,86 @@ def test_half_grid_matches_full_grid(u2, eq, n_points):
                 1e-12 * np.linalg.norm(a_full) * scale), name
             assert abs(np.linalg.norm(f[:system.n_c])
                        - np.linalg.norm(f_full[:-4])) < 1e-12 * scale, name
+
+
+def _whole_array_jacobian(system, x, lam, u, g):
+    """J S from the whole-array formula: every collocation row in one
+    product, plus the weighted acceleration block D * -(w m^2) formed whole,
+    then the lambda column, the amplitude and gauge rows and the scale."""
+    n_c, n_red = system.n_c, system.n_red
+    jac = np.zeros_like(system.jac)
+    jac_c = jac[:n_c].reshape(-1, 12, n_red + 1)[:, :, :n_red]
+    np.matmul((lam ** 2 * system.weight)[:, :, None] * hessian(BOND, u),
+              system.D, out=jac_c)
+    jac_c += system.D * -(system.weight[:, :, None] * system.msq)
+    jac[:n_c, n_red] = (2.0 * lam * system.weight * g).ravel()
+    jac[n_c, :n_red] = system.h1 * (x - system.x0) / system.amplitude(x)
+    jac[n_c + 1:] = system.gauge
+    np.multiply(jac, system.col_scale, out=jac)
+    return jac
+
+
+def _assert_block_jacobian_exact(system, lam, name):
+    # two points in turn on one system: at the second, the Jacobian's buffer
+    # already holds the first point's values
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        x = system.x0 + 1e-2 * rng.standard_normal(system.n_red)
+        f, u, g = system.residual(x, lam, 0.0)
+        want = _whole_array_jacobian(system, x, lam, u, g)
+        assert np.array_equal(system.jacobian(x, lam, u, g), want), name
+
+
+@pytest.mark.parametrize("one_point_blocks", [False, True])
+def test_block_jacobian_equals_the_whole_array_formula(u2, eq, monkeypatch,
+                                                       one_point_blocks):
+    # every family of the default report at n_modes 16, where the default
+    # budget makes the collocation rows one block, and with one collocation
+    # point per block
+    if one_point_blocks:
+        monkeypatch.setattr(ob, "JACOBIAN_BLOCK_BYTES", 1)
+    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    assert len(families) == 7
+    for fam in families:
+        con = ob.SymmetryConstraint(fam.klass, 16)
+        system = ob._NewtonSystem(BOND, con, eq, 65)
+        if one_point_blocks:
+            assert system.block == 1
+        else:
+            assert system.block >= system.n_c // 12 == 33
+        _assert_block_jacobian_exact(system, fam.l / math.sqrt(eq.mu[fam.j]),
+                                     fam.klass.printed_form())
+
+
+def test_block_jacobian_is_exact_with_a_short_last_block(u2, eq):
+    con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
+    system = ob._NewtonSystem(BOND, con, eq, 257)
+    n_half = system.n_c // 12
+    assert system.block < n_half and n_half % system.block
+    _assert_block_jacobian_exact(system, 1.0 / math.sqrt(eq.mu[1]),
+                                 "(D3^Z1 x_D3 D3)")
+
+
+def test_newton_system_holds_only_D_and_the_jacobian(u2, eq):
+    # at n_modes 64 the collocation matrix D and the Jacobian are 2.4 MB
+    # each; the system holds nothing else of their size, and a Jacobian
+    # builds in place with no temporary of their size
+    con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
+    tracemalloc.start()
+    try:
+        system = ob._NewtonSystem(BOND, con, eq, 257)
+        held = tracemalloc.get_traced_memory()[0]
+        x = system.x0 + 1e-2 * np.random.default_rng(0).standard_normal(
+            system.n_red)
+        lam = 1.0 / math.sqrt(eq.mu[1])
+        f, u, g = system.residual(x, lam, 0.0)
+        tracemalloc.reset_peak()
+        system.jacobian(x, lam, u, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held < system.D.nbytes + system.jac.nbytes + 2 ** 19
+    assert peak < held + 2 ** 20
 
 
 def test_every_reflecting_class_reflects_time_at_angle_zero():
