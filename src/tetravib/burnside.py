@@ -108,45 +108,18 @@ def _perm_closure(seed):
     return frozenset(elems)
 
 
-@lru_cache(maxsize=None)
-def _perm_generators(h):
-    """A generating list of the subgroup h of S4, picked greedily."""
-    gens, have = [], frozenset([ID_PERM])
-    for p in sorted(h):
-        if p not in have:
-            gens.append(p)
-            have = _perm_closure(gens)
-    return gens
-
-
 @lru_cache(maxsize=1)
-def _all_s4_subgroups():
-    """Every subgroup of S4, closed up from the cyclic ones by joins.
-
-    A pair of subgroups known a round earlier was joined then, so a round
-    joins only pairs with a member new in the last round; it visits them
-    in the order of the full double loop, which keeps the frozenset's
-    iteration order (see _normal_subgroups_of)."""
-    subs = {frozenset([ID_PERM])}
-    for p in range(24):
-        subs.add(_perm_closure([p]))
-    fresh, closures = subs, {}
-    while True:
-        new = set()
-        for a in subs:
-            for b in subs:
-                if a not in fresh and b not in fresh:
-                    continue
-                u = a | b
-                if u not in subs:
-                    if u not in closures:
-                        closures[u] = _perm_closure(list(u))
-                    if closures[u] not in subs:
-                        new.add(closures[u])
-        if not new:
-            return frozenset(subs)
-        subs |= new
-        fresh = new
+def _s4_subgroups():
+    """Every subgroup of S4, mapped to the first index pair (x, y), x <= y,
+    that generates it (every subgroup of S4 is 2-generated), in the order
+    (order, sorted members).  This order fixes listing order, class indices
+    and generator lists."""
+    pairs = {}
+    for x in range(24):
+        for y in range(x, 24):
+            pairs.setdefault(_perm_closure([x, y]), (x, y))
+    return dict(sorted(pairs.items(),
+                       key=lambda item: (len(item[0]), sorted(item[0]))))
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +152,7 @@ class S4SubgroupClass:
 def enumerate_s4_subgroups():
     """All subgroups of S4 grouped into conjugacy classes, labeled."""
     seen, classes = set(), []
-    for h in sorted(_all_s4_subgroups(), key=lambda s: (len(s), sorted(s))):
+    for h in _s4_subgroups():
         if h not in seen:
             orbit = set(map(frozenset, CONJ[:, sorted(h)].tolist()))
             seen |= orbit
@@ -191,10 +164,8 @@ def enumerate_s4_subgroups():
 
 def _normal_subgroups_of(h):
     """Normal subgroups of the subgroup h (as frozensets of indices), in
-    the iteration order of the frozenset _all_s4_subgroups().  That order
-    fixes every class index: the same 30 subgroups built another way can
-    iterate in another order, which moves class indices and `report` floats."""
-    return [z for z in _all_s4_subgroups()
+    the order of _s4_subgroups()."""
+    return [z for z in _s4_subgroups()
             if z <= h and all(frozenset(row) == z for row in
                               CONJ[np.ix_(sorted(h), sorted(z))].tolist())]
 
@@ -731,6 +702,7 @@ class Universe:
         k_groups = self._k_groups()
         codes, gens, fields = [], [], []
         events = []     # candidate positions, and (kind, H, rot, refl)
+        pairs = _s4_subgroups()
         for s4c in enumerate_s4_subgroups():
             h = s4c.representative
             normals = _normal_subgroups_of(h)
@@ -744,7 +716,8 @@ class Universe:
                 h_gens = list(qh.generating_words[0])
                 h_quotients.append((
                     qh, qh.rows * n2, h_gens, qh.rows[h_gens, 0] * n2,
-                    [self.join(p, 0, 0) for p in _perm_generators(z)],
+                    [self.join(p, 0, 0)
+                     for p in sorted(set(pairs[z]) - {ID_PERM})],
                     dict(H_label=s4c.label, Z_label=s4_subgroup_label(z))))
             for k_fields, quotients in k_groups:
                 for qk, r_gens, l_label in quotients:

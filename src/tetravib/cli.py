@@ -124,9 +124,8 @@ def _format_float(x: float) -> str:
 
 
 def dumps(obj, indent=0) -> str:
-    """Minimal deterministic JSON: sorted keys, 17-digit floats."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    """Minimal deterministic JSON: sorted keys, 17-digit floats.  With
+    indent None it is one line, with ", " and ": " separators."""
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -138,30 +137,24 @@ def dumps(obj, indent=0) -> str:
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return '"%s"' % out
+    deeper = None if indent is None else indent + 2
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join("%s%s: %s" % (inner, dumps(str(k)),
-                                         dumps(v, indent + 2))
-                           for k, v in sorted(obj.items()))
-        return "{\n%s\n%s}" % (items, pad)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + dumps(v, indent + 2) for v in obj)
-        return "[\n%s\n%s]" % (items, pad)
-    raise ConfigError("unserializable object of type %s" % type(obj).__name__)
-
-
-def _dumps_line(obj) -> str:
-    """Single-line variant for JSONL records."""
-    if isinstance(obj, dict):
-        return "{%s}" % ", ".join(
-            "%s: %s" % (_dumps_line(str(k)), _dumps_line(v))
-            for k, v in sorted(obj.items()))
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ", ".join(_dumps_line(v) for v in obj)
-    return dumps(obj)
+        brackets = "{}"
+        items = ["%s: %s" % (dumps(str(k)), dumps(v, deeper))
+                 for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [dumps(v, deeper) for v in obj]
+    else:
+        raise ConfigError("unserializable object of type %s"
+                          % type(obj).__name__)
+    if not items:
+        return brackets
+    if indent is None:
+        return "%s%s%s" % (brackets[0], ", ".join(items), brackets[1])
+    return "%s\n%s\n%s%s" % (
+        brackets[0], ",\n".join(" " * deeper + item for item in items),
+        " " * indent, brackets[1])
 
 
 def _csv_cell(v):
@@ -344,7 +337,7 @@ def _parse_critical(text):
     try:
         j, l = (int(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError("--critical expects 'j,l' with integers")
+        raise argparse.ArgumentTypeError("expects 'j,l' with integers")
     return j, l
 
 
@@ -369,7 +362,7 @@ def _cmd_branch(args, config):
         text = _to_csv(rows, ["amplitude", "lambda", "residual",
                               "predicate_residuals"])
     else:
-        text = "".join(_dumps_line(row) + "\n" for row in rows)
+        text = "".join(dumps(row, None) + "\n" for row in rows)
     return text
 
 

@@ -567,8 +567,9 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
                 min(least, norm_c), cond)
 
     def stuck(what):
-        diagnostics = {"class": klass.printed_form(), "target": target,
-                       "step": step, "smallest_residual": least,
+        # the target and step of the last corrector call, not the next ones
+        diagnostics = {"class": klass.printed_form(), "target": tried[0],
+                       "step": tried[1], "smallest_residual": least,
                        "newton_tol": newton_tol, "condition": cond}
         return ConvergenceError(
             ("{what} on class {class} at target amplitude {target:g} (step "
@@ -587,8 +588,9 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     step = step_size
     x, lam = x0 + target * kdir, lam0
     failures = 0
-    least, cond = math.inf, None
+    least, cond, tried = math.inf, None, (target, step)
     for _ in range(steps):
+        tried = target, step
         got, least, cond = correct(x, lam, target)
         if got is None:
             failures += 1

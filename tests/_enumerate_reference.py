@@ -213,7 +213,8 @@ class Sequential:
             normals = bu._normal_subgroups_of(h)
             h_quotients = [
                 (z, _CosetGroup(h, z, lambda a, b: bu.MUL[a][b]),
-                 [u.join(p, 0, 0) for p in bu._perm_generators(z)])
+                 [u.join(p, 0, 0)
+                  for p in sorted(set(bu._s4_subgroups()[z]) - {bu.ID_PERM})])
                 for z in normals]
             for k_fields, quotients in k_groups:
                 for qk, r_gens, l_label in quotients:

@@ -353,10 +353,13 @@ def test_invariants_at_l_max_4_are_byte_identical(capsys, tmp_path):
 def test_invariants_unresolvable_mode_exits_one(capsys):
     code, _, err = run(capsys, "invariants", "--critical", "2,2")
     assert code == 1                       # largest critical: not isolatable
-    with pytest.raises(SystemExit) as info:
-        cli.main(["invariants", "--critical", "nonsense"])
-    assert info.value.code == 1
-    capsys.readouterr()
+    for bad in ("nonsense", "1,2,3"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["invariants", "--critical", bad])
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: argument --critical: expects 'j,l' with "
+                       "integers\n")
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +415,20 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "invariants", "--critical", "1,1")
     _, out2, _ = run(capsys, "invariants", "--critical", "1,1")
     assert out1 == out2
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed():
+    # the seed salts str hashes and with them set iteration order, which
+    # only a fresh process picks up
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "tetravib.cli", "report"],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_csv_rendering_flattens_keys(capsys):

@@ -564,6 +564,18 @@ def test_convergence_error_carries_diagnostics(eq, wave_class):
            d["newton_tol"]))
 
 
+def test_step_budget_error_names_the_last_target_tried(eq, breathing_class):
+    # three steps converge at 0.001, 0.006 and 0.011; the error names the
+    # last of them, not the 0.016 that was never tried
+    with pytest.raises(ConvergenceError) as info:
+        ob.continue_branch(BOND, breathing_class, 0, 1, steps=3,
+                           equilibrium=eq)
+    d = info.value.diagnostics
+    assert d["target"] == pytest.approx(0.011, abs=1e-15)
+    assert d["step"] == 0.005
+    assert "at target amplitude 0.011 (step 0.005)" in str(info.value)
+
+
 def test_constraint_rejects_continuous_class(u2):
     with pytest.raises(UsageError):
         ob.SymmetryConstraint(u2.unit, n_modes=4)
