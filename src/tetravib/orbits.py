@@ -223,6 +223,12 @@ class SymmetryConstraint:
     def collocation(self, ts):
         """D of shape (len(ts), 12, K): the loop of a reduced point x at
         times ts is D @ x, and its acceleration D @ (-modes**2 * x)."""
+        # The output bytes depend on D's memory layout, which concatenate
+        # picks: C order when every mode has one basis vector, as on
+        # (S4 x D1) and (S4^V4 x_D3 D3), and the (points, K, 12) transpose
+        # otherwise.  The products with D round differently in another
+        # layout: D in C order moves the other five report branches at
+        # round-off, and D transposed moves (S4^V4 x_D3 D3).
         ts = np.asarray(ts, dtype=float)[:, None, None]
         return np.concatenate(
             [np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:] if m
@@ -353,42 +359,48 @@ MAX_CONDITION = 1e6
 FIRST_STEP = 1e-3
 MAX_NEWTON = 25
 # The Jacobian's collocation rows are built in blocks of collocation points
-# that fill about this many bytes: the weighted acceleration block D * -(w m^2)
-# is added one block at a time, from a temporary of this size, rather than
-# stored whole beside D and the Jacobian.  Blocks of 4 to 55 points cost the
-# same at n_modes = 64; at 16 modes this budget keeps the system one block.
+# that fill about this many bytes, and J^T J and J^T F are summed over the
+# blocks from one reused buffer, so the whole Jacobian is never held.  A block
+# holds at least (n_red + 1) / 12 points, so that its product a^T a has at
+# least as many rows as columns: on (D3^Z1 x_D3 D3) at 256 modes the budget
+# alone gives blocks of 3 points, and a Newton step takes 441 ms against
+# 149 ms with the 65 points of that floor.  At n_modes = 64, blocks of 14 to
+# 55 points take 6.8 to 7.8 ms a step and blocks of 4 points 11.4 ms; at 16
+# modes this budget keeps the system one block.
 JACOBIAN_BLOCK_BYTES = 256 * 1024
 # The most Fourier modes a configuration may ask for.  The corrector's
 # arrays grow as n_modes^2 (on (Z1 x D1), the largest class, a process that
-# builds the corrector and takes one Newton step peaks at 66 MB at 64 modes
-# and at 400 MB at 256); far above, they would not fit in memory.
+# builds the corrector and takes one Newton step peaks at 55 MB at 64 modes
+# and at 321 MB at 256); far above, they would not fit in memory.
 MAX_N_MODES = 256
 
 
-def _normal_solve(a, b):
-    """Least-squares solution z of a @ z = b, from the Cholesky factor of
-    a.T @ a, and a condition estimate of a: the ratio of the largest to the
-    smallest diagonal entry of the factor.
+def _normal_solve(gram, rhs):
+    """Solution z of the normal equations gram @ z = rhs, where gram = a.T @ a
+    and rhs = a.T @ b for a least-squares problem a @ z = b, from the Cholesky
+    factor of gram, and a condition estimate of a: the ratio of the largest
+    to the smallest diagonal entry of the factor.
 
     z is None when the factorization fails, the estimate exceeds
     MAX_CONDITION or the solution is not finite.
     """
     with np.errstate(all="ignore"):
         try:
-            chol = np.linalg.cholesky(a.T @ a)
+            chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             return None, math.inf
         diag = np.abs(np.diagonal(chol))
         cond = float(diag.max() / diag.min())
         if not cond <= MAX_CONDITION:
             return None, cond
-        z = np.linalg.solve(chol.T, np.linalg.solve(chol, a.T @ b))
+        z = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     return (z if np.all(np.isfinite(z)) else None), cond
 
 
 class _NewtonSystem:
     """The corrector's least-squares system F(x, lam) = 0 in the reduced
-    coordinates x of a constraint, and its column-scaled Jacobian.
+    coordinates x of a constraint, and the normal equations of its
+    column-scaled Jacobian.
 
     Rows: the weighted collocation residual r = u'' + lam^2 grad V(u), then
     the amplitude row and three rotational gauge rows.  The class holds a
@@ -415,21 +427,23 @@ class _NewtonSystem:
                               / n_points)[:, None]
         self.D = constraint.collocation(_collocation_times(n_points)[k])
         self.n_red = n_red = self.D.shape[2]
-        self.n_c = n_c = 12 * k.size  # then the amplitude and gauge rows
+        self.n_c = 12 * k.size  # then the amplitude and gauge rows
         self.h1 = constraint.h1_weights()
         self.msq = msq = constraint.modes ** 2.0
-        # the weighted acceleration block is D times this factor, the same
-        # at every Newton step; it is formed one row block at a time
-        self.acc_factor = -(self.weight[:, :, None] * msq)
-        # collocation points per row block of the Jacobian
-        self.block = max(1, JACOBIAN_BLOCK_BYTES // (12 * 8 * (n_red + 1)))
+        # collocation points per row block of the Jacobian: the budget's
+        # worth, but enough that the block's 12 rows a point outnumber its
+        # n_red + 1 columns
+        self.block = min(k.size, max(
+            JACOBIAN_BLOCK_BYTES // (12 * 8 * (n_red + 1)),
+            -(-(n_red + 1) // 12)))
         # the Newton system is solved for S^-1 (dx, dlam): S scales the
         # column of mode m by (1 + m^2)^-1, which undoes the growth of the
         # acceleration block with m; the lambda column is left as it is
         self.col_scale = np.append(1.0 / (1.0 + msq), 1.0)
-        # the Jacobian is rebuilt in place, in this one array, at every
-        # Newton step; its amplitude row has no lambda entry, which stays zero
-        self.jac = np.zeros((n_c + 4, n_red + 1))
+        # the rows of one block of J S, rebuilt in place for every block at
+        # every Newton step; the amplitude and gauge rows follow the last
+        # block's rows.  One block makes this the whole Jacobian
+        self.buf = np.empty((12 * self.block + 4, n_red + 1))
 
         # rotational gauge rows: H^1 inner product with the constant rotation
         # tangents at the equilibrium (zero whenever, as for every class
@@ -461,26 +475,38 @@ class _NewtonSystem:
                             self.gauge[:, :-1] @ x])
         return f, u, g
 
-    def jacobian(self, x, lam, u, g):
-        """The column-scaled Jacobian J S at (x, lam), where residual gave
-        the loop u and the gradient g."""
-        jac, n_c, n_red, D = self.jac, self.n_c, self.n_red, self.D
-        rows = jac[:n_c].reshape(-1, 12, n_red + 1)
+    def normal_equations(self, x, lam, u, g, f):
+        """A^T A and A^T F for the column-scaled Jacobian A = J S at
+        (x, lam), where residual gave F, the loop u and the gradient g:
+        sums over the row blocks of A, each built in turn in self.buf."""
+        buf, n_red, D, msq = self.buf, self.n_red, self.D, self.msq
         weighted = (lam ** 2 * self.weight)[:, :, None] * hessian(
             self.potential, u)
         lam_col = 2.0 * lam * self.weight * g
-        for b in range(0, len(rows), self.block):
+        for b in range(0, len(D), self.block):
             blk = slice(b, b + self.block)
-            jac_b = rows[blk, :, :n_red]
-            np.matmul(weighted[blk], D[blk], out=jac_b)
-            jac_b += D[blk] * self.acc_factor[blk]
-            rows[blk, :, n_red] = lam_col[blk]
-            np.multiply(rows[blk], self.col_scale, out=rows[blk])
-        tail = jac[n_c:]
-        tail[0, :n_red] = self.h1 * (x - self.x0) / self.amplitude(x)
-        tail[1:] = self.gauge
-        np.multiply(tail, self.col_scale, out=tail)
-        return jac
+            n = len(D[blk])
+            rows = buf[:12 * n].reshape(n, 12, n_red + 1)
+            np.matmul(weighted[blk], D[blk], out=rows[:, :, :n_red])
+            # the weighted acceleration block, the same at every step
+            rows[:, :, :n_red] += D[blk] * -(self.weight[blk, :, None] * msq)
+            rows[:, :, n_red] = lam_col[blk]
+            last = b + n == len(D)
+            a = buf[:12 * n + 4 * last]
+            if last:
+                a[-4, :n_red] = self.h1 * (x - self.x0) / self.amplitude(x)
+                a[-4, n_red] = 0.0
+                a[-3:] = self.gauge
+            np.multiply(a, self.col_scale, out=a)
+            f_a = f[12 * b:12 * b + len(a)]
+            # an overflow leaves non-finite sums, which _normal_solve rejects
+            with np.errstate(all="ignore"):
+                if b:
+                    gram += a.T @ a
+                    rhs += a.T @ f_a
+                else:
+                    gram, rhs = a.T @ a, a.T @ f_a
+        return gram, rhs
 
 
 def check_branch_request(j: int, l: int, n_modes: int, steps: int) -> None:
@@ -532,9 +558,11 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     kdir = constraint.pack(FourierOrbit(kc, ks, lam0))
 
     def newton_step(x, lam, u, g, f):
-        """Gauss-Newton step from the column-scaled Jacobian, or None, and
-        the condition estimate of the scaled Jacobian."""
-        z, cond = _normal_solve(system.jacobian(x, lam, u, g), -f)
+        """Gauss-Newton step from the normal equations of the column-scaled
+        Jacobian, or None, and the condition estimate of the scaled
+        Jacobian."""
+        gram, rhs = system.normal_equations(x, lam, u, g, f)
+        z, cond = _normal_solve(gram, -rhs)
         return (None if z is None else z * system.col_scale), cond
 
     def correct(x, lam, target):
@@ -620,8 +648,9 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             raise stuck("continuation stalled")
         x, lam = _predict(history, target, x0, kdir, lam0)
     else:
-        raise stuck("branch did not reach amplitude %g in %d steps"
-                    % (target_amplitude, steps))
+        raise stuck("branch did not reach amplitude %g in %d steps of at "
+                    "most step_size = %g" % (target_amplitude, steps,
+                                             step_size))
     return Branch(klass=klass, j=j, l=l, points=tuple(points), orbit=orbit)
 
 

@@ -631,6 +631,22 @@ def test_truncation_floor_is_reported(capsys, tmp_path):
     assert 1e-11 <= least < 2e-11          # stalled right at the floor
 
 
+def test_step_budget_message_names_step_size(capsys, tmp_path):
+    # 40 converged steps of 0.005 end near 0.196, short of 0.5: the one
+    # line names the key that would carry the branch further, and its value
+    cfg = tmp_path / "far.toml"
+    cfg.write_text("[analysis]\ntarget_amplitude = 0.5\n")
+    code, out, err = run(capsys, "--config", str(cfg), "branch", "--class",
+                         "(S4 x D1)", "--j", "0", "--l", "1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "non-convergence: branch did not reach amplitude 0.5 in 40 steps of "
+        "at most step_size = 0.005 on class (S4 x D1) at target amplitude "
+        "0.196 (step 0.005): smallest collocation residual ")
+
+
 def test_fold_cover_fault_exits_three(capsys, monkeypatch):
     def broken(self, kl, k):
         raise bu.InternalError("fold cover has wrong order (resolution?)")

@@ -257,6 +257,25 @@ def test_collocation_model_matches_fourier_loop(request, eq, which):
             ob.amplitude(orbit, u_o), rel=1e-13)
 
 
+def test_collocation_layout_of_the_default_families(u2, eq):
+    # the report bytes depend on the memory layout of D (see
+    # SymmetryConstraint.collocation): C order where every mode has one
+    # basis vector, the (points, K, 12) transpose on the other classes
+    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    assert len(families) == 7
+    for fam in families:
+        con = ob.SymmetryConstraint(fam.klass, 16)
+        D = ob._NewtonSystem(BOND, con, eq, 65).D
+        name = fam.klass.printed_form()
+        n_red = D.shape[2]
+        if name in ("(S4 x D1)", "(S4^V4 x_D3 D3)"):
+            assert set(con.fixed_dims()) == {1}, name
+            assert D.strides == (96 * n_red, 8 * n_red, 8), name
+        else:
+            assert max(con.fixed_dims()) > 1, name
+            assert D.strides == (96 * n_red, 8, 96), name
+
+
 # the default families whose mode-0 fixed space holds a translation
 TRANSLATING = ["(D3^Z1 x_D3 D3)", "(D3 x D1)", "(D2^D1 x_Z2 D2)"]
 
@@ -292,7 +311,22 @@ def test_newton_system_size_at_64_modes(u2, eq):
     con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
     assert con.modes.size == 194
     system = ob._NewtonSystem(BOND, con, eq, 257)
-    assert system.jac.shape == (1552, 195)
+    assert (system.n_c + 4, system.n_red + 1) == (1552, 195)
+    # the normal equations are 195 x 195, summed over blocks of 17 points,
+    # the fewest whose 204 rows outnumber the 195 columns
+    x = system.x0 + 1e-3 * con.pack(_random_orbit(64))
+    f, u, g = system.residual(x, 0.5, 0.0)
+    gram, rhs = system.normal_equations(x, 0.5, u, g, f)
+    assert gram.shape == (195, 195) and rhs.shape == (195,)
+    assert system.block == 17 and system.buf.shape == (12 * 17 + 4, 195)
+
+
+def _tail_rows(system, x):
+    """The amplitude row and the three gauge rows of J S at x."""
+    tail = np.zeros((4, system.n_red + 1))
+    tail[0, :-1] = system.h1 * (x - system.x0) / system.amplitude(x)
+    tail[1:] = system.gauge
+    return tail * system.col_scale
 
 
 def _full_grid_system(system, con, x, lam, target, n_points):
@@ -300,8 +334,7 @@ def _full_grid_system(system, con, x, lam, target, n_points):
     1/sqrt(n_points), assembled here from the Fourier loop, and the RMS
     size of the loop's acceleration; the amplitude and gauge rows are the
     half-grid system's own."""
-    f_half, u_half, g_half = system.residual(x, lam, target)
-    tail = system.jacobian(x, lam, u_half, g_half)[system.n_c:].copy()
+    f_half = system.residual(x, lam, target)[0]
     ts = ob._collocation_times(n_points)
     orbit = con.unpack(x, lam)
     u = orbit.evaluate(ts).reshape(-1, 4, 3)
@@ -312,7 +345,7 @@ def _full_grid_system(system, con, x, lam, target, n_points):
     jac_c = w * (lam ** 2 * np.matmul(hessian(BOND, u), D) - D * msq)
     lam_col = (w * 2.0 * lam * g).reshape(-1, 1)
     jac = np.vstack([np.hstack([jac_c.reshape(-1, msq.size), lam_col])
-                     * system.col_scale, tail])
+                     * system.col_scale, _tail_rows(system, x)])
     acc = orbit.acceleration(ts)
     f = np.concatenate([w * (acc + lam ** 2 * g).ravel(),
                         f_half[system.n_c:]])
@@ -347,13 +380,13 @@ def test_half_grid_matches_full_grid(u2, eq, n_points):
                                       branch.final_lam)):
             target = system.amplitude(x)
             f, u, g = system.residual(x, lam, target)
-            a = system.jacobian(x, lam, u, g)
+            gram_half, rhs_half = system.normal_equations(x, lam, u, g, f)
             a_full, f_full, scale = _full_grid_system(system, con, x, lam,
                                                       target, n_points)
             gram = a_full.T @ a_full
-            assert np.linalg.norm(a.T @ a - gram) < 1e-12 * np.linalg.norm(
+            assert np.linalg.norm(gram_half - gram) < 1e-12 * np.linalg.norm(
                 gram), name
-            assert np.linalg.norm(a.T @ f - a_full.T @ f_full) < (
+            assert np.linalg.norm(rhs_half - a_full.T @ f_full) < (
                 1e-12 * np.linalg.norm(a_full) * scale), name
             assert abs(np.linalg.norm(f[:system.n_c])
                        - np.linalg.norm(f_full[:-4])) < 1e-12 * scale, name
@@ -362,50 +395,66 @@ def test_half_grid_matches_full_grid(u2, eq, n_points):
 def _whole_array_jacobian(system, x, lam, u, g):
     """J S from the whole-array formula: every collocation row in one
     product, plus the weighted acceleration block D * -(w m^2) formed whole,
-    then the lambda column, the amplitude and gauge rows and the scale."""
+    then the lambda column and the scale, and the scaled amplitude and gauge
+    rows."""
     n_c, n_red = system.n_c, system.n_red
-    jac = np.zeros_like(system.jac)
+    jac = np.zeros((n_c + 4, n_red + 1))
     jac_c = jac[:n_c].reshape(-1, 12, n_red + 1)[:, :, :n_red]
     np.matmul((lam ** 2 * system.weight)[:, :, None] * hessian(BOND, u),
               system.D, out=jac_c)
     jac_c += system.D * -(system.weight[:, :, None] * system.msq)
     jac[:n_c, n_red] = (2.0 * lam * system.weight * g).ravel()
-    jac[n_c, :n_red] = system.h1 * (x - system.x0) / system.amplitude(x)
-    jac[n_c + 1:] = system.gauge
-    np.multiply(jac, system.col_scale, out=jac)
+    np.multiply(jac[:n_c], system.col_scale, out=jac[:n_c])
+    jac[n_c:] = _tail_rows(system, x)
     return jac
 
 
-def _assert_block_jacobian_exact(system, lam, name):
-    # two points in turn on one system: at the second, the Jacobian's buffer
-    # already holds the first point's values
+def _assert_block_sums_exact(system, lam, name):
+    """J^T J and J^T F summed over row blocks against the products of the
+    whole-array Jacobian: bitwise equal when one block covers the system,
+    and to 1e-14 relative otherwise (measured: 1.8e-15 at most).  The rows the
+    buffer holds at the end, the last block's and the four tail rows, are
+    those of the whole array, bitwise."""
+    # two points in turn on one system: at the second, the buffer already
+    # holds the first point's values
+    n_half = system.n_c // 12
+    last = 12 * (n_half - (n_half - 1) // system.block * system.block) + 4
     rng = np.random.default_rng(7)
     for _ in range(2):
         x = system.x0 + 1e-2 * rng.standard_normal(system.n_red)
         f, u, g = system.residual(x, lam, 0.0)
         want = _whole_array_jacobian(system, x, lam, u, g)
-        assert np.array_equal(system.jacobian(x, lam, u, g), want), name
+        gram, rhs = system.normal_equations(x, lam, u, g, f)
+        assert np.array_equal(system.buf[:last], want[-last:]), name
+        for got, exact in ((gram, want.T @ want), (rhs, want.T @ f)):
+            if system.block >= n_half:
+                assert np.array_equal(got, exact), name
+            else:
+                assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(
+                    np.abs(exact)), name
 
 
-@pytest.mark.parametrize("one_point_blocks", [False, True])
+@pytest.mark.parametrize("one_byte_budget", [False, True])
 def test_block_jacobian_equals_the_whole_array_formula(u2, eq, monkeypatch,
-                                                       one_point_blocks):
+                                                       one_byte_budget):
     # every family of the default report at n_modes 16, where the default
-    # budget makes the collocation rows one block, and with one collocation
-    # point per block
-    if one_point_blocks:
+    # budget makes the collocation rows one block, and with a budget of one
+    # byte, which leaves blocks of the fewest points whose rows outnumber
+    # the columns
+    if one_byte_budget:
         monkeypatch.setattr(ob, "JACOBIAN_BLOCK_BYTES", 1)
     families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
     assert len(families) == 7
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
         system = ob._NewtonSystem(BOND, con, eq, 65)
-        if one_point_blocks:
-            assert system.block == 1
+        if one_byte_budget:
+            assert system.block == -(-(system.n_red + 1) // 12) < 33
         else:
-            assert system.block >= system.n_c // 12 == 33
-        _assert_block_jacobian_exact(system, fam.l / math.sqrt(eq.mu[fam.j]),
-                                     fam.klass.printed_form())
+            assert system.block == system.n_c // 12 == 33
+            assert system.buf.shape == (system.n_c + 4, system.n_red + 1)
+        _assert_block_sums_exact(system, fam.l / math.sqrt(eq.mu[fam.j]),
+                                 fam.klass.printed_form())
 
 
 def test_block_jacobian_is_exact_with_a_short_last_block(u2, eq):
@@ -413,14 +462,15 @@ def test_block_jacobian_is_exact_with_a_short_last_block(u2, eq):
     system = ob._NewtonSystem(BOND, con, eq, 257)
     n_half = system.n_c // 12
     assert system.block < n_half and n_half % system.block
-    _assert_block_jacobian_exact(system, 1.0 / math.sqrt(eq.mu[1]),
-                                 "(D3^Z1 x_D3 D3)")
+    _assert_block_sums_exact(system, 1.0 / math.sqrt(eq.mu[1]),
+                             "(D3^Z1 x_D3 D3)")
 
 
 def test_newton_system_holds_only_D_and_the_jacobian(u2, eq):
-    # at n_modes 64 the collocation matrix D and the Jacobian are 2.4 MB
-    # each; the system holds nothing else of their size, and a Jacobian
-    # builds in place with no temporary of their size
+    # at n_modes 64 the collocation matrix D is 2.4 MB, as the whole
+    # Jacobian would be; the system holds nothing else of their size, only
+    # the 0.3 MB buffer of one row block, and the normal equations build
+    # with no temporary of their size
     con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
     tracemalloc.start()
     try:
@@ -431,11 +481,11 @@ def test_newton_system_holds_only_D_and_the_jacobian(u2, eq):
         lam = 1.0 / math.sqrt(eq.mu[1])
         f, u, g = system.residual(x, lam, 0.0)
         tracemalloc.reset_peak()
-        system.jacobian(x, lam, u, g)
+        system.normal_equations(x, lam, u, g, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held < system.D.nbytes + system.jac.nbytes + 2 ** 19
+    assert held < system.D.nbytes + 2 ** 19
     assert peak < held + 2 ** 20
 
 
@@ -488,8 +538,9 @@ def test_reflection_off_angle_zero_is_an_internal_error(eq, breathing_class,
 
 def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
     # every Newton system of every default family at n_modes = 16: the
-    # column-scaled Jacobian keeps its smallest singular value well clear of
-    # zero (largest measured condition number 4.9e3, on (S4^V4 x_D3 D3); the
+    # column-scaled Jacobian keeps its smallest singular value, the square
+    # root of the normal matrix's smallest eigenvalue, well clear of zero
+    # (largest measured condition number 4.9e3, on (S4^V4 x_D3 D3); the
     # half grid and the translation-free bases leave every family's
     # largest value unchanged to 1e-12 relative).  A screened term is
     # added because the bare bond potential makes the breathing branch
@@ -499,9 +550,9 @@ def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
     seen = []
     solve = ob._normal_solve
 
-    def spy(a, b):
-        seen.append(np.linalg.svd(a, compute_uv=False))
-        return solve(a, b)
+    def spy(gram, rhs):
+        seen.append(np.linalg.eigvalsh(gram))
+        return solve(gram, rhs)
 
     monkeypatch.setattr(ob, "_normal_solve", spy)
     families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
@@ -511,9 +562,9 @@ def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
         ob.continue_branch(potential, fam.klass, fam.j, fam.l, n_modes=16,
                            equilibrium=eq)
         assert seen, fam.klass.printed_form()
-        for sv in seen:
-            assert sv[-1] > 0.0 and sv[0] / sv[-1] < 1e5, (
-                fam.klass.printed_form(), sv[0] / sv[-1])
+        for ev in seen:
+            assert ev[0] > 0.0 and math.sqrt(ev[-1] / ev[0]) < 1e5, (
+                fam.klass.printed_form(), math.sqrt(ev[-1] / ev[0]))
 
 
 _ONES = np.ones(6)
@@ -528,7 +579,7 @@ _NAN_AT_0 = np.where(np.arange(6) == 0, np.nan, 1.0)
     (np.eye(6)[:, :3], _NAN_AT_0, True),    # well posed, but no finite step
 ])
 def test_normal_solve_reports_failure(a, b, trusted):
-    z, cond = ob._normal_solve(a, b)
+    z, cond = ob._normal_solve(a.T @ a, a.T @ b)
     assert z is None
     assert (cond <= ob.MAX_CONDITION) == trusted
 
@@ -537,7 +588,7 @@ def test_normal_solve_matches_least_squares():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((40, 6))
     b = rng.standard_normal(40)
-    z, cond = ob._normal_solve(a, b)
+    z, cond = ob._normal_solve(a.T @ a, a.T @ b)
     want = np.linalg.lstsq(a, b, rcond=None)[0]
     assert np.max(np.abs(z - want)) < 1e-12
     assert 1.0 <= cond < 10.0
