@@ -34,13 +34,15 @@ the quotient isomorphism assigns to pZ, plus (z, 1) for generators z of Z
 and (1, r) for generators r of R.  A subgroup maps into a conjugate of a
 finite class exactly when some conjugator maps every generator into it.
 
-The universe is built in batched passes: every Goursat candidate is listed
-once, with its codes formed by array arithmetic over the cosets of Z and R;
-one array pass gives all of them their bucket keys (a conjugacy invariant);
-then conjugacy is resolved in rounds, one kernel call per round testing each
-pending candidate against the classes of its bucket.  Classes are numbered
-in listing order, continuous shapes in their place, as a one-by-one build
-would number them.
+The universe is built one S4 subgroup H at a time.  Conjugating a subgroup
+by (g, .) conjugates its H by g, and H runs over one subgroup per
+S4-conjugacy class, so no class spans two H.  Each H's Goursat candidates
+are listed once, with their codes formed by array arithmetic over the
+cosets of Z and R; one array pass gives them their bucket keys (a conjugacy
+invariant); then their conjugacy is resolved in rounds, one kernel call per
+round testing each pending candidate against the classes of its bucket.
+H's founders are numbered in listing order and its new continuous shapes
+after them, as a one-by-one build would number them.
 
 One numpy kernel runs the conjugator test for many subgroups at once: the
 table of marks is built column by column, one pass over all finite classes
@@ -695,14 +697,18 @@ class Universe:
         return out
 
     def _enumerate(self):
-        """List every Goursat candidate, with the continuous shapes in their
-        place; key all candidates in one array pass; resolve conjugacy in
-        batched rounds; then number the classes in listing order."""
+        """Number the classes one S4 subgroup H at a time: list H's Goursat
+        candidates, key them in one array pass and resolve their conjugacy
+        in batched rounds; number H's founders in listing order, then H's
+        new continuous shapes.  Conjugating by (g, .) conjugates H by g, and
+        H runs over one subgroup per S4-conjugacy class, so no class spans
+        two H, and the candidates of all H are never held at once."""
         n2 = 2 * self.N
         k_groups = self._k_groups()
-        codes, gens, fields = [], [], []
-        events = []     # candidate positions, and (kind, H, rot, refl)
         pairs = _s4_subgroups()
+        # (rot, refl) fixes a continuous shape, so it is new unless its pair
+        # is S4-conjugate to one already numbered
+        shapes = set()
         for s4c in enumerate_s4_subgroups():
             h = s4c.representative
             normals = _normal_subgroups_of(h)
@@ -719,6 +725,7 @@ class Universe:
                     [self.join(p, 0, 0)
                      for p in sorted(set(pairs[z]) - {ID_PERM})],
                     dict(H_label=s4c.label, Z_label=s4_subgroup_label(z))))
+            codes, gens, fields = [], [], []
             for k_fields, quotients in k_groups:
                 for qk, r_gens, l_label in quotients:
                     for qh, ph, h_gens, h_lifts, z_gens, hz in h_quotients:
@@ -738,29 +745,20 @@ class Universe:
                         gens += [g + z_gens + r_gens for g in lifts.tolist()]
                         fields += [dict(L_label=l_label, **hz, **k_fields)
                                    ] * len(iso)
-                        events += range(len(codes) - len(iso), len(codes))
+            candidates, keys = self._candidates(codes, gens, fields)
+            found = self._resolve(candidates, keys, {})
+            for c, f, key in zip(candidates, found, keys):
+                if f is c:
+                    self.classes.append(self._finite(c))
+                    self._lookup.setdefault(key, []).append(self.classes[-1])
             # continuous K: H x O(2), H x SO(2), H ^Z x_Z2 O(2), each by
             # its rotation and reflection permutations
-            events += [("o2", h, h, h), ("so2", h, h, frozenset())]
-            events += [("o2z2", h, z, h - z) for z in normals
-                       if len(h) == 2 * len(z)]
-        candidates, keys = self._candidates(codes, gens, fields)
-        found = self._resolve(candidates, keys, {})
-        # (rot, refl) fixes a continuous shape, so it is new unless its pair
-        # is S4-conjugate to one already numbered
-        shapes = set()
-        for event in events:
-            if isinstance(event, tuple):
-                if event[2:] in shapes:
-                    continue
-                shapes |= _s4_conjugate_pairs(*event[2:])
-                kl = self._continuous(*event)
-            elif found[event] is candidates[event]:
-                kl = self._finite(candidates[event])
-                self._lookup.setdefault(keys[event], []).append(kl)
-            else:
-                continue
-            self.classes.append(kl)
+            for kind, rot, refl in [("o2", h, h), ("so2", h, frozenset())] + [
+                    ("o2z2", z, h - z) for z in normals
+                    if len(h) == 2 * len(z)]:
+                if (rot, refl) not in shapes:
+                    shapes |= _s4_conjugate_pairs(rot, refl)
+                    self.classes.append(self._continuous(kind, h, rot, refl))
 
     def _finite(self, c):
         """The next class, founded by the candidate c."""

@@ -127,6 +127,10 @@ BRANCHES = [
 INVARIANTS_L4_SHA256 = (
     "b1ff3be00c19647c73f4c11b97977d8c346a1917e457a8ac23637bac9ed15479")
 
+# the same at `[analysis] l_max = 8`
+INVARIANTS_L8_SHA256 = (
+    "8c3d22a8b263803b5fbeb71a48889cb8fd8e59a3604358465901b8f51b584ed4")
+
 
 def lookup(universe, h, z, r, l_label, k_order):
     """Resolve one golden tuple to the universe's class object."""

@@ -139,7 +139,8 @@ def test_universe_census(l_max, census):
 
 @pytest.mark.parametrize("l_max, digest", [
     (2, "29abb57c8934c270d758996ba74911435eda1f8f14d523deb8da303042cd0dde"),
-    (4, "83e404d1b2a7cbcbf696b1f1fdc17676100653688c6075b75808047acce425ee")])
+    (4, "83e404d1b2a7cbcbf696b1f1fdc17676100653688c6075b75808047acce425ee"),
+    (8, "84800efe0d6f45e8f1ac1f91ab319dbdd352576bba6b490722e4924950658851")])
 def test_class_list_order_and_generators_are_pinned(l_max, digest):
     # the enumeration order fixes class indices and generators; a change
     # in how the Goursat loops run must leave both alone
@@ -179,12 +180,13 @@ def _counting_kernel(monkeypatch):
 
 
 def test_universe_build_makes_one_kernel_call_per_round(monkeypatch):
-    # at l_max 2 every bucket holds one class, so one round resolves all
-    # 130 candidates that are not the first of their bucket in one call
+    # at l_max 2 every bucket holds one class, so one round per S4 subgroup
+    # H resolves all of H's candidates that are not the first of their
+    # bucket in one call; H with no such candidate make no call
     orders = bu.universe_for_modes([1, 2]).orders
     calls = _counting_kernel(monkeypatch)
     u = bu.Universe(orders)
-    assert calls == [130]
+    assert calls == [2, 30, 48, 2, 10, 26, 2, 10]
     assert _class_fields(u) == _class_fields(bu.universe_for_modes([1, 2]))
 
 
@@ -275,7 +277,9 @@ def test_class_stores_its_elements_once_as_a_sorted_read_only_array(l_max):
 
 
 def test_universe_at_l_max_8_holds_under_5_mib():
-    # orders that for_orders has not built yet, so the build is measured
+    # orders that for_orders has not built yet, so the build is measured;
+    # resolving the Goursat candidates one S4 subgroup at a time bounds
+    # the build's peak
     orders = bu._divisor_closure(bu._mode_orders(range(1, 9)))
     gc.collect()
     tracemalloc.start()
@@ -283,11 +287,12 @@ def test_universe_at_l_max_8_holds_under_5_mib():
         base = tracemalloc.get_traced_memory()[0]
         u = bu.Universe(orders)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - base
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert len(u.classes) == 1105
     assert held < 5 * 2 ** 20, "%.2f MiB" % (held / 2 ** 20)
+    assert peak < 7 * 2 ** 20, "%.2f MiB" % (peak / 2 ** 20)
 
 
 def test_name_round_trip_every_class(u12):

@@ -19,7 +19,7 @@ import tetravib.burnside as bu
 import tetravib.grouprep as gr
 from tetravib import cli, orbits
 
-from _golden import BRANCHES, INVARIANTS_L4_SHA256
+from _golden import BRANCHES, INVARIANTS_L4_SHA256, INVARIANTS_L8_SHA256
 
 
 def run(capsys, *argv):
@@ -342,12 +342,14 @@ def test_invariants_full_run_lists_seven_families(capsys):
         assert u.parse_class(f["canonical"]).printed_form() == f["class"]
 
 
-def test_invariants_at_l_max_4_are_byte_identical(capsys, tmp_path):
-    cfg = tmp_path / "l4.toml"
-    cfg.write_text("[analysis]\nl_max = 4\n")
+@pytest.mark.parametrize("l_max", [4, 8])
+def test_invariants_are_byte_identical(capsys, tmp_path, l_max):
+    cfg = tmp_path / "l.toml"
+    cfg.write_text("[analysis]\nl_max = %d\n" % l_max)
     code, out, err = run(capsys, "--config", str(cfg), "invariants")
     assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == INVARIANTS_L4_SHA256
+    digest = {4: INVARIANTS_L4_SHA256, 8: INVARIANTS_L8_SHA256}[l_max]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_invariants_unresolvable_mode_exits_one(capsys):
