@@ -34,15 +34,15 @@ the quotient isomorphism assigns to pZ, plus (z, 1) for generators z of Z
 and (1, r) for generators r of R.  A subgroup maps into a conjugate of a
 finite class exactly when some conjugator maps every generator into it.
 
-The universe is built one S4 subgroup H at a time.  Conjugating a subgroup
-by (g, .) conjugates its H by g, and H runs over one subgroup per
-S4-conjugacy class, so no class spans two H.  Each H's Goursat candidates
+The universe is built one S4 subgroup H at a time, and each class is
+founded by the first Goursat candidate of its name.  Each H's candidates
 are listed once, with their codes formed by array arithmetic over the
-cosets of Z and R; one array pass gives them their bucket keys (a conjugacy
-invariant); then their conjugacy is resolved in rounds, one kernel call per
-round testing each pending candidate against the classes of its bucket.
-H's founders are numbered in listing order and its new continuous shapes
-after them, as a one-by-one build would number them.
+cosets of Z and R, and one array pass reads off the permutations paired
+with rotations, whose label is the R of the name H ^Z_R x_L K.  That name
+is a conjugacy invariant and names each conjugacy class once, so no
+conjugator is searched for: H's founders are numbered in listing order and
+its new continuous shapes after them.  The k-fold cover of O(2) keeps the
+name but for K's order, so fold covers are found by name as well.
 
 One numpy kernel runs the conjugator test for many subgroups at once: the
 table of marks is built column by column, one pass over all finite classes
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -447,24 +447,6 @@ def _perm_set(mask):
     return frozenset(p for p in range(24) if mask >> p & 1)
 
 
-@dataclass(eq=False)
-class _Candidate:
-    """A finite subgroup to classify, with the attributes the conjugator
-    kernel reads of a high: sorted codes, generators, rotation and
-    reflection permutations; and the naming fields of the class it founds
-    when none holds a conjugate of it (None: one must)."""
-
-    codes: np.ndarray
-    gens: list
-    rot_perms: frozenset
-    refl_perms: frozenset
-    fields: dict
-
-    @property
-    def order(self):
-        return len(self.codes)
-
-
 class Universe:
     """All conjugacy classes of closed subgroups of S4 x O(2) whose O(2)
     projection is dihedral of an order in `orders` (plus cyclic projections
@@ -476,7 +458,6 @@ class Universe:
         self.orders = _divisor_closure(orders)
         self.N = math.lcm(*self.orders)
         self.classes = []
-        self._lookup = {}          # bucket key -> its finite classes
         self._columns = {}         # class index -> column of the table
         self._dims_memo = {}       # l -> fixed-point dims of every j
         self._name_index = {}
@@ -528,7 +509,7 @@ class Universe:
         a reflection h only f = 0 is listed: t -> h t maps the hits with
         f = 0 one to one onto those with f = 1 (h commutes with the central
         half turn pairing the two group elements of a triple), so they count
-        twice.  Cyclic highs, met in `classify`, get f = 1 listed.
+        twice.  Cyclic highs, met in `_normalizers`, get f = 1 listed.
         Generators are tested one at a time, on the survivors."""
         n, many = self.N, len(highs) > 1
         slot = (np.arange if many else np.zeros)(len(rows.order), dtype=int)
@@ -583,84 +564,6 @@ class Universe:
             hits += np.bincount(rr, minlength=len(rows.order))
         return hits * np.where(rows.has_refl, 1, n) * (1 + (h_refl != 0))
 
-    def _bucket_keys(self, p, kind, k, sizes):
-        """A conjugacy invariant of each subgroup, from one pass over the
-        (permutation, kind, k) arrays of all their elements, `sizes[i]` of
-        them for the i-th: the sorted (permutation class, kind, rotation
-        angle up to sign) of its elements, as bytes."""
-        rot = np.where(kind == 0, np.minimum(k, (self.N - k) % self.N), -1)
-        value = (PERM_CLASS[p] * 2 + kind) * (self.N + 1) + rot + 1
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        text = value[np.lexsort((value, owner))].tobytes()
-        ends = np.cumsum(sizes).tolist()
-        return [text[8 * a:8 * b] for a, b in zip([0] + ends, ends)]
-
-    def _candidates(self, codes, gens, fields):
-        """Subgroups to classify from their code arrays, generator
-        lists and naming fields, and their bucket keys, in one array pass
-        over all their elements."""
-        sizes = [len(c) for c in codes]
-        p, kind, k = self.split(np.concatenate(codes))
-        starts = np.cumsum(sizes) - sizes
-        bit = np.left_shift(1, p)
-        rot, refl = (np.bitwise_or.reduceat(np.where(kind == f, bit, 0),
-                                            starts).tolist() for f in (0, 1))
-        return ([_Candidate(*c) for c in zip(codes, gens, map(_perm_set, rot),
-                                             map(_perm_set, refl), fields)],
-                self._bucket_keys(p, kind, k, sizes))
-
-    def _resolve(self, candidates, keys, known):
-        """The class of every candidate, or the candidate itself when it
-        founds one.  `known` maps bucket keys to their classes so far, and
-        each founder joins its bucket's list.
-
-        Conjugacy is decided in rounds.  In each round the first pending
-        candidate of a bucket that has met all of the bucket's classes
-        founds a new one (InternalError if it has no naming fields).  Then
-        one kernel call tests every pending candidate against each class of
-        its bucket that it has not met yet and that has its order: it is
-        conjugate to such a class exactly when some conjugator maps it
-        inside.  Conjugacy is an equivalence relation and the classes of a
-        bucket are pairwise not conjugate, so this gives what classifying
-        one candidate at a time in list order gives."""
-        found, met, queues = [None] * len(candidates), [0] * len(keys), {}
-        for i, key in enumerate(keys):
-            queues.setdefault(key, []).append(i)
-        while queues:
-            pairs = []
-            for key, queue in queues.items():
-                first = queue[0]
-                if met[first] == len(known.get(key, ())):
-                    if candidates[first].fields is None:
-                        raise InternalError("subgroup does not match any "
-                                            "class")
-                    found[first] = candidates[first]
-                    known.setdefault(key, []).append(found[first])
-                highs = known[key]
-                for i in queue:
-                    if found[i] is None:
-                        pairs += [(i, h) for h in highs[met[i]:]
-                                  if h.order == candidates[i].order]
-                        met[i] = len(highs)
-            if pairs:
-                hits = self._conjugator_counts(
-                    _Rows(self, [candidates[i] for i, _ in pairs]),
-                    [h for _, h in pairs])
-                for (i, h), hit in zip(pairs, hits):
-                    if hit and found[i] is None:
-                        found[i] = h
-            queues = {key: rest for key, queue in queues.items()
-                      if (rest := [i for i in queue if found[i] is None])}
-        return found
-
-    def classify(self, codes, gens):
-        """The class holding a conjugate of the finite subgroup with element
-        codes `codes` generated by the codes `gens`: the one-candidate call
-        of `_resolve`, which raises InternalError when no class does."""
-        candidates, keys = self._candidates(
-            [np.sort(np.fromiter(codes, np.int64))], [list(gens)], [None])
-        return self._resolve(candidates, keys, self._lookup)[0]
-
     # -- enumeration ---------------------------------------------------------
 
     def _k_groups(self):
@@ -697,12 +600,19 @@ class Universe:
         return out
 
     def _enumerate(self):
-        """Number the classes one S4 subgroup H at a time: list H's Goursat
-        candidates, key them in one array pass and resolve their conjugacy
-        in batched rounds; number H's founders in listing order, then H's
-        new continuous shapes.  Conjugating by (g, .) conjugates H by g, and
-        H runs over one subgroup per S4-conjugacy class, so no class spans
-        two H, and the candidates of all H are never held at once."""
+        """Number the classes one S4 subgroup H at a time: H's finite
+        classes in listing order, then H's new continuous shapes.
+
+        A finite candidate's name is its canonical form less H: the labels
+        of Z, of the permutations paired with rotations (read off its
+        codes) and of L, K's kind and K's order.  Conjugating by (g, o)
+        conjugates H, Z and those permutations by g and K by o, so the name
+        is a conjugacy invariant; the amalgam notation names each conjugacy
+        class once (Balanov, Krawcewicz and Steinlein, Applied Equivariant
+        Degree, 2006), so candidates of one name are conjugate.  The first
+        candidate of each name founds its class and the others are passed
+        over.  H runs over one subgroup per S4-conjugacy class, so no class
+        spans two H, and the candidates of all H are never held at once."""
         n2 = 2 * self.N
         k_groups = self._k_groups()
         pairs = _s4_subgroups()
@@ -745,12 +655,23 @@ class Universe:
                         gens += [g + z_gens + r_gens for g in lifts.tolist()]
                         fields += [dict(L_label=l_label, **hz, **k_fields)
                                    ] * len(iso)
-            candidates, keys = self._candidates(codes, gens, fields)
-            found = self._resolve(candidates, keys, {})
-            for c, f, key in zip(candidates, found, keys):
-                if f is c:
-                    self.classes.append(self._finite(c))
-                    self._lookup.setdefault(key, []).append(self.classes[-1])
+            # the permutations paired with rotations and with reflections,
+            # as 24-bit masks, in one pass over every candidate's codes
+            sizes = [len(c) for c in codes]
+            p, kind, _ = self.split(np.concatenate(codes))
+            bit = np.left_shift(1, p)
+            masks = zip(*(np.bitwise_or.reduceat(np.where(kind == f, bit, 0),
+                                                 np.cumsum(sizes) - sizes
+                                                 ).tolist() for f in (0, 1)))
+            names = set()
+            for c, g, f, (r, s) in zip(codes, gens, fields, masks):
+                r_label = s4_subgroup_label(_perm_set(r))
+                name = (f["Z_label"], r_label, f["L_label"], f["K_kind"],
+                        f["K_order"])
+                if name not in names:
+                    names.add(name)
+                    self.classes.append(self._finite(
+                        c, g, r, s, dict(f, R_label=r_label)))
             # continuous K: H x O(2), H x SO(2), H ^Z x_Z2 O(2), each by
             # its rotation and reflection permutations
             for kind, rot, refl in [("o2", h, h), ("so2", h, frozenset())] + [
@@ -760,15 +681,16 @@ class Universe:
                     shapes |= _s4_conjugate_pairs(rot, refl)
                     self.classes.append(self._continuous(kind, h, rot, refl))
 
-    def _finite(self, c):
-        """The next class, founded by the candidate c."""
-        codes = c.codes.copy()          # not a view holding its whole block
+    def _finite(self, codes, gens, rot, refl, fields):
+        """The next class, founded by the candidate with sorted `codes`,
+        generators `gens`, rotation and reflection permutation masks `rot`
+        and `refl`, and naming `fields`."""
+        codes = codes.copy()            # not a view holding its whole block
         codes.flags.writeable = False
         return AmalgamClass(
             universe=self, index=len(self.classes), codes=codes,
-            rot_perms=c.rot_perms, refl_perms=c.refl_perms,
-            R_label=s4_subgroup_label(c.rot_perms), gens=tuple(c.gens),
-            **c.fields)
+            rot_perms=_perm_set(rot), refl_perms=_perm_set(refl),
+            gens=tuple(gens), **fields)
 
     def _continuous(self, kind, h_set, rot, refl):
         """The next class, of continuous shape `kind`."""
@@ -789,7 +711,10 @@ class Universe:
             idx for members in sig.values() if len(members) > 1
             for idx in members}
         for kl in self.classes:
-            self._name_index[kl.canonical_form()] = kl
+            name = kl.canonical_form()
+            if name in self._name_index:
+                raise InternalError("two classes are named %s" % name)
+            self._name_index[name] = kl
             self._name_index.setdefault(kl.printed_form(), kl)
 
     def _needs_r(self, kl):
@@ -996,10 +921,24 @@ class Universe:
                                self.from_marks(self.degree_marks([(j, l)])))
 
     def fold_cover(self, kl: AmalgamClass, k: int) -> AmalgamClass:
-        """Class of the preimage under the k-fold cover of O(2); it has
-        K-order multiplied by k (used by the mode-doubling independence
-        check)."""
-        return self.classify(*self._fold_preimage(kl, k))
+        """Class of the preimage of kl under the k-fold cover of O(2) (used
+        by the mode-doubling independence check).
+
+        The cover keeps H, Z, L and the permutations paired with rotations
+        and multiplies K's order by k, so the preimage is named like kl
+        with K order k K_order.  It pulls K = D_d or Z_d on the grid back
+        to D_kd or Z_kd, and the kernel of K -> L back to a kernel whose
+        cosets are numbered alike, so the preimage of kl's founder is the
+        first candidate of the new name and founds its class.
+        InternalError unless that class exists and its codes are the
+        preimage's."""
+        codes, _ = self._fold_preimage(kl, k)
+        cover = self._name_index.get(
+            replace(kl, K_order=k * kl.K_order).canonical_form())
+        if cover is None or not np.array_equal(cover.codes, codes):
+            raise InternalError("the %d-fold cover of %s is not a class"
+                                % (k, kl))
+        return cover
 
     def _fold_preimage(self, kl, k):
         """Sorted codes and generators of the preimage of kl under the

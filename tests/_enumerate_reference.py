@@ -9,9 +9,10 @@ continuous shapes are registered in their place, each checked against
 every continuous class so far.
 
 Run as a script, it compares the class list (canonical form, codes,
-generators and index order) with the library at one l_max:
+generators and index order) with the library at each l_max given, and
+exits 1 on any difference:
 
-    PYTHONPATH=src python tests/_enumerate_reference.py 4
+    PYTHONPATH=src python tests/_enumerate_reference.py 4 5 6
 """
 import itertools
 import sys
@@ -267,9 +268,11 @@ def differences(u):
 
 
 if __name__ == "__main__":
-    l_max = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    u = bu.universe_for_modes(range(1, l_max + 1))
-    bad = differences(u)
-    print("l_max %d: %d classes, %d differences" % (l_max, len(u.classes),
-                                                    len(bad)))
-    sys.exit(1 if bad else 0)
+    failed = False
+    for l_max in map(int, sys.argv[1:] or ["4"]):
+        u = bu.universe_for_modes(range(1, l_max + 1))
+        bad = differences(u)
+        print("l_max %d: %d classes, %d differences"
+              % (l_max, len(u.classes), len(bad)), flush=True)
+        failed |= bool(bad)
+    sys.exit(1 if failed else 0)

@@ -140,10 +140,14 @@ def test_universe_census(l_max, census):
 @pytest.mark.parametrize("l_max, digest", [
     (2, "29abb57c8934c270d758996ba74911435eda1f8f14d523deb8da303042cd0dde"),
     (4, "83e404d1b2a7cbcbf696b1f1fdc17676100653688c6075b75808047acce425ee"),
-    (8, "84800efe0d6f45e8f1ac1f91ab319dbdd352576bba6b490722e4924950658851")])
+    (8, "84800efe0d6f45e8f1ac1f91ab319dbdd352576bba6b490722e4924950658851"),
+    (16, "1d8069b7817df5178dfcac28d1faa6aed553166494cf8f14c57e448253b8b588"),
+    (40, "23d91fabb0115878d87b4de0fe1cff63251f3dae75b1b17c8c93d70a3a7c4915")])
 def test_class_list_order_and_generators_are_pinned(l_max, digest):
     # the enumeration order fixes class indices and generators; a change
-    # in how the Goursat loops run must leave both alone
+    # in how the Goursat loops run must leave both alone.  MAX_MODE is 40,
+    # so these pins hold the one-class-per-name founding to the conjugacy
+    # classes over every universe the CLI can build
     u = bu.universe_for_modes(range(1, l_max + 1))
     text = "\n".join("%s %s" % (kl.canonical_form(), kl.gens)
                      for kl in u.classes)
@@ -179,36 +183,14 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
-def test_universe_build_makes_one_kernel_call_per_round(monkeypatch):
-    # at l_max 2 every bucket holds one class, so one round per S4 subgroup
-    # H resolves all of H's candidates that are not the first of their
-    # bucket in one call; H with no such candidate make no call
+def test_universe_build_makes_no_kernel_call(monkeypatch):
+    # each class is founded by the first candidate of its name, so the
+    # build searches for no conjugator
     orders = bu.universe_for_modes([1, 2]).orders
     calls = _counting_kernel(monkeypatch)
     u = bu.Universe(orders)
-    assert calls == [2, 30, 48, 2, 10, 26, 2, 10]
+    assert calls == []
     assert _class_fields(u) == _class_fields(bu.universe_for_modes([1, 2]))
-
-
-def test_one_bucket_for_every_candidate_keeps_the_class_list(monkeypatch):
-    # a constant bucket key sends every candidate through one round per
-    # finite class, the path of a bucket with several classes; a round
-    # makes no call when no pending candidate has the new class's order
-    u1 = bu.universe_for_modes([1])
-    finite = [kl for kl in u1.classes if kl.is_finite]
-    monkeypatch.setattr(bu.Universe, "_bucket_keys",
-                        lambda self, p, kind, k, sizes: [b""] * len(sizes))
-    calls = _counting_kernel(monkeypatch)
-    u = bu.Universe(u1.orders)
-    assert len(finite) // 2 < len(calls) < len(finite)
-    assert _class_fields(u) == _class_fields(u1)
-    # classify then meets every finite class of the same order in one call
-    del calls[:]
-    sample = finite[::25]
-    for kl in sample:
-        assert u.classify(kl.codes, kl.gens).index == kl.index
-    assert calls == [sum(f.order == kl.order for f in finite) for kl in sample]
-    assert max(calls) > 1
 
 
 def test_fold_cover_matches_sequential_reference(u12):
@@ -276,10 +258,10 @@ def test_class_stores_its_elements_once_as_a_sorted_read_only_array(l_max):
     assert checked > 100
 
 
-def test_universe_at_l_max_8_holds_under_5_mib():
+def test_universe_at_l_max_8_holds_under_2_mib_and_peaks_under_4_5_mib():
     # orders that for_orders has not built yet, so the build is measured;
-    # resolving the Goursat candidates one S4 subgroup at a time bounds
-    # the build's peak
+    # listing the Goursat candidates one S4 subgroup at a time bounds the
+    # build's peak, and a class holds its codes and generators only
     orders = bu._divisor_closure(bu._mode_orders(range(1, 9)))
     gc.collect()
     tracemalloc.start()
@@ -291,8 +273,8 @@ def test_universe_at_l_max_8_holds_under_5_mib():
     finally:
         tracemalloc.stop()
     assert len(u.classes) == 1105
-    assert held < 5 * 2 ** 20, "%.2f MiB" % (held / 2 ** 20)
-    assert peak < 7 * 2 ** 20, "%.2f MiB" % (peak / 2 ** 20)
+    assert held < 2 * 2 ** 20, "%.2f MiB" % (held / 2 ** 20)
+    assert peak < 4.5 * 2 ** 20, "%.2f MiB" % (peak / 2 ** 20)
 
 
 def test_name_round_trip_every_class(u12):
@@ -301,6 +283,16 @@ def test_name_round_trip_every_class(u12):
         assert u12.parse_class(kl.printed_form()) is kl
     with pytest.raises(KeyError):
         u12.parse_class("(S9 x D1)")
+
+
+def test_two_classes_of_one_canonical_form_fault(monkeypatch):
+    # parse_class and fold_cover read the name index, so a name shared by
+    # two classes stops the build instead of hiding one of them
+    orders = bu.universe_for_modes([1]).orders
+    monkeypatch.setattr(bu.AmalgamClass, "canonical_form",
+                        lambda self: "(S4 x O2)")
+    with pytest.raises(bu.InternalError):
+        bu.Universe(orders)
 
 
 def test_weyl_orders(u12):
@@ -554,6 +546,8 @@ def _class_or_fault(find):
 
 def test_fold_cover_matches_preimage_scan(u12):
     n = u12.N
+    reference = per_candidate.Sequential(u12)
+    reference.enumerate()
     found = 0
     for kl in u12.phi0_classes():
         if not kl.is_finite:
@@ -567,11 +561,27 @@ def test_fold_cover_matches_preimage_scan(u12):
             if len(preimage) == k * kl.order:
                 # every element of the preimage serves as a generator
                 expected = _class_or_fault(
-                    lambda: u12.classify(preimage, preimage))
-            got = _class_or_fault(lambda: u12.fold_cover(kl, k))
+                    lambda: reference.classify(preimage, preimage).index)
+            got = _class_or_fault(lambda: u12.fold_cover(kl, k).index)
             assert got == expected, (str(kl), k)
             found += expected != "fault"
     assert found > 100
+
+
+def test_fold_cover_faults_on_codes_other_than_the_named_class(
+        u12, monkeypatch):
+    d1 = lookup(u12, "S4", "S4", None, "Z1", 1)
+    assert u12.fold_cover(d1, 2) is lookup(u12, "S4", "S4", None, "Z1", 2)
+    preimage = bu.Universe._fold_preimage
+
+    def one_code_changed(self, kl, k):
+        codes, gens = preimage(self, kl, k)
+        codes = codes.copy()
+        codes[-1] += 1
+        return codes, gens
+    monkeypatch.setattr(bu.Universe, "_fold_preimage", one_code_changed)
+    with pytest.raises(bu.InternalError):
+        u12.fold_cover(d1, 2)
 
 
 # ---------------------------------------------------------------------------
