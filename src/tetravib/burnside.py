@@ -46,10 +46,11 @@ name but for K's order, so fold covers are found by name as well.
 
 One numpy kernel runs the conjugator test for many subgroups at once: the
 table of marks is built column by column, one pass over all finite classes
-per high class (Pfeiffer, Experiment. Math. 6, 1997), and the normalizers in
-one pass.  It tests generators one at a time on the surviving candidate
-conjugators, taken BATCH at a time; other arrays span subgroups x 24 or the
-highs' elements.
+per high class (Pfeiffer, Experiment. Math. 6, 1997).  The pass counts the
+high against itself too, which is its normalizer, so each column also
+yields its high's Weyl group.  It tests generators one at a time on the
+surviving candidate conjugators, taken BATCH at a time; other arrays span
+subgroups x 24 or the high's elements.
 """
 from __future__ import annotations
 
@@ -90,8 +91,8 @@ ID_PERM = P_INDEX[IDENTITY]
 # CONJ_BITS[g, p] = 1 << CONJ[g, p]: a 0/1 row b over S4 maps to the 24-bit
 # masks of its conjugates by every g as b @ CONJ_BITS.T
 CONJ_BITS = np.left_shift(1, CONJ).astype(np.int64)
-# the conjugator kernel takes candidates, and the normalizer pass class
-# elements, in batches of about this many, so no array outgrows it
+# the conjugator kernel takes candidates in batches of about this many, so
+# no array outgrows it
 BATCH = 2 ** 14
 
 
@@ -375,7 +376,10 @@ class AmalgamClass:
 
     @property
     def in_phi0(self):
-        return self.universe.weyl(self)[0]
+        """The Weyl group is finite.  A cyclic class is the one kind that is
+        not: its O(2) part is rotations only, so its normalizer holds all of
+        SO(2) and W = N/H is infinite."""
+        return self.kind != "cyclic"
 
     def elements(self):
         """Concrete members as (permutation tuple, 'rot'|'refl', Fraction),
@@ -459,6 +463,7 @@ class Universe:
         self.N = math.lcm(*self.orders)
         self.classes = []
         self._columns = {}         # class index -> column of the table
+        self._normalizer_counts = {}  # class index -> own kernel count
         self._dims_memo = {}       # l -> fixed-point dims of every j
         self._name_index = {}
         self._enumerate()
@@ -496,10 +501,9 @@ class Universe:
     # A conjugator triple (g, f, j) acts with 2a = j/N (f=0) or 2b = j/N
     # (f=1); each triple corresponds to exactly two group elements.
 
-    def _conjugator_counts(self, rows, highs):
+    def _conjugator_counts(self, rows, high):
         """Number of conjugator triples t with t(S) inside the finite class
-        high, for every subgroup S of `rows`: against highs[r] for row r,
-        or against highs[0] for every row when one high is given.
+        high, for every subgroup S of `rows`.
 
         Candidates have a g whose CONJ[g] maps S's rotation and reflection
         permutations into high's.  S's first reflection generator, if any,
@@ -509,33 +513,21 @@ class Universe:
         a reflection h only f = 0 is listed: t -> h t maps the hits with
         f = 0 one to one onto those with f = 1 (h commutes with the central
         half turn pairing the two group elements of a triple), so they count
-        twice.  Cyclic highs, met in `_normalizers`, get f = 1 listed.
-        Generators are tested one at a time, on the survivors."""
-        n, many = self.N, len(highs) > 1
-        slot = (np.arange if many else np.zeros)(len(rows.order), dtype=int)
-        h_rot, h_refl, h_order = np.array(
-            [(_bits(h.rot_perms), _bits(h.refl_perms), h.order)
-             for h in highs])[slot].T
-        fits = ((rows.rot & ~h_rot[:, None]) | (rows.refl & ~h_refl[:, None])
-                ) == 0
-        r, g = np.nonzero(fits & (h_order % rows.order == 0)[:, None])
-        # the reflections of every high, sorted by (slot, permutation)
-        codes = np.concatenate([h.codes for h in highs])
-        owner = np.repeat(np.arange(len(highs)), [h.order for h in highs])
-        p, kind, k = self.split(codes)
-        h_perm, h_k = (24 * owner + p)[kind == 1], np.append(k[kind == 1], 0)
-        key = 24 * slot[r] + CONJ[g, rows.p0[r]]
+        twice.  Cyclic highs get f = 1 listed.  Generators are tested one at
+        a time, on the survivors."""
+        n = self.N
+        h_rot, h_refl = _bits(high.rot_perms), _bits(high.refl_perms)
+        fits = ((rows.rot & ~h_rot) | (rows.refl & ~h_refl)) == 0
+        r, g = np.nonzero(fits & (high.order % rows.order == 0)[:, None])
+        # high's reflections, sorted by permutation
+        p, kind, k = self.split(high.codes)
+        h_perm, h_k = p[kind == 1], np.append(k[kind == 1], 0)
+        key = CONJ[g, rows.p0[r]]
         lo = np.searchsorted(h_perm, key)
         refl = rows.has_refl[r]
         count = np.where(refl, np.searchsorted(h_perm, key, "right") - lo,
-                         1 + (h_refl[r] == 0))
-        ids = np.append(codes, 48 * n)          # 48 N is above every code
-        if many:
-            # the codes of the highs as ids in their union, offset by slot
-            ids = np.sort(ids)
-            ids = ids[np.append(True, ids[1:] != ids[:-1])]
-            table = np.append(owner * len(ids) + np.searchsorted(ids, codes),
-                              len(highs) * len(ids))
+                         1 + (h_refl == 0))
+        ids = np.append(high.codes, 48 * n)     # 48 N is above every code
         hits = np.zeros(len(rows.order), dtype=np.int64)
         cut = np.searchsorted(np.cumsum(count),
                               np.arange(0, count.sum(), BATCH), "right")
@@ -554,12 +546,7 @@ class Universe:
                 p, kind, k = rows.p[rr, i], rows.kind[rr, i], rows.k[rr, i]
                 image = (CONJ[gg, p] * (2 * n) + kind * n
                          + (sign * k + kind * j) % n)
-                at = np.searchsorted(ids, image)
-                inside = ids[at] == image
-                if many:
-                    key = slot[rr] * len(ids) + at
-                    inside &= table[np.searchsorted(table, key)] == key
-                keep = (p < 0) | inside
+                keep = (p < 0) | (ids[np.searchsorted(ids, image)] == image)
                 rr, gg, j, sign = rr[keep], gg[keep], j[keep], sign[keep]
             hits += np.bincount(rr, minlength=len(rows.order))
         return hits * np.where(rows.has_refl, 1, n) * (1 + (h_refl != 0))
@@ -759,22 +746,15 @@ class Universe:
         finite = [kl for kl in self.classes if kl.is_finite]
         return np.array([kl.index for kl in finite]), _Rows(self, finite)
 
-    @cached_property
-    def _normalizers(self):
-        """Normalizer triple count of every finite class by class index: the
-        diagonal, each class against itself, BATCH elements at a time."""
-        finite = [kl for kl in self.classes if kl.is_finite]
-        batch = np.cumsum([kl.order for kl in finite]) // BATCH
-        out = np.zeros(len(self.classes), dtype=np.int64)
-        for b in sorted(set(batch.tolist())):
-            part = [kl for kl, at in zip(finite, batch) if at == b]
-            out[[kl.index for kl in part]] = self._conjugator_counts(
-                _Rows(self, part), part)
-        return out
+    def _normalizer(self, kl):
+        """Normalizer triple count of the finite class kl: the kernel's count
+        for kl's own row, kept when kl's column is built."""
+        self._column(kl)
+        return self._normalizer_counts[kl.index]
 
     def weyl(self, kl):
         """(finite flag, order of the Weyl group when finite)."""
-        if kl.kind == "cyclic":
+        if not kl.in_phi0:
             return (False, None)
         if not kl.is_finite:
             # the normalizer is Stab_S4(rot, refl) x O(2); H x O(2) fills
@@ -782,7 +762,7 @@ class Universe:
             stab = 24 // len(_s4_conjugate_pairs(kl.rot_perms, kl.refl_perms))
             return True, (1 if kl.kind == "o2" else 2) * stab // len(kl.H_set)
         # each conjugator triple stands for two group elements
-        nbar = 2 * int(self._normalizers[kl.index])
+        nbar = 2 * self._normalizer(kl)
         if nbar % kl.order:
             raise InternalError("normalizer order not divisible by |H|")
         return (True, nbar // kl.order)
@@ -806,14 +786,17 @@ class Universe:
                         for kl in self.classes]
         else:
             # the conjugators t with t(L) inside H come in whole cosets of
-            # the normalizer, one coset per conjugate of H that contains L
+            # the normalizer, one coset per conjugate of H that contains L;
+            # the normalizer's count is H's own entry
             index, rows = self._finite_rows
-            count, rem = np.divmod(self._conjugator_counts(rows, [high]),
-                                   self._normalizers[high.index])
+            counts = self._conjugator_counts(rows, high)
+            own = int(counts[np.searchsorted(index, high.index)])
+            count, rem = np.divmod(counts, own)
             if rem.any():
                 raise InternalError("conjugators into %s do not fill "
                                     "normalizer cosets" % high)
             col[index] = count
+            self._normalizer_counts[high.index] = own
         self._columns[high.index] = col
         return col
 
@@ -860,30 +843,32 @@ class Universe:
     # -- ring arithmetic in mark coordinates ---------------------------------
 
     @cached_property
-    def _marks_weyl(self):
-        """|W(L)| of every Phi0 class L, keyed by class index, in
-        back-substitution order: continuous shapes first, then by falling
-        rank, strictly monotone along the partial order: the order, or the
-        size of the S4 content weighted by the density of the O(2) part."""
-        order = sorted(self.phi0_classes(), key=lambda kl: (
-            kl.order == 0,
-            kl.order or len(kl.H_set) * (2 if kl.kind == "o2" else 1)),
-            reverse=True)
-        return {kl.index: self.weyl(kl)[1] for kl in order}
+    def _mark_order(self):
+        """Class indices of the Phi0 classes in back-substitution order:
+        continuous shapes first, then by falling rank, strictly monotone
+        along the partial order: the order, or the size of the S4 content
+        weighted by the density of the O(2) part."""
+        return np.array([kl.index for kl in sorted(
+            self.phi0_classes(), key=lambda kl: (
+                kl.order == 0,
+                kl.order or len(kl.H_set) * (2 if kl.kind == "o2" else 1)),
+            reverse=True)])
 
     def _mark_column(self, i):
-        """Column n(., H) of the class with index i over the Phi0 classes in
-        back-substitution order, as Python ints."""
-        return self._column(self.classes[i])[list(self._marks_weyl)
-                                             ].astype(object)
+        """|W(H)| and the column n(., H) of the class H with index i over
+        the Phi0 classes in back-substitution order, as Python ints."""
+        high = self.classes[i]
+        return (self.weyl(high)[1],
+                self._column(high)[self._mark_order].astype(object))
 
     def marks(self, coeffs: dict) -> np.ndarray:
         """Mark coordinates v_L = sum_H c_H n(L, H) |W(H)| of the element
         with class coefficients `coeffs`, one exact Python int per Phi0
         class L in back-substitution order."""
-        v = np.zeros(len(self._marks_weyl), dtype=object)
+        v = np.zeros(len(self._mark_order), dtype=object)
         for i, c in coeffs.items():
-            v += c * self._marks_weyl[i] * self._mark_column(i)
+            w, col = self._mark_column(i)
+            v += c * w * col
         return v
 
     def from_marks(self, v) -> dict:
@@ -892,20 +877,24 @@ class Universe:
         The mark of L counts its own coefficient |W(L)| times plus
         n(L, H) |W(H)| c_H for every class H above L, and those come first
         in back-substitution order: each coefficient is one exact division,
-        then c_L |W(L)| times column L leaves the marks still to come.  The
-        marks are Python ints, so nothing wraps around."""
-        if len(v) != len(self._marks_weyl):
+        then c_L |W(L)| times column L leaves the marks still to come.  A
+        zero mark gives a zero coefficient, so only the classes with a
+        nonzero one have their column and Weyl group read.  The marks are
+        Python ints, so nothing wraps around."""
+        if len(v) != len(self._mark_order):
             raise ValueError("mark vector has the wrong length")
         v = np.asarray(v).astype(object)        # int64 entries become ints
         coeffs = {}
-        for pos, (i, w) in enumerate(self._marks_weyl.items()):
-            c, rem = divmod(v[pos], w)
-            if rem:
-                raise InternalError("non-exact division by |W(%s)| in mark "
-                                    "back-substitution" % self.classes[i])
-            if c:
+        for pos, i in enumerate(self._mark_order.tolist()):
+            if v[pos]:
+                w, col = self._mark_column(i)
+                c, rem = divmod(v[pos], w)
+                if rem:
+                    raise InternalError(
+                        "non-exact division by |W(%s)| in mark "
+                        "back-substitution" % self.classes[i])
                 coeffs[i] = c
-                v -= c * w * self._mark_column(i)
+                v -= c * w * col
         return coeffs
 
     def degree_marks(self, modes) -> list:
@@ -913,7 +902,7 @@ class Universe:
         in `modes`: (-1)^(sum of dim V_{j,l}^L) at each Phi0 class L."""
         dims = sum((self._fixed_dims(j, l) for j, l in modes),
                    np.zeros(len(self.classes), dtype=np.int64))
-        return (1 - 2 * (dims[list(self._marks_weyl)] % 2)).tolist()
+        return (1 - 2 * (dims[self._mark_order] % 2)).tolist()
 
     def basic_degree(self, j, l) -> "BurnsideElement":
         """Gradient degree of -Id on the (j, l) isotypic loop component."""

@@ -223,17 +223,24 @@ class SymmetryConstraint:
     def collocation(self, ts):
         """D of shape (len(ts), 12, K): the loop of a reduced point x at
         times ts is D @ x, and its acceleration D @ (-modes**2 * x)."""
-        # The output bytes depend on D's memory layout, which concatenate
-        # picks: C order when every mode has one basis vector, as on
-        # (S4 x D1) and (S4^V4 x_D3 D3), and the (points, K, 12) transpose
-        # otherwise.  The products with D round differently in another
-        # layout: D in C order moves the other five report branches at
-        # round-off, and D transposed moves (S4^V4 x_D3 D3).
+        # The output bytes depend on D's memory layout: the products with D
+        # round differently in another one, which moves report branches at
+        # round-off.  D is C order (points, 12, K) when some mode has no
+        # basis vector or none has more than one, as on (S4 x D1) and
+        # (S4^V4 x_D3 D3); (K, points, 12) when only mode 0 has more than
+        # one; else the (points, K, 12) transpose.
         ts = np.asarray(ts, dtype=float)[:, None, None]
-        return np.concatenate(
-            [np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:] if m
-             else np.broadcast_to(b, ts.shape[:1] + b.shape)
-             for m, b in enumerate(self.bases)], axis=2)
+        widths = self.fixed_dims()
+        axes = ((0, 1, 2) if min(widths) == 0 or max(widths) == 1 else
+                (2, 0, 1) if max(widths[1:]) == 1 else (0, 2, 1))
+        shape = (len(ts), 12, sum(widths))
+        D = np.empty([shape[a] for a in axes]).transpose(np.argsort(axes))
+        parts = np.split(D, np.cumsum(widths)[:-1], axis=2)
+        parts[0][...] = self.bases[0]
+        for m in range(1, len(parts)):
+            np.multiply(np.cos(m * ts), self.bases[m][:12], out=parts[m])
+            parts[m] += np.sin(m * ts) * self.bases[m][12:]
+        return D
 
     # reduced coordinates <-> coefficients ---------------------------------
 
@@ -540,13 +547,13 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         n_points = 4 * n_modes + 1
     if n_points < 4 * n_modes + 1:
         raise UsageError("need at least 4*n_modes+1 collocation points")
+    if klass.is_finite and not klass.has_time_reflection:
+        raise UsageError("class contains no time reflection; the phase of "
+                         "the loop would be undetermined")
     eq = equilibrium or find_equilibrium(potential)
     lam0 = l / math.sqrt(eq.mu[j])
 
     constraint = SymmetryConstraint(klass, n_modes)
-    if not klass.has_time_reflection:
-        raise UsageError("class contains no time reflection; the phase of "
-                         "the loop would be undetermined")
     system = _NewtonSystem(potential, constraint, eq, n_points)
     kernel, _ = _kernel_direction(constraint, j, l)
     x0, n_red, n_c = system.x0, system.n_red, system.n_c

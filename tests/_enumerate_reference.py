@@ -173,7 +173,7 @@ class Sequential:
                 order=len(codes))])
             for idx in self.lookup[key]:
                 kl = self.classes[idx]
-                if u._conjugator_counts(row, [kl])[0]:
+                if u._conjugator_counts(row, kl)[0]:
                     return kl
         if not fields:
             raise bu.InternalError("subgroup does not match any class")

@@ -8,10 +8,10 @@ of the high class.  `conj_apply` is the plain definition of a conjugator
 triple acting on one element code.
 
 Run as a script, it compares every entry of every Phi0 column (every class
-as low) and the normalizer of every finite class with the library at one
-l_max:
+as low) and the normalizer of every finite class with the library at each
+l_max given, prints one line per l_max and exits 1 at the first difference:
 
-    PYTHONPATH=src python tests/_pair_reference.py 4
+    PYTHONPATH=src python tests/_pair_reference.py 1 2 3 4
 """
 import sys
 
@@ -98,16 +98,21 @@ def compare(l_max):
     u = bu.universe_for_modes(range(1, l_max + 1))
     finite = [kl for kl in u.all_classes() if kl.is_finite]
     for kl in finite:
-        assert u._normalizers[kl.index] == conjugator_count(u, kl, kl), str(kl)
+        assert u._normalizer(kl) == conjugator_count(u, kl, kl), (
+            "normalizer of %s" % kl)
     pairs = [(low, high) for high in u.phi0_classes()
              for low in u.all_classes()]
     for low, high in pairs:
-        assert u.n_count(low, high) == n_count(u, low, high), (str(low),
-                                                               str(high))
+        assert u.n_count(low, high) == n_count(u, low, high), (
+            "n(%s, %s)" % (low, high))
     return len(pairs), len(finite)
 
 
 if __name__ == "__main__":
-    pairs, normalizers = compare(int(sys.argv[1]))
-    print("l_max %s: %d pairs and %d normalizers agree"
-          % (sys.argv[1], pairs, normalizers))
+    for l_max in map(int, sys.argv[1:] or ["4"]):
+        try:
+            pairs, normalizers = compare(l_max)
+        except AssertionError as fault:
+            sys.exit("l_max %d: %s differs" % (l_max, fault))
+        print("l_max %d: %d pairs and %d normalizers agree"
+              % (l_max, pairs, normalizers), flush=True)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tetravib.burnside as bu
+from tetravib import cli
 from tetravib.grouprep import CHARACTER_TABLE
 
 from _golden import DEGREE_TABLES, as_class_set, lookup
@@ -176,21 +177,37 @@ def _counting_kernel(monkeypatch):
     calls = []
     kernel = bu.Universe._conjugator_counts
 
-    def counting(self, rows, highs):
+    def counting(self, rows, high):
         calls.append(len(rows.order))
-        return kernel(self, rows, highs)
+        return kernel(self, rows, high)
     monkeypatch.setattr(bu.Universe, "_conjugator_counts", counting)
     return calls
 
 
 def test_universe_build_makes_no_kernel_call(monkeypatch):
     # each class is founded by the first candidate of its name, so the
-    # build searches for no conjugator
+    # build searches for no conjugator; Phi0 is read off the kind, and a
+    # continuous class's Weyl group off its permutations
     orders = bu.universe_for_modes([1, 2]).orders
     calls = _counting_kernel(monkeypatch)
     u = bu.Universe(orders)
+    phi0 = u.phi0_classes()
+    assert [kl.index for kl in phi0] == [
+        kl.index for kl in u.all_classes() if kl.kind != "cyclic"]
+    assert all(u.weyl(kl)[0] for kl in phi0 if not kl.is_finite)
     assert calls == []
     assert _class_fields(u) == _class_fields(bu.universe_for_modes([1, 2]))
+
+
+def test_invariants_make_one_kernel_call_per_finite_column(monkeypatch):
+    # a finite column's pass counts its high against itself too, so the
+    # normalizer takes no call of its own
+    monkeypatch.setattr(bu.Universe, "_cache", {})
+    calls = _counting_kernel(monkeypatch)
+    assert cli.main(["invariants"]) == 0
+    (u,) = bu.Universe._cache.values()
+    assert len(calls) == 25
+    assert len(calls) == sum(u.classes[i].is_finite for i in u._columns)
 
 
 def test_fold_cover_matches_sequential_reference(u12):
@@ -388,7 +405,7 @@ def test_normalizers_match_per_pair_reference(l_max):
     u = bu.universe_for_modes(range(1, l_max + 1))
     for kl in u.all_classes():
         if kl.is_finite:
-            assert (u._normalizers[kl.index]
+            assert (u._normalizer(kl)
                     == per_pair.conjugator_count(u, kl, kl)), str(kl)
 
 

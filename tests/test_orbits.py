@@ -259,8 +259,9 @@ def test_collocation_model_matches_fourier_loop(request, eq, which):
 
 def test_collocation_layout_of_the_default_families(u2, eq):
     # the report bytes depend on the memory layout of D (see
-    # SymmetryConstraint.collocation): C order where every mode has one
-    # basis vector, the (points, K, 12) transpose on the other classes
+    # SymmetryConstraint.collocation): C order on the two classes where
+    # every mode has one basis vector, the (points, K, 12) transpose on the
+    # other five
     families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
     assert len(families) == 7
     for fam in families:
@@ -274,6 +275,48 @@ def test_collocation_layout_of_the_default_families(u2, eq):
         else:
             assert max(con.fixed_dims()) > 1, name
             assert D.strides == (96 * n_red, 8, 96), name
+
+
+def _concatenated_collocation(con, ts):
+    """D as one concatenation of per-mode pieces, its layout picked by
+    numpy."""
+    ts = np.asarray(ts, dtype=float)[:, None, None]
+    return np.concatenate(
+        [np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:] if m
+         else np.broadcast_to(b, ts.shape[:1] + b.shape)
+         for m, b in enumerate(con.bases)], axis=2)
+
+
+def test_collocation_keeps_the_concatenated_bytes_and_layout(u2):
+    # D is built in place, laid out as numpy lays out the concatenation of
+    # its per-mode pieces, on every class continue_branch accepts; all
+    # three layouts occur
+    orders = set()
+    for n_modes in (1, 2, 5):
+        ts = ob._collocation_times(4 * n_modes + 1)[:2 * n_modes + 1]
+        for kl in u2.all_classes():
+            if kl.is_finite and kl.has_time_reflection:
+                con = ob.SymmetryConstraint(kl, n_modes)
+                got = con.collocation(ts)
+                want = _concatenated_collocation(con, ts)
+                assert got.strides == want.strides, (str(kl), n_modes)
+                assert got.tobytes() == want.tobytes(), (str(kl), n_modes)
+                orders.add(tuple(np.argsort(got.strides, kind="stable")))
+    assert {(2, 1, 0), (1, 2, 0), (1, 0, 2)} <= orders
+
+
+def test_collocation_holds_nothing_but_D(u2):
+    # D is built in place, one mode at a time: nothing of D's size is held
+    # besides D
+    con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
+    ts = ob._collocation_times(257)[:129]
+    tracemalloc.start()
+    try:
+        D = con.collocation(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < D.nbytes + 2 ** 19
 
 
 # the default families whose mode-0 fixed space holds a translation
@@ -781,9 +824,19 @@ def test_continue_branch_rejects_bad_modes(eq, breathing_class):
                            equilibrium=eq)
 
 
-def test_continue_branch_requires_a_time_reflection(u2, eq):
+def test_continue_branch_requires_a_time_reflection(u2, eq, monkeypatch):
+    # checked before any work: neither the equilibrium nor the n_modes + 1
+    # projectors are built for a class that cannot pin the phase of the
+    # loop; a continuous class keeps its own message
+    continuous = u2.parse_class("(S4 x SO2)")
+    with pytest.raises(UsageError, match="continuous symmetry classes"):
+        ob.continue_branch(BOND, continuous, 0, 1, n_modes=4, equilibrium=eq)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the time reflection check")
+    monkeypatch.setattr(ob, "find_equilibrium", no_work)
+    monkeypatch.setattr(ob, "SymmetryConstraint", no_work)
     rotations_only = u2.find_class("S4", kind="cyclic", l_label="Z1",
                                    k_order=1)
-    with pytest.raises(UsageError):
-        ob.continue_branch(BOND, rotations_only, 0, 1, n_modes=4,
-                           equilibrium=eq)
+    with pytest.raises(UsageError, match="no time reflection"):
+        ob.continue_branch(BOND, rotations_only, 0, 1, n_modes=4)
