@@ -4,20 +4,22 @@ Closed subgroups of S4 x O(2) up to conjugacy are Goursat amalgams
 H ^Z x_L K: a subgroup H of S4, a normal subgroup Z of H, and an epimorphism
 phi of H onto L = K/ker(psi) for a closed subgroup K of O(2).  Classes whose
 Weyl group is finite (the Phi0 classes) generate the ring A(G) used by the
-bifurcation invariants.  Ring arithmetic runs in mark coordinates (the table
-of marks): with M[L, H] = n(L, H) |W(H)| over the Phi0 classes, x -> Mx is an
-injective ring map into Z^Phi0 with the pointwise product, and the basic
+bifurcation invariants, and the universe holds only those: K is D_d, SO(2)
+or O(2).  A K = Z_n of rotations only leaves all of SO(2) in the
+normalizer, so its Weyl group is infinite.  Ring arithmetic runs in mark
+coordinates (the table of marks): with M[L, H] = n(L, H) |W(H)|, x -> Mx is
+an injective ring map into Z^Phi0 with the pointwise product, and the basic
 degree of the (j, l) loop mode has marks (-1)^dim V_{j,l}^L.  Products and
 degrees are pointwise there; one exact top-down back-substitution over the
 subconjugacy order returns to class coefficients.
 
-All O(2) data is kept exact.  Every subgroup handled here either contains a
-reflection (dihedral projection to O(2)) or is handled analytically
-(cyclic projection, SO(2), O(2)); for the dihedral ones all rotation angles
-and reflection-axis parameters live on a rational grid (multiples of 1/N
-turns), and conjugations that matter shift axis parameters by multiples of
-1/N as well, so conjugacy, normalizers and containment counts over the full
-group reduce to finite exact computations on the grid.
+All O(2) data is kept exact.  The continuous shapes are handled
+analytically.  Every finite class projects onto a dihedral D_d, so it holds
+a reflection; all its rotation angles and reflection-axis parameters live on
+a rational grid (multiples of 1/N turns), and conjugations that matter
+shift axis parameters by multiples of 1/N as well, so conjugacy,
+normalizers and containment counts over the full group reduce to finite
+exact computations on the grid.
 
 Element encoding inside a grid universe: code = perm_index * 2N + kind * N + k
 with kind 0 a rotation by k/N turns and kind 1 the reflection with axis
@@ -297,9 +299,9 @@ def _solve_isomorphisms(q1, q2):
 class AmalgamClass:
     """Conjugacy class of a closed subgroup of S4 x O(2).
 
-    kind is one of 'dihedral' (finite, reflection-containing projection to
-    O(2)), 'cyclic' (finite, rotations only), 'so2', 'o2', 'o2z2' (the three
-    continuous-K shapes H x SO(2), H x O(2), H ^Z x_{Z2} O(2)).
+    kind is one of 'dihedral' (finite, projecting onto a dihedral group of
+    O(2)), 'so2', 'o2', 'o2z2' (the three continuous-K shapes H x SO(2),
+    H x O(2), H ^Z x_{Z2} O(2)).
 
     rot_perms and refl_perms are the permutations paired with a rotation
     and with a reflection of time: (H, H) for H x O(2), (H, {}) for
@@ -317,8 +319,8 @@ class AmalgamClass:
     Z_label: str
     R_label: str
     L_label: str
-    K_kind: str                                    # 'D', 'Z', 'SO2', 'O2'
-    K_order: int                                   # d or n; 0 for SO2/O2
+    K_kind: str                                    # 'D', 'SO2', 'O2'
+    K_order: int                                   # d; 0 for SO2/O2
     gens: tuple = field(repr=False, default=())    # codes generating it
 
     def __hash__(self):
@@ -372,14 +374,7 @@ class AmalgamClass:
 
     @property
     def is_finite(self):
-        return self.kind in ("dihedral", "cyclic")
-
-    @property
-    def in_phi0(self):
-        """The Weyl group is finite.  A cyclic class is the one kind that is
-        not: its O(2) part is rotations only, so its normalizer holds all of
-        SO(2) and W = N/H is infinite."""
-        return self.kind != "cyclic"
+        return self.kind == "dihedral"
 
     def elements(self):
         """Concrete members as (permutation tuple, 'rot'|'refl', Fraction),
@@ -426,19 +421,22 @@ class _Rows:
     """Subgroups (anything with gens, rot_perms, refl_perms and order) laid
     out for the conjugator kernel: both permutation sets as 24-bit masks
     conjugated by every g (rows x 24), the first reflection generator (p0,
-    k0; 0 without one), the other generators' parts."""
+    k0), the other generators' parts.  Every finite class holds a
+    reflection, so one of its generators is one; InternalError if not."""
 
     def __init__(self, universe, subgroups):
         gens, rot, refl, order = zip(*((s.gens, s.rot_perms, s.refl_perms,
                                         s.order) for s in subgroups))
-        first = [next((e for e in g if universe.split(e)[1]), -1)
+        first = [next((e for e in g if universe.split(e)[1]), None)
                  for g in gens]
+        if None in first:
+            raise InternalError("class %s has no reflection generator"
+                                % subgroups[first.index(None)])
         rest = [[e for e in g if e != f] for g, f in zip(gens, first)]
         width = max(map(len, rest))
         self.p, self.kind, self.k = universe.split(np.array(
             [r + [-1] * (width - len(r)) for r in rest], dtype=np.int64))
-        self.has_refl = np.array(first) >= 0
-        self.p0, _, self.k0 = universe.split(np.maximum(first, 0))
+        self.p0, _, self.k0 = universe.split(np.array(first, dtype=np.int64))
         self.order = np.array(order)
         self.rot, self.refl = (
             (np.array([_bits(s) for s in sets])[:, None] >> np.arange(24) & 1)
@@ -452,9 +450,9 @@ def _perm_set(mask):
 
 
 class Universe:
-    """All conjugacy classes of closed subgroups of S4 x O(2) whose O(2)
-    projection is dihedral of an order in `orders` (plus cyclic projections
-    of those orders and the continuous-projection shapes)."""
+    """The Phi0 classes of S4 x O(2) on the grid of `orders`: every
+    conjugacy class of closed subgroups whose O(2) projection is dihedral of
+    an order in `orders`, SO(2) or O(2)."""
 
     _cache = {}
 
@@ -506,27 +504,23 @@ class Universe:
         high, for every subgroup S of `rows`.
 
         Candidates have a g whose CONJ[g] maps S's rotation and reflection
-        permutations into high's.  S's first reflection generator, if any,
-        lands on a reflection of high with the same permutation, which
-        fixes j and that generator's test; else only j = 0 is listed (every
-        j acts alike on rotations) and hits count N times.  When high holds
-        a reflection h only f = 0 is listed: t -> h t maps the hits with
-        f = 0 one to one onto those with f = 1 (h commutes with the central
-        half turn pairing the two group elements of a triple), so they count
-        twice.  Cyclic highs get f = 1 listed.  Generators are tested one at
-        a time, on the survivors."""
+        permutations into high's.  S's first reflection generator lands on
+        a reflection of high with the same permutation, which fixes j and
+        that generator's test.  Only f = 0 is listed: for a reflection h of
+        high, t -> h t maps the hits with f = 0 one to one onto those with
+        f = 1 (h commutes with the central half turn pairing the two group
+        elements of a triple), so they count twice.  Generators are tested
+        one at a time, on the survivors."""
         n = self.N
         h_rot, h_refl = _bits(high.rot_perms), _bits(high.refl_perms)
         fits = ((rows.rot & ~h_rot) | (rows.refl & ~h_refl)) == 0
         r, g = np.nonzero(fits & (high.order % rows.order == 0)[:, None])
         # high's reflections, sorted by permutation
         p, kind, k = self.split(high.codes)
-        h_perm, h_k = p[kind == 1], np.append(k[kind == 1], 0)
+        h_perm, h_k = p[kind == 1], k[kind == 1]
         key = CONJ[g, rows.p0[r]]
         lo = np.searchsorted(h_perm, key)
-        refl = rows.has_refl[r]
-        count = np.where(refl, np.searchsorted(h_perm, key, "right") - lo,
-                         1 + (h_refl == 0))
+        count = np.searchsorted(h_perm, key, "right") - lo
         ids = np.append(high.codes, 48 * n)     # 48 N is above every code
         hits = np.zeros(len(rows.order), dtype=np.int64)
         cut = np.searchsorted(np.cumsum(count),
@@ -535,30 +529,26 @@ class Universe:
             c = np.repeat(np.arange(part.start, part.stop), count[part])
             nth = np.arange(len(c)) - np.repeat(np.cumsum(count[part])
                                                 - count[part], count[part])
-            rr, gg, f_refl = r[c], g[c], refl[c]
-            # f = 0 and j from the matched reflection, or j = 0 and f = nth;
-            # k0 = 0 on rows without a reflection picks h_k[-1] = 0
-            j = (h_k[np.where(f_refl, lo[c] + nth, -1)] - rows.k0[rr]) % n
-            sign = np.where(f_refl, 1, 1 - 2 * nth)
+            rr, gg = r[c], g[c]
+            # j from the matched reflection
+            j = (h_k[lo[c] + nth] - rows.k0[rr]) % n
             for i in range(rows.p.shape[1]):
-                # (p, kind, k) goes to CONJ[g, p], kind, and k, k + j, -k or
-                # j - k for (f, kind) = 00, 01, 10, 11
+                # (p, kind, k) goes to CONJ[g, p], kind, and k or k + j
                 p, kind, k = rows.p[rr, i], rows.kind[rr, i], rows.k[rr, i]
-                image = (CONJ[gg, p] * (2 * n) + kind * n
-                         + (sign * k + kind * j) % n)
+                image = CONJ[gg, p] * (2 * n) + kind * n + (k + kind * j) % n
                 keep = (p < 0) | (ids[np.searchsorted(ids, image)] == image)
-                rr, gg, j, sign = rr[keep], gg[keep], j[keep], sign[keep]
+                rr, gg, j = rr[keep], gg[keep], j[keep]
             hits += np.bincount(rr, minlength=len(rows.order))
-        return hits * np.where(rows.has_refl, 1, n) * (1 + (h_refl != 0))
+        return 2 * hits
 
     # -- enumeration ---------------------------------------------------------
 
     def _k_groups(self):
         """(AmalgamClass fields of K, [(K/R, generators of R, label of
-        L = K/R)]) for every K of the Goursat construction: the dihedral
-        D_d (axis parameter 0) of each order, then the cyclic Z_n, each with
-        its quotients by the normal subgroups R with cyclic or dihedral
-        quotient."""
+        L = K/R)]) for every finite K of the Goursat construction: the
+        dihedral D_d (axis parameter 0) of each order, with its quotients by
+        the normal subgroups R with quotient Z_m or D_m.  The rotation
+        groups Z_n are left out: their classes have infinite Weyl groups."""
         def grid(c, kind=0):
             # the c rotations, or reflections, spaced 1/c turn from 0
             return [self.join(ID_PERM, kind, i * (self.N // c))
@@ -579,11 +569,6 @@ class Universe:
                 qs.append(quotient(k, d // 2, "Z2", dihedral=True))
             qs.append(quotient(k, d, "Z1", dihedral=True))
             out.append((dict(kind="dihedral", K_kind="D", K_order=d), qs))
-        for n in self.orders:
-            k = _group(grid(n), self.mul)
-            out.append((dict(kind="cyclic", K_kind="Z", K_order=n),
-                        [quotient(k, c, "Z%d" % (n // c))
-                         for c in _divisors(n)]))
         return out
 
     def _enumerate(self):
@@ -693,7 +678,7 @@ class Universe:
         sig = {}
         for kl in self.classes:
             sig.setdefault((kl.H_label, kl.Z_label, kl.L_label, kl.K_kind,
-                            kl.K_order, kl.kind), []).append(kl.index)
+                            kl.K_order), []).append(kl.index)
         self._ambiguous = {
             idx for members in sig.values() if len(members) > 1
             for idx in members}
@@ -716,8 +701,8 @@ class Universe:
     def all_classes(self):
         return tuple(self._classes_sorted)
 
-    def phi0_classes(self):
-        return tuple(kl for kl in self._classes_sorted if kl.in_phi0)
+    # every class of the universe is a Phi0 class
+    phi0_classes = all_classes
 
     def find_class(self, h_label, z_label=None, r_label=None, l_label=None,
                    k_order=None, kind="dihedral"):
@@ -753,19 +738,17 @@ class Universe:
         return self._normalizer_counts[kl.index]
 
     def weyl(self, kl):
-        """(finite flag, order of the Weyl group when finite)."""
-        if not kl.in_phi0:
-            return (False, None)
+        """Order of the Weyl group N(kl)/kl, finite for every class."""
         if not kl.is_finite:
             # the normalizer is Stab_S4(rot, refl) x O(2); H x O(2) fills
             # each O(2) fiber, the other two shapes only half of it
             stab = 24 // len(_s4_conjugate_pairs(kl.rot_perms, kl.refl_perms))
-            return True, (1 if kl.kind == "o2" else 2) * stab // len(kl.H_set)
+            return (1 if kl.kind == "o2" else 2) * stab // len(kl.H_set)
         # each conjugator triple stands for two group elements
         nbar = 2 * self._normalizer(kl)
         if nbar % kl.order:
             raise InternalError("normalizer order not divisible by |H|")
-        return (True, nbar // kl.order)
+        return nbar // kl.order
 
     def n_count(self, low, high):
         """Number of conjugates of `high` containing a representative of
@@ -844,27 +827,27 @@ class Universe:
 
     @cached_property
     def _mark_order(self):
-        """Class indices of the Phi0 classes in back-substitution order:
-        continuous shapes first, then by falling rank, strictly monotone
-        along the partial order: the order, or the size of the S4 content
-        weighted by the density of the O(2) part."""
+        """Class indices in back-substitution order: continuous shapes
+        first, then by falling rank, strictly monotone along the partial
+        order: the order, or the size of the S4 content weighted by the
+        density of the O(2) part."""
         return np.array([kl.index for kl in sorted(
-            self.phi0_classes(), key=lambda kl: (
+            self._classes_sorted, key=lambda kl: (
                 kl.order == 0,
                 kl.order or len(kl.H_set) * (2 if kl.kind == "o2" else 1)),
             reverse=True)])
 
     def _mark_column(self, i):
         """|W(H)| and the column n(., H) of the class H with index i over
-        the Phi0 classes in back-substitution order, as Python ints."""
+        the classes in back-substitution order, as Python ints."""
         high = self.classes[i]
-        return (self.weyl(high)[1],
+        return (self.weyl(high),
                 self._column(high)[self._mark_order].astype(object))
 
     def marks(self, coeffs: dict) -> np.ndarray:
         """Mark coordinates v_L = sum_H c_H n(L, H) |W(H)| of the element
-        with class coefficients `coeffs`, one exact Python int per Phi0
-        class L in back-substitution order."""
+        with class coefficients `coeffs`, one exact Python int per class L
+        in back-substitution order."""
         v = np.zeros(len(self._mark_order), dtype=object)
         for i, c in coeffs.items():
             w, col = self._mark_column(i)
@@ -899,7 +882,7 @@ class Universe:
 
     def degree_marks(self, modes) -> list:
         """Marks of the product of the basic degrees of the (j, l) loop modes
-        in `modes`: (-1)^(sum of dim V_{j,l}^L) at each Phi0 class L."""
+        in `modes`: (-1)^(sum of dim V_{j,l}^L) at each class L."""
         dims = sum((self._fixed_dims(j, l) for j, l in modes),
                    np.zeros(len(self.classes), dtype=np.int64))
         return (1 - 2 * (dims[self._mark_order] % 2)).tolist()
@@ -915,10 +898,10 @@ class Universe:
 
         The cover keeps H, Z, L and the permutations paired with rotations
         and multiplies K's order by k, so the preimage is named like kl
-        with K order k K_order.  It pulls K = D_d or Z_d on the grid back
-        to D_kd or Z_kd, and the kernel of K -> L back to a kernel whose
-        cosets are numbered alike, so the preimage of kl's founder is the
-        first candidate of the new name and founds its class.
+        with K order k K_order.  It pulls K = D_d on the grid back to D_kd,
+        and the kernel of K -> L back to a kernel whose cosets are numbered
+        alike, so the preimage of kl's founder is the first candidate of the
+        new name and founds its class.
         InternalError unless that class exists and its codes are the
         preimage's."""
         codes, _ = self._fold_preimage(kl, k)
@@ -983,13 +966,7 @@ class BurnsideElement:
 
     def __init__(self, universe: Universe, coeffs=None):
         self.universe = universe
-        self.coeffs = {}
-        for idx, c in (coeffs or {}).items():
-            if c:
-                kl = universe.classes[idx]
-                if not kl.in_phi0:
-                    raise ValueError("class with infinite Weyl group: %s" % kl)
-                self.coeffs[idx] = int(c)
+        self.coeffs = {idx: int(c) for idx, c in (coeffs or {}).items() if c}
 
     @classmethod
     def unit(cls, universe):

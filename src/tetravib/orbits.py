@@ -287,8 +287,6 @@ def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass,
     spatial matrices into one stack.
     """
     n_relations = len(klass.elements()) - 1
-    if not n_relations:
-        return ()
     n_modes = orbit.n_modes
     cos, sin, rho_t = _relation_tables(klass, n_modes, n_samples)
     base = orbit._combine(*_sample_trig(n_modes, n_samples))
@@ -547,15 +545,18 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         n_points = 4 * n_modes + 1
     if n_points < 4 * n_modes + 1:
         raise UsageError("need at least 4*n_modes+1 collocation points")
-    if klass.is_finite and not klass.has_time_reflection:
-        raise UsageError("class contains no time reflection; the phase of "
-                         "the loop would be undetermined")
     eq = equilibrium or find_equilibrium(potential)
     lam0 = l / math.sqrt(eq.mu[j])
 
     constraint = SymmetryConstraint(klass, n_modes)
+    kernel, rank = _kernel_direction(constraint, j, l)
+    if rank != 1:
+        # the seed follows one critical direction; with several, the branch
+        # it picks is arbitrary and the corrector need not converge on it
+        raise UsageError("class %s has %d critical directions in the "
+                         "(%d, %d) mode; a branch needs exactly one"
+                         % (klass.printed_form(), rank, j, l))
     system = _NewtonSystem(potential, constraint, eq, n_points)
-    kernel, _ = _kernel_direction(constraint, j, l)
     x0, n_red, n_c = system.x0, system.n_red, system.n_c
 
     # the seed adds a sliver of the kernel direction to the equilibrium x0

@@ -114,10 +114,10 @@ def _scalar_mul(u):
 
 def _k_groups(u):
     """(AmalgamClass fields of K, [(K/R, generators of R, label of
-    L = K/R)]) for every K of the Goursat construction: the dihedral
-    D_d (axis parameter 0) of each order, then the cyclic Z_n, each with
-    its quotients by the normal subgroups R with cyclic or dihedral
-    quotient."""
+    L = K/R)]) for every finite K of the Goursat construction: the dihedral
+    D_d (axis parameter 0) of each order, with its quotients by the normal
+    subgroups R with quotient Z_m or D_m.  The rotation groups Z_n are left
+    out: their classes have infinite Weyl groups."""
     def grid(c, kind=0):
         # the c rotations, or reflections, spaced 1/c turn from 0
         return [u.join(bu.ID_PERM, kind, i * (u.N // c)) for i in range(c)]
@@ -137,10 +137,6 @@ def _k_groups(u):
             qs.append(quotient(k_codes, d // 2, "Z2", dihedral=True))
         qs.append(quotient(k_codes, d, "Z1", dihedral=True))
         out.append((dict(kind="dihedral", K_kind="D", K_order=d), qs))
-    for n in u.orders:
-        out.append((dict(kind="cyclic", K_kind="Z", K_order=n),
-                    [quotient(grid(n), c, "Z%d" % (n // c))
-                     for c in bu._divisors(n)]))
     return out
 
 

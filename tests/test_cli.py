@@ -399,6 +399,26 @@ def test_branch_unknown_class_exits_one(capsys):
                        "--j", "0", "--l", "1")
     assert code == 1
     assert "unknown symmetry class" in err
+    # a class with K = Z_n has an infinite Weyl group: not in the universe
+    code, _, err = run(capsys, "branch", "--class", "(Z1 x Z1)",
+                       "--j", "0", "--l", "1")
+    assert code == 1
+    assert "unknown symmetry class" in err
+
+
+def test_branch_with_several_critical_directions_exits_one(capsys,
+                                                           monkeypatch):
+    # (Z1 x D1) fixes a three-dimensional part of the (1, 1) critical mode;
+    # the rank is checked before the corrector is built
+    def no_corrector(*args, **kwargs):
+        raise AssertionError("corrector built for a rank-3 kernel")
+    monkeypatch.setattr(orbits, "_NewtonSystem", no_corrector)
+    code, out, err = run(capsys, "branch", "--class", "(Z1 x D1)",
+                         "--j", "1", "--l", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: class (Z1 x D1) has 3 critical directions in the (1, 1) "
+        "mode; a branch needs exactly one"]
 
 
 def test_branch_accepts_canonical_name(capsys, tmp_path):

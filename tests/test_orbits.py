@@ -226,14 +226,6 @@ def test_verify_predicates_equals_the_predicate_loop(wave_branch):
             == _loop_verify_predicates(wave_branch.orbit, klass, 32))
 
 
-def test_verify_predicates_without_predicates(u2):
-    # the stacked evaluation needs its guard: stacking no arrays raises.  The
-    # trivial class's only element is the identity, so it has no relations
-    trivial = u2.parse_class("(Z1 x Z1)")
-    assert trivial.is_finite and len(trivial.elements()) == 1
-    assert ob.verify_predicates(_random_orbit(4), trivial) == ()
-
-
 @pytest.mark.parametrize("which", ["breathing_class", "wave_class"])
 def test_collocation_model_matches_fourier_loop(request, eq, which):
     # the corrector works on reduced points x alone: D @ x,
@@ -824,19 +816,14 @@ def test_continue_branch_rejects_bad_modes(eq, breathing_class):
                            equilibrium=eq)
 
 
-def test_continue_branch_requires_a_time_reflection(u2, eq, monkeypatch):
-    # checked before any work: neither the equilibrium nor the n_modes + 1
-    # projectors are built for a class that cannot pin the phase of the
-    # loop; a continuous class keeps its own message
+def test_continue_branch_requires_a_time_reflection(u2, eq):
+    # every finite class of the universe projects onto a dihedral group, so
+    # it holds a time reflection and one at angle 0 for the half
+    # collocation grid; a continuous class keeps its own message
+    for kl in u2.classes:
+        if kl.is_finite:
+            assert any(kind == "refl" and angle == 0
+                       for _, kind, angle in kl.elements()), str(kl)
     continuous = u2.parse_class("(S4 x SO2)")
     with pytest.raises(UsageError, match="continuous symmetry classes"):
         ob.continue_branch(BOND, continuous, 0, 1, n_modes=4, equilibrium=eq)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work done before the time reflection check")
-    monkeypatch.setattr(ob, "find_equilibrium", no_work)
-    monkeypatch.setattr(ob, "SymmetryConstraint", no_work)
-    rotations_only = u2.find_class("S4", kind="cyclic", l_label="Z1",
-                                   k_order=1)
-    with pytest.raises(UsageError, match="no time reflection"):
-        ob.continue_branch(BOND, rotations_only, 0, 1, n_modes=4)
