@@ -9,7 +9,7 @@ numerical continuation of the predicted symmetric periodic orbit families.
 import os
 
 # One BLAS thread, set before the first numpy import below.  The largest
-# linear system in the pipeline is 1552 x 195 (a branch at n_modes = 64);
+# linear system of the benchmark is 532 x 195 (a branch at n_modes = 64);
 # at that size OpenBLAS worker threads only spin, nearly doubling the CPU
 # time for no gain in wall time.  A count the caller has set wins; numpy
 # imported before tetravib has already sized its pool.

@@ -7,9 +7,11 @@ of period 2*pi*lambda.  A symmetry class from the bifurcation analysis is
 imposed exactly, mode by mode, by averaging the induced action on Fourier
 coefficients; Gauss-Newton corrections then run inside the fixed subspace
 with the loop amplitude as continuation parameter.  The corrector uses the
-class twice more: its time reflection at angle 0 makes the residual at -t an
-orthogonal image of the residual at t, so only half of the collocation grid is
-solved, and no coordinate of the fixed subspace moves the centre of mass.
+class twice more.  Its time action, the dihedral group D_s of the shifts by
+k/s of a turn and the reflections, maps the residual at t to an orthogonal
+image of the residual at every moved time, so only a fundamental domain of
+the collocation grid, the times in [0, pi/s], is solved.  And no coordinate
+of the fixed subspace moves the centre of mass.
 """
 from __future__ import annotations
 
@@ -357,7 +359,8 @@ def _kernel_direction(constraint, j, l):
 
 # Largest trusted condition estimate of a scaled Newton system.  The normal
 # equations square it, so at this bound a step keeps about four correct
-# digits, enough for Newton to converge; the default families stay below 5e3.
+# digits, enough for Newton to converge; the default families reach 7.1e3,
+# on (S4^V4 x_D3 D3).
 MAX_CONDITION = 1e6
 # The first step's amplitude (unless target_amplitude is smaller), and the
 # most Newton steps of one corrector call.
@@ -367,11 +370,12 @@ MAX_NEWTON = 25
 # that fill about this many bytes, and J^T J and J^T F are summed over the
 # blocks from one reused buffer, so the whole Jacobian is never held.  A block
 # holds at least (n_red + 1) / 12 points, so that its product a^T a has at
-# least as many rows as columns: on (D3^Z1 x_D3 D3) at 256 modes the budget
-# alone gives blocks of 3 points, and a Newton step takes 441 ms against
-# 149 ms with the 65 points of that floor.  At n_modes = 64, blocks of 14 to
-# 55 points take 6.8 to 7.8 ms a step and blocks of 4 points 11.4 ms; at 16
-# modes this budget keeps the system one block.
+# least as many rows as columns: on (D3^Z1 x_D3 D3) at 256 modes (172
+# collocated points) the budget alone gives blocks of 3 points, and a Newton
+# step takes 145 ms against 59 ms with the 65 points of that floor.  At
+# n_modes = 64 (44 points), blocks of 14 to 44 points take 2.4 to 2.9 ms a
+# step and blocks of 4 points 3.5 ms; at 16 modes this budget keeps the
+# system one block.
 JACOBIAN_BLOCK_BYTES = 256 * 1024
 # The most Fourier modes a configuration may ask for.  The corrector's
 # arrays grow as n_modes^2 (on (Z1 x D1), the largest class, a process that
@@ -408,29 +412,40 @@ class _NewtonSystem:
     column-scaled Jacobian.
 
     Rows: the weighted collocation residual r = u'' + lam^2 grad V(u), then
-    the amplitude row and three rotational gauge rows.  The class holds a
-    time reflection at angle 0, (sigma, 0), so every loop of the fixed space
-    satisfies u(-t) = rho(sigma) u(t); since V is invariant, also
-    r(-t) = rho(sigma) r(t), and the row at t_{N-k} is an orthogonal image
-    of the row at t_k.  Only t_k = 2*pi*k/N, k = 0..N//2, is collocated,
-    with the row weight sqrt(mult_k / N): mult_k is 1 when t_k is its own
-    mirror (2k = 0 mod N) and 2 otherwise.  J^T J, J^T F and |F| are then
-    those of all N rows weighted by 1/sqrt(N).
+    the amplitude row and three rotational gauge rows.  Every finite class
+    projects onto K = D_s: it holds a time reflection at angle 0, (sigma, 0),
+    and a shift by each k/s of a turn, (tau, k/s).  So every loop of the
+    fixed space satisfies u(-t) = rho(sigma) u(t) and
+    u(t + 2*pi/s) = rho(tau) u(t); since V is invariant, r obeys the same
+    relations, and on N = s*M equispaced times the row at t_{+-k + jM} is
+    an orthogonal image of the row at t_k.  Only the fundamental domain
+    t_k = 2*pi*k/N, k = 0..M//2, the times in [0, pi/s], is collocated, with
+    the row weight sqrt(orbit_k / N): orbit_k, the number of grid times
+    that t_k stands for, is s when t_k is its own mirror (2k = 0 mod M) and
+    2s otherwise.  J^T J, J^T F and |F| are then those of all N rows
+    weighted by 1/sqrt(N).  N is n_points rounded up to a multiple of s.
+    lam0, the frequency parameter at the bifurcation, scales the lambda
+    column (see col_scale).
     """
 
     def __init__(self, potential: PairPotential,
-                 constraint: SymmetryConstraint, equilibrium, n_points: int):
+                 constraint: SymmetryConstraint, equilibrium, n_points: int,
+                 lam0: float):
         klass = constraint.klass
         if not any(kind == "refl" and angle == 0
                    for _, kind, angle in klass.elements()):
             raise InternalError(
                 "class %s has a time reflection but none at angle 0, which "
-                "the half collocation grid needs" % klass.printed_form())
+                "the fundamental domain of the collocation grid needs"
+                % klass.printed_form())
         self.potential = potential
-        k = np.arange(n_points // 2 + 1)
-        self.weight = np.sqrt(np.where(2 * k % n_points == 0, 1.0, 2.0)
-                              / n_points)[:, None]
-        self.D = constraint.collocation(_collocation_times(n_points)[k])
+        s = klass.K_order
+        self.n_points = n = s * -(-n_points // s)
+        per_shift = n // s              # M, the grid times in 1/s of a turn
+        k = np.arange(per_shift // 2 + 1)
+        self.weight = np.sqrt(np.where(2 * k % per_shift == 0, s, 2 * s)
+                              / n)[:, None]
+        self.D = constraint.collocation(_collocation_times(n)[k])
         self.n_red = n_red = self.D.shape[2]
         self.n_c = 12 * k.size  # then the amplitude and gauge rows
         self.h1 = constraint.h1_weights()
@@ -443,8 +458,10 @@ class _NewtonSystem:
             -(-(n_red + 1) // 12)))
         # the Newton system is solved for S^-1 (dx, dlam): S scales the
         # column of mode m by (1 + m^2)^-1, which undoes the growth of the
-        # acceleration block with m; the lambda column is left as it is
-        self.col_scale = np.append(1.0 / (1.0 + msq), 1.0)
+        # acceleration block with m, and the lambda column by lam0, so that
+        # the unknown is lam / lam0.  V -> cV takes lam0 to lam0 / sqrt(c)
+        # and leaves the scaled system as it was
+        self.col_scale = np.append(1.0 / (1.0 + msq), lam0)
         # the rows of one block of J S, rebuilt in place for every block at
         # every Newton step; the amplitude and gauge rows follow the last
         # block's rows.  One block makes this the whole Jacobian
@@ -539,6 +556,9 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     solving simultaneously for the Fourier coefficients (in reduced
     coordinates) and the frequency parameter lambda.  Steps halve on
     corrector failure; the branch stops once target_amplitude is reached.
+    The corrector collocates n_points equispaced times, rounded up to a
+    multiple of s for a class whose time action is D_s; each point's
+    residual is the RMS collocation residual on that grid.
     """
     check_branch_request(j, l, n_modes, steps)
     if n_points is None:
@@ -556,7 +576,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         raise UsageError("class %s has %d critical directions in the "
                          "(%d, %d) mode; a branch needs exactly one"
                          % (klass.printed_form(), rank, j, l))
-    system = _NewtonSystem(potential, constraint, eq, n_points)
+    system = _NewtonSystem(potential, constraint, eq, n_points, lam0)
     x0, n_red, n_c = system.x0, system.n_red, system.n_c
 
     # the seed adds a sliver of the kernel direction to the equilibrium x0
@@ -574,8 +594,9 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         return (None if z is None else z * system.col_scale), cond
 
     def correct(x, lam, target):
-        """Corrected (x, lam) or None, the least collocation residual and
-        the condition estimate of the last Newton system (None if none)."""
+        """Corrected (x, lam, its collocation residual) or None, the least
+        collocation residual and the condition estimate of the last Newton
+        system (None if none)."""
         f, u, g = system.residual(x, lam, target)
         least = math.inf
         cond = None
@@ -584,7 +605,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             norm_all = float(np.linalg.norm(f))
             least = min(least, norm_c)
             if norm_c < newton_tol and norm_all < 10.0 * newton_tol:
-                return (x, lam), least, cond
+                return (x, lam, norm_c), least, cond
             step, cond = newton_step(x, lam, u, g, f)
             if step is None:
                 return None, least, cond
@@ -599,7 +620,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             else:
                 return None, least, cond
         norm_c = float(np.linalg.norm(f[:n_c]))
-        return (((x, lam) if norm_c < newton_tol else None),
+        return (((x, lam, norm_c) if norm_c < newton_tol else None),
                 min(least, norm_c), cond)
 
     def stuck(what):
@@ -639,9 +660,8 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
                 continue
             target = history[-1][0] + step
         else:
-            x, lam = got
+            x, lam, res = got
             orbit = constraint.unpack(x, lam)
-            res = residual(orbit, potential, n_points)
             preds = verify_predicates(orbit, klass, n_samples=32)
             points.append(BranchPoint(amplitude=system.amplitude(x), lam=lam,
                                       residual=res,

@@ -745,9 +745,28 @@ def default_report():
 
 def test_default_report_corrector_work(default_report):
     # one Hessian per Newton step, one gradient per residual: the seven
-    # branches at n_modes 16 make exactly this much corrector work
+    # branches at n_modes 16 make exactly this much corrector work, and
+    # each of their 77 points takes its residual from the corrector
     _, counts, _, _ = default_report
-    assert counts == {"hessian": 126, "gradient": 280}
+    assert counts == {"hessian": 126, "gradient": 203}
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e100, 1e-300])
+def test_report_is_free_of_the_potential_scale(tmp_path, capsys,
+                                               default_report, c):
+    # V -> cV only rescales time, lambda -> lambda / sqrt(c).  The corrector
+    # solves for lambda / lambda0, so its column-scaled system is that of
+    # c = 1, and so is every branch (measured: 1.1e-15 relative at most)
+    cfg = tmp_path / "scaled.toml"
+    cfg.write_text("[potential]\nbond_weight = %r\n" % c)
+    scaled = run_json(capsys, "--config", str(cfg), "report")["branches"]
+    default = default_report[0]["branches"]
+    assert len(scaled) == 7
+    assert [b["canonical"] for b in scaled] == [
+        b["canonical"] for b in default]
+    for got, want in zip(scaled, default):
+        assert got["final_lambda"] * math.sqrt(c) == pytest.approx(
+            want["final_lambda"], rel=1e-12, abs=0.0), want["class"]
 
 
 def test_default_report_derives_each_class_once(default_report):

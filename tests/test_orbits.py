@@ -249,6 +249,11 @@ def test_collocation_model_matches_fourier_loop(request, eq, which):
             ob.amplitude(orbit, u_o), rel=1e-13)
 
 
+def _lam0(fam, eq):
+    """The frequency parameter at the family's bifurcation."""
+    return fam.l / math.sqrt(eq.mu[fam.j])
+
+
 def test_collocation_layout_of_the_default_families(u2, eq):
     # the report bytes depend on the memory layout of D (see
     # SymmetryConstraint.collocation): C order on the two classes where
@@ -258,7 +263,7 @@ def test_collocation_layout_of_the_default_families(u2, eq):
     assert len(families) == 7
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
-        D = ob._NewtonSystem(BOND, con, eq, 65).D
+        D = ob._NewtonSystem(BOND, con, eq, 65, _lam0(fam, eq)).D
         name = fam.klass.printed_form()
         n_red = D.shape[2]
         if name in ("(S4 x D1)", "(S4^V4 x_D3 D3)"):
@@ -341,19 +346,25 @@ def test_mode_zero_basis_is_free_of_translation(u2, eq, name):
 
 def test_newton_system_size_at_64_modes(u2, eq):
     # one translation fewer in each of the 64 modes m >= 1 than the fixed
-    # space holds (258 coordinates), and 129 of the 257 collocation times:
-    # 12 * 129 collocation rows, the amplitude row and three gauge rows
+    # space holds (258 coordinates); the class's time action is D3, so the
+    # 257 collocation times round up to N = 258 = 3 * 86, and the
+    # fundamental domain [0, pi/3] holds 86 // 2 + 1 = 44 of them:
+    # 12 * 44 collocation rows, the amplitude row and three gauge rows
     con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
     assert con.modes.size == 194
-    system = ob._NewtonSystem(BOND, con, eq, 257)
-    assert (system.n_c + 4, system.n_red + 1) == (1552, 195)
+    system = ob._NewtonSystem(BOND, con, eq, 257,
+                              1.0 / math.sqrt(eq.mu[1]))
+    assert system.n_points == 258
+    assert (system.n_c + 4, system.n_red + 1) == (532, 195)
     # the normal equations are 195 x 195, summed over blocks of 17 points,
-    # the fewest whose 204 rows outnumber the 195 columns
+    # the fewest whose 204 rows outnumber the 195 columns: three blocks, of
+    # 17, 17 and 10 points
     x = system.x0 + 1e-3 * con.pack(_random_orbit(64))
     f, u, g = system.residual(x, 0.5, 0.0)
     gram, rhs = system.normal_equations(x, 0.5, u, g, f)
     assert gram.shape == (195, 195) and rhs.shape == (195,)
     assert system.block == 17 and system.buf.shape == (12 * 17 + 4, 195)
+    assert (-(-44 // system.block), 44 % system.block) == (3, 10)
 
 
 def _tail_rows(system, x):
@@ -364,12 +375,13 @@ def _tail_rows(system, x):
     return tail * system.col_scale
 
 
-def _full_grid_system(system, con, x, lam, target, n_points):
-    """(J S, F) of all n_points collocation rows, each weighted by
-    1/sqrt(n_points), assembled here from the Fourier loop, and the RMS
-    size of the loop's acceleration; the amplitude and gauge rows are the
-    half-grid system's own."""
+def _full_grid_system(system, con, x, lam, target):
+    """(J S, F) of all N = system.n_points collocation rows, each weighted
+    by 1/sqrt(N), assembled here from the Fourier loop, and the RMS size of
+    the loop's acceleration; the amplitude and gauge rows are the system's
+    own."""
     f_half = system.residual(x, lam, target)[0]
+    n_points = system.n_points
     ts = ob._collocation_times(n_points)
     orbit = con.unpack(x, lam)
     u = orbit.evaluate(ts).reshape(-1, 4, 3)
@@ -387,44 +399,119 @@ def _full_grid_system(system, con, x, lam, target, n_points):
     return jac, f, w * float(np.linalg.norm(acc))
 
 
+def _full_grid_gaps(system, con, x, lam):
+    """How far J^T J, J^T F and the collocation norm of the system lie from
+    those of all system.n_points rows at (x, lam), with the amplitude row
+    at zero, relative to their size.  The residual is a near-cancellation
+    of u'' and lam^2 grad V, and rounding differs between images of one
+    time, so what is built from F is measured relative to the size of
+    u''."""
+    target = system.amplitude(x)
+    f, u, g = system.residual(x, lam, target)
+    gram_half, rhs_half = system.normal_equations(x, lam, u, g, f)
+    a_full, f_full, scale = _full_grid_system(system, con, x, lam, target)
+    gram = a_full.T @ a_full
+    return (np.linalg.norm(gram_half - gram) / np.linalg.norm(gram),
+            np.linalg.norm(rhs_half - a_full.T @ f_full)
+            / (np.linalg.norm(a_full) * scale),
+            abs(np.linalg.norm(f[:system.n_c])
+                - np.linalg.norm(f_full[:-4])) / scale)
+
+
+def _seed(system, con, fam, eq):
+    """The branch's first corrector guess and its lam0."""
+    kernel, _ = ob._kernel_direction(con, fam.j, fam.l)
+    kc = np.zeros((con.n_modes + 1, 12))
+    ks = np.zeros((con.n_modes + 1, 12))
+    kc[fam.l], ks[fam.l] = kernel[:12], kernel[12:]
+    lam0 = _lam0(fam, eq)
+    return system.x0 + 1e-3 * con.pack(ob.FourierOrbit(kc, ks, lam0)), lam0
+
+
 @pytest.mark.parametrize("n_points", [65, 66])
 def test_half_grid_matches_full_grid(u2, eq, n_points):
-    # J^T J, J^T F and the collocation norm of the half grid equal those of
-    # all n_points rows, for N = 4n+1 and for an even N = 4n+2, where t = pi
-    # is its own mirror: at the seed of each default family and at its last
-    # converged point, with the amplitude row at zero.  There the residual
-    # is a near-cancellation of u'' and lam^2 grad V, and rounding differs
-    # between mirror times, so what is built from F is compared relative to
-    # the size of u'' (measured: 8e-14 at most).
+    # J^T J, J^T F and the collocation norm of the fundamental domain
+    # [0, pi/s] of each default family's time action D_s equal those of all
+    # N rows of the system's own grid, N = n_points rounded up to a multiple
+    # s*M of s: at the seed of each family and at its last converged point
+    # (measured: 4.5e-13 at most, relative to the size of u'', on the
+    # collocation norm at the seed of (D3^Z1 x_D3 D3)).  Both an odd
+    # M and an even M, where t = pi/s is its own mirror, occur with s > 1;
+    # with s = 1, where the domain is the half grid, M = n_points.
     families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
     assert len(families) == 7
+    grids = set()
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
-        system = ob._NewtonSystem(BOND, con, eq, n_points)
-        kernel, _ = ob._kernel_direction(con, fam.j, fam.l)
-        kc = np.zeros((17, 12))
-        ks = np.zeros((17, 12))
-        kc[fam.l], ks[fam.l] = kernel[:12], kernel[12:]
-        lam0 = fam.l / math.sqrt(eq.mu[fam.j])
-        seed = system.x0 + 1e-3 * con.pack(ob.FourierOrbit(kc, ks, lam0))
+        system = ob._NewtonSystem(BOND, con, eq, n_points,
+                                  _lam0(fam, eq))
+        s = fam.klass.K_order
+        m = system.n_points // s
+        assert system.n_points == s * m < n_points + s
+        assert system.n_c == 12 * (m // 2 + 1)
+        grids.add((s > 1, m % 2))
+        seed, lam0 = _seed(system, con, fam, eq)
         branch = ob.continue_branch(BOND, fam.klass, fam.j, fam.l,
                                     n_modes=16, n_points=n_points,
                                     equilibrium=eq)
-        name = fam.klass.printed_form()
         for x, lam in ((seed, lam0), (con.pack(branch.orbit),
                                       branch.final_lam)):
-            target = system.amplitude(x)
-            f, u, g = system.residual(x, lam, target)
-            gram_half, rhs_half = system.normal_equations(x, lam, u, g, f)
-            a_full, f_full, scale = _full_grid_system(system, con, x, lam,
-                                                      target, n_points)
-            gram = a_full.T @ a_full
-            assert np.linalg.norm(gram_half - gram) < 1e-12 * np.linalg.norm(
-                gram), name
-            assert np.linalg.norm(rhs_half - a_full.T @ f_full) < (
-                1e-12 * np.linalg.norm(a_full) * scale), name
-            assert abs(np.linalg.norm(f[:system.n_c])
-                       - np.linalg.norm(f_full[:-4])) < 1e-12 * scale, name
+            assert max(_full_grid_gaps(system, con, x, lam)) < 1e-12, (
+                fam.klass.printed_form())
+    assert grids == {(False, n_points % 2), (True, 0), (True, 1)}
+
+
+class _ForcedOrder:
+    """A class that claims a time action D_order in place of its own."""
+
+    def __init__(self, klass, order):
+        self.klass, self.K_order = klass, order
+
+    def __getattr__(self, name):
+        return getattr(self.klass, name)
+
+
+def test_fundamental_domain_of_a_larger_shift_group_misses_the_sums(u2, eq):
+    # negative control: a domain [0, pi/2s] that assumes a shift by 1/2s of
+    # a turn, which the class lacks, gets J^T J wrong, while the class's own
+    # domain [0, pi/s] gets it right
+    fams = {f.klass.printed_form(): f for f in independent_families(
+        cli._invariant_reports(eq.mu, 2, u2))}
+    for name in ("(D3^Z1 x_D3 D3)", "(D4^D2 x_Z2 D2)"):
+        fam = fams[name]
+        con = ob.SymmetryConstraint(fam.klass, 16)
+        system = ob._NewtonSystem(BOND, con, eq, 65, _lam0(fam, eq))
+        x, lam = _seed(system, con, fam, eq)
+        assert max(_full_grid_gaps(system, con, x, lam)) < 1e-12, name
+        con.klass = _ForcedOrder(fam.klass, 2 * fam.klass.K_order)
+        wrong = ob._NewtonSystem(BOND, con, eq, 65, lam)
+        # measured: 0.58 and 0.46
+        assert _full_grid_gaps(wrong, con, x, lam)[0] > 0.1, name
+
+
+def test_time_reversible_family_keeps_the_half_grid(u2, eq):
+    # with s = 1 the fundamental domain is the half grid: D and the row
+    # weights are those of k = 0..N//2 on the N = n_points grid, bit for
+    # bit, on both such default families
+    families = [f for f in independent_families(
+        cli._invariant_reports(eq.mu, 2, u2)) if f.klass.K_order == 1]
+    assert {f.klass.printed_form() for f in families} == {
+        "(S4 x D1)", "(D3 x D1)"}
+    for fam in families:
+        con = ob.SymmetryConstraint(fam.klass, 16)
+        name = fam.klass.printed_form()
+        for n_points in (65, 66):
+            system = ob._NewtonSystem(BOND, con, eq, n_points,
+                                      _lam0(fam, eq))
+            k = np.arange(n_points // 2 + 1)
+            weight = np.sqrt(np.where(2 * k % n_points == 0, 1.0, 2.0)
+                             / n_points)[:, None]
+            D = con.collocation(ob._collocation_times(n_points)[k])
+            assert system.n_points == n_points
+            assert system.weight.tobytes() == weight.tobytes(), name
+            assert system.weight.shape == weight.shape, name
+            assert system.D.tobytes() == D.tobytes(), name
+            assert system.D.strides == D.strides, name
 
 
 def _whole_array_jacobian(system, x, lam, u, g):
@@ -482,50 +569,58 @@ def test_block_jacobian_equals_the_whole_array_formula(u2, eq, monkeypatch,
     assert len(families) == 7
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
-        system = ob._NewtonSystem(BOND, con, eq, 65)
+        system = ob._NewtonSystem(BOND, con, eq, 65, _lam0(fam, eq))
+        # the fundamental domain of D_s on N = s*M of the 65 times
+        # holds M // 2 + 1 points: 33, 17, 12 and 9 points at s = 1 to 4
+        n_half = system.n_points // fam.klass.K_order // 2 + 1
+        assert system.n_c // 12 == n_half == {1: 33, 2: 17, 3: 12, 4: 9}[
+            fam.klass.K_order]
         if one_byte_budget:
-            assert system.block == -(-(system.n_red + 1) // 12) < 33
+            assert system.block == -(-(system.n_red + 1) // 12) < n_half
         else:
-            assert system.block == system.n_c // 12 == 33
+            assert system.block == n_half
             assert system.buf.shape == (system.n_c + 4, system.n_red + 1)
-        _assert_block_sums_exact(system, fam.l / math.sqrt(eq.mu[fam.j]),
+        _assert_block_sums_exact(system, _lam0(fam, eq),
                                  fam.klass.printed_form())
 
 
 def test_block_jacobian_is_exact_with_a_short_last_block(u2, eq):
     con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
-    system = ob._NewtonSystem(BOND, con, eq, 257)
+    lam0 = 1.0 / math.sqrt(eq.mu[1])
+    system = ob._NewtonSystem(BOND, con, eq, 257, lam0)
     n_half = system.n_c // 12
     assert system.block < n_half and n_half % system.block
-    _assert_block_sums_exact(system, 1.0 / math.sqrt(eq.mu[1]),
-                             "(D3^Z1 x_D3 D3)")
+    _assert_block_sums_exact(system, lam0, "(D3^Z1 x_D3 D3)")
 
 
 def test_newton_system_holds_only_D_and_the_jacobian(u2, eq):
-    # at n_modes 64 the collocation matrix D is 2.4 MB, as the whole
-    # Jacobian would be; the system holds nothing else of their size, only
-    # the 0.3 MB buffer of one row block, and the normal equations build
-    # with no temporary of their size
+    # at n_modes 64 the collocation matrix D of the 44 points of the
+    # fundamental domain is 0.8 MB, as the whole Jacobian would be; the
+    # system holds nothing else of their size, only the 0.3 MB buffer of
+    # one row block, and the normal equations build with no temporary of
+    # their size
     con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
+    lam = 1.0 / math.sqrt(eq.mu[1])
     tracemalloc.start()
     try:
-        system = ob._NewtonSystem(BOND, con, eq, 257)
+        system = ob._NewtonSystem(BOND, con, eq, 257, lam)
         held = tracemalloc.get_traced_memory()[0]
         x = system.x0 + 1e-2 * np.random.default_rng(0).standard_normal(
             system.n_red)
-        lam = 1.0 / math.sqrt(eq.mu[1])
         f, u, g = system.residual(x, lam, 0.0)
+        # measured from here: the generator's first use holds 0.8 MB
+        before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         system.normal_equations(x, lam, u, g, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert held < system.D.nbytes + 2 ** 19
-    assert peak < held + 2 ** 20
+    assert peak < before + 2 ** 20
 
 
 def test_every_reflecting_class_reflects_time_at_angle_zero():
-    # the half collocation grid rests on a time reflection at angle 0; no
+    # the fundamental domain rests on a time reflection at angle 0; no
     # finite class of the universes at l_max 2 and 4 lacks one
     for l_max, count in ((2, 206), (4, 312)):
         reflecting = [c for c in _universe(l_max).classes
@@ -534,6 +629,19 @@ def test_every_reflecting_class_reflects_time_at_angle_zero():
         for c in reflecting:
             assert any(kind == "refl" and angle == 0
                        for _, kind, angle in c.elements()), c.printed_form()
+
+
+def test_every_finite_class_shifts_time_by_each_k_over_s():
+    # the fundamental domain [0, pi/s] rests on the class's time action
+    # being D_s, s = K_order: its shifts are exactly the k/s of a turn, and
+    # its reflections sit at those same angles
+    for l_max in (2, 4):
+        for c in _universe(l_max).classes:
+            if c.is_finite:
+                turns = {Fraction(k, c.K_order) for k in range(c.K_order)}
+                for kind in ("rot", "refl"):
+                    assert {angle for _, k, angle in c.elements()
+                            if k == kind} == turns, c.printed_form()
 
 
 class _ShiftedReflections:
@@ -575,11 +683,10 @@ def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
     # every Newton system of every default family at n_modes = 16: the
     # column-scaled Jacobian keeps its smallest singular value, the square
     # root of the normal matrix's smallest eigenvalue, well clear of zero
-    # (largest measured condition number 4.9e3, on (S4^V4 x_D3 D3); the
-    # half grid and the translation-free bases leave every family's
-    # largest value unchanged to 1e-12 relative).  A screened term is
-    # added because the bare bond potential makes the breathing branch
-    # exactly harmonic, so that family would take no Newton step at all.
+    # (largest measured condition number 7.1e3, on (S4^V4 x_D3 D3), with
+    # lambda's column scaled by lam0).  A screened term is added because
+    # the bare bond potential makes the breathing branch exactly harmonic,
+    # so that family would take no Newton step at all.
     potential = PairPotential(bond_weight=1.0, sigma=0.05)
     eq = find_equilibrium(potential)
     seen = []
