@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .burnside import (MAX_MODE, AmalgamClass, BurnsideElement, Universe,
-                       universe_for_modes)
+from .burnside import MAX_MODE, AmalgamClass, BurnsideElement, Universe
 
 __all__ = [
     "UsageError", "CriticalNumber", "InvariantReport", "Family",
@@ -52,20 +51,24 @@ class CriticalNumber:
         return len(self.contributors) > 1
 
 
-def _ratio_keys(mu, tol=1e-9):
+# an eigenvalue ratio this near a rational, relatively, counts as that rational
+RATIO_TOL = 1e-9
+
+
+def _ratio_keys(mu):
     """Exact rationals r_j with mu_j = r_j * mu_2, or None when unrecognized."""
     keys = []
     for m in mu:
         r = m / mu[2]
         frac = Fraction(r).limit_denominator(64)
-        if abs(float(frac) - r) < tol * max(1.0, r):
+        if abs(float(frac) - r) < RATIO_TOL * max(1.0, r):
             keys.append(frac)
         else:
             return None
     return keys
 
 
-def critical_set(mu, l_max: int = 4) -> tuple:
+def critical_set(mu, l_max: int) -> tuple:
     """Sorted critical numbers l/sqrt(mu_j) for j = 0, 1, 2 and l <= l_max,
     as a tuple computed once per (mu, l_max)."""
     return _critical_set(tuple(mu), l_max)
@@ -108,11 +111,10 @@ def _universe(l_max) -> Universe:
         raise UsageError("Fourier mode %d is above %d, the largest whose "
                          "element codes fit in 64-bit integers"
                          % (l_max, MAX_MODE))
-    return universe_for_modes(range(1, l_max + 1))
+    return Universe.for_l_max(l_max)
 
 
-def degree_below(lam: float, mu, l_max: int = 4,
-                 universe: Universe = None) -> BurnsideElement:
+def degree_below(lam: float, mu, l_max: int) -> BurnsideElement:
     """Product of the basic degrees of all loop components that are negative
     at lambda: the (j, l) with lambda_{j,l} < lambda and l <= l_max."""
     crits = critical_set(mu, l_max)
@@ -120,7 +122,7 @@ def degree_below(lam: float, mu, l_max: int = 4,
         if abs(lam - c.value) < 1e-9 * c.value:
             raise UsageError("lambda coincides with the critical number %g"
                              % c.value)
-    u = universe or _universe(l_max)
+    u = _universe(l_max)
     return BurnsideElement(u, u.from_marks(
         u.degree_marks(_modes_below(lam, crits))))
 
@@ -162,8 +164,7 @@ class Family:
         return self.critical.value
 
 
-def invariant(critical: CriticalNumber, mu, l_max: int = 4,
-              universe: Universe = None) -> InvariantReport:
+def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
     """Bifurcation invariant at one critical number.
 
     The invariant is the jump of degree_below across the critical value,
@@ -189,7 +190,7 @@ def invariant(critical: CriticalNumber, mu, l_max: int = 4,
     unseen = (l_max + 1) / math.sqrt(mu[0])
     if lam_plus >= unseen:
         raise UsageError("l_max too small to isolate this critical number")
-    u = universe or _universe(l_max)
+    u = _universe(l_max)
     above = u.degree_marks(_modes_below(lam_plus, crits))
     below = u.degree_marks(_modes_below(lam_minus, crits))
     omega = BurnsideElement(u, u.from_marks(

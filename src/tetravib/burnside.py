@@ -70,7 +70,7 @@ from .grouprep import (S4, IDENTITY, pmul, pinv, cycle_type,
 __all__ = [
     "InternalError", "S4SubgroupClass", "enumerate_s4_subgroups",
     "s4_subgroup_label", "AmalgamClass", "Universe", "BurnsideElement",
-    "universe_for_modes", "MAX_MODE",
+    "MAX_MODE",
 ]
 
 
@@ -399,11 +399,6 @@ class AmalgamClass:
         time-reversible in place, so all velocities vanish together."""
         return ID_PERM in self.refl_perms
 
-    @property
-    def has_time_reflection(self):
-        """Some element is a reflection of time."""
-        return bool(self.refl_perms)
-
 
 # ---------------------------------------------------------------------------
 # the grid universe
@@ -413,8 +408,12 @@ def _divisors(n):
     return [c for c in range(1, n + 1) if n % c == 0]
 
 
-def _divisor_closure(orders):
-    return tuple(sorted({c for n in orders for c in _divisors(n)}))
+def _orders(l_max):
+    """The dihedral orders that host the isotropy groups of the loop modes
+    l = 1..l_max: every divisor c of some m l, m = 1..4.  c divides some
+    m l exactly when c / gcd(c, m) <= l_max, and m = 4 covers m = 1, 2."""
+    return tuple(c for c in range(1, 4 * l_max + 1)
+                 if min(c // math.gcd(c, 3), c // math.gcd(c, 4)) <= l_max)
 
 
 class _Rows:
@@ -450,14 +449,14 @@ def _perm_set(mask):
 
 
 class Universe:
-    """The Phi0 classes of S4 x O(2) on the grid of `orders`: every
-    conjugacy class of closed subgroups whose O(2) projection is dihedral of
-    an order in `orders`, SO(2) or O(2)."""
+    """The Phi0 classes of S4 x O(2) for the loop modes l = 1..l_max: every
+    conjugacy class of closed subgroups whose O(2) projection is SO(2), O(2)
+    or dihedral of an order in _orders(l_max), on the grid N = their lcm."""
 
     _cache = {}
 
-    def __init__(self, orders):
-        self.orders = _divisor_closure(orders)
+    def __init__(self, l_max):
+        self.orders = _orders(l_max)
         self.N = math.lcm(*self.orders)
         self.classes = []
         self._columns = {}         # class index -> column of the table
@@ -470,11 +469,11 @@ class Universe:
         self._finalize_names()
 
     @classmethod
-    def for_orders(cls, orders):
-        key = _divisor_closure(orders)
-        if key not in cls._cache:
-            cls._cache[key] = cls(key)
-        return cls._cache[key]
+    def for_l_max(cls, l_max):
+        """The universe of l_max, built once."""
+        if l_max not in cls._cache:
+            cls._cache[l_max] = cls(l_max)
+        return cls._cache[l_max]
 
     # -- element arithmetic --------------------------------------------------
 
@@ -935,21 +934,12 @@ class Universe:
         return codes, lifts + [self.join(ID_PERM, 0, n // k)]
 
 
-def _mode_orders(modes):
-    return tuple(sorted({m * l for l in modes for m in (1, 2, 3, 4)}))
-
-
-def universe_for_modes(modes):
-    """Universe able to host isotropy groups of the loop modes in `modes`."""
-    return Universe.for_orders(_mode_orders(modes))
-
-
 def _largest_mode():
     """Largest l_max whose universe keeps every element code, which lies
     below 48 N (24 permutations, two kinds, N grid steps), inside the int64
     arrays of the conjugator kernel."""
     l_max = 0
-    while 48 * math.lcm(*_mode_orders(range(1, l_max + 2))) < 2 ** 63:
+    while 48 * math.lcm(*_orders(l_max + 1)) < 2 ** 63:
         l_max += 1
     return l_max
 

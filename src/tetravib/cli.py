@@ -241,12 +241,14 @@ def _family_entry(f):
             "critical_value": f.value}
 
 
-def _invariant_reports(mu, l_max, universe):
+def _invariant_reports(mu, l_max):
+    # an l_max above MAX_MODE is a usage error, not a window to pass over
+    bifurcation._universe(l_max)
     crits = bifurcation.critical_set(mu, l_max)
     reports = []
     for crit in crits:
         try:
-            reports.append(bifurcation.invariant(crit, mu, l_max, universe))
+            reports.append(bifurcation.invariant(crit, mu, l_max))
         except UsageError:
             continue            # not isolatable within this l_max window
     return reports
@@ -311,8 +313,7 @@ def _analysis(config, critical=None):
     potential = config.potential()
     eq = find_equilibrium(potential)
     l_max = config.analysis["l_max"]
-    universe = bifurcation._universe(l_max)
-    reports = _invariant_reports(eq.mu, l_max, universe)
+    reports = _invariant_reports(eq.mu, l_max)
     if critical is not None:
         j, l = critical
         picked = [r for r in reports if (j, l) in r.critical.contributors]

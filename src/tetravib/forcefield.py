@@ -243,25 +243,28 @@ class EquilibriumResult:
         return tuple(1.0 / math.sqrt(m) for m in self.mu)
 
 
-# The bracketing grid spans twelve decades of r, so large coefficients
-# overflow to inf (or inf - inf) at its ends; such points are never the
-# minimum, and a parameter set with no finite minimum fails the checks below.
+# The bracketing grid: RADIAL_GRID radii log-spaced from R_MIN to R_MAX.  It
+# spans six decades of r, so large coefficients overflow to inf (or inf - inf)
+# at its ends; such points are never the minimum, and a parameter set with no
+# finite minimum fails the checks below.  The polish ends below POLISH_TOL.
+R_MIN, R_MAX, RADIAL_GRID, POLISH_TOL = 1e-3, 1e3, 4001, 1e-12
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def find_equilibrium(p: PairPotential, r_min: float = 1e-3, r_max: float = 1e3,
-                     grid: int = 4001, tol: float = 1e-12) -> EquilibriumResult:
+def find_equilibrium(p: PairPotential) -> EquilibriumResult:
     """Locate the tetrahedral equilibrium radius.
 
     Brackets an interior minimum of phi(r) = 6 U(8 r^2/3) on a logarithmic
     grid, refines by golden-section, and polishes with Newton iteration on
-    phi' until |phi'(r)| < tol.
+    phi' until |phi'(r)| < POLISH_TOL.
     """
-    rs = np.geomspace(r_min, r_max, grid)
+    rs = np.geomspace(R_MIN, R_MAX, RADIAL_GRID)
     vals = radial_energy(p, rs)
     i = int(np.argmin(vals))
-    if i == 0 or i == grid - 1:
+    if i == 0 or i == RADIAL_GRID - 1:
         raise ConvergenceError(
-            "no interior minimum of the radial energy in [%g, %g]" % (r_min, r_max),
-            {"r_min": r_min, "r_max": r_max, "grid": grid,
+            "no interior minimum of the radial energy in [%g, %g]" % (R_MIN, R_MAX),
+            {"r_min": R_MIN, "r_max": R_MAX, "grid": RADIAL_GRID,
              "argmin_r": float(rs[i])})
     a, b = rs[i - 1], rs[i + 1]
 
@@ -293,9 +296,10 @@ def find_equilibrium(p: PairPotential, r_min: float = 1e-3, r_max: float = 1e3,
         if abs(step) < 1e-16 * max(1.0, r):
             break
     _, dphi, d2phi = _radial_derivatives(p, r)
-    if not (abs(dphi) < tol):
+    if not (abs(dphi) < POLISH_TOL):
         raise ConvergenceError("Newton polish stalled at |phi'|=%g" % abs(dphi),
-                               {"r": r, "abs_dphi": abs(dphi), "tol": tol})
+                               {"r": r, "abs_dphi": abs(dphi),
+                                "tol": POLISH_TOL})
 
     s_o = TETRA_PAIR_X * r * r
     _, _, d2u = pair_potential(p, s_o)

@@ -242,8 +242,11 @@ class SliceSpectrum:
     eigenvalues: np.ndarray = field(repr=False)
 
 
-def slice_spectrum(hess: np.ndarray, u_o: np.ndarray,
-                   rel_tol: float = 1e-8) -> SliceSpectrum:
+# each eigenvalue lies this near its component's Rayleigh quotient, relatively
+SPECTRUM_TOL = 1e-8
+
+
+def slice_spectrum(hess: np.ndarray, u_o: np.ndarray) -> SliceSpectrum:
     """Diagonalize the equilibrium Hessian on the centre-of-mass-free subspace.
 
     Returns the three distinct vibrational eigenvalues (mu_0, mu_1, mu_2),
@@ -282,7 +285,7 @@ def slice_spectrum(hess: np.ndarray, u_o: np.ndarray,
     mults = tuple(len(grouped[j]) for j in range(3))
     for j in range(3):
         for lam_val in grouped[j]:
-            if abs(lam_val - mu[j]) > rel_tol * scale:
+            if abs(lam_val - mu[j]) > SPECTRUM_TOL * scale:
                 raise ArithmeticError(
                     "eigenvalue/Rayleigh mismatch on component %d" % j)
     return SliceSpectrum(mu=tuple(mu), slice_mults=mults,

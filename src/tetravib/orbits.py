@@ -122,10 +122,8 @@ def _collocation_times(n_points):
 
 
 def residual(orbit: FourierOrbit, potential: PairPotential,
-             n_points: int = None) -> float:
-    """RMS of u'' + lam^2 grad V(u) over equispaced collocation times."""
-    if n_points is None:
-        n_points = 4 * orbit.n_modes + 1
+             n_points: int) -> float:
+    """RMS of u'' + lam^2 grad V(u) over n_points equispaced times."""
     table = _sample_trig(orbit.n_modes, n_points)
     u = orbit._combine(*table).reshape(-1, 4, 3)
     acc = orbit._combine(*table, deriv=2)
@@ -133,15 +131,20 @@ def residual(orbit: FourierOrbit, potential: PairPotential,
     return math.sqrt(float(np.mean(np.sum(res ** 2, axis=1))))
 
 
-def energy_profile(orbit: FourierOrbit, potential: PairPotential,
-                   n_points: int = 128):
-    """Mean energy and its relative spread along the loop.
+# The sample times of energy_profile and verify_predicates, and the branch
+# points (the smallest in amplitude) that frequency_extrapolation fits.
+ENERGY_SAMPLES, PREDICATE_SAMPLES, EXTRAPOLATION_FIT = 128, 32, 4
+
+
+def energy_profile(orbit: FourierOrbit, potential: PairPotential):
+    """Mean energy and its relative spread along the loop, over
+    ENERGY_SAMPLES equispaced times.
 
     E(t) = |u'|^2 / 2 + lam^2 V(u); constant along exact orbits.  The spread
     is normalized by the largest of |mean energy|, the peak kinetic energy
     and a small floor, so that near-equilibrium loops are judged fairly.
     """
-    ts = _collocation_times(n_points)
+    ts = _collocation_times(ENERGY_SAMPLES)
     u = orbit.evaluate(ts).reshape(-1, 4, 3)
     v = orbit.velocity(ts)
     kinetic = 0.5 * np.sum(v ** 2, axis=1)
@@ -269,20 +272,24 @@ class SymmetryConstraint:
         return FourierOrbit(cos, sin, lam)
 
 
-def _range_bases(projectors, tol=1e-9):
+# a projector's eigenvalues lie this near 0 or 1
+PROJECTOR_TOL = 1e-9
+
+
+def _range_bases(projectors):
     """Orthonormal bases of the ranges of a stack of (numerically) orthogonal
     projectors, one per projector."""
     w, v = np.linalg.eigh(projectors)
-    if np.any((w > tol) & (w < 1.0 - tol)):
+    if np.any((w > PROJECTOR_TOL) & (w < 1.0 - PROJECTOR_TOL)):
         raise ArithmeticError("symmetry averaging did not yield a projector")
-    return [vk[:, wk > 1.0 - tol] for wk, vk in zip(w, v)]
+    return [vk[:, wk > 1.0 - PROJECTOR_TOL] for wk, vk in zip(w, v)]
 
 
-def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass,
-                      n_samples: int = 64):
+def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass):
     """Max violation along the loop of each relation of the class, one per
     non-identity element in element order: u(t) = rho(perm) u(s) with s
-    = t + 2*pi*angle for a 'rot' and s = -t - 2*pi*angle for a 'refl'.
+    = t + 2*pi*angle for a 'rot' and s = -t - 2*pi*angle for a 'refl', at
+    PREDICATE_SAMPLES equispaced times t.
 
     All relations are checked in one evaluation: the time tables of the
     relations are stacked into one table of every moved time, and their
@@ -290,23 +297,23 @@ def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass,
     """
     n_relations = len(klass.elements()) - 1
     n_modes = orbit.n_modes
-    cos, sin, rho_t = _relation_tables(klass, n_modes, n_samples)
-    base = orbit._combine(*_sample_trig(n_modes, n_samples))
+    cos, sin, rho_t = _relation_tables(klass, n_modes)
+    base = orbit._combine(*_sample_trig(n_modes, PREDICATE_SAMPLES))
     mapped = orbit._combine(cos, sin)
-    err = mapped.reshape(n_relations, n_samples, 12) @ rho_t - base
+    err = mapped.reshape(n_relations, PREDICATE_SAMPLES, 12) @ rho_t - base
     return tuple(np.max(np.linalg.norm(err, axis=2), axis=1).tolist())
 
 
-# one entry: every point of a branch checks the same class at the same sizes,
+# one entry: every point of a branch checks the same class at the same size,
 # and the tables of one class are no larger than one call's own would be
 @functools.lru_cache(maxsize=1)
-def _relation_tables(klass, n_modes, n_samples):
+def _relation_tables(klass, n_modes):
     """The stacked time tables cos(m s), sin(m s) of the moved times of every
     relation of the class, and the stack of their transposed spatial
     matrices; read-only."""
-    cos, sin, rho = zip(*[(*_sample_trig(n_modes, n_samples, kind, angle),
-                           action_matrix(perm))
-                          for perm, kind, angle in klass.elements()[1:]])
+    cos, sin, rho = zip(*[
+        (*_sample_trig(n_modes, PREDICATE_SAMPLES, kind, angle),
+         action_matrix(perm)) for perm, kind, angle in klass.elements()[1:]])
     return (_read_only(np.concatenate(cos)), _read_only(np.concatenate(sin)),
             _read_only(np.stack(rho).swapaxes(1, 2)))
 
@@ -423,14 +430,13 @@ class _NewtonSystem:
     the row weight sqrt(orbit_k / N): orbit_k, the number of grid times
     that t_k stands for, is s when t_k is its own mirror (2k = 0 mod M) and
     2s otherwise.  J^T J, J^T F and |F| are then those of all N rows
-    weighted by 1/sqrt(N).  N is n_points rounded up to a multiple of s.
-    lam0, the frequency parameter at the bifurcation, scales the lambda
+    weighted by 1/sqrt(N).  N is 4 n_modes + 1 rounded up to a multiple of
+    s.  lam0, the frequency parameter at the bifurcation, scales the lambda
     column (see col_scale).
     """
 
     def __init__(self, potential: PairPotential,
-                 constraint: SymmetryConstraint, equilibrium, n_points: int,
-                 lam0: float):
+                 constraint: SymmetryConstraint, equilibrium, lam0: float):
         klass = constraint.klass
         if not any(kind == "refl" and angle == 0
                    for _, kind, angle in klass.elements()):
@@ -440,7 +446,7 @@ class _NewtonSystem:
                 % klass.printed_form())
         self.potential = potential
         s = klass.K_order
-        self.n_points = n = s * -(-n_points // s)
+        self.n_points = n = s * -(-(4 * constraint.n_modes + 1) // s)
         per_shift = n // s              # M, the grid times in 1/s of a turn
         k = np.arange(per_shift // 2 + 1)
         self.weight = np.sqrt(np.where(2 * k % per_shift == 0, s, 2 * s)
@@ -544,8 +550,7 @@ def check_branch_request(j: int, l: int, n_modes: int, steps: int) -> None:
 
 
 def continue_branch(potential: PairPotential, klass: AmalgamClass,
-                    j: int, l: int, *, n_modes: int = 16,
-                    n_points: int = None, steps: int = 40,
+                    j: int, l: int, *, n_modes: int = 16, steps: int = 40,
                     target_amplitude: float = 0.05,
                     step_size: float = 5e-3, newton_tol: float = 1e-11,
                     equilibrium=None) -> Branch:
@@ -556,15 +561,11 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     solving simultaneously for the Fourier coefficients (in reduced
     coordinates) and the frequency parameter lambda.  Steps halve on
     corrector failure; the branch stops once target_amplitude is reached.
-    The corrector collocates n_points equispaced times, rounded up to a
-    multiple of s for a class whose time action is D_s; each point's
+    The corrector collocates 4 n_modes + 1 equispaced times, rounded up to
+    a multiple of s for a class whose time action is D_s; each point's
     residual is the RMS collocation residual on that grid.
     """
     check_branch_request(j, l, n_modes, steps)
-    if n_points is None:
-        n_points = 4 * n_modes + 1
-    if n_points < 4 * n_modes + 1:
-        raise UsageError("need at least 4*n_modes+1 collocation points")
     eq = equilibrium or find_equilibrium(potential)
     lam0 = l / math.sqrt(eq.mu[j])
 
@@ -576,7 +577,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         raise UsageError("class %s has %d critical directions in the "
                          "(%d, %d) mode; a branch needs exactly one"
                          % (klass.printed_form(), rank, j, l))
-    system = _NewtonSystem(potential, constraint, eq, n_points, lam0)
+    system = _NewtonSystem(potential, constraint, eq, lam0)
     x0, n_red, n_c = system.x0, system.n_red, system.n_c
 
     # the seed adds a sliver of the kernel direction to the equilibrium x0
@@ -662,7 +663,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         else:
             x, lam, res = got
             orbit = constraint.unpack(x, lam)
-            preds = verify_predicates(orbit, klass, n_samples=32)
+            preds = verify_predicates(orbit, klass)
             points.append(BranchPoint(amplitude=system.amplitude(x), lam=lam,
                                       residual=res,
                                       predicate_residuals=preds))
@@ -691,19 +692,19 @@ def _predict(history, target, x0, kdir, lam0):
     return x0 + target * kdir, lam0 + (l2 - lam0) * (target / t2) ** 2
 
 
-def frequency_extrapolation(branch: Branch, n_fit: int = 4):
+def frequency_extrapolation(branch: Branch):
     """Limit of lambda as amplitude -> 0, from a quadratic-in-amplitude fit,
     or None when the branch has fewer than two points.
 
     Near a nondegenerate bifurcation the frequency parameter behaves like
-    lambda(s) = lambda_* + c s^2; fitting the smallest-amplitude branch
-    points recovers lambda_* without evaluating at the singular point.  One
-    point cannot fix both lambda_* and c: a fit through it would only return
-    that point's own lambda.
+    lambda(s) = lambda_* + c s^2; fitting the EXTRAPOLATION_FIT
+    smallest-amplitude branch points recovers lambda_* without evaluating at
+    the singular point.  One point cannot fix both lambda_* and c: a fit
+    through it would only return that point's own lambda.
     """
     if len(branch.points) < 2:
         return None
-    pts = sorted(branch.points, key=lambda p: p.amplitude)[:max(n_fit, 2)]
+    pts = sorted(branch.points, key=lambda p: p.amplitude)[:EXTRAPOLATION_FIT]
     a = np.array([[1.0, p.amplitude ** 2] for p in pts])
     y = np.array([p.lam for p in pts])
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)

@@ -266,7 +266,7 @@ def differences(u):
 if __name__ == "__main__":
     failed = False
     for l_max in map(int, sys.argv[1:] or ["4"]):
-        u = bu.universe_for_modes(range(1, l_max + 1))
+        u = bu.Universe.for_l_max(l_max)
         bad = differences(u)
         print("l_max %d: %d classes, %d differences"
               % (l_max, len(u.classes), len(bad)), flush=True)

@@ -131,6 +131,15 @@ INVARIANTS_L4_SHA256 = (
 INVARIANTS_L8_SHA256 = (
     "8c3d22a8b263803b5fbeb71a48889cb8fd8e59a3604358465901b8f51b584ed4")
 
+# sha256 of the stdout of the default `tetravib report`
+REPORT_SHA256 = (
+    "2891fa52d16ce3b970a16a716025a1b5b1a8ccd9dcccccd278044dcfae33d297")
+
+# the same of `tetravib branch --class "(D3^Z1 x_D3 D3)" --j 1 --l 1` at
+# `[analysis] n_modes = 64`
+BRANCH_N64_SHA256 = (
+    "3be8aa8b9874ea68f6e754ce91b2902eaf73ff8de5ee18d3622c9a37c07a05f3")
+
 
 def lookup(universe, h, z, r, l_label, k_order):
     """Resolve one golden tuple to the universe's class object."""

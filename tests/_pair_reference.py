@@ -95,7 +95,7 @@ def n_count(u, low, high):
 def compare(l_max):
     """(pairs, normalizers) compared between the library and this module
     at l_max; raises AssertionError on the first difference."""
-    u = bu.universe_for_modes(range(1, l_max + 1))
+    u = bu.Universe.for_l_max(l_max)
     finite = [kl for kl in u.all_classes() if kl.is_finite]
     for kl in finite:
         assert u._normalizer(kl) == conjugator_count(u, kl, kl), (

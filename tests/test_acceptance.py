@@ -33,7 +33,7 @@ def _verdict(n, ok, detail):
 
 @pytest.fixture(scope="module")
 def u12():
-    return bu.universe_for_modes([1, 2])
+    return bu.Universe.for_l_max(2)
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +42,9 @@ def eq_bond():
 
 
 @pytest.fixture(scope="module")
-def invariant_reports(eq_bond, u12):
+def invariant_reports(eq_bond):
     crits = bf.critical_set(eq_bond.mu, l_max=2)
-    return [bf.invariant(c, eq_bond.mu, l_max=2, universe=u12)
-            for c in crits[:3]]
+    return [bf.invariant(c, eq_bond.mu, l_max=2) for c in crits[:3]]
 
 
 def test_criterion_1_spectrum_ratios():
@@ -103,7 +102,7 @@ def test_criterion_3_representation_theory():
 
 def test_criterion_4_degree_tables():
     t0 = time.perf_counter()
-    u = bu.universe_for_modes([1, 2])
+    u = bu.Universe.for_l_max(2)
     bad = []
     for j, table in DEGREE_TABLES.items():
         for l in (1, 2):

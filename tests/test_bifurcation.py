@@ -20,9 +20,9 @@ def u2():
 
 
 @pytest.fixture(scope="module")
-def reports(u2):
+def reports():
     crits = bf.critical_set(BOND_MU, l_max=2)
-    return [bf.invariant(c, BOND_MU, l_max=2, universe=u2) for c in crits[:3]]
+    return [bf.invariant(c, BOND_MU, l_max=2) for c in crits[:3]]
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_resonance_detection_uses_ratios_not_floats():
 
 def test_critical_set_input_validation():
     with pytest.raises(bf.UsageError):
-        bf.critical_set((2.0, 4.0, 8.0))
+        bf.critical_set((2.0, 4.0, 8.0), l_max=2)
     with pytest.raises(bf.UsageError):
         bf.critical_set(BOND_MU, l_max=0)
 
@@ -79,27 +79,27 @@ def test_critical_set_input_validation():
 # degree_below
 
 def test_degree_below_unit_before_first_critical(u2):
-    out = bf.degree_below(0.01, BOND_MU, l_max=2, universe=u2)
+    out = bf.degree_below(0.01, BOND_MU, l_max=2)
     assert out == bu.BurnsideElement.unit(u2)
 
 
 def test_degree_below_constant_on_gaps(u2):
     lam1 = 0.5 * (1 / math.sqrt(8.0) + 0.5)
     lam2 = 0.499
-    a = bf.degree_below(lam1, BOND_MU, l_max=2, universe=u2)
-    b = bf.degree_below(lam2, BOND_MU, l_max=2, universe=u2)
+    a = bf.degree_below(lam1, BOND_MU, l_max=2)
+    b = bf.degree_below(lam2, BOND_MU, l_max=2)
     assert a == b == u2.basic_degree(0, 1)
 
 
 def test_degree_below_accumulates_products(u2):
     lam = 0.6                      # above (1,1), below the (2,1)=(0,2) pair
-    out = bf.degree_below(lam, BOND_MU, l_max=2, universe=u2)
+    out = bf.degree_below(lam, BOND_MU, l_max=2)
     assert out == u2.basic_degree(0, 1) * u2.basic_degree(1, 1)
 
 
-def test_degree_below_rejects_critical_lambda(u2):
+def test_degree_below_rejects_critical_lambda():
     with pytest.raises(bf.UsageError):
-        bf.degree_below(0.5, BOND_MU, l_max=2, universe=u2)
+        bf.degree_below(0.5, BOND_MU, l_max=2)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +125,16 @@ def test_invariant_window_brackets_critical(reports):
         assert rep.lam_minus < rep.critical.value < rep.lam_plus
 
 
-def test_invariant_rejects_last_window_critical(u2):
+def test_invariant_rejects_last_window_critical():
     crits = bf.critical_set(BOND_MU, l_max=2)
     with pytest.raises(bf.UsageError):
-        bf.invariant(crits[-1], BOND_MU, l_max=2, universe=u2)
+        bf.invariant(crits[-1], BOND_MU, l_max=2)
 
 
 def test_invariant_of_generic_potential_matches_bond_only(u2):
     eq = find_equilibrium(PairPotential(1.0, 2.0, 1.0, 0.05))
     crits = bf.critical_set(eq.mu, l_max=2)
-    rep = bf.invariant(crits[1], eq.mu, l_max=2, universe=u2)
+    rep = bf.invariant(crits[1], eq.mu, l_max=2)
     want = as_class_set(u2, OMEGA_11)
     assert dict(rep.omega.terms()) == want
 

@@ -22,12 +22,12 @@ import _pair_reference as per_pair
 
 @pytest.fixture(scope="module")
 def u1():
-    return bu.universe_for_modes([1])
+    return bu.Universe.for_l_max(1)
 
 
 @pytest.fixture(scope="module")
 def u12():
-    return bu.universe_for_modes([1, 2])
+    return bu.Universe.for_l_max(2)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_universe_orders_and_unit(u1):
     (5, (720, 470))])
 def test_universe_census(l_max, census):
     # the universe holds the Phi0 classes only
-    u = bu.universe_for_modes(range(1, l_max + 1))
+    u = bu.Universe.for_l_max(l_max)
     assert (u.N, len(u.all_classes())) == census
     assert u.phi0_classes() == u.all_classes()
 
@@ -153,7 +153,7 @@ def test_class_list_order_and_generators_are_pinned(l_max, digest):
     # in how the Goursat loops run must leave both alone.  MAX_MODE is 40,
     # so these pins hold the one-class-per-name founding to the conjugacy
     # classes over every universe the CLI can build
-    u = bu.universe_for_modes(range(1, l_max + 1))
+    u = bu.Universe.for_l_max(l_max)
     text = "\n".join("%s %s" % (kl.canonical_form(), kl.gens)
                      for kl in u.classes)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -163,7 +163,7 @@ def test_class_list_order_and_generators_are_pinned(l_max, digest):
 def test_class_list_matches_sequential_reference(l_max):
     # canonical form, kind, codes, generators and permutations of every
     # class, in index order, against the one-candidate-at-a-time build
-    u = bu.universe_for_modes(range(1, l_max + 1))
+    u = bu.Universe.for_l_max(l_max)
     assert per_candidate.differences(u) == []
 
 
@@ -192,13 +192,12 @@ def test_universe_build_makes_no_kernel_call(monkeypatch):
     # each class is founded by the first candidate of its name, so the
     # build searches for no conjugator; every class is a Phi0 class, and a
     # continuous class's Weyl group is read off its permutations
-    orders = bu.universe_for_modes([1, 2]).orders
     calls = _counting_kernel(monkeypatch)
-    u = bu.Universe(orders)
+    u = bu.Universe(2)
     assert u.phi0_classes() == u.all_classes()
     assert all(u.weyl(kl) for kl in u.all_classes() if not kl.is_finite)
     assert calls == []
-    assert _class_fields(u) == _class_fields(bu.universe_for_modes([1, 2]))
+    assert _class_fields(u) == _class_fields(bu.Universe.for_l_max(2))
 
 
 def test_invariants_make_one_kernel_call_per_finite_column(monkeypatch):
@@ -248,7 +247,7 @@ def test_generators_generate_each_finite_class(u12):
 
 @pytest.mark.parametrize("l_max", [2, 4])
 def test_class_stores_its_elements_once_as_a_sorted_read_only_array(l_max):
-    u = bu.universe_for_modes(range(1, l_max + 1))
+    u = bu.Universe.for_l_max(l_max)
     for kl in u.classes:
         assert kl.H_set == kl.rot_perms | kl.refl_perms, str(kl)
         if not kl.is_finite:
@@ -278,15 +277,14 @@ def test_class_stores_its_elements_once_as_a_sorted_read_only_array(l_max):
 
 
 def test_universe_at_l_max_8_holds_under_2_mib_and_peaks_under_4_5_mib():
-    # orders that for_orders has not built yet, so the build is measured;
-    # listing the Goursat candidates one S4 subgroup at a time bounds the
-    # build's peak, and a class holds its codes and generators only
-    orders = bu._divisor_closure(bu._mode_orders(range(1, 9)))
+    # a new universe, not the cached one, so the build is measured; listing
+    # the Goursat candidates one S4 subgroup at a time bounds the build's
+    # peak, and a class holds its codes and generators only
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        u = bu.Universe(orders)
+        u = bu.Universe(8)
         gc.collect()
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
@@ -307,11 +305,10 @@ def test_name_round_trip_every_class(u12):
 def test_two_classes_of_one_canonical_form_fault(monkeypatch):
     # parse_class and fold_cover read the name index, so a name shared by
     # two classes stops the build instead of hiding one of them
-    orders = bu.universe_for_modes([1]).orders
     monkeypatch.setattr(bu.AmalgamClass, "canonical_form",
                         lambda self: "(S4 x O2)")
     with pytest.raises(bu.InternalError):
-        bu.Universe(orders)
+        bu.Universe(1)
 
 
 def test_weyl_orders(u12):
@@ -414,7 +411,7 @@ def test_kernel_rows_fault_on_a_subgroup_without_a_reflection_generator(u1):
 
 @pytest.mark.parametrize("l_max", [1, 2])
 def test_normalizers_match_per_pair_reference(l_max):
-    u = bu.universe_for_modes(range(1, l_max + 1))
+    u = bu.Universe.for_l_max(l_max)
     for kl in u.all_classes():
         if kl.is_finite:
             assert (u._normalizer(kl)
@@ -481,8 +478,8 @@ def test_integer_scalar_multiple(u1):
 # basic degrees: golden tables and the involution property
 
 def test_basic_degree_tables_l1_l2(u12):
-    # l = 3, 4 run on the N = 144 grid of universe_for_modes([1, 2, 3, 4])
-    u1234 = bu.universe_for_modes([1, 2, 3, 4])
+    # l = 3, 4 run on the N = 144 grid of the universe of l_max = 4
+    u1234 = bu.Universe.for_l_max(4)
     for u, modes in ((u12, (1, 2)), (u1234, (3, 4))):
         for j, table in DEGREE_TABLES.items():
             for l in modes:
@@ -618,9 +615,9 @@ def test_element_lists_and_time_reflection(u1):
     breathing = u1.parse_class("(S4 x D1)")
     elems = breathing.elements()
     assert len(elems) == 48
-    assert breathing.brake and breathing.has_time_reflection
+    assert breathing.brake and bool(breathing.refl_perms)
     wave = u1.parse_class("(D4^Z1 x_D4 D4)")
-    assert wave.has_time_reflection and not wave.brake
+    assert bool(wave.refl_perms) and not wave.brake
     kinds = {(p, kind) for p, kind, _ in wave.elements()}
     assert ((0, 1, 2, 3), "refl") not in kinds
     assert any(kind == "refl" for _, kind in kinds)

@@ -19,7 +19,8 @@ import tetravib.burnside as bu
 import tetravib.grouprep as gr
 from tetravib import cli, orbits
 
-from _golden import BRANCHES, INVARIANTS_L4_SHA256, INVARIANTS_L8_SHA256
+from _golden import (BRANCH_N64_SHA256, BRANCHES, INVARIANTS_L4_SHA256,
+                     INVARIANTS_L8_SHA256, REPORT_SHA256)
 
 
 def run(capsys, *argv):
@@ -352,6 +353,29 @@ def test_invariants_are_byte_identical(capsys, tmp_path, l_max):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("config, argv, digest", [
+    (None, ("report",), REPORT_SHA256),
+    ("[analysis]\nn_modes = 64\n",
+     ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"),
+     BRANCH_N64_SHA256)], ids=["report", "branch_n64"])
+def test_benchmark_outputs_are_byte_identical(tmp_path, config, argv, digest):
+    # the stdout of the two benchmarked commands, the default report and
+    # one branch at 64 modes, byte for byte, each from a fresh process on
+    # the program's one BLAS thread: the branch's bytes depend on the thread
+    # count, and numpy may have sized this process's pool before tetravib
+    if config is not None:
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(config)
+        argv = ("--config", str(cfg)) + argv
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-m", "tetravib.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_invariants_unresolvable_mode_exits_one(capsys):
     code, _, err = run(capsys, "invariants", "--critical", "2,2")
     assert code == 1                       # largest critical: not isolatable
@@ -533,7 +557,7 @@ def test_mode_beyond_int64_codes_exits_one(capsys, monkeypatch, tmp_path,
                                            config, argv):
     # at l = 41 the element codes of the grid universe pass 2**63
     assert bu.MAX_MODE == 40
-    monkeypatch.setattr(bu.Universe, "for_orders", _no_universe)
+    monkeypatch.setattr(bu.Universe, "for_l_max", _no_universe)
     cfg = tmp_path / "run.toml"
     cfg.write_text(config)
     code, out, err = run(capsys, "--config", str(cfg), *argv)
@@ -554,7 +578,7 @@ def test_n_modes_above_the_cap_exits_one(capsys, monkeypatch, tmp_path,
     # tens of GiB, so such a config is refused before anything is built
     assert orbits.MAX_N_MODES == 256
     cli.RunConfig({"analysis": {"n_modes": 256}})
-    monkeypatch.setattr(bu.Universe, "for_orders", _no_universe)
+    monkeypatch.setattr(bu.Universe, "for_l_max", _no_universe)
     cfg = tmp_path / "run.toml"
     cfg.write_text("[analysis]\nn_modes = %d\n" % n_modes)
     code, out, err = run(capsys, "--config", str(cfg), *argv)

@@ -259,16 +259,18 @@ def test_no_minimizer_raises():
         ff.find_equilibrium(p)
 
 
-def test_equilibrium_errors_carry_diagnostics():
+def test_equilibrium_errors_carry_diagnostics(monkeypatch):
+    # the purely attractive potential falls all the way to the grid's start
     with pytest.raises(ff.ConvergenceError) as info:
-        ff.find_equilibrium(ff.PairPotential(), r_min=10.0, r_max=100.0)
+        ff.find_equilibrium(ff.PairPotential(bond_weight=0.0, vdw_A=1.0))
     assert str(info.value) == (
-        "no interior minimum of the radial energy in [10, 100]")
-    assert info.value.diagnostics == {"r_min": 10.0, "r_max": 100.0,
-                                      "grid": 4001, "argmin_r": 10.0}
+        "no interior minimum of the radial energy in [0.001, 1000]")
+    assert info.value.diagnostics == {"r_min": 0.001, "r_max": 1000.0,
+                                      "grid": 4001, "argmin_r": 0.001}
     # no iterate meets a zero tolerance
+    monkeypatch.setattr(ff, "POLISH_TOL", 0.0)
     with pytest.raises(ff.ConvergenceError) as info:
-        ff.find_equilibrium(ff.PairPotential(), tol=0.0)
+        ff.find_equilibrium(ff.PairPotential())
     d = info.value.diagnostics
     assert set(d) == {"r", "abs_dphi", "tol"} and d["tol"] == 0.0
     assert abs(d["r"] - math.sqrt(3.0 / 8.0)) < 1e-12

@@ -25,7 +25,7 @@ BOUND = 1e-10
 def final_orbits():
     eq = find_equilibrium(BOND)
     u2 = _universe(2)
-    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    families = independent_families(cli._invariant_reports(eq.mu, 2))
     assert len(families) == 7
     branches = [ob.continue_branch(BOND, fam.klass, fam.j, fam.l,
                                    equilibrium=eq) for fam in families]

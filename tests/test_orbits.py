@@ -110,7 +110,7 @@ def test_residual_of_constant_loop_is_gradient_norm(eq):
     orbit = ob.FourierOrbit(cos, np.zeros((7, 12)), lam=0.7)
     g = gradient(BOND, u)
     want = 0.7 ** 2 * float(np.linalg.norm(g))
-    assert ob.residual(orbit, BOND) == pytest.approx(want, rel=1e-12)
+    assert ob.residual(orbit, BOND, 25) == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_wave_projection_satisfies_predicates(wave_class):
 
 def test_brake_projection_kills_sine_coefficients(breathing_class):
     con = ob.SymmetryConstraint(breathing_class, n_modes=4)
-    assert con.klass.brake and con.klass.has_time_reflection
+    assert con.klass.brake and bool(con.klass.refl_perms)
     orbit = _random_orbit(4, seed=9)
     proj = con.unpack(con.pack(orbit), orbit.lam)
     assert np.max(np.abs(proj.sin_coeffs)) < 1e-13
@@ -196,14 +196,13 @@ def _loop_verify_predicates(orbit, klass, n_samples):
     return tuple(out)
 
 
-def _reflecting_classes(l_max):
-    return [c for c in _universe(l_max).classes
-            if c.is_finite and c.has_time_reflection]
+def _finite_classes(l_max):
+    return [c for c in _universe(l_max).classes if c.is_finite]
 
 
 @pytest.mark.parametrize("l_max", [2, 4])
 def test_projectors_and_bases_equal_the_element_loop(l_max):
-    for c in _reflecting_classes(l_max):
+    for c in _finite_classes(l_max):
         con = ob.SymmetryConstraint(c, n_modes=8)
         want = _loop_projectors(c, 8)
         assert len(con.bases) == 9
@@ -215,14 +214,13 @@ def test_projectors_and_bases_equal_the_element_loop(l_max):
 
 
 def test_verify_predicates_equals_the_predicate_loop(wave_branch):
-    for k, c in enumerate(_reflecting_classes(2)):
+    assert ob.PREDICATE_SAMPLES == 32
+    for k, c in enumerate(_finite_classes(2)):
         orbit = _random_orbit(8, seed=k)
-        for n_samples in (32, 64):
-            got = ob.verify_predicates(orbit, c, n_samples)
-            assert got == _loop_verify_predicates(orbit, c, n_samples), (
-                c.printed_form())
+        assert ob.verify_predicates(orbit, c) == _loop_verify_predicates(
+            orbit, c, 32), c.printed_form()
     klass = wave_branch.klass
-    assert (ob.verify_predicates(wave_branch.orbit, klass, 32)
+    assert (ob.verify_predicates(wave_branch.orbit, klass)
             == _loop_verify_predicates(wave_branch.orbit, klass, 32))
 
 
@@ -254,16 +252,16 @@ def _lam0(fam, eq):
     return fam.l / math.sqrt(eq.mu[fam.j])
 
 
-def test_collocation_layout_of_the_default_families(u2, eq):
+def test_collocation_layout_of_the_default_families(eq):
     # the report bytes depend on the memory layout of D (see
     # SymmetryConstraint.collocation): C order on the two classes where
     # every mode has one basis vector, the (points, K, 12) transpose on the
     # other five
-    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    families = independent_families(cli._invariant_reports(eq.mu, 2))
     assert len(families) == 7
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
-        D = ob._NewtonSystem(BOND, con, eq, 65, _lam0(fam, eq)).D
+        D = ob._NewtonSystem(BOND, con, eq, _lam0(fam, eq)).D
         name = fam.klass.printed_form()
         n_red = D.shape[2]
         if name in ("(S4 x D1)", "(S4^V4 x_D3 D3)"):
@@ -292,7 +290,7 @@ def test_collocation_keeps_the_concatenated_bytes_and_layout(u2):
     for n_modes in (1, 2, 5):
         ts = ob._collocation_times(4 * n_modes + 1)[:2 * n_modes + 1]
         for kl in u2.all_classes():
-            if kl.is_finite and kl.has_time_reflection:
+            if kl.is_finite:
                 con = ob.SymmetryConstraint(kl, n_modes)
                 got = con.collocation(ts)
                 want = _concatenated_collocation(con, ts)
@@ -352,8 +350,7 @@ def test_newton_system_size_at_64_modes(u2, eq):
     # 12 * 44 collocation rows, the amplitude row and three gauge rows
     con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
     assert con.modes.size == 194
-    system = ob._NewtonSystem(BOND, con, eq, 257,
-                              1.0 / math.sqrt(eq.mu[1]))
+    system = ob._NewtonSystem(BOND, con, eq, 1.0 / math.sqrt(eq.mu[1]))
     assert system.n_points == 258
     assert (system.n_c + 4, system.n_red + 1) == (532, 195)
     # the normal equations are 195 x 195, summed over blocks of 17 points,
@@ -428,37 +425,34 @@ def _seed(system, con, fam, eq):
     return system.x0 + 1e-3 * con.pack(ob.FourierOrbit(kc, ks, lam0)), lam0
 
 
-@pytest.mark.parametrize("n_points", [65, 66])
-def test_half_grid_matches_full_grid(u2, eq, n_points):
+def test_half_grid_matches_full_grid(eq):
     # J^T J, J^T F and the collocation norm of the fundamental domain
     # [0, pi/s] of each default family's time action D_s equal those of all
-    # N rows of the system's own grid, N = n_points rounded up to a multiple
-    # s*M of s: at the seed of each family and at its last converged point
-    # (measured: 4.5e-13 at most, relative to the size of u'', on the
-    # collocation norm at the seed of (D3^Z1 x_D3 D3)).  Both an odd
-    # M and an even M, where t = pi/s is its own mirror, occur with s > 1;
-    # with s = 1, where the domain is the half grid, M = n_points.
-    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    # N rows of the system's own grid, N = 4 n_modes + 1 = 65 rounded up to
+    # a multiple s*M of s: at the seed of each family and at its last
+    # converged point (measured: 4.5e-13 at most, relative to the size of
+    # u'', on the collocation norm at the seed of (D3^Z1 x_D3 D3)).  Both an
+    # odd M and an even M, where t = pi/s is its own mirror, occur with
+    # s > 1; with s = 1, where the domain is the half grid, M = 65.
+    families = independent_families(cli._invariant_reports(eq.mu, 2))
     assert len(families) == 7
     grids = set()
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
-        system = ob._NewtonSystem(BOND, con, eq, n_points,
-                                  _lam0(fam, eq))
+        system = ob._NewtonSystem(BOND, con, eq, _lam0(fam, eq))
         s = fam.klass.K_order
         m = system.n_points // s
-        assert system.n_points == s * m < n_points + s
+        assert system.n_points == s * m < 65 + s
         assert system.n_c == 12 * (m // 2 + 1)
         grids.add((s > 1, m % 2))
         seed, lam0 = _seed(system, con, fam, eq)
         branch = ob.continue_branch(BOND, fam.klass, fam.j, fam.l,
-                                    n_modes=16, n_points=n_points,
-                                    equilibrium=eq)
+                                    n_modes=16, equilibrium=eq)
         for x, lam in ((seed, lam0), (con.pack(branch.orbit),
                                       branch.final_lam)):
             assert max(_full_grid_gaps(system, con, x, lam)) < 1e-12, (
                 fam.klass.printed_form())
-    assert grids == {(False, n_points % 2), (True, 0), (True, 1)}
+    assert grids == {(False, 1), (True, 0), (True, 1)}
 
 
 class _ForcedOrder:
@@ -471,47 +465,44 @@ class _ForcedOrder:
         return getattr(self.klass, name)
 
 
-def test_fundamental_domain_of_a_larger_shift_group_misses_the_sums(u2, eq):
+def test_fundamental_domain_of_a_larger_shift_group_misses_the_sums(eq):
     # negative control: a domain [0, pi/2s] that assumes a shift by 1/2s of
     # a turn, which the class lacks, gets J^T J wrong, while the class's own
     # domain [0, pi/s] gets it right
     fams = {f.klass.printed_form(): f for f in independent_families(
-        cli._invariant_reports(eq.mu, 2, u2))}
+        cli._invariant_reports(eq.mu, 2))}
     for name in ("(D3^Z1 x_D3 D3)", "(D4^D2 x_Z2 D2)"):
         fam = fams[name]
         con = ob.SymmetryConstraint(fam.klass, 16)
-        system = ob._NewtonSystem(BOND, con, eq, 65, _lam0(fam, eq))
+        system = ob._NewtonSystem(BOND, con, eq, _lam0(fam, eq))
         x, lam = _seed(system, con, fam, eq)
         assert max(_full_grid_gaps(system, con, x, lam)) < 1e-12, name
         con.klass = _ForcedOrder(fam.klass, 2 * fam.klass.K_order)
-        wrong = ob._NewtonSystem(BOND, con, eq, 65, lam)
+        wrong = ob._NewtonSystem(BOND, con, eq, lam)
         # measured: 0.58 and 0.46
         assert _full_grid_gaps(wrong, con, x, lam)[0] > 0.1, name
 
 
-def test_time_reversible_family_keeps_the_half_grid(u2, eq):
+def test_time_reversible_family_keeps_the_half_grid(eq):
     # with s = 1 the fundamental domain is the half grid: D and the row
-    # weights are those of k = 0..N//2 on the N = n_points grid, bit for
-    # bit, on both such default families
+    # weights are those of k = 0..N//2 on the N = 65 grid, bit for bit, on
+    # both such default families
     families = [f for f in independent_families(
-        cli._invariant_reports(eq.mu, 2, u2)) if f.klass.K_order == 1]
+        cli._invariant_reports(eq.mu, 2)) if f.klass.K_order == 1]
     assert {f.klass.printed_form() for f in families} == {
         "(S4 x D1)", "(D3 x D1)"}
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
         name = fam.klass.printed_form()
-        for n_points in (65, 66):
-            system = ob._NewtonSystem(BOND, con, eq, n_points,
-                                      _lam0(fam, eq))
-            k = np.arange(n_points // 2 + 1)
-            weight = np.sqrt(np.where(2 * k % n_points == 0, 1.0, 2.0)
-                             / n_points)[:, None]
-            D = con.collocation(ob._collocation_times(n_points)[k])
-            assert system.n_points == n_points
-            assert system.weight.tobytes() == weight.tobytes(), name
-            assert system.weight.shape == weight.shape, name
-            assert system.D.tobytes() == D.tobytes(), name
-            assert system.D.strides == D.strides, name
+        system = ob._NewtonSystem(BOND, con, eq, _lam0(fam, eq))
+        k = np.arange(65 // 2 + 1)
+        weight = np.sqrt(np.where(2 * k % 65 == 0, 1.0, 2.0) / 65)[:, None]
+        D = con.collocation(ob._collocation_times(65)[k])
+        assert system.n_points == 65
+        assert system.weight.tobytes() == weight.tobytes(), name
+        assert system.weight.shape == weight.shape, name
+        assert system.D.tobytes() == D.tobytes(), name
+        assert system.D.strides == D.strides, name
 
 
 def _whole_array_jacobian(system, x, lam, u, g):
@@ -557,7 +548,7 @@ def _assert_block_sums_exact(system, lam, name):
 
 
 @pytest.mark.parametrize("one_byte_budget", [False, True])
-def test_block_jacobian_equals_the_whole_array_formula(u2, eq, monkeypatch,
+def test_block_jacobian_equals_the_whole_array_formula(eq, monkeypatch,
                                                        one_byte_budget):
     # every family of the default report at n_modes 16, where the default
     # budget makes the collocation rows one block, and with a budget of one
@@ -565,11 +556,11 @@ def test_block_jacobian_equals_the_whole_array_formula(u2, eq, monkeypatch,
     # the columns
     if one_byte_budget:
         monkeypatch.setattr(ob, "JACOBIAN_BLOCK_BYTES", 1)
-    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    families = independent_families(cli._invariant_reports(eq.mu, 2))
     assert len(families) == 7
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
-        system = ob._NewtonSystem(BOND, con, eq, 65, _lam0(fam, eq))
+        system = ob._NewtonSystem(BOND, con, eq, _lam0(fam, eq))
         # the fundamental domain of D_s on N = s*M of the 65 times
         # holds M // 2 + 1 points: 33, 17, 12 and 9 points at s = 1 to 4
         n_half = system.n_points // fam.klass.K_order // 2 + 1
@@ -587,7 +578,7 @@ def test_block_jacobian_equals_the_whole_array_formula(u2, eq, monkeypatch,
 def test_block_jacobian_is_exact_with_a_short_last_block(u2, eq):
     con = ob.SymmetryConstraint(u2.parse_class("(D3^Z1 x_D3 D3)"), 64)
     lam0 = 1.0 / math.sqrt(eq.mu[1])
-    system = ob._NewtonSystem(BOND, con, eq, 257, lam0)
+    system = ob._NewtonSystem(BOND, con, eq, lam0)
     n_half = system.n_c // 12
     assert system.block < n_half and n_half % system.block
     _assert_block_sums_exact(system, lam0, "(D3^Z1 x_D3 D3)")
@@ -603,7 +594,7 @@ def test_newton_system_holds_only_D_and_the_jacobian(u2, eq):
     lam = 1.0 / math.sqrt(eq.mu[1])
     tracemalloc.start()
     try:
-        system = ob._NewtonSystem(BOND, con, eq, 257, lam)
+        system = ob._NewtonSystem(BOND, con, eq, lam)
         held = tracemalloc.get_traced_memory()[0]
         x = system.x0 + 1e-2 * np.random.default_rng(0).standard_normal(
             system.n_red)
@@ -623,8 +614,7 @@ def test_every_reflecting_class_reflects_time_at_angle_zero():
     # the fundamental domain rests on a time reflection at angle 0; no
     # finite class of the universes at l_max 2 and 4 lacks one
     for l_max, count in ((2, 206), (4, 312)):
-        reflecting = [c for c in _universe(l_max).classes
-                      if c.is_finite and c.has_time_reflection]
+        reflecting = _finite_classes(l_max)
         assert len(reflecting) == count
         for c in reflecting:
             assert any(kind == "refl" and angle == 0
@@ -650,7 +640,6 @@ class _ShiftedReflections:
     keeps a time reflection but none at angle 0."""
 
     is_finite = True
-    has_time_reflection = True
 
     def __init__(self, klass):
         self.klass = klass
@@ -679,7 +668,7 @@ def test_reflection_off_angle_zero_is_an_internal_error(eq, breathing_class,
                                    "shifted (S4 x D1) has a time reflection")
 
 
-def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
+def test_scaled_jacobian_has_full_column_rank(monkeypatch):
     # every Newton system of every default family at n_modes = 16: the
     # column-scaled Jacobian keeps its smallest singular value, the square
     # root of the normal matrix's smallest eigenvalue, well clear of zero
@@ -697,7 +686,7 @@ def test_scaled_jacobian_has_full_column_rank(u2, monkeypatch):
         return solve(gram, rhs)
 
     monkeypatch.setattr(ob, "_normal_solve", spy)
-    families = independent_families(cli._invariant_reports(eq.mu, 2, u2))
+    families = independent_families(cli._invariant_reports(eq.mu, 2))
     assert len(families) == 7
     for fam in families:
         del seen[:]
@@ -782,7 +771,8 @@ def _kernel_residual(eq, con, j, eps):
     sin = np.zeros((con.n_modes + 1, 12))
     cos[0] = eq.u_o.reshape(12)
     cos[1], sin[1] = eps * kernel[:12], eps * kernel[12:]
-    return ob.residual(ob.FourierOrbit(cos, sin, lam0), BOND)
+    return ob.residual(ob.FourierOrbit(cos, sin, lam0), BOND,
+                       4 * con.n_modes + 1)
 
 
 def test_kernel_direction_linearizes_the_flow(eq, wave_class):

@@ -3,6 +3,7 @@ resolves, and the README's library example runs as printed."""
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import re
@@ -21,6 +22,24 @@ README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 def test_every_all_entry_resolves(name):
     module = importlib.import_module("tetravib." + name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_library_settings_are_the_cli_settings():
+    # a setting with one value in use is a module constant, so the only
+    # parameters with defaults of the library's public functions are those
+    # of continue_branch that the CLI sets, and its equilibrium
+    found = []
+    for name in MODULES[:-1]:
+        module = importlib.import_module("tetravib." + name)
+        for entry in module.__all__:
+            fn = getattr(module, entry)
+            if callable(fn) and not isinstance(fn, type):
+                found += ["%s.%s.%s" % (name, entry, p.name) for p in
+                          inspect.signature(fn).parameters.values()
+                          if p.default is not p.empty]
+    assert found == ["orbits.continue_branch." + p for p in (
+        "n_modes", "steps", "target_amplitude", "step_size", "newton_tol",
+        "equilibrium")]
 
 
 def test_every_package_import_is_public():
