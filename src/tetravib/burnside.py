@@ -48,11 +48,11 @@ name but for K's order, so fold covers are found by name as well.
 
 One numpy kernel runs the conjugator test for many subgroups at once: the
 table of marks is built column by column, one pass over all finite classes
-per high class (Pfeiffer, Experiment. Math. 6, 1997).  The pass counts the
-high against itself too, which is its normalizer, so each column also
-yields its high's Weyl group.  It tests generators one at a time on the
-surviving candidate conjugators, taken BATCH at a time; other arrays span
-subgroups x 24 or the high's elements.
+per high class (Pfeiffer, Experiment. Math. 6, 1997).  The universe stores
+the marks themselves, so the high's own mark is the order of its Weyl
+group and a containment count is the ratio of two marks.  The pass tests
+generators one at a time on the surviving candidate conjugators, taken
+BATCH at a time; other arrays span subgroups x 24 or the high's elements.
 """
 from __future__ import annotations
 
@@ -459,8 +459,7 @@ class Universe:
         self.orders = _orders(l_max)
         self.N = math.lcm(*self.orders)
         self.classes = []
-        self._columns = {}         # class index -> column of the table
-        self._normalizer_counts = {}  # class index -> own kernel count
+        self._columns = {}         # class index -> column of the marks
         self._dims_memo = {}       # l -> fixed-point dims of every j
         self._name_index = {}
         self._enumerate()
@@ -722,7 +721,7 @@ class Universe:
             raise KeyError("unknown class string %r" % text)
         return kl
 
-    # -- normalizers, Weyl groups, containment counts ----------------------
+    # -- the table of marks: Weyl groups, containment counts ---------------
 
     @cached_property
     def _finite_rows(self):
@@ -730,55 +729,49 @@ class Universe:
         finite = [kl for kl in self.classes if kl.is_finite]
         return np.array([kl.index for kl in finite]), _Rows(self, finite)
 
-    def _normalizer(self, kl):
-        """Normalizer triple count of the finite class kl: the kernel's count
-        for kl's own row, kept when kl's column is built."""
-        self._column(kl)
-        return self._normalizer_counts[kl.index]
-
     def weyl(self, kl):
-        """Order of the Weyl group N(kl)/kl, finite for every class."""
-        if not kl.is_finite:
-            # the normalizer is Stab_S4(rot, refl) x O(2); H x O(2) fills
-            # each O(2) fiber, the other two shapes only half of it
-            stab = 24 // len(_s4_conjugate_pairs(kl.rot_perms, kl.refl_perms))
-            return (1 if kl.kind == "o2" else 2) * stab // len(kl.H_set)
-        # each conjugator triple stands for two group elements
-        nbar = 2 * self._normalizer(kl)
-        if nbar % kl.order:
-            raise InternalError("normalizer order not divisible by |H|")
-        return nbar // kl.order
+        """Order of the Weyl group N(kl)/kl, finite for every class: kl's
+        own mark M[kl, kl] = n(kl, kl) |W(kl)|."""
+        return int(self._marks(kl)[kl.index])
 
     def n_count(self, low, high):
         """Number of conjugates of `high` containing a representative of
-        `low`: the containment count n(L, H) of the table of marks."""
-        return int(self._column(high)[low.index])
+        `low`: the containment count n(L, H) = M[L, H] / M[H, H]."""
+        marks = self._marks(high)
+        return int(marks[low.index] // marks[high.index])
 
-    def _column(self, high):
-        """n(L, high) for every class L by class index, built on first use."""
+    def _marks(self, high):
+        """The marks M[L, high] = n(L, high) |W(high)| of every class L by
+        class index, the column of the table of marks, built on first use."""
         if high.index in self._columns:
             return self._columns[high.index]
         col = np.zeros(len(self.classes), dtype=np.int64)
         if not high.is_finite:
             # O(2) conjugation maps a continuous shape to itself, so its
-            # conjugates are its S4-conjugate (rot, refl) pairs
-            for rot, refl in _s4_conjugate_pairs(high.rot_perms,
-                                                 high.refl_perms):
+            # conjugates are its S4-conjugate (rot, refl) pairs; the
+            # normalizer is Stab_S4(rot, refl) x O(2), and H x O(2) fills
+            # each O(2) fiber, the other two shapes only half of it
+            pairs = _s4_conjugate_pairs(high.rot_perms, high.refl_perms)
+            for rot, refl in pairs:
                 col += [kl.rot_perms <= rot and kl.refl_perms <= refl
                         for kl in self.classes]
+            col *= ((1 if high.kind == "o2" else 2) * (24 // len(pairs))
+                    // len(high.H_set))
         else:
             # the conjugators t with t(L) inside H come in whole cosets of
-            # the normalizer, one coset per conjugate of H that contains L;
-            # the normalizer's count is H's own entry
+            # the normalizer, one coset per conjugate of H that contains L,
+            # and each conjugator triple stands for two group elements, so
+            # twice the count over |H| is n(L, H) |N(H)| / |H|
             index, rows = self._finite_rows
-            counts = self._conjugator_counts(rows, high)
-            own = int(counts[np.searchsorted(index, high.index)])
-            count, rem = np.divmod(counts, own)
+            marks, rem = np.divmod(2 * self._conjugator_counts(rows, high),
+                                   high.order)
             if rem.any():
+                raise InternalError("conjugators into %s do not divide by "
+                                    "its order" % high)
+            col[index] = marks
+            if (col % col[high.index]).any():
                 raise InternalError("conjugators into %s do not fill "
                                     "normalizer cosets" % high)
-            col[index] = count
-            self._normalizer_counts[high.index] = own
         self._columns[high.index] = col
         return col
 
@@ -837,31 +830,28 @@ class Universe:
             reverse=True)])
 
     def _mark_column(self, i):
-        """|W(H)| and the column n(., H) of the class H with index i over
-        the classes in back-substitution order, as Python ints."""
-        high = self.classes[i]
-        return (self.weyl(high),
-                self._column(high)[self._mark_order].astype(object))
+        """The marks M[., H] of the class H with index i over the classes
+        in back-substitution order, as Python ints."""
+        return self._marks(self.classes[i])[self._mark_order].astype(object)
 
     def marks(self, coeffs: dict) -> np.ndarray:
-        """Mark coordinates v_L = sum_H c_H n(L, H) |W(H)| of the element
+        """Mark coordinates v_L = sum_H c_H M[L, H] of the element
         with class coefficients `coeffs`, one exact Python int per class L
         in back-substitution order."""
         v = np.zeros(len(self._mark_order), dtype=object)
         for i, c in coeffs.items():
-            w, col = self._mark_column(i)
-            v += c * w * col
+            v += c * self._mark_column(i)
         return v
 
     def from_marks(self, v) -> dict:
         """Class coefficients of the element whose mark vector is v.
 
-        The mark of L counts its own coefficient |W(L)| times plus
-        n(L, H) |W(H)| c_H for every class H above L, and those come first
-        in back-substitution order: each coefficient is one exact division,
-        then c_L |W(L)| times column L leaves the marks still to come.  A
-        zero mark gives a zero coefficient, so only the classes with a
-        nonzero one have their column and Weyl group read.  The marks are
+        The mark of L is c_L M[L, L] plus c_H M[L, H] for every class H
+        above L, and those come first in back-substitution order: each
+        coefficient is one exact division by the diagonal mark
+        M[L, L] = |W(L)|, then c_L times column L leaves the marks still to
+        come.  A zero mark gives a zero coefficient, so only the classes
+        with a nonzero one have their column of marks read.  The marks are
         Python ints, so nothing wraps around."""
         if len(v) != len(self._mark_order):
             raise ValueError("mark vector has the wrong length")
@@ -869,14 +859,14 @@ class Universe:
         coeffs = {}
         for pos, i in enumerate(self._mark_order.tolist()):
             if v[pos]:
-                w, col = self._mark_column(i)
-                c, rem = divmod(v[pos], w)
+                col = self._mark_column(i)
+                c, rem = divmod(v[pos], col[pos])
                 if rem:
                     raise InternalError(
                         "non-exact division by |W(%s)| in mark "
                         "back-substitution" % self.classes[i])
                 coeffs[i] = c
-                v -= c * w * col
+                v -= c * col
         return coeffs
 
     def degree_marks(self, modes) -> list:

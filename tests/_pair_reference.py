@@ -7,9 +7,10 @@ all of them to all generators at once, and divides by the normalizer count
 of the high class.  `conj_apply` is the plain definition of a conjugator
 triple acting on one element code.
 
-Run as a script, it compares every entry of every Phi0 column (every class
-as low) and the normalizer of every finite class with the library at each
-l_max given, prints one line per l_max and exits 1 at the first difference:
+Run as a script, it compares the Weyl order of every finite class and every
+Phi0 column of the table of marks (every class as low) with the library at
+each l_max given, prints one line per l_max and exits 1 at the first
+difference:
 
     PYTHONPATH=src python tests/_pair_reference.py 1 2 3 4
 """
@@ -92,27 +93,33 @@ def n_count(u, low, high):
     return count
 
 
+def weyl_matches(u, kl):
+    """Does the library's |W(kl)| of the finite class kl match the
+    normalizer's triple count here?  Each triple stands for two group
+    elements, so |W(kl)| |kl| = |N(kl)| is twice the count."""
+    return u.weyl(kl) * kl.order == 2 * conjugator_count(u, kl, kl)
+
+
 def compare(l_max):
-    """(pairs, normalizers) compared between the library and this module
-    at l_max; raises AssertionError on the first difference."""
+    """(columns, Weyl orders) compared between the library and this module
+    at l_max: the library's marks M[L, H] against n(L, H) |W(H)|; raises
+    AssertionError on the first difference."""
     u = bu.Universe.for_l_max(l_max)
     finite = [kl for kl in u.all_classes() if kl.is_finite]
     for kl in finite:
-        assert u._normalizer(kl) == conjugator_count(u, kl, kl), (
-            "normalizer of %s" % kl)
-    pairs = [(low, high) for high in u.phi0_classes()
-             for low in u.all_classes()]
-    for low, high in pairs:
-        assert u.n_count(low, high) == n_count(u, low, high), (
-            "n(%s, %s)" % (low, high))
-    return len(pairs), len(finite)
+        assert weyl_matches(u, kl), "|W(%s)|" % kl
+    highs = u.phi0_classes()
+    for high in highs:
+        marks = [n_count(u, low, high) * u.weyl(high) for low in u.classes]
+        assert u._marks(high).tolist() == marks, "column of %s" % high
+    return len(highs), len(finite)
 
 
 if __name__ == "__main__":
     for l_max in map(int, sys.argv[1:] or ["4"]):
         try:
-            pairs, normalizers = compare(l_max)
+            columns, weyls = compare(l_max)
         except AssertionError as fault:
             sys.exit("l_max %d: %s differs" % (l_max, fault))
-        print("l_max %d: %d pairs and %d normalizers agree"
-              % (l_max, pairs, normalizers), flush=True)
+        print("l_max %d: %d columns and %d Weyl orders agree"
+              % (l_max, columns, weyls), flush=True)

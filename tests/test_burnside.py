@@ -202,7 +202,7 @@ def test_universe_build_makes_no_kernel_call(monkeypatch):
 
 def test_invariants_make_one_kernel_call_per_finite_column(monkeypatch):
     # a finite column's pass counts its high against itself too, so the
-    # normalizer takes no call of its own
+    # Weyl order, the column's own mark, takes no call of its own
     monkeypatch.setattr(bu.Universe, "_cache", {})
     calls = _counting_kernel(monkeypatch)
     assert cli.main(["invariants"]) == 0
@@ -409,13 +409,28 @@ def test_kernel_rows_fault_on_a_subgroup_without_a_reflection_generator(u1):
         bu._Rows(u1, [u1.parse_class("(S4 x D1)"), stub])
 
 
-@pytest.mark.parametrize("l_max", [1, 2])
+def test_column_faults_on_a_count_off_the_normalizer_cosets(monkeypatch):
+    # one conjugator triple too many for the first subgroup that has any:
+    # the conjugators no longer come in whole cosets of the normalizer
+    kernel = bu.Universe._conjugator_counts
+
+    def one_more(self, rows, high):
+        counts = kernel(self, rows, high)
+        counts[np.flatnonzero(counts)[0]] += 1
+        return counts
+    monkeypatch.setattr(bu.Universe, "_conjugator_counts", one_more)
+    u = bu.Universe(1)              # a fresh universe, no column cached
+    high = u.parse_class("(S4 x D1)")
+    with pytest.raises(bu.InternalError, match=r"into \(S4 x D1\) "):
+        u.n_count(u.parse_class("(Z1 x D1)"), high)
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 4])
 def test_normalizers_match_per_pair_reference(l_max):
     u = bu.Universe.for_l_max(l_max)
     for kl in u.all_classes():
         if kl.is_finite:
-            assert (u._normalizer(kl)
-                    == per_pair.conjugator_count(u, kl, kl)), str(kl)
+            assert per_pair.weyl_matches(u, kl), str(kl)
 
 
 def test_leq_antisymmetric_on_equal_order_classes(u1):
@@ -466,6 +481,18 @@ def test_mark_arithmetic_is_exact_beyond_int64(u1):
     # every column of a basic degree takes part; Deg * Deg = unit
     d = u1.basic_degree(1, 1) * big
     assert d * d == unit * big ** 2
+
+
+def test_from_marks_faults_on_a_non_exact_division(u1):
+    # a mark of 1 at the last class in back-substitution order, whose Weyl
+    # group has 48 elements, is the mark vector of no ring element
+    last = u1.classes[u1._mark_order[-1]]
+    assert str(last) == "(Z1 x D1)" and u1.weyl(last) == 48
+    v = [0] * len(u1._mark_order)
+    v[-1] = 1
+    with pytest.raises(bu.InternalError, match=r"non-exact division by "
+                                               r"\|W\(\(Z1 x D1\)\)\|"):
+        u1.from_marks(v)
 
 
 def test_integer_scalar_multiple(u1):

@@ -31,6 +31,13 @@ def test_import_leaves_one_thread():
     assert out == "1\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc to count threads")
+def test_test_process_runs_on_one_thread():
+    # the root conftest imports tetravib before any test module loads numpy
+    assert len(os.listdir("/proc/self/task")) == 1
+
+
 def test_caller_thread_count_wins():
     out = _python("-c", "import os, tetravib; "
                         "print(os.environ['OPENBLAS_NUM_THREADS'])",
@@ -39,5 +46,9 @@ def test_caller_thread_count_wins():
 
 
 def test_report_bytes_do_not_depend_on_thread_count():
-    argv = ("-m", "tetravib.cli", "report")
-    assert _python(*argv, blas_threads="2") == _python(*argv)
+    # the report, and one branch at the default 16 modes; at 64 modes the
+    # branch's bytes do depend on the thread count
+    for command in (("report",), ("branch", "--class", "(D3^Z1 x_D3 D3)",
+                                  "--j", "1", "--l", "1")):
+        argv = ("-m", "tetravib.cli", *command)
+        assert _python(*argv, blas_threads="2") == _python(*argv)
