@@ -295,7 +295,7 @@ def _solve_isomorphisms(q1, q2):
 # amalgam classes
 
 
-@dataclass
+@dataclass(eq=False)
 class AmalgamClass:
     """Conjugacy class of a closed subgroup of S4 x O(2).
 
@@ -307,6 +307,10 @@ class AmalgamClass:
     and with a reflection of time: (H, H) for H x O(2), (H, {}) for
     H x SO(2), (Z, H \\ Z) for H ^Z x_{Z2} O(2), and read off the elements
     for the finite kinds.
+
+    K's printed name follows from kind and K_order: D_d for the finite kind,
+    SO2 for 'so2' and O2 for the other two.  The universe holds one object
+    per class, so two classes are equal when they are the same object.
     """
 
     universe: "Universe" = field(repr=False)
@@ -319,22 +323,14 @@ class AmalgamClass:
     Z_label: str
     R_label: str
     L_label: str
-    K_kind: str                                    # 'D', 'SO2', 'O2'
     K_order: int                                   # d; 0 for SO2/O2
     gens: tuple = field(repr=False, default=())    # codes generating it
-
-    def __hash__(self):
-        return hash((id(self.universe), self.index))
-
-    def __eq__(self, other):
-        return (isinstance(other, AmalgamClass)
-                and self.universe is other.universe
-                and self.index == other.index)
 
     # -- naming ------------------------------------------------------------
 
     def _k_name(self):
-        return self.K_kind + ("%d" % self.K_order if self.K_order else "")
+        return ("D%d" % self.K_order if self.is_finite else
+                "SO2" if self.kind == "so2" else "O2")
 
     def canonical_form(self) -> str:
         """Fully explicit name (H^Z_R x_L K); see README for the grammar."""
@@ -348,7 +344,7 @@ class AmalgamClass:
         separate classes sharing the same (H, Z, L, K)."""
         if self.L_label == "Z1":
             return "(%s x %s)" % (self.H_label, self._k_name())
-        if self.universe._needs_r(self):
+        if self.index in self.universe._ambiguous:
             return self.canonical_form()
         return "(%s^%s x_%s %s)" % (
             self.H_label, self.Z_label, self.L_label, self._k_name())
@@ -358,7 +354,7 @@ class AmalgamClass:
 
     def sort_key(self):
         k_rank = {"O2": 10 ** 9, "SO2": 10 ** 9 - 1}.get(
-            self.K_kind, self.K_order)
+            self._k_name(), self.K_order)
         return (-len(self.H_set), -k_rank, self.canonical_form())
 
     # -- structure ---------------------------------------------------------
@@ -566,7 +562,7 @@ class Universe:
             if d % 2 == 0:
                 qs.append(quotient(k, d // 2, "Z2", dihedral=True))
             qs.append(quotient(k, d, "Z1", dihedral=True))
-            out.append((dict(kind="dihedral", K_kind="D", K_order=d), qs))
+            out.append((dict(kind="dihedral", K_order=d), qs))
         return out
 
     def _enumerate(self):
@@ -575,7 +571,7 @@ class Universe:
 
         A finite candidate's name is its canonical form less H: the labels
         of Z, of the permutations paired with rotations (read off its
-        codes) and of L, K's kind and K's order.  Conjugating by (g, o)
+        codes) and of L, and K's order.  Conjugating by (g, o)
         conjugates H, Z and those permutations by g and K by o, so the name
         is a conjugacy invariant; the amalgam notation names each conjugacy
         class once (Balanov, Krawcewicz and Steinlein, Applied Equivariant
@@ -636,8 +632,7 @@ class Universe:
             names = set()
             for c, g, f, (r, s) in zip(codes, gens, fields, masks):
                 r_label = s4_subgroup_label(_perm_set(r))
-                name = (f["Z_label"], r_label, f["L_label"], f["K_kind"],
-                        f["K_order"])
+                name = (f["Z_label"], r_label, f["L_label"], f["K_order"])
                 if name not in names:
                     names.add(name)
                     self.classes.append(self._finite(
@@ -669,13 +664,12 @@ class Universe:
             rot_perms=rot, refl_perms=refl,
             H_label=s4_subgroup_label(h_set), Z_label=s4_subgroup_label(rot),
             R_label=s4_subgroup_label(h_set),
-            L_label="Z2" if kind == "o2z2" else "Z1",
-            K_kind="SO2" if kind == "so2" else "O2", K_order=0)
+            L_label="Z2" if kind == "o2z2" else "Z1", K_order=0)
 
     def _finalize_names(self):
         sig = {}
         for kl in self.classes:
-            sig.setdefault((kl.H_label, kl.Z_label, kl.L_label, kl.K_kind,
+            sig.setdefault((kl.H_label, kl.Z_label, kl.L_label, kl.kind,
                             kl.K_order), []).append(kl.index)
         self._ambiguous = {
             idx for members in sig.values() if len(members) > 1
@@ -687,14 +681,11 @@ class Universe:
             self._name_index[name] = kl
             self._name_index.setdefault(kl.printed_form(), kl)
 
-    def _needs_r(self, kl):
-        return kl.index in self._ambiguous
-
     # -- lookups ---------------------------------------------------------
 
     @property
     def unit(self):
-        return self.find_class("S4", kind="o2")
+        return self.parse_class("(S4 x O2)")
 
     def all_classes(self):
         return tuple(self._classes_sorted)
@@ -702,20 +693,9 @@ class Universe:
     # every class of the universe is a Phi0 class
     phi0_classes = all_classes
 
-    def find_class(self, h_label, z_label=None, r_label=None, l_label=None,
-                   k_order=None, kind="dihedral"):
-        """The unique class matching the given name fragments."""
-        want = dict(kind=kind, H_label=h_label, Z_label=z_label,
-                    R_label=r_label, L_label=l_label, K_order=k_order)
-        hits = [kl for kl in self.classes
-                if all(v is None or getattr(kl, f) == v
-                       for f, v in want.items())]
-        if len(hits) != 1:
-            raise KeyError("class lookup matched %d candidates" % len(hits))
-        return hits[0]
-
     def parse_class(self, text) -> AmalgamClass:
-        """Inverse of canonical_form / printed_form."""
+        """The class named `text`, in canonical_form or printed_form; the
+        only lookup of a class."""
         kl = self._name_index.get(text.strip())
         if kl is None:
             raise KeyError("unknown class string %r" % text)

@@ -96,17 +96,6 @@ def _read_only(a):
     return a
 
 
-@functools.lru_cache(maxsize=128)
-def _sample_trig(n_modes, n_points, kind="rot", angle=0):
-    """Tables cos(m t), sin(m t), m = 0..n_modes, at the n_points equispaced
-    times moved as a class element moves them: t + 2*pi*angle for a 'rot',
-    -t - 2*pi*angle for a 'refl'.  Built once per key; read-only."""
-    ts = _collocation_times(n_points)
-    tau = 2.0 * math.pi * float(angle)
-    return tuple(_read_only(a) for a in _trig(
-        ts + tau if kind == "rot" else -ts - tau, n_modes))
-
-
 def amplitude(orbit: FourierOrbit, reference) -> float:
     """H^1 distance of the loop from the constant reference configuration."""
     ref = np.asarray(reference, dtype=float).reshape(12)
@@ -124,7 +113,7 @@ def _collocation_times(n_points):
 def residual(orbit: FourierOrbit, potential: PairPotential,
              n_points: int) -> float:
     """RMS of u'' + lam^2 grad V(u) over n_points equispaced times."""
-    table = _sample_trig(orbit.n_modes, n_points)
+    table = _trig(_collocation_times(n_points), orbit.n_modes)
     u = orbit._combine(*table).reshape(-1, 4, 3)
     acc = orbit._combine(*table, deriv=2)
     res = acc + orbit.lam ** 2 * gradient(potential, u).reshape(-1, 12)
@@ -144,9 +133,9 @@ def energy_profile(orbit: FourierOrbit, potential: PairPotential):
     is normalized by the largest of |mean energy|, the peak kinetic energy
     and a small floor, so that near-equilibrium loops are judged fairly.
     """
-    ts = _collocation_times(ENERGY_SAMPLES)
-    u = orbit.evaluate(ts).reshape(-1, 4, 3)
-    v = orbit.velocity(ts)
+    table = _trig(_collocation_times(ENERGY_SAMPLES), orbit.n_modes)
+    u = orbit._combine(*table).reshape(-1, 4, 3)
+    v = orbit._combine(*table, deriv=1)
     kinetic = 0.5 * np.sum(v ** 2, axis=1)
     e = kinetic + orbit.lam ** 2 * total_potential(potential, u)
     mean = float(np.mean(e))
@@ -255,7 +244,7 @@ class SymmetryConstraint:
             if self.bases[m].shape[1]:
                 parts.append(self.bases[m].T @ np.concatenate(
                     [orbit.cos_coeffs[m], orbit.sin_coeffs[m]]))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts)
 
     def unpack(self, x: np.ndarray, lam: float) -> FourierOrbit:
         cos = np.zeros((self.n_modes + 1, 12))
@@ -297,8 +286,8 @@ def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass):
     """
     n_relations = len(klass.elements()) - 1
     n_modes = orbit.n_modes
-    cos, sin, rho_t = _relation_tables(klass, n_modes)
-    base = orbit._combine(*_sample_trig(n_modes, PREDICATE_SAMPLES))
+    base_cos, base_sin, cos, sin, rho_t = _relation_tables(klass, n_modes)
+    base = orbit._combine(base_cos, base_sin)
     mapped = orbit._combine(cos, sin)
     err = mapped.reshape(n_relations, PREDICATE_SAMPLES, 12) @ rho_t - base
     return tuple(np.max(np.linalg.norm(err, axis=2), axis=1).tolist())
@@ -308,14 +297,22 @@ def verify_predicates(orbit: FourierOrbit, klass: AmalgamClass):
 # and the tables of one class are no larger than one call's own would be
 @functools.lru_cache(maxsize=1)
 def _relation_tables(klass, n_modes):
-    """The stacked time tables cos(m s), sin(m s) of the moved times of every
-    relation of the class, and the stack of their transposed spatial
-    matrices; read-only."""
+    """The time tables cos(m t), sin(m t), m = 0..n_modes, at the
+    PREDICATE_SAMPLES equispaced times t; the same of the moved times s of
+    every relation of the class, stacked; and the stack of their transposed
+    spatial matrices; read-only."""
+    ts = _collocation_times(PREDICATE_SAMPLES)
+
+    def moved(kind, angle):
+        tau = 2.0 * math.pi * float(angle)
+        return ts + tau if kind == "rot" else -ts - tau
+
     cos, sin, rho = zip(*[
-        (*_sample_trig(n_modes, PREDICATE_SAMPLES, kind, angle),
-         action_matrix(perm)) for perm, kind, angle in klass.elements()[1:]])
-    return (_read_only(np.concatenate(cos)), _read_only(np.concatenate(sin)),
-            _read_only(np.stack(rho).swapaxes(1, 2)))
+        (*_trig(moved(kind, angle), n_modes), action_matrix(perm))
+        for perm, kind, angle in klass.elements()[1:]])
+    return tuple(map(_read_only, (
+        *_trig(ts, n_modes), np.concatenate(cos), np.concatenate(sin),
+        np.stack(rho).swapaxes(1, 2))))
 
 
 # ---------------------------------------------------------------------------

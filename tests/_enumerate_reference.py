@@ -136,7 +136,7 @@ def _k_groups(u):
         if d % 2 == 0:
             qs.append(quotient(k_codes, d // 2, "Z2", dihedral=True))
         qs.append(quotient(k_codes, d, "Z1", dihedral=True))
-        out.append((dict(kind="dihedral", K_kind="D", K_order=d), qs))
+        out.append((dict(kind="dihedral", K_order=d), qs))
     return out
 
 
@@ -197,7 +197,6 @@ class Sequential:
             Z_label=bu.s4_subgroup_label(rot),
             R_label=bu.s4_subgroup_label(h_set),
             L_label="Z2" if kind == "o2z2" else "Z1",
-            K_kind="SO2" if kind == "so2" else "O2",
             K_order=0, gens=())
         self.classes.append(kl)
         return kl

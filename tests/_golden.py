@@ -142,9 +142,12 @@ BRANCH_N64_SHA256 = (
 
 
 def lookup(universe, h, z, r, l_label, k_order):
-    """Resolve one golden tuple to the universe's class object."""
-    return universe.find_class(h, z_label=z, r_label=r, l_label=l_label,
-                               k_order=k_order)
+    """Resolve one golden tuple to the universe's class object by its printed
+    name, (H x Dk) or (H^Z[_R] x_L Dk)."""
+    if l_label == "Z1":
+        return universe.parse_class("(%s x D%d)" % (h, k_order))
+    return universe.parse_class("(%s^%s%s x_%s D%d)" % (
+        h, z, "_" + r if r else "", l_label, k_order))
 
 
 def as_class_set(universe, entries, scale=1):

@@ -294,12 +294,27 @@ def test_universe_at_l_max_8_holds_under_2_mib_and_peaks_under_4_5_mib():
     assert peak < 4.5 * 2 ** 20, "%.2f MiB" % (peak / 2 ** 20)
 
 
-def test_name_round_trip_every_class(u12):
-    for kl in u12.all_classes():
-        assert u12.parse_class(kl.canonical_form()) is kl
-        assert u12.parse_class(kl.printed_form()) is kl
+@pytest.mark.parametrize("l_max", [2, 4])
+def test_name_round_trip_every_class(l_max):
+    u = bu.Universe.for_l_max(l_max)
+    assert len(u.all_classes()) == {2: 239, 4: 345}[l_max]
+    for kl in u.all_classes():
+        assert u.parse_class(kl.canonical_form()) is kl
+        assert u.parse_class(kl.printed_form()) is kl
     with pytest.raises(KeyError):
-        u12.parse_class("(S9 x D1)")
+        u.parse_class("(S9 x D1)")
+
+
+def test_a_class_is_one_object_found_by_its_name(u12):
+    # parse_class is the one lookup, a class is equal only to itself, and
+    # K's name follows from kind and K_order
+    assert not hasattr(bu.Universe, "find_class")
+    assert "K_kind" not in {f.name for f in dataclasses.fields(
+        bu.AmalgamClass)}
+    kl = u12.parse_class("(D3^Z1 x_D3 D3)")
+    copy = dataclasses.replace(kl)
+    assert copy != kl and len({kl, copy}) == 2
+    assert u12.unit is u12.parse_class("(S4^S4_S4 x_Z1 O2)")
 
 
 def test_two_classes_of_one_canonical_form_fault(monkeypatch):
@@ -342,8 +357,10 @@ def test_products_close_over_continuous_classes(u1):
 
 
 def test_three_epimorphism_kernels_give_distinct_classes(u12):
-    kls = [u12.find_class("D4", z_label=z, l_label="Z2", k_order=2)
-           for z in ("D2", "Z4", "V4")]
+    kls = [kl for kl in u12.classes
+           if (kl.H_label, kl.L_label, kl.K_order) == ("D4", "Z2", 2)
+           and kl.Z_label in ("D2", "Z4", "V4")]
+    assert len(kls) == 3
     assert len({kl.index for kl in kls}) == 3
     forms = {kl.printed_form() for kl in kls}
     assert forms == {"(D4^D2 x_Z2 D2)", "(D4^Z4 x_Z2 D2)", "(D4^V4 x_Z2 D2)"}

@@ -721,8 +721,9 @@ def default_report():
     through orbits.hessian and orbits.gradient while it ran; and every
     result of describe_symmetry, AmalgamClass.elements, action_matrix and
     isotypic_projection it asked for, kept alive so that distinct results
-    have distinct ids; and (computations, calls) of the cached critical set
-    and representation character, counted from empty caches."""
+    have distinct ids; and (computations, calls) of the cached critical set,
+    representation character and predicate tables, counted from empty
+    caches."""
     counts = {"hessian": 0, "gradient": 0}
     derived = {"describe_symmetry": [], "elements": [], "action_matrix": [],
                "isotypic_projection": []}
@@ -755,7 +756,8 @@ def default_report():
             for module in (gr, orbits):
                 mp.setattr(module, name, fn)
         cached = {"critical_set": bf._critical_set,
-                  "representation_character": gr.representation_character}
+                  "representation_character": gr.representation_character,
+                  "relation_tables": orbits._relation_tables}
         for fn in cached.values():
             fn.cache_clear()
         with contextlib.redirect_stdout(out):
@@ -814,10 +816,13 @@ def test_default_report_derives_each_class_once(default_report):
 
 def test_default_report_computes_shared_inputs_once(default_report):
     # the critical set serves _invariant_reports and each of the five
-    # invariant calls; the character serves reps and multiplicities
+    # invariant calls; the character serves reps and multiplicities; the
+    # predicate tables are built once per branch class, seven, and read at
+    # each of the 77 branch points
     _, _, _, builds = default_report
     assert builds == {"critical_set": (1, 6),
-                      "representation_character": (1, 2)}
+                      "representation_character": (1, 2),
+                      "relation_tables": (7, 77)}
 
 
 def test_cached_results_are_read_only():

@@ -28,12 +28,12 @@ def eq():
 
 @pytest.fixture(scope="module")
 def breathing_class(u2):
-    return u2.find_class("S4", z_label="S4", l_label="Z1", k_order=1)
+    return u2.parse_class("(S4 x D1)")
 
 
 @pytest.fixture(scope="module")
 def wave_class(u2):
-    return u2.find_class("D3", z_label="Z1", l_label="D3", k_order=3)
+    return u2.parse_class("(D3^Z1 x_D3 D3)")
 
 
 @pytest.fixture(scope="module")
@@ -184,13 +184,14 @@ def _loop_basis(projector, tol=1e-9):
 
 
 def _loop_verify_predicates(orbit, klass, n_samples):
-    base = orbit._combine(*ob._sample_trig(orbit.n_modes, n_samples))
+    ts = ob._collocation_times(n_samples)
+    base = orbit.evaluate(ts)
     out = []
     for perm, kind, angle in klass.elements():
         if perm == (0, 1, 2, 3) and kind == "rot" and angle == 0:
             continue            # the identity is no relation
-        mapped = orbit._combine(*ob._sample_trig(orbit.n_modes, n_samples,
-                                                 kind, angle))
+        tau = 2.0 * math.pi * float(angle)
+        mapped = orbit.evaluate(ts + tau if kind == "rot" else -ts - tau)
         err = mapped @ action_matrix(perm).T - base
         out.append(float(np.max(np.linalg.norm(err, axis=1))))
     return tuple(out)
