@@ -7,6 +7,10 @@ l) becomes negative definite exactly when lambda exceeds the critical number
 
     lambda_{j,l} = l / sqrt(mu_j).
 
+Each critical number is keyed by one exact rational, lambda^2 mu_2 = l^2/r_j
+with r_j ~ mu_j / mu_2: modes share a critical number exactly when they
+share the key, and frequency covers are read off the keys.
+
 Crossing one critical number changes the product of basic gradient degrees;
 the change is the Burnside-ring bifurcation invariant whose nonzero terms
 certify bifurcating branches and whose maximal classes prescribe their
@@ -36,15 +40,14 @@ class UsageError(ValueError):
 class CriticalNumber:
     """One element of the critical set, with every (j, l) that lands on it.
 
-    key is an exact rational proportional to lambda^2 when the eigenvalue
-    ratios are recognized as rational (the generic tetrahedral case has
-    mu_0 : mu_1 : mu_2 = 4 : 2 : 1); resonant critical numbers are then
-    merged exactly rather than by floating-point coincidence.
+    key is the exact rational lambda^2 * mu_2 = l^2 / r_j of _ratio_keys, so
+    a resonance is a coincidence of rationals, not of floats (every pair
+    potential has mu_0 : mu_1 : mu_2 = 4 : 2 : 1).
     """
 
     value: float
     contributors: tuple
-    key: object = field(compare=False, default=None)
+    key: Fraction = field(compare=False)
 
     @property
     def resonant(self):
@@ -55,17 +58,27 @@ class CriticalNumber:
 RATIO_TOL = 1e-9
 
 
-def _ratio_keys(mu):
-    """Exact rationals r_j with mu_j = r_j * mu_2, or None when unrecognized."""
-    keys = []
-    for m in mu:
-        r = m / mu[2]
-        frac = Fraction(r).limit_denominator(64)
-        if abs(float(frac) - r) < RATIO_TOL * max(1.0, r):
-            keys.append(frac)
-        else:
-            return None
-    return keys
+def _ratio_keys(mu, l_max):
+    """Exact rationals r_j ~ mu_j / mu_2, with r_2 = 1.  A ratio mu_a / mu_b
+    within RATIO_TOL of a rational of denominator at most max(64, l_max^2),
+    as any resonance l^2 / l'^2 has, links a to b; r_j is a link times a
+    known r_b, links to mu_2 first, and an r_j no link reaches is the exact
+    value of the float mu_j / mu_2, from which the links run on."""
+    links = []
+    for a, b in ((1, 2), (0, 2), (0, 1)):
+        r = mu[a] / mu[b]
+        frac = Fraction(r).limit_denominator(max(64, l_max * l_max))
+        if abs(float(frac) - r) < RATIO_TOL * r:
+            links.append((a, b, frac))
+    ratios = {}
+    for root in (2, 1, 0):
+        ratios.setdefault(root, Fraction(mu[root] / mu[2]))
+        for a, b, q in links:
+            if b in ratios:
+                ratios.setdefault(a, q * ratios[b])
+            elif a in ratios:
+                ratios[b] = ratios[a] / q
+    return [ratios[j] for j in range(3)]
 
 
 def critical_set(mu, l_max: int) -> tuple:
@@ -78,30 +91,18 @@ def critical_set(mu, l_max: int) -> tuple:
 def _critical_set(mu, l_max):
     if not (0.0 < mu[2] < mu[1] < mu[0]):
         raise UsageError("slice eigenvalues must satisfy 0 < mu_2 < mu_1 < mu_0")
+    if not (math.isfinite(mu[0]) and math.isfinite(mu[0] / mu[2])):
+        raise UsageError("slice eigenvalues and their ratios must be finite")
     if l_max < 1:
         raise UsageError("l_max must be at least 1")
-    ratios = _ratio_keys(mu)
-    crits = {}
+    ratios = _ratio_keys(mu, l_max)
+    crits = {}      # lambda^2 * mu_2 -> (value of its first mode, modes)
     for j in range(3):
         for l in range(1, l_max + 1):
-            value = l / math.sqrt(mu[j])
-            if ratios is not None:
-                key = Fraction(l * l, 1) / ratios[j]    # lambda^2 * mu_2
-            else:
-                key = None
-            hit = None
-            for k in crits:
-                same = (key is not None and crits[k][1] == key) or (
-                    key is None and abs(k - value) < 1e-12 * value)
-                if same:
-                    hit = k
-                    break
-            if hit is None:
-                crits[value] = ([(j, l)], key)
-            else:
-                crits[hit][0].append((j, l))
-    out = [CriticalNumber(value=v, contributors=tuple(sorted(c)), key=k)
-           for v, (c, k) in crits.items()]
+            crits.setdefault(Fraction(l * l) / ratios[j],
+                             (l / math.sqrt(mu[j]), []))[1].append((j, l))
+    out = [CriticalNumber(value=v, contributors=tuple(c), key=k)
+           for k, (v, c) in crits.items()]
     out.sort(key=lambda c: c.value)
     return tuple(out)
 
@@ -118,18 +119,15 @@ def degree_below(lam: float, mu, l_max: int) -> BurnsideElement:
     """Product of the basic degrees of all loop components that are negative
     at lambda: the (j, l) with lambda_{j,l} < lambda and l <= l_max."""
     crits = critical_set(mu, l_max)
+    if not math.isfinite(lam):
+        raise UsageError("lambda must be finite")
     for c in crits:
         if abs(lam - c.value) < 1e-9 * c.value:
             raise UsageError("lambda coincides with the critical number %g"
                              % c.value)
     u = _universe(l_max)
-    return BurnsideElement(u, u.from_marks(
-        u.degree_marks(_modes_below(lam, crits))))
-
-
-def _modes_below(lam, crits):
-    """The (j, l) modes whose critical number lies below lambda."""
-    return [jl for c in crits if c.value < lam for jl in c.contributors]
+    return BurnsideElement(u, u.from_marks(u.degree_marks(
+        [jl for c in crits if c.value < lam for jl in c.contributors])))
 
 
 @dataclass(frozen=True)
@@ -174,25 +172,24 @@ def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
     jump is the difference of two sign vectors."""
     crits = critical_set(mu, l_max)
     values = [c.value for c in crits]
-    try:
-        pos = next(i for i, c in enumerate(crits)
-                   if abs(c.value - critical.value) < 1e-12 * c.value)
-    except StopIteration:
+    keys = [c.key for c in crits]
+    if critical.key not in keys:
         raise UsageError("not a critical number for these eigenvalues")
-    lam_minus = (math.sqrt(values[pos - 1] * values[pos]) if pos > 0
-                 else 0.5 * values[pos])
-    if pos + 1 < len(values):
-        lam_plus = math.sqrt(values[pos] * values[pos + 1])
-    else:
+    pos = keys.index(critical.key)
+    if pos + 1 == len(values):
         raise UsageError("critical number is the largest below the mode "
                          "cutoff; raise l_max to isolate it")
+    lam_minus = (math.sqrt(values[pos - 1] * values[pos]) if pos > 0
+                 else 0.5 * values[pos])
+    lam_plus = math.sqrt(values[pos] * values[pos + 1])
     # modes beyond l_max must not sneak into the straddling window
     unseen = (l_max + 1) / math.sqrt(mu[0])
     if lam_plus >= unseen:
         raise UsageError("l_max too small to isolate this critical number")
     u = _universe(l_max)
-    above = u.degree_marks(_modes_below(lam_plus, crits))
-    below = u.degree_marks(_modes_below(lam_minus, crits))
+    above, below = (u.degree_marks([jl for c in crits[:n]
+                                    for jl in c.contributors])
+                    for n in (pos + 1, pos))
     omega = BurnsideElement(u, u.from_marks(
         [a - b for a, b in zip(above, below)]))
     terms = omega.terms()
@@ -207,19 +204,10 @@ def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
 
 
 def _integer_ratio(later: CriticalNumber, earlier: CriticalNumber):
-    """k >= 2 with later = k * earlier (exact when keys present), else None."""
-    if later.key is not None and earlier.key is not None:
-        q = later.key / earlier.key
-        if q.denominator == 1:
-            root = math.isqrt(q.numerator)
-            if root * root == q.numerator and root >= 2:
-                return root
-        return None
-    ratio = later.value / earlier.value
-    k = round(ratio)
-    if k >= 2 and abs(ratio - k) < 1e-9:
-        return k
-    return None
+    """k >= 2 with later = k * earlier, read off the exact keys, else None."""
+    q = later.key / earlier.key
+    root = math.isqrt(q.numerator) if q.denominator == 1 else 0
+    return root if root >= 2 and root * root == q.numerator else None
 
 
 def independent_families(reports) -> tuple:

@@ -131,6 +131,11 @@ INVARIANTS_L4_SHA256 = (
 INVARIANTS_L8_SHA256 = (
     "8c3d22a8b263803b5fbeb71a48889cb8fd8e59a3604358465901b8f51b584ed4")
 
+# the same at `[analysis] l_max = 16`, whose window holds many more
+# critical numbers and resonances
+INVARIANTS_L16_SHA256 = (
+    "e6ccade3e3b4e0be3777ddcae39373e4ea9fca2b65a49849b54ecd4314eb42bd")
+
 # sha256 of the stdout of the default `tetravib report`
 REPORT_SHA256 = (
     "2891fa52d16ce3b970a16a716025a1b5b1a8ccd9dcccccd278044dcfae33d297")

@@ -75,6 +75,68 @@ def test_critical_set_input_validation():
         bf.critical_set(BOND_MU, l_max=0)
 
 
+@pytest.mark.parametrize("mu", [(math.inf, 4.0, 2.0), (8.0, 4.0, 1e-320)])
+def test_non_finite_spectrum_is_a_usage_error(mu):
+    # an infinite mu_0, or a finite one whose ratio to mu_2 overflows
+    with pytest.raises(bf.UsageError, match="finite"):
+        bf.critical_set(mu, l_max=2)
+    crit = bf.critical_set(BOND_MU, l_max=2)[0]
+    with pytest.raises(bf.UsageError, match="finite"):
+        bf.invariant(crit, mu, l_max=2)
+
+
+def test_generic_spectrum_runs_the_one_path(u2):
+    # no ratio of (8 sqrt 2, 4, 2) to mu_0 is rational: no resonance, and
+    # two families more than the resonant 4 : 2 : 1 spectrum has
+    mu = (8.0 * math.sqrt(2.0), 4.0, 2.0)
+    want = {(j, l, lookup(u2, h, z, r, ll, k))
+            for j, l, h, z, r, ll, k in FAMILIES}
+    want |= {(2, 1, lookup(u2, "D4", "V4", None, "Z2", 2)),
+             (2, 1, lookup(u2, "D4", "D4", None, "Z1", 1))}
+    for l_max, n_crits, n_reports, n_maximal in ((2, 6, 4, 10),
+                                                 (4, 12, 8, 20)):
+        crits = bf.critical_set(mu, l_max)
+        assert len(crits) == n_crits and not any(c.resonant for c in crits)
+        assert all(isinstance(c.key, Fraction) for c in crits)
+        reports = []
+        for c in crits:
+            try:
+                reports.append(bf.invariant(c, mu, l_max))
+            except bf.UsageError:
+                pass
+        assert len(reports) == n_reports
+        assert sum(len(r.maximal) for r in reports) == n_maximal
+        fams = bf.independent_families(reports)
+        assert {(f.j, f.l, f.klass.printed_form()) for f in fams} == {
+            (j, l, kl.printed_form()) for j, l, kl in want}
+    # the classes left over are frequency covers, found on irrational keys
+    by_mode = {r.critical.contributors: r for r in reports}
+    u4 = bf._universe(4)
+    for l, name in ((2, "(S4 x D2)"), (4, "(S4 x D4)")):
+        rep = by_mode[((0, l),)]
+        assert rep.critical.key.denominator > 2 ** 40
+        assert bf._integer_ratio(rep.critical, by_mode[((0, 1),)].critical) == l
+        assert u4.parse_class(name) in {kl for kl, _ in rep.maximal}
+        assert name not in {f.klass.printed_form() for f in fams}
+
+
+@pytest.mark.parametrize("mu, l_max, shared", [
+    # mu_0 = (9/4) mu_1, and mu_1 / mu_2 = sqrt 3
+    ((4.5 * math.sqrt(3.0), 2.0 * math.sqrt(3.0), 2.0), 4, {(0, 3), (1, 2)}),
+    # mu_0 = (10/9)^2 mu_1: the rational's denominator is above 64
+    ((2.0 * math.sqrt(5.0) * 100 / 81, 2.0 * math.sqrt(5.0), 2.0), 10,
+     {(0, 10), (1, 9)}),
+    # mu_0 / mu_2 = (8/7)^2 and mu_0 / mu_1 = 37/31, so mu_1 / mu_2 is a
+    # rational of denominator 1813
+    ((2.0 * 64 / 49, 2.0 * 64 / 49 * 31 / 37, 2.0), 8, {(0, 8), (2, 7)}),
+])
+def test_resonance_between_irrational_ratios(mu, l_max, shared):
+    merged = [c for c in bf.critical_set(mu, l_max) if c.resonant]
+    assert [set(c.contributors) for c in merged] == [shared]
+    a, b = sorted(shared)
+    assert merged[0].value == a[1] / math.sqrt(mu[a[0]])
+
+
 # ---------------------------------------------------------------------------
 # degree_below
 
@@ -100,6 +162,12 @@ def test_degree_below_accumulates_products(u2):
 def test_degree_below_rejects_critical_lambda():
     with pytest.raises(bf.UsageError):
         bf.degree_below(0.5, BOND_MU, l_max=2)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_degree_below_rejects_non_finite_lambda(lam):
+    with pytest.raises(bf.UsageError, match="finite"):
+        bf.degree_below(lam, BOND_MU, l_max=2)
 
 
 # ---------------------------------------------------------------------------

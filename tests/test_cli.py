@@ -20,7 +20,8 @@ import tetravib.grouprep as gr
 from tetravib import cli, orbits
 
 from _golden import (BRANCH_N64_SHA256, BRANCHES, INVARIANTS_L4_SHA256,
-                     INVARIANTS_L8_SHA256, REPORT_SHA256)
+                     INVARIANTS_L8_SHA256, INVARIANTS_L16_SHA256,
+                     REPORT_SHA256)
 
 
 def run(capsys, *argv):
@@ -343,13 +344,14 @@ def test_invariants_full_run_lists_seven_families(capsys):
         assert u.parse_class(f["canonical"]).printed_form() == f["class"]
 
 
-@pytest.mark.parametrize("l_max", [4, 8])
+@pytest.mark.parametrize("l_max", [4, 8, 16])
 def test_invariants_are_byte_identical(capsys, tmp_path, l_max):
     cfg = tmp_path / "l.toml"
     cfg.write_text("[analysis]\nl_max = %d\n" % l_max)
     code, out, err = run(capsys, "--config", str(cfg), "invariants")
     assert code == 0, err
-    digest = {4: INVARIANTS_L4_SHA256, 8: INVARIANTS_L8_SHA256}[l_max]
+    digest = {4: INVARIANTS_L4_SHA256, 8: INVARIANTS_L8_SHA256,
+              16: INVARIANTS_L16_SHA256}[l_max]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
