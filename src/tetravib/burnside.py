@@ -4,22 +4,25 @@ Closed subgroups of S4 x O(2) up to conjugacy are Goursat amalgams
 H ^Z x_L K: a subgroup H of S4, a normal subgroup Z of H, and an epimorphism
 phi of H onto L = K/ker(psi) for a closed subgroup K of O(2).  Classes whose
 Weyl group is finite (the Phi0 classes) generate the ring A(G) used by the
-bifurcation invariants, and the universe holds only those: K is D_d, SO(2)
-or O(2).  A K = Z_n of rotations only leaves all of SO(2) in the
-normalizer, so its Weyl group is infinite.  Ring arithmetic runs in mark
-coordinates (the table of marks): with M[L, H] = n(L, H) |W(H)|, x -> Mx is
-an injective ring map into Z^Phi0 with the pointwise product, and the basic
-degree of the (j, l) loop mode has marks (-1)^dim V_{j,l}^L.  Products and
-degrees are pointwise there; one exact top-down back-substitution over the
+bifurcation invariants.  A K = Z_n of rotations only leaves all of SO(2) in
+the normalizer, so its Weyl group is infinite.  The universe holds the
+finite classes, K = D_d, and G itself.  They span a subring: a finite class
+has mark 0 at every class holding SO(2), and G is the unit.  SO(2) fixes no
+vector of a loop mode l >= 1, so every basic degree lies in that subring,
+and the classes holding SO(2) other than G never carry a coefficient.  Ring
+arithmetic runs in mark coordinates (the table of marks): with
+M[L, H] = n(L, H) |W(H)|, x -> Mx maps the subring injectively into Z^n,
+one coordinate per class, with the pointwise product, and the basic degree
+of the (j, l) loop mode has marks (-1)^dim V_{j,l}^L.  Products and degrees
+are pointwise there; one exact top-down back-substitution over the
 subconjugacy order returns to class coefficients.
 
-All O(2) data is kept exact.  The continuous shapes are handled
-analytically.  Every finite class projects onto a dihedral D_d, so it holds
-a reflection; all its rotation angles and reflection-axis parameters live on
-a rational grid (multiples of 1/N turns), and conjugations that matter
-shift axis parameters by multiples of 1/N as well, so conjugacy,
-normalizers and containment counts over the full group reduce to finite
-exact computations on the grid.
+All O(2) data is kept exact.  Every finite class projects onto a dihedral
+D_d, so it holds a reflection; all its rotation angles and reflection-axis
+parameters live on a rational grid (multiples of 1/N turns), and
+conjugations that matter shift axis parameters by multiples of 1/N as well,
+so conjugacy, normalizers and containment counts over the full group reduce
+to finite exact computations on the grid.
 
 Element encoding inside a grid universe: code = perm_index * 2N + kind * N + k
 with kind 0 a rotation by k/N turns and kind 1 the reflection with axis
@@ -42,8 +45,8 @@ are listed once, with their codes formed by array arithmetic over the
 cosets of Z and R, and one array pass reads off the permutations paired
 with rotations, whose label is the R of the name H ^Z_R x_L K.  That name
 is a conjugacy invariant and names each conjugacy class once, so no
-conjugator is searched for: H's founders are numbered in listing order and
-its new continuous shapes after them.  The k-fold cover of O(2) keeps the
+conjugator is searched for: H's founders are numbered in listing order,
+and G follows the founders of H = S4.  The k-fold cover of O(2) keeps the
 name but for K's order, so fold covers are found by name as well.
 
 One numpy kernel runs the conjugator test for many subgroups at once: the
@@ -175,14 +178,6 @@ def _normal_subgroups_of(h):
                               CONJ[np.ix_(sorted(h), sorted(z))].tolist())]
 
 
-@lru_cache(maxsize=None)
-def _s4_conjugate_pairs(rot, refl):
-    """Distinct images of the pair (rot, refl) under simultaneous
-    conjugation by S4; there are 24 / |Stab_S4(rot, refl)| of them."""
-    return frozenset(zip(map(frozenset, CONJ[:, sorted(rot)].tolist()),
-                         map(frozenset, CONJ[:, sorted(refl)].tolist())))
-
-
 # ---------------------------------------------------------------------------
 # small-group helpers for the Goursat construction
 
@@ -297,40 +292,34 @@ def _solve_isomorphisms(q1, q2):
 
 @dataclass(eq=False)
 class AmalgamClass:
-    """Conjugacy class of a closed subgroup of S4 x O(2).
-
-    kind is one of 'dihedral' (finite, projecting onto a dihedral group of
-    O(2)), 'so2', 'o2', 'o2z2' (the three continuous-K shapes H x SO(2),
-    H x O(2), H ^Z x_{Z2} O(2)).
+    """Conjugacy class of a closed subgroup of S4 x O(2): a finite class
+    projecting onto the dihedral group K = D_d of O(2), or G = S4 x O(2).
 
     rot_perms and refl_perms are the permutations paired with a rotation
-    and with a reflection of time: (H, H) for H x O(2), (H, {}) for
-    H x SO(2), (Z, H \\ Z) for H ^Z x_{Z2} O(2), and read off the elements
-    for the finite kinds.
+    and with a reflection of time: read off the elements of a finite class,
+    and all of S4 for G.
 
-    K's printed name follows from kind and K_order: D_d for the finite kind,
-    SO2 for 'so2' and O2 for the other two.  The universe holds one object
-    per class, so two classes are equal when they are the same object.
+    K's printed name is D_d, or O2 for G, whose K_order is 0.  The universe
+    holds one object per class, so two classes are equal when they are the
+    same object.
     """
 
     universe: "Universe" = field(repr=False)
     index: int
-    kind: str
-    codes: np.ndarray = field(repr=False)         # sorted; None if continuous
+    codes: np.ndarray = field(repr=False)         # sorted; None for G
     rot_perms: frozenset = field(repr=False)
     refl_perms: frozenset = field(repr=False)
     H_label: str
     Z_label: str
     R_label: str
     L_label: str
-    K_order: int                                   # d; 0 for SO2/O2
+    K_order: int                                   # d; 0 for G
     gens: tuple = field(repr=False, default=())    # codes generating it
 
     # -- naming ------------------------------------------------------------
 
     def _k_name(self):
-        return ("D%d" % self.K_order if self.is_finite else
-                "SO2" if self.kind == "so2" else "O2")
+        return "D%d" % self.K_order if self.is_finite else "O2"
 
     def canonical_form(self) -> str:
         """Fully explicit name (H^Z_R x_L K); see README for the grammar."""
@@ -353,9 +342,8 @@ class AmalgamClass:
         return self.printed_form()
 
     def sort_key(self):
-        k_rank = {"O2": 10 ** 9, "SO2": 10 ** 9 - 1}.get(
-            self._k_name(), self.K_order)
-        return (-len(self.H_set), -k_rank, self.canonical_form())
+        return (-len(self.H_set), -(self.K_order or 10 ** 9),
+                self.canonical_form())
 
     # -- structure ---------------------------------------------------------
 
@@ -370,20 +358,20 @@ class AmalgamClass:
 
     @property
     def is_finite(self):
-        return self.kind == "dihedral"
+        return self.codes is not None
 
     def elements(self):
         """Concrete members as (permutation tuple, 'rot'|'refl', Fraction),
         built once per class; the identity, code 0, comes first.
 
         The Fraction is the rotation angle or the reflection-axis parameter
-        in turns.  Only available for finite classes."""
+        in turns.  Only available for finite classes, not for G."""
         return self._elements
 
     @cached_property
     def _elements(self):
         if not self.is_finite:
-            raise ValueError("continuous class has no finite element list")
+            raise ValueError("G has no finite element list")
         n = self.universe.N
         return tuple((S4[p], "refl" if kind else "rot", Fraction(k, n))
                      for p, kind, k in map(self.universe.split,
@@ -445,9 +433,12 @@ def _perm_set(mask):
 
 
 class Universe:
-    """The Phi0 classes of S4 x O(2) for the loop modes l = 1..l_max: every
-    conjugacy class of closed subgroups whose O(2) projection is SO(2), O(2)
-    or dihedral of an order in _orders(l_max), on the grid N = their lcm."""
+    """The classes of S4 x O(2) for the loop modes l = 1..l_max: every
+    conjugacy class of closed subgroups whose O(2) projection is dihedral of
+    an order in _orders(l_max), on the grid N = their lcm, and G itself.
+    They span a subring that holds every basic degree of those modes, so
+    the other classes holding SO(2), which never carry a coefficient, are
+    left out."""
 
     _cache = {}
 
@@ -538,11 +529,11 @@ class Universe:
     # -- enumeration ---------------------------------------------------------
 
     def _k_groups(self):
-        """(AmalgamClass fields of K, [(K/R, generators of R, label of
-        L = K/R)]) for every finite K of the Goursat construction: the
-        dihedral D_d (axis parameter 0) of each order, with its quotients by
-        the normal subgroups R with quotient Z_m or D_m.  The rotation
-        groups Z_n are left out: their classes have infinite Weyl groups."""
+        """(K_order, [(K/R, generators of R, label of L = K/R)]) for every
+        finite K of the Goursat construction: the dihedral D_d (axis
+        parameter 0) of each order, with its quotients by the normal
+        subgroups R with quotient Z_m or D_m.  The rotation groups Z_n are
+        left out: their classes have infinite Weyl groups."""
         def grid(c, kind=0):
             # the c rotations, or reflections, spaced 1/c turn from 0
             return [self.join(ID_PERM, kind, i * (self.N // c))
@@ -562,12 +553,12 @@ class Universe:
             if d % 2 == 0:
                 qs.append(quotient(k, d // 2, "Z2", dihedral=True))
             qs.append(quotient(k, d, "Z1", dihedral=True))
-            out.append((dict(kind="dihedral", K_order=d), qs))
+            out.append((d, qs))
         return out
 
     def _enumerate(self):
-        """Number the classes one S4 subgroup H at a time: H's finite
-        classes in listing order, then H's new continuous shapes.
+        """Number the classes one S4 subgroup H at a time, each H's finite
+        classes in listing order, and G after the last.
 
         A finite candidate's name is its canonical form less H: the labels
         of Z, of the permutations paired with rotations (read off its
@@ -582,9 +573,6 @@ class Universe:
         n2 = 2 * self.N
         k_groups = self._k_groups()
         pairs = _s4_subgroups()
-        # (rot, refl) fixes a continuous shape, so it is new unless its pair
-        # is S4-conjugate to one already numbered
-        shapes = set()
         for s4c in enumerate_s4_subgroups():
             h = s4c.representative
             normals = _normal_subgroups_of(h)
@@ -602,7 +590,7 @@ class Universe:
                      for p in sorted(set(pairs[z]) - {ID_PERM})],
                     dict(H_label=s4c.label, Z_label=s4_subgroup_label(z))))
             codes, gens, fields = [], [], []
-            for k_fields, quotients in k_groups:
+            for d, quotients in k_groups:
                 for qk, r_gens, l_label in quotients:
                     for qh, ph, h_gens, h_lifts, z_gens, hz in h_quotients:
                         iso = (_isomorphisms(qh, qk) if len(qh) == len(qk)
@@ -619,7 +607,7 @@ class Universe:
                         # generate the amalgam
                         lifts = h_lifts + qk.rows[iso[:, h_gens], 0]
                         gens += [g + z_gens + r_gens for g in lifts.tolist()]
-                        fields += [dict(L_label=l_label, **hz, **k_fields)
+                        fields += [dict(L_label=l_label, K_order=d, **hz)
                                    ] * len(iso)
             # the permutations paired with rotations and with reflections,
             # as 24-bit masks, in one pass over every candidate's codes
@@ -637,14 +625,11 @@ class Universe:
                     names.add(name)
                     self.classes.append(self._finite(
                         c, g, r, s, dict(f, R_label=r_label)))
-            # continuous K: H x O(2), H x SO(2), H ^Z x_Z2 O(2), each by
-            # its rotation and reflection permutations
-            for kind, rot, refl in [("o2", h, h), ("so2", h, frozenset())] + [
-                    ("o2z2", z, h - z) for z in normals
-                    if len(h) == 2 * len(z)]:
-                if (rot, refl) not in shapes:
-                    shapes |= _s4_conjugate_pairs(rot, refl)
-                    self.classes.append(self._continuous(kind, h, rot, refl))
+        s4 = frozenset(range(24))
+        self.classes.append(AmalgamClass(
+            universe=self, index=len(self.classes), codes=None,
+            rot_perms=s4, refl_perms=s4, H_label="S4", Z_label="S4",
+            R_label="S4", L_label="Z1", K_order=0))
 
     def _finite(self, codes, gens, rot, refl, fields):
         """The next class, founded by the candidate with sorted `codes`,
@@ -657,20 +642,11 @@ class Universe:
             rot_perms=_perm_set(rot), refl_perms=_perm_set(refl),
             gens=tuple(gens), **fields)
 
-    def _continuous(self, kind, h_set, rot, refl):
-        """The next class, of continuous shape `kind`."""
-        return AmalgamClass(
-            universe=self, index=len(self.classes), kind=kind, codes=None,
-            rot_perms=rot, refl_perms=refl,
-            H_label=s4_subgroup_label(h_set), Z_label=s4_subgroup_label(rot),
-            R_label=s4_subgroup_label(h_set),
-            L_label="Z2" if kind == "o2z2" else "Z1", K_order=0)
-
     def _finalize_names(self):
         sig = {}
         for kl in self.classes:
-            sig.setdefault((kl.H_label, kl.Z_label, kl.L_label, kl.kind,
-                            kl.K_order), []).append(kl.index)
+            sig.setdefault((kl.H_label, kl.Z_label, kl.L_label, kl.K_order),
+                           []).append(kl.index)
         self._ambiguous = {
             idx for members in sig.values() if len(members) > 1
             for idx in members}
@@ -725,18 +701,9 @@ class Universe:
         class index, the column of the table of marks, built on first use."""
         if high.index in self._columns:
             return self._columns[high.index]
-        col = np.zeros(len(self.classes), dtype=np.int64)
         if not high.is_finite:
-            # O(2) conjugation maps a continuous shape to itself, so its
-            # conjugates are its S4-conjugate (rot, refl) pairs; the
-            # normalizer is Stab_S4(rot, refl) x O(2), and H x O(2) fills
-            # each O(2) fiber, the other two shapes only half of it
-            pairs = _s4_conjugate_pairs(high.rot_perms, high.refl_perms)
-            for rot, refl in pairs:
-                col += [kl.rot_perms <= rot and kl.refl_perms <= refl
-                        for kl in self.classes]
-            col *= ((1 if high.kind == "o2" else 2) * (24 // len(pairs))
-                    // len(high.H_set))
+            # G holds every class once, n(L, G) = 1, and |W(G)| = 1
+            col = np.ones(len(self.classes), dtype=np.int64)
         else:
             # the conjugators t with t(L) inside H come in whole cosets of
             # the normalizer, one coset per conjugate of H that contains L,
@@ -748,6 +715,7 @@ class Universe:
             if rem.any():
                 raise InternalError("conjugators into %s do not divide by "
                                     "its order" % high)
+            col = np.zeros(len(self.classes), dtype=np.int64)
             col[index] = marks
             if (col % col[high.index]).any():
                 raise InternalError("conjugators into %s do not fill "
@@ -764,7 +732,7 @@ class Universe:
     @cached_property
     def _rotations(self):
         """Owner class (int32), character column (int8) and grid step of the
-        rotations of all finite classes; and class orders, 1 if continuous."""
+        rotations of all finite classes; and class orders, 1 for G."""
         finite = [kl for kl in self.classes if kl.is_finite]
         p, kind, k = self.split(np.concatenate([kl.codes for kl in finite]))
         owner = np.repeat(np.int32([kl.index for kl in finite]),
@@ -776,7 +744,7 @@ class Universe:
     def _fixed_dims(self, j, l):
         """dim V_{j,l}^L of every class L by class index: the character
         averages over the rotations of all classes, all five j at once; a
-        full circle of rotations averages to zero, so continuous ones get 0."""
+        full circle of rotations averages to zero, so G gets 0."""
         if not (0 <= j <= 4 and l >= 1):
             raise ValueError("no loop mode (j, l) = (%r, %r)" % (j, l))
         if l not in self._dims_memo:
@@ -799,14 +767,10 @@ class Universe:
 
     @cached_property
     def _mark_order(self):
-        """Class indices in back-substitution order: continuous shapes
-        first, then by falling rank, strictly monotone along the partial
-        order: the order, or the size of the S4 content weighted by the
-        density of the O(2) part."""
+        """Class indices in back-substitution order, strictly monotone along
+        the partial order: G first, then by falling order."""
         return np.array([kl.index for kl in sorted(
-            self._classes_sorted, key=lambda kl: (
-                kl.order == 0,
-                kl.order or len(kl.H_set) * (2 if kl.kind == "o2" else 1)),
+            self._classes_sorted, key=lambda kl: (kl.order == 0, kl.order),
             reverse=True)])
 
     def _mark_column(self, i):
@@ -890,7 +854,7 @@ class Universe:
         grid.  The preimage is generated by one lift of each generator of kl
         and the kernel of the cover, the rotation by 1/k turn."""
         if not kl.is_finite:
-            raise ValueError("continuous class")
+            raise ValueError("G has no fold cover preimage")
         n = self.N
         p, kind, t = (np.repeat(a, k) for a in self.split(kl.codes))
         t = t + np.tile(np.arange(k) * n, kl.order)

@@ -344,21 +344,14 @@ class Branch:
 
 
 def _kernel_direction(constraint, j, l):
-    """Unit H^1 vector spanning the critical mode inside the fixed subspace."""
+    """Unit H^1 vector spanning the critical mode inside the fixed subspace,
+    which the caller has checked to be one-dimensional."""
     tilde = isotypic_projection(j) @ COM_FREE
-    basis = constraint.bases[l]
-    if basis.shape[1] == 0:
-        raise UsageError("symmetry class fixes nothing in mode %d" % l)
     # columns spanning the critical directions
-    proj = np.kron(np.eye(2), tilde) @ basis
-    u_, s_, _ = np.linalg.svd(proj, full_matrices=False)
-    rank = int(np.sum(s_ > 1e-9))
-    if rank == 0:
-        raise UsageError("symmetry class has no fixed directions in the "
-                         "(%d, %d) critical mode" % (j, l))
-    vec = u_[:, 0]
+    proj = np.kron(np.eye(2), tilde) @ constraint.bases[l]
+    vec = np.linalg.svd(proj, full_matrices=False)[0][:, 0]
     norm = math.sqrt(math.pi * (1.0 + l ** 2) * float(vec @ vec))
-    return vec / norm, rank
+    return vec / norm
 
 
 # Largest trusted condition estimate of a scaled Newton system.  The normal
@@ -567,13 +560,18 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     lam0 = l / math.sqrt(eq.mu[j])
 
     constraint = SymmetryConstraint(klass, n_modes)
-    kernel, rank = _kernel_direction(constraint, j, l)
+    # the critical directions the class fixes: dim V_{j,l}^klass, exactly
+    rank = klass.universe.fixed_point_dim(j, l, klass)
+    if rank == 0:
+        raise UsageError("symmetry class has no fixed directions in the "
+                         "(%d, %d) critical mode" % (j, l))
     if rank != 1:
         # the seed follows one critical direction; with several, the branch
         # it picks is arbitrary and the corrector need not converge on it
         raise UsageError("class %s has %d critical directions in the "
                          "(%d, %d) mode; a branch needs exactly one"
                          % (klass.printed_form(), rank, j, l))
+    kernel = _kernel_direction(constraint, j, l)
     system = _NewtonSystem(potential, constraint, eq, lam0)
     x0, n_red, n_c = system.x0, system.n_red, system.n_c
 

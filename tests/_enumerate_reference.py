@@ -5,8 +5,7 @@ This is the sequential enumerator that the batched build in
 the Goursat loops, builds each candidate's codes element by element, and
 classifies it at once against the classes already found with the same
 conjugacy invariant, one conjugator-kernel call per known class.  The
-continuous shapes are registered in their place, each checked against
-every continuous class so far.
+whole group G = S4 x O(2) is registered after the last subgroup H of S4.
 
 Run as a script, it compares the class list (canonical form, codes,
 generators and index order) with the library at each l_max given, and
@@ -113,11 +112,11 @@ def _scalar_mul(u):
 
 
 def _k_groups(u):
-    """(AmalgamClass fields of K, [(K/R, generators of R, label of
-    L = K/R)]) for every finite K of the Goursat construction: the dihedral
-    D_d (axis parameter 0) of each order, with its quotients by the normal
-    subgroups R with quotient Z_m or D_m.  The rotation groups Z_n are left
-    out: their classes have infinite Weyl groups."""
+    """(K_order, [(K/R, generators of R, label of L = K/R)]) for every
+    finite K of the Goursat construction: the dihedral D_d (axis parameter
+    0) of each order, with its quotients by the normal subgroups R with
+    quotient Z_m or D_m.  The rotation groups Z_n are left out: their
+    classes have infinite Weyl groups."""
     def grid(c, kind=0):
         # the c rotations, or reflections, spaced 1/c turn from 0
         return [u.join(bu.ID_PERM, kind, i * (u.N // c)) for i in range(c)]
@@ -136,7 +135,7 @@ def _k_groups(u):
         if d % 2 == 0:
             qs.append(quotient(k_codes, d // 2, "Z2", dihedral=True))
         qs.append(quotient(k_codes, d, "Z1", dihedral=True))
-        out.append((dict(kind="dihedral", K_order=d), qs))
+        out.append((d, qs))
     return out
 
 
@@ -183,23 +182,12 @@ class Sequential:
         self.lookup.setdefault(key, []).append(kl.index)
         return kl
 
-    def register_continuous(self, kind, h_set, z_set):
-        rot, refl = {"o2": (h_set, h_set), "so2": (h_set, frozenset()),
-                     "o2z2": (z_set, h_set - z_set)}[kind]
-        pairs = bu._s4_conjugate_pairs(rot, refl)
-        for kl in self.classes:
-            if not kl.is_finite and (kl.rot_perms, kl.refl_perms) in pairs:
-                return kl
-        kl = bu.AmalgamClass(
-            universe=self.u, index=len(self.classes), kind=kind, codes=None,
-            rot_perms=rot, refl_perms=refl,
-            H_label=bu.s4_subgroup_label(h_set),
-            Z_label=bu.s4_subgroup_label(rot),
-            R_label=bu.s4_subgroup_label(h_set),
-            L_label="Z2" if kind == "o2z2" else "Z1",
-            K_order=0, gens=())
-        self.classes.append(kl)
-        return kl
+    def register_whole_group(self):
+        s4 = frozenset(range(24))
+        self.classes.append(bu.AmalgamClass(
+            universe=self.u, index=len(self.classes), codes=None,
+            rot_perms=s4, refl_perms=s4, H_label="S4", Z_label="S4",
+            R_label="S4", L_label="Z1", K_order=0, gens=()))
 
     def enumerate(self):
         u, n = self.u, self.u.N
@@ -212,7 +200,7 @@ class Sequential:
                  [u.join(p, 0, 0)
                   for p in sorted(set(bu._s4_subgroups()[z]) - {bu.ID_PERM})])
                 for z in normals]
-            for k_fields, quotients in k_groups:
+            for d, quotients in k_groups:
                 for qk, r_gens, l_label in quotients:
                     for z, qh, z_gens in h_quotients:
                         if len(qh) != len(qk):
@@ -229,12 +217,8 @@ class Sequential:
                             self.classify(
                                 codes, lifts + z_gens + r_gens,
                                 H_label=s4c.label, L_label=l_label,
-                                Z_label=bu.s4_subgroup_label(z), **k_fields)
-            self.register_continuous("o2", h, h)
-            self.register_continuous("so2", h, h)
-            for z in normals:
-                if len(h) == 2 * len(z):
-                    self.register_continuous("o2z2", h, z)
+                                Z_label=bu.s4_subgroup_label(z), K_order=d)
+        self.register_whole_group()
         return self.classes
 
 
@@ -246,13 +230,13 @@ def enumerate_classes(u):
 
 def _fields(kl):
     codes = None if kl.codes is None else kl.codes.tolist()
-    return (kl.canonical_form(), kl.kind, codes, kl.gens, kl.rot_perms,
+    return (kl.canonical_form(), codes, kl.gens, kl.rot_perms,
             kl.refl_perms)
 
 
 def differences(u):
     """Index positions where the library's class list and the reference
-    differ in canonical form, kind, codes, generators or permutations,
+    differ in canonical form, codes, generators or permutations,
     plus a length mismatch."""
     ref = enumerate_classes(u)
     bad = [i for i, (a, b) in enumerate(zip(u.classes, ref))

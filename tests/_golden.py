@@ -145,6 +145,50 @@ REPORT_SHA256 = (
 BRANCH_N64_SHA256 = (
     "3be8aa8b9874ea68f6e754ce91b2902eaf73ff8de5ee18d3622c9a37c07a05f3")
 
+# Both sha256s above are those of the reference host's OpenBLAS kernel,
+# SkylakeX.  OpenBLAS picks its kernel by CPU, and dsyrk, dpotrf and dsyevd
+# round differently on each, so the bytes differ from kernel to kernel.
+# This script, run in a fresh interpreter on the program's one BLAS thread,
+# prints a fingerprint of the kernel: a sha256 prefix of the Cholesky factor
+# and the eigenvalues of a fixed matrix, built by division alone.  A matrix
+# product alone gives the same bytes on SandyBridge and Nehalem.
+KERNEL_FINGERPRINT = """\
+import hashlib
+import tetravib
+import numpy as np
+i = np.arange(64.0)
+s = 1.0 / (1.0 + np.abs(i[:, None] - i)) + np.diag(1.0 + i / 64.0)
+print(hashlib.sha256(np.linalg.cholesky(s).tobytes()
+                     + np.linalg.eigvalsh(s).tobytes()).hexdigest()[:16])
+"""
+
+# (report, branch_n64) sha256s by kernel fingerprint: the reference host's
+# own kernel and the four that OPENBLAS_CORETYPE forces on it
+KERNEL_SHA256 = {
+    "87739d5907da4d9f": (REPORT_SHA256, BRANCH_N64_SHA256),     # SkylakeX
+    "93141406e1e7af40": (                                       # Haswell
+        "c88d7433b6cb2d4877d6889b3e6c562c895b407bac7d8dddf79805333f91eb1a",
+        "d66224d44eec0c5ddf090924a81cfe22048d90f58c066005c28a0fd09ecee77f"),
+    "0ddd86936b14a184": (                                       # SandyBridge
+        "e64a6afcde96894df907ff4e198aeb8e3046d09521bc0b0113166f3e172bab03",
+        "7a3cd06553d9592744d34fcca9c027e604b53f12140680878378deff54bd58b2"),
+    "22ebc880bc066ce6": (                                       # Nehalem
+        "6e7c2e4899b40558b1b94f84881b3a958bafd8a994cfe17f5216152d494eec31",
+        "865b02daa2dfccb849a09a71e8da59c4a6b53d4853538d961bccfe971c022ee9"),
+    "42cc3ddcbc3e9a98": (                                       # Prescott
+        "dacaff524ab8033db17de0fb01495c7fd24e487358e3a8d10cbd1c8271b27eba",
+        "6996a69ae5aa9f6eb4c1a0dee14a9d57628907e74345c39655d5547e655858d8"),
+}
+
+
+def kernel_sha256(fingerprint):
+    """The (report, branch_n64) sha256s recorded for the kernel of this
+    fingerprint; a kernel not recorded fails, and the failure names it."""
+    assert fingerprint in KERNEL_SHA256, (
+        "no byte pins recorded for the BLAS kernel of fingerprint %r"
+        % fingerprint)
+    return KERNEL_SHA256[fingerprint]
+
 
 def lookup(universe, h, z, r, l_label, k_order):
     """Resolve one golden tuple to the universe's class object by its printed

@@ -80,10 +80,12 @@ def n_count(u, low, high):
     if low is high:
         return 1
     if not high.is_finite:
-        # O(2) conjugation maps a continuous shape to itself, so its
-        # conjugates are its S4-conjugate (rot, refl) pairs
-        return sum(1 for rot, refl in bu._s4_conjugate_pairs(
-                       high.rot_perms, high.refl_perms)
+        # G: O(2) conjugation fixes it, so its conjugates are the distinct
+        # S4-conjugates of its (rot, refl) pair
+        pairs = {(frozenset(bu.CONJ[g, sorted(high.rot_perms)].tolist()),
+                  frozenset(bu.CONJ[g, sorted(high.refl_perms)].tolist()))
+                 for g in range(24)}
+        return sum(1 for rot, refl in pairs
                    if low.rot_perms <= rot and low.refl_perms <= refl)
     if not low.is_finite or high.order % low.order:
         return 0

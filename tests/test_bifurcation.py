@@ -120,6 +120,24 @@ def test_generic_spectrum_runs_the_one_path(u2):
         assert name not in {f.klass.printed_form() for f in fams}
 
 
+def test_no_invariant_holds_g():
+    # the jump of two degrees that each hold G once: G never carries a
+    # coefficient of an invariant, resonant or generic spectrum alike
+    for mu in ((8.0, 4.0, 2.0), (8.3, 4.0, 2.0),
+               (8.0 * math.sqrt(2.0), 4.0, 2.0)):
+        for l_max in (2, 4):
+            g = bf._universe(l_max).unit
+            found = 0
+            for c in bf.critical_set(mu, l_max):
+                try:
+                    omega = bf.invariant(c, mu, l_max).omega
+                except bf.UsageError:
+                    continue
+                assert omega and g.index not in omega.coeffs, (mu, l_max)
+                found += 1
+            assert found, (mu, l_max)
+
+
 @pytest.mark.parametrize("mu, l_max, shared", [
     # mu_0 = (9/4) mu_1, and mu_1 / mu_2 = sqrt 3
     ((4.5 * math.sqrt(3.0), 2.0 * math.sqrt(3.0), 2.0), 4, {(0, 3), (1, 2)}),

@@ -19,9 +19,9 @@ import tetravib.burnside as bu
 import tetravib.grouprep as gr
 from tetravib import cli, orbits
 
-from _golden import (BRANCH_N64_SHA256, BRANCHES, INVARIANTS_L4_SHA256,
-                     INVARIANTS_L8_SHA256, INVARIANTS_L16_SHA256,
-                     REPORT_SHA256)
+from _golden import (BRANCHES, INVARIANTS_L4_SHA256, INVARIANTS_L8_SHA256,
+                     INVARIANTS_L16_SHA256, KERNEL_FINGERPRINT,
+                     KERNEL_SHA256, kernel_sha256)
 
 
 def run(capsys, *argv):
@@ -355,27 +355,42 @@ def test_invariants_are_byte_identical(capsys, tmp_path, l_max):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("config, argv, digest", [
-    (None, ("report",), REPORT_SHA256),
+def _fresh(*args):
+    """Stdout bytes of a fresh interpreter on the program's one BLAS thread:
+    the branch's bytes depend on the thread count, and numpy may have sized
+    this process's pool before tetravib."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("config, argv, which", [
+    (None, ("report",), 0),
     ("[analysis]\nn_modes = 64\n",
-     ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"),
-     BRANCH_N64_SHA256)], ids=["report", "branch_n64"])
-def test_benchmark_outputs_are_byte_identical(tmp_path, config, argv, digest):
+     ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"), 1)],
+    ids=["report", "branch_n64"])
+def test_benchmark_outputs_are_byte_identical(tmp_path, config, argv, which):
     # the stdout of the two benchmarked commands, the default report and
-    # one branch at 64 modes, byte for byte, each from a fresh process on
-    # the program's one BLAS thread: the branch's bytes depend on the thread
-    # count, and numpy may have sized this process's pool before tetravib
+    # one branch at 64 modes, byte for byte, each from a fresh process,
+    # against the pins of the BLAS kernel this host runs
     if config is not None:
         cfg = tmp_path / "run.toml"
         cfg.write_text(config)
         argv = ("--config", str(cfg)) + argv
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    proc = subprocess.run([sys.executable, "-m", "tetravib.cli", *argv],
-                          capture_output=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    fingerprint = _fresh("-c", KERNEL_FINGERPRINT).decode().strip()
+    digest = kernel_sha256(fingerprint)[which]
+    out = _fresh("-m", "tetravib.cli", *argv)
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_unrecorded_blas_kernel_fails_by_its_fingerprint():
+    assert len(KERNEL_SHA256) == 5
+    with pytest.raises(AssertionError, match="fingerprint '0123456789abcdef'"):
+        kernel_sha256("0123456789abcdef")
 
 
 def test_invariants_unresolvable_mode_exits_one(capsys):
@@ -430,6 +445,20 @@ def test_branch_unknown_class_exits_one(capsys):
                        "--j", "0", "--l", "1")
     assert code == 1
     assert "unknown symmetry class" in err
+
+
+def test_branch_on_a_class_holding_so2_exits_one(capsys):
+    # the universe holds no class with SO(2) but G, so other SO2 and O2
+    # names are unknown, as a Z_n name is; G keeps its own message
+    code, out, err = run(capsys, "branch", "--class", "(D4 x SO2)",
+                         "--j", "1", "--l", "1")
+    assert code == 1 and out == ""
+    assert err == "error: unknown symmetry class '(D4 x SO2)'\n"
+    code, out, err = run(capsys, "branch", "--class", "(S4 x O2)",
+                         "--j", "1", "--l", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: continuous symmetry classes do not pin "
+                          "down a single orbit")
 
 
 def test_branch_with_several_critical_directions_exits_one(capsys,

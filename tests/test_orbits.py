@@ -418,7 +418,7 @@ def _full_grid_gaps(system, con, x, lam):
 
 def _seed(system, con, fam, eq):
     """The branch's first corrector guess and its lam0."""
-    kernel, _ = ob._kernel_direction(con, fam.j, fam.l)
+    kernel = ob._kernel_direction(con, fam.j, fam.l)
     kc = np.zeros((con.n_modes + 1, 12))
     ks = np.zeros((con.n_modes + 1, 12))
     kc[fam.l], ks[fam.l] = kernel[:12], kernel[12:]
@@ -644,6 +644,8 @@ class _ShiftedReflections:
 
     def __init__(self, klass):
         self.klass = klass
+        # a conjugate of klass, so the universe's class of klass
+        self.universe, self.index = klass.universe, klass.index
 
     def elements(self):
         return [(perm, kind, angle + Fraction(1, 2) if kind == "refl"
@@ -765,8 +767,8 @@ def test_constraint_rejects_continuous_class(u2):
 
 
 def _kernel_residual(eq, con, j, eps):
-    kernel, rank = ob._kernel_direction(con, j, 1)
-    assert rank >= 1
+    assert con.klass.universe.fixed_point_dim(j, 1, con.klass) == 1
+    kernel = ob._kernel_direction(con, j, 1)
     lam0 = 1.0 / math.sqrt(eq.mu[j])
     cos = np.zeros((con.n_modes + 1, 12))
     sin = np.zeros((con.n_modes + 1, 12))
@@ -909,7 +911,8 @@ def test_continue_branch_rejects_bad_modes(eq, breathing_class):
         ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=4, steps=0,
                            equilibrium=eq)
     # the breathing class fixes nothing in the j = 1 isotypic component
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"no fixed directions in the "
+                                         r"\(1, 1\) critical mode"):
         ob.continue_branch(BOND, breathing_class, 1, 1, n_modes=4,
                            equilibrium=eq)
 
@@ -917,11 +920,11 @@ def test_continue_branch_rejects_bad_modes(eq, breathing_class):
 def test_continue_branch_requires_a_time_reflection(u2, eq):
     # every finite class of the universe projects onto a dihedral group, so
     # it holds a time reflection and one at angle 0 for the half
-    # collocation grid; a continuous class keeps its own message
+    # collocation grid; G keeps its own message
     for kl in u2.classes:
         if kl.is_finite:
             assert any(kind == "refl" and angle == 0
                        for _, kind, angle in kl.elements()), str(kl)
-    continuous = u2.parse_class("(S4 x SO2)")
+    continuous = u2.parse_class("(S4 x O2)")
     with pytest.raises(UsageError, match="continuous symmetry classes"):
         ob.continue_branch(BOND, continuous, 0, 1, n_modes=4, equilibrium=eq)

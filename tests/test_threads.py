@@ -2,6 +2,7 @@
 otherwise, and its report holds what the mathematics fixes on any BLAS
 kernel.  The thread count and the kernel are read when numpy loads, so
 every check runs in a fresh interpreter."""
+import hashlib
 import importlib.util
 import json
 import os
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+
+from _golden import KERNEL_FINGERPRINT, kernel_sha256
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
@@ -106,3 +109,21 @@ def test_report_holds_on_any_blas_kernel(default_kernel_report, core):
             b0["frequency_extrapolation"], rel=1e-11, abs=0.0)
         for key, bound in bounds.items():
             assert b[key] < bound, (b0["class"], key)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "SandyBridge", "Nehalem",
+                                  "Prescott"])
+def test_recorded_kernel_pins_hold_under_forced_kernels(tmp_path, core):
+    # the report and the 64-mode branch of each recorded kernel, byte for
+    # byte against its pins.  A BLAS that ignores OPENBLAS_CORETYPE runs
+    # its own kernel, whose fingerprint selects its own pins.
+    cfg = tmp_path / "n64.toml"
+    cfg.write_text("[analysis]\nn_modes = 64\n")
+    fingerprint = _python("-c", KERNEL_FINGERPRINT,
+                          OPENBLAS_CORETYPE=core).strip()
+    outputs = [_python("-m", "tetravib.cli", *argv, OPENBLAS_CORETYPE=core)
+               for argv in (("report",),
+                            ("--config", str(cfg), "branch", "--class",
+                             "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"))]
+    assert tuple(hashlib.sha256(out.encode()).hexdigest()
+                 for out in outputs) == kernel_sha256(fingerprint)

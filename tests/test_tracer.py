@@ -11,8 +11,8 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the per-layer counts of one default `report`
 COUNTS = {
     "forcefield.hessian_calls": 126,
-    "burnside.classes": 239,
-    "burnside.phi0_classes": 239,
+    "burnside.classes": 207,
+    "burnside.phi0_classes": 207,
     "burnside.n_count_calls": 156,
     "burnside.n_count_pairs": 156,
     "burnside.fold_cover_calls": 2,
