@@ -837,7 +837,7 @@ class Universe:
         new name and founds its class.
         InternalError unless that class exists and its codes are the
         preimage's."""
-        codes, _ = self._fold_preimage(kl, k)
+        codes = self._fold_preimage(kl, k)
         cover = self._name_index.get(
             replace(kl, K_order=k * kl.K_order).canonical_form())
         if cover is None or not np.array_equal(cover.codes, codes):
@@ -846,13 +846,12 @@ class Universe:
         return cover
 
     def _fold_preimage(self, kl, k):
-        """Sorted codes and generators of the preimage of kl under the
-        k-fold cover of O(2).
+        """Sorted codes of the preimage of kl under the k-fold cover of
+        O(2).
 
         An element with rotation angle or axis parameter t/N pulls back to
         the k elements of parameter (t + jN)/(kN), 0 <= j < k, those on the
-        grid.  The preimage is generated by one lift of each generator of kl
-        and the kernel of the cover, the rotation by 1/k turn."""
+        grid."""
         if not kl.is_finite:
             raise ValueError("G has no fold cover preimage")
         n = self.N
@@ -862,10 +861,7 @@ class Universe:
         codes = np.sort(self.join(p[on], kind[on], t[on] // k))
         if len(codes) != k * kl.order:
             raise InternalError("fold cover has wrong order (resolution?)")
-        lifts = [self.join(p, kind, next((t + j * n) // k for j in range(k)
-                                         if (t + j * n) % k == 0))
-                 for p, kind, t in map(self.split, kl.gens)]
-        return codes, lifts + [self.join(ID_PERM, 0, n // k)]
+        return codes
 
 
 def _largest_mode():

@@ -217,18 +217,9 @@ class SymmetryConstraint:
     def collocation(self, ts):
         """D of shape (len(ts), 12, K): the loop of a reduced point x at
         times ts is D @ x, and its acceleration D @ (-modes**2 * x)."""
-        # The output bytes depend on D's memory layout: the products with D
-        # round differently in another one, which moves report branches at
-        # round-off.  D is C order (points, 12, K) when some mode has no
-        # basis vector or none has more than one, as on (S4 x D1) and
-        # (S4^V4 x_D3 D3); (K, points, 12) when only mode 0 has more than
-        # one; else the (points, K, 12) transpose.
         ts = np.asarray(ts, dtype=float)[:, None, None]
         widths = self.fixed_dims()
-        axes = ((0, 1, 2) if min(widths) == 0 or max(widths) == 1 else
-                (2, 0, 1) if max(widths[1:]) == 1 else (0, 2, 1))
-        shape = (len(ts), 12, sum(widths))
-        D = np.empty([shape[a] for a in axes]).transpose(np.argsort(axes))
+        D = np.empty((len(ts), 12, sum(widths)))
         parts = np.split(D, np.cumsum(widths)[:-1], axis=2)
         parts[0][...] = self.bases[0]
         for m in range(1, len(parts)):
@@ -241,9 +232,8 @@ class SymmetryConstraint:
     def pack(self, orbit: FourierOrbit) -> np.ndarray:
         parts = [self.bases[0].T @ orbit.cos_coeffs[0]]
         for m in range(1, self.n_modes + 1):
-            if self.bases[m].shape[1]:
-                parts.append(self.bases[m].T @ np.concatenate(
-                    [orbit.cos_coeffs[m], orbit.sin_coeffs[m]]))
+            parts.append(self.bases[m].T @ np.concatenate(
+                [orbit.cos_coeffs[m], orbit.sin_coeffs[m]]))
         return np.concatenate(parts)
 
     def unpack(self, x: np.ndarray, lam: float) -> FourierOrbit:
@@ -254,10 +244,9 @@ class SymmetryConstraint:
         pos = k0
         for m in range(1, self.n_modes + 1):
             k = self.bases[m].shape[1]
-            if k:
-                v = self.bases[m] @ x[pos:pos + k]
-                cos[m], sin[m] = v[:12], v[12:]
-                pos += k
+            v = self.bases[m] @ x[pos:pos + k]
+            cos[m], sin[m] = v[:12], v[12:]
+            pos += k
         return FourierOrbit(cos, sin, lam)
 
 
@@ -458,10 +447,9 @@ class _NewtonSystem:
         # the unknown is lam / lam0.  V -> cV takes lam0 to lam0 / sqrt(c)
         # and leaves the scaled system as it was
         self.col_scale = np.append(1.0 / (1.0 + msq), lam0)
-        # the rows of one block of J S, rebuilt in place for every block at
-        # every Newton step; the amplitude and gauge rows follow the last
-        # block's rows.  One block makes this the whole Jacobian
-        self.buf = np.empty((12 * self.block + 4, n_red + 1))
+        # the collocation rows of one block of J S, rebuilt in place for
+        # every block at every Newton step
+        self.buf = np.empty((12 * self.block, n_red + 1))
 
         # rotational gauge rows: H^1 inner product with the constant rotation
         # tangents at the equilibrium (zero whenever, as for every class
@@ -495,35 +483,32 @@ class _NewtonSystem:
 
     def normal_equations(self, x, lam, u, g, f):
         """A^T A and A^T F for the column-scaled Jacobian A = J S at
-        (x, lam), where residual gave F, the loop u and the gradient g:
-        sums over the row blocks of A, each built in turn in self.buf."""
+        (x, lam), where residual gave F, the loop u and the gradient g: the
+        product of the amplitude and gauge rows, plus that of each row block
+        of the collocation rows, built in turn in self.buf."""
         buf, n_red, D, msq = self.buf, self.n_red, self.D, self.msq
+        tail = np.vstack([np.append(self.h1 * (x - self.x0)
+                                    / self.amplitude(x), 0.0),
+                          self.gauge]) * self.col_scale
         weighted = (lam ** 2 * self.weight)[:, :, None] * hessian(
             self.potential, u)
         lam_col = 2.0 * lam * self.weight * g
+        # an overflow leaves non-finite sums, which _normal_solve rejects
+        with np.errstate(all="ignore"):
+            gram, rhs = tail.T @ tail, tail.T @ f[self.n_c:]
         for b in range(0, len(D), self.block):
             blk = slice(b, b + self.block)
             n = len(D[blk])
-            rows = buf[:12 * n].reshape(n, 12, n_red + 1)
+            a = buf[:12 * n]
+            rows = a.reshape(n, 12, n_red + 1)
             np.matmul(weighted[blk], D[blk], out=rows[:, :, :n_red])
             # the weighted acceleration block, the same at every step
             rows[:, :, :n_red] += D[blk] * -(self.weight[blk, :, None] * msq)
             rows[:, :, n_red] = lam_col[blk]
-            last = b + n == len(D)
-            a = buf[:12 * n + 4 * last]
-            if last:
-                a[-4, :n_red] = self.h1 * (x - self.x0) / self.amplitude(x)
-                a[-4, n_red] = 0.0
-                a[-3:] = self.gauge
             np.multiply(a, self.col_scale, out=a)
-            f_a = f[12 * b:12 * b + len(a)]
-            # an overflow leaves non-finite sums, which _normal_solve rejects
             with np.errstate(all="ignore"):
-                if b:
-                    gram += a.T @ a
-                    rhs += a.T @ f_a
-                else:
-                    gram, rhs = a.T @ a, a.T @ f_a
+                gram += a.T @ a
+                rhs += a.T @ f[12 * b:12 * (b + n)]
         return gram, rhs
 
 

@@ -138,12 +138,12 @@ INVARIANTS_L16_SHA256 = (
 
 # sha256 of the stdout of the default `tetravib report`
 REPORT_SHA256 = (
-    "2891fa52d16ce3b970a16a716025a1b5b1a8ccd9dcccccd278044dcfae33d297")
+    "6bdbb376be92048054ea75abba3969d16e5b9e602911a8849f50f29016d57b69")
 
 # the same of `tetravib branch --class "(D3^Z1 x_D3 D3)" --j 1 --l 1` at
 # `[analysis] n_modes = 64`
 BRANCH_N64_SHA256 = (
-    "3be8aa8b9874ea68f6e754ce91b2902eaf73ff8de5ee18d3622c9a37c07a05f3")
+    "0b873fd627042c2767b9ce298d8583d1c8fcd15f63ccab44d2c4c2393a000588")
 
 # Both sha256s above are those of the reference host's OpenBLAS kernel,
 # SkylakeX.  OpenBLAS picks its kernel by CPU, and dsyrk, dpotrf and dsyevd
@@ -162,22 +162,26 @@ print(hashlib.sha256(np.linalg.cholesky(s).tobytes()
                      + np.linalg.eigvalsh(s).tobytes()).hexdigest()[:16])
 """
 
+# the kernels that OPENBLAS_CORETYPE forces on the reference host
+FORCED_KERNELS = ("Haswell", "SandyBridge", "Nehalem", "Prescott")
+
 # (report, branch_n64) sha256s by kernel fingerprint: the reference host's
-# own kernel and the four that OPENBLAS_CORETYPE forces on it
+# own kernel and the four forced ones; `python tests/_golden.py` prints this
+# table afresh
 KERNEL_SHA256 = {
     "87739d5907da4d9f": (REPORT_SHA256, BRANCH_N64_SHA256),     # SkylakeX
     "93141406e1e7af40": (                                       # Haswell
-        "c88d7433b6cb2d4877d6889b3e6c562c895b407bac7d8dddf79805333f91eb1a",
-        "d66224d44eec0c5ddf090924a81cfe22048d90f58c066005c28a0fd09ecee77f"),
+        "06916cd1c631f7e64ae94c1159d103dccbb54e0903d563f91432c24fc6d59bf8",
+        "61f83566d6ebf389ff6faf2468842e1faf25a029ca47d9523bf2683aa7ec6582"),
     "0ddd86936b14a184": (                                       # SandyBridge
-        "e64a6afcde96894df907ff4e198aeb8e3046d09521bc0b0113166f3e172bab03",
-        "7a3cd06553d9592744d34fcca9c027e604b53f12140680878378deff54bd58b2"),
+        "e4665116413ade5c455602442eb540896bf578b5261f850af4dce4c891d2bb3f",
+        "773f808153f000bc93e651c89025aa5e7c22191767d4144dc2f5619c03087ca6"),
     "22ebc880bc066ce6": (                                       # Nehalem
-        "6e7c2e4899b40558b1b94f84881b3a958bafd8a994cfe17f5216152d494eec31",
-        "865b02daa2dfccb849a09a71e8da59c4a6b53d4853538d961bccfe971c022ee9"),
+        "abe844deabc38bb245d3d57b6ad298b7d6ef81bc9a90f9270cbabd531d557916",
+        "8b3cef78d648b3868173c8109dd6c97d09428501eb158efc97a5c8f6d1b67282"),
     "42cc3ddcbc3e9a98": (                                       # Prescott
-        "dacaff524ab8033db17de0fb01495c7fd24e487358e3a8d10cbd1c8271b27eba",
-        "6996a69ae5aa9f6eb4c1a0dee14a9d57628907e74345c39655d5547e655858d8"),
+        "d8ccc0d81cdef065d7d8d530370eb1395602c355ca27af12d380b382efb3485f",
+        "5f76b591512bcc64ec62c56bd31b21b640a0af8a60ad7410a16cb8a08c55997d"),
 }
 
 
@@ -205,3 +209,48 @@ def as_class_set(universe, entries, scale=1):
     for coeff, h, z, r, l_label, k in entries:
         out[lookup(universe, h, z, r, l_label, k * scale)] = coeff
     return out
+
+
+if __name__ == "__main__":
+    # the KERNEL_SHA256 table of this host: the fingerprint and the report
+    # and branch_n64 sha256s of its own kernel and of each forced one, each
+    # from a fresh interpreter on one BLAS thread
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    import tempfile
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+
+    def run(args, core):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OPENBLAS_VERBOSE="2")
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        return proc.stdout, proc.stderr
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "n64.toml")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("[analysis]\nn_modes = 64\n")
+        print("KERNEL_SHA256 = {")
+        for core in (None, *FORCED_KERNELS):
+            fingerprint, log = run(("-c", KERNEL_FINGERPRINT), core)
+            # OPENBLAS_VERBOSE=2 names the host's kernel on stderr as
+            # "Core: ..."
+            name = core or next((line.split(":", 1)[1].strip()
+                                 for line in log.splitlines()
+                                 if line.startswith("Core:")), "default")
+            digests = [hashlib.sha256(run(
+                ("-m", "tetravib.cli", *argv), core)[0].encode()).hexdigest()
+                for argv in (("report",),
+                             ("--config", cfg, "branch", "--class",
+                              "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1"))]
+            print('    "%s": (%s# %s' % (fingerprint.strip(), " " * 39, name))
+            print('        "%s",\n        "%s"),' % tuple(digests))
+        print("}")

@@ -253,41 +253,19 @@ def _lam0(fam, eq):
     return fam.l / math.sqrt(eq.mu[fam.j])
 
 
-def test_collocation_layout_of_the_default_families(eq):
-    # the report bytes depend on the memory layout of D (see
-    # SymmetryConstraint.collocation): C order on the two classes where
-    # every mode has one basis vector, the (points, K, 12) transpose on the
-    # other five
-    families = independent_families(cli._invariant_reports(eq.mu, 2))
-    assert len(families) == 7
-    for fam in families:
-        con = ob.SymmetryConstraint(fam.klass, 16)
-        D = ob._NewtonSystem(BOND, con, eq, _lam0(fam, eq)).D
-        name = fam.klass.printed_form()
-        n_red = D.shape[2]
-        if name in ("(S4 x D1)", "(S4^V4 x_D3 D3)"):
-            assert set(con.fixed_dims()) == {1}, name
-            assert D.strides == (96 * n_red, 8 * n_red, 8), name
-        else:
-            assert max(con.fixed_dims()) > 1, name
-            assert D.strides == (96 * n_red, 8, 96), name
-
-
 def _concatenated_collocation(con, ts):
-    """D as one concatenation of per-mode pieces, its layout picked by
-    numpy."""
+    """D as one C-order concatenation of per-mode pieces."""
     ts = np.asarray(ts, dtype=float)[:, None, None]
-    return np.concatenate(
+    return np.ascontiguousarray(np.concatenate(
         [np.cos(m * ts) * b[:12] + np.sin(m * ts) * b[12:] if m
          else np.broadcast_to(b, ts.shape[:1] + b.shape)
-         for m, b in enumerate(con.bases)], axis=2)
+         for m, b in enumerate(con.bases)], axis=2))
 
 
 def test_collocation_keeps_the_concatenated_bytes_and_layout(u2):
-    # D is built in place, laid out as numpy lays out the concatenation of
-    # its per-mode pieces, on every class continue_branch accepts; all
-    # three layouts occur
-    orders = set()
+    # D is built in place, in C order (points, 12, K), with the values of
+    # the concatenation of its per-mode pieces, on every class
+    # continue_branch accepts
     for n_modes in (1, 2, 5):
         ts = ob._collocation_times(4 * n_modes + 1)[:2 * n_modes + 1]
         for kl in u2.all_classes():
@@ -295,10 +273,9 @@ def test_collocation_keeps_the_concatenated_bytes_and_layout(u2):
                 con = ob.SymmetryConstraint(kl, n_modes)
                 got = con.collocation(ts)
                 want = _concatenated_collocation(con, ts)
-                assert got.strides == want.strides, (str(kl), n_modes)
+                assert got.flags.c_contiguous, (str(kl), n_modes)
+                assert got.shape == want.shape, (str(kl), n_modes)
                 assert got.tobytes() == want.tobytes(), (str(kl), n_modes)
-                orders.add(tuple(np.argsort(got.strides, kind="stable")))
-    assert {(2, 1, 0), (1, 2, 0), (1, 0, 2)} <= orders
 
 
 def test_collocation_holds_nothing_but_D(u2):
@@ -361,7 +338,7 @@ def test_newton_system_size_at_64_modes(u2, eq):
     f, u, g = system.residual(x, 0.5, 0.0)
     gram, rhs = system.normal_equations(x, 0.5, u, g, f)
     assert gram.shape == (195, 195) and rhs.shape == (195,)
-    assert system.block == 17 and system.buf.shape == (12 * 17 + 4, 195)
+    assert system.block == 17 and system.buf.shape == (12 * 17, 195)
     assert (-(-44 // system.block), 44 % system.block) == (3, 10)
 
 
@@ -524,26 +501,31 @@ def _whole_array_jacobian(system, x, lam, u, g):
 
 
 def _assert_block_sums_exact(system, lam, name):
-    """J^T J and J^T F summed over row blocks against the products of the
-    whole-array Jacobian: bitwise equal when one block covers the system,
-    and to 1e-14 relative otherwise (measured: 1.8e-15 at most).  The rows the
-    buffer holds at the end, the last block's and the four tail rows, are
-    those of the whole array, bitwise."""
+    """J^T J and J^T F, the tail rows' product plus the row blocks', against
+    the products of the whole-array Jacobian: bitwise equal to the tail's
+    product plus the collocation rows' when one block covers the system,
+    and to 1e-14 relative otherwise (measured: 1.8e-15 at most).  The rows
+    the buffer holds at the end, the last block's, are those of the whole
+    array, bitwise."""
     # two points in turn on one system: at the second, the buffer already
     # holds the first point's values
-    n_half = system.n_c // 12
-    last = 12 * (n_half - (n_half - 1) // system.block * system.block) + 4
+    n_c = system.n_c
+    n_half = n_c // 12
+    last = 12 * (n_half - (n_half - 1) // system.block * system.block)
     rng = np.random.default_rng(7)
     for _ in range(2):
         x = system.x0 + 1e-2 * rng.standard_normal(system.n_red)
         f, u, g = system.residual(x, lam, 0.0)
         want = _whole_array_jacobian(system, x, lam, u, g)
         gram, rhs = system.normal_equations(x, lam, u, g, f)
-        assert np.array_equal(system.buf[:last], want[-last:]), name
-        for got, exact in ((gram, want.T @ want), (rhs, want.T @ f)):
-            if system.block >= n_half:
-                assert np.array_equal(got, exact), name
-            else:
+        assert np.array_equal(system.buf[:last], want[n_c - last:n_c]), name
+        if system.block >= n_half:
+            coll, tail = want[:n_c], want[n_c:]
+            assert np.array_equal(gram, tail.T @ tail + coll.T @ coll), name
+            assert np.array_equal(
+                rhs, tail.T @ f[n_c:] + coll.T @ f[:n_c]), name
+        else:
+            for got, exact in ((gram, want.T @ want), (rhs, want.T @ f)):
                 assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(
                     np.abs(exact)), name
 
@@ -571,7 +553,7 @@ def test_block_jacobian_equals_the_whole_array_formula(eq, monkeypatch,
             assert system.block == -(-(system.n_red + 1) // 12) < n_half
         else:
             assert system.block == n_half
-            assert system.buf.shape == (system.n_c + 4, system.n_red + 1)
+            assert system.buf.shape == (system.n_c, system.n_red + 1)
         _assert_block_sums_exact(system, _lam0(fam, eq),
                                  fam.klass.printed_form())
 

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from _golden import KERNEL_FINGERPRINT, kernel_sha256
+from _golden import FORCED_KERNELS, KERNEL_FINGERPRINT, kernel_sha256
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
@@ -77,8 +77,7 @@ def default_kernel_report():
     return json.loads(_python("-m", "tetravib.cli", "report"))
 
 
-@pytest.mark.parametrize("core", ["Haswell", "SandyBridge", "Nehalem",
-                                  "Prescott"])
+@pytest.mark.parametrize("core", FORCED_KERNELS)
 def test_report_holds_on_any_blas_kernel(default_kernel_report, core):
     # OpenBLAS picks its kernel by CPU, and dsyrk, dpotrf and dsyevd round
     # differently on each, so the pinned sha256s hold on one kernel only.
@@ -111,8 +110,7 @@ def test_report_holds_on_any_blas_kernel(default_kernel_report, core):
             assert b[key] < bound, (b0["class"], key)
 
 
-@pytest.mark.parametrize("core", ["Haswell", "SandyBridge", "Nehalem",
-                                  "Prescott"])
+@pytest.mark.parametrize("core", FORCED_KERNELS)
 def test_recorded_kernel_pins_hold_under_forced_kernels(tmp_path, core):
     # the report and the 64-mode branch of each recorded kernel, byte for
     # byte against its pins.  A BLAS that ignores OPENBLAS_CORETYPE runs
