@@ -246,7 +246,8 @@ class EquilibriumResult:
 # The bracketing grid: RADIAL_GRID radii log-spaced from R_MIN to R_MAX.  It
 # spans six decades of r, so large coefficients overflow to inf (or inf - inf)
 # at its ends; such points are never the minimum, and a parameter set with no
-# finite minimum fails the checks below.  The polish ends below POLISH_TOL.
+# finite minimum fails the checks below.  The polish ends on a Newton step
+# below POLISH_TOL * max(1, r).
 R_MIN, R_MAX, RADIAL_GRID, POLISH_TOL = 1e-3, 1e3, 4001, 1e-12
 
 
@@ -254,9 +255,9 @@ R_MIN, R_MAX, RADIAL_GRID, POLISH_TOL = 1e-3, 1e3, 4001, 1e-12
 def find_equilibrium(p: PairPotential) -> EquilibriumResult:
     """Locate the tetrahedral equilibrium radius.
 
-    Brackets an interior minimum of phi(r) = 6 U(8 r^2/3) on a logarithmic
-    grid, refines by golden-section, and polishes with Newton iteration on
-    phi' until |phi'(r)| < POLISH_TOL.
+    Polishes the minimum of phi(r) = 6 U(8 r^2/3) on a logarithmic grid by
+    Newton iteration on phi' until the Newton step |phi'/phi''| is below
+    POLISH_TOL * max(1, r).
     """
     rs = np.geomspace(R_MIN, R_MAX, RADIAL_GRID)
     vals = radial_energy(p, rs)
@@ -266,26 +267,7 @@ def find_equilibrium(p: PairPotential) -> EquilibriumResult:
             "no interior minimum of the radial energy in [%g, %g]" % (R_MIN, R_MAX),
             {"r_min": R_MIN, "r_max": R_MAX, "grid": RADIAL_GRID,
              "argmin_r": float(rs[i])})
-    a, b = rs[i - 1], rs[i + 1]
-
-    # golden-section shrink to a tight bracket
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = radial_energy(p, c), radial_energy(p, d)
-    for _ in range(200):
-        if b - a < 1e-10 * max(1.0, a):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = radial_energy(p, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = radial_energy(p, d)
-
-    r = float(0.5 * (a + b))
+    r = float(rs[i])
     for _ in range(100):
         _, dphi, d2phi = _radial_derivatives(p, r)
         if d2phi <= 0.0:
@@ -295,8 +277,10 @@ def find_equilibrium(p: PairPotential) -> EquilibriumResult:
         r -= step
         if abs(step) < 1e-16 * max(1.0, r):
             break
+    # the Newton step |phi'/phi''| is the distance to the root, unchanged
+    # by V -> cV, where phi' alone scales with c
     _, dphi, d2phi = _radial_derivatives(p, r)
-    if not (abs(dphi) < POLISH_TOL):
+    if not (abs(dphi) < POLISH_TOL * max(1.0, r) * d2phi):
         raise ConvergenceError("Newton polish stalled at |phi'|=%g" % abs(dphi),
                                {"r": r, "abs_dphi": abs(dphi),
                                 "tol": POLISH_TOL})

@@ -156,14 +156,16 @@ class SymmetryConstraint:
     to rho(sigma) u(-t - 2*pi*alpha).  On the (cos, sin) coefficient pair of
     mode m the shift acts through a rotation by m*2*pi*alpha and the
     reflection through the corresponding orthogonal reflection, both tensored
-    with the 12-dimensional spatial action.  Averaging over the finite group
-    yields one projector per mode; orthonormal bases of their ranges are the
-    reduced coordinates used by the corrector.  The pair forces sum to zero,
-    so the centre of mass of a periodic loop never moves, and the potential
-    does not see it: every mode keeps only the centre-of-mass-free part of
-    its fixed space.  A translation coordinate would be an exact null
-    direction of every Newton system in mode 0 and a decoupled unknown that
-    must come out zero in every other mode.
+    with the 12-dimensional spatial action.  Every angle is a multiple of
+    1/p turn, so averaging over the finite group yields one projector per
+    residue of m mod p; orthonormal bases of their ranges, one object shared
+    by the modes of a residue, are the reduced coordinates used by the
+    corrector.  The pair forces sum to zero, so the centre of mass of a
+    periodic loop never moves, and the potential does not see it: every mode
+    keeps only the centre-of-mass-free part of its fixed space.  A
+    translation coordinate would be an exact null direction of every Newton
+    system in mode 0 and a decoupled unknown that must come out zero in
+    every other mode.
     """
 
     def __init__(self, klass: AmalgamClass, n_modes: int):
@@ -173,16 +175,18 @@ class SymmetryConstraint:
                 "pick a finite class from the invariant")
         self.klass = klass
         self.n_modes = int(n_modes)
-        # one pass over the elements accumulates every mode's sum at once:
-        # the (cos, sin) blocks of mode m are [[c, s], [-s, c]] (x) rho for a
-        # shift and [[c, -s], [-s, -c]] (x) rho for a reflection, with
-        # (c, s) = (cos, sin)(2*pi*m*angle); mode 0 is the (cos, cos) block
+        # one pass over the elements accumulates the sum of every residue
+        # r < p at once: the (cos, sin) blocks of residue r are
+        # [[c, s], [-s, c]] (x) rho for a shift and [[c, -s], [-s, -c]] (x)
+        # rho for a reflection, with (c, s) = (cos, sin)(2*pi*r*angle);
+        # mode 0 is the (cos, cos) block of r = 0
         elements = klass.elements()
-        m = np.arange(self.n_modes + 1)
+        p = math.lcm(*(angle.denominator for _, _, angle in elements))
+        r = np.arange(min(p, self.n_modes + 1))
         phase = np.multiply.outer([float(angle) for _, _, angle in elements],
-                                  2.0 * math.pi * m)
+                                  2.0 * math.pi * r)
         cos, sin = np.cos(phase), np.sin(phase)
-        total = np.zeros((self.n_modes + 1, 2, 12, 2, 12))
+        total = np.zeros((len(r), 2, 12, 2, 12))
         for (perm, kind, _), c, s in zip(elements, cos, sin):
             sign = 1.0 if kind == "rot" else -1.0
             blocks = np.stack([c, sign * s, -s, sign * c], axis=1)
@@ -191,13 +195,11 @@ class SymmetryConstraint:
         total /= len(elements)
         p0 = COM_FREE @ total[0, 0, :, 0] @ COM_FREE
         free = np.kron(np.eye(2), COM_FREE)
-        # one product per mode: the product of the whole stack at once saves
-        # 0.03 ms a class at n_modes = 16 but raised peak memory by 0.5 MB
-        # at n_modes = 64
-        pm = [free @ t @ free for t in total[1:].reshape(-1, 24, 24)]
-        self.bases = _range_bases(p0[None]) + _range_bases(np.stack(pm))
+        residues = _range_bases(free @ total.reshape(-1, 24, 24) @ free)
+        self.bases = _range_bases(p0[None]) + [
+            residues[m % p] for m in range(1, self.n_modes + 1)]
         # Fourier mode of each reduced coordinate, in pack/unpack order
-        self.modes = np.repeat(m, self.fixed_dims())
+        self.modes = np.repeat(np.arange(self.n_modes + 1), self.fixed_dims())
 
     def fixed_dims(self):
         return tuple(b.shape[1] for b in self.bases)

@@ -138,12 +138,12 @@ INVARIANTS_L16_SHA256 = (
 
 # sha256 of the stdout of the default `tetravib report`
 REPORT_SHA256 = (
-    "6bdbb376be92048054ea75abba3969d16e5b9e602911a8849f50f29016d57b69")
+    "28f2a955b58a133ff281b06fffb943870533c9d03045d636b3409c5ba0a947d2")
 
 # the same of `tetravib branch --class "(D3^Z1 x_D3 D3)" --j 1 --l 1` at
 # `[analysis] n_modes = 64`
 BRANCH_N64_SHA256 = (
-    "0b873fd627042c2767b9ce298d8583d1c8fcd15f63ccab44d2c4c2393a000588")
+    "e9cf32ef55fef70e023ec1053e3908767055c90364a5120a23aa00c210a53fa5")
 
 # Both sha256s above are those of the reference host's OpenBLAS kernel,
 # SkylakeX.  OpenBLAS picks its kernel by CPU, and dsyrk, dpotrf and dsyevd
@@ -171,17 +171,17 @@ FORCED_KERNELS = ("Haswell", "SandyBridge", "Nehalem", "Prescott")
 KERNEL_SHA256 = {
     "87739d5907da4d9f": (REPORT_SHA256, BRANCH_N64_SHA256),     # SkylakeX
     "93141406e1e7af40": (                                       # Haswell
-        "06916cd1c631f7e64ae94c1159d103dccbb54e0903d563f91432c24fc6d59bf8",
-        "61f83566d6ebf389ff6faf2468842e1faf25a029ca47d9523bf2683aa7ec6582"),
+        "daa3a6dc25941734f1a8f9bbc93eba0e691d283eb5f0cb4e228c057259e62695",
+        "d94e0bc9e0b18da54a397e1d10b387fa242c1bed8f9a42ddf6c67b5afdf5ad56"),
     "0ddd86936b14a184": (                                       # SandyBridge
-        "e4665116413ade5c455602442eb540896bf578b5261f850af4dce4c891d2bb3f",
-        "773f808153f000bc93e651c89025aa5e7c22191767d4144dc2f5619c03087ca6"),
+        "bf32b8ba05916a6a1539692c24b0e9c1647cb27cf3330a6b7b5e6b70410228c2",
+        "4050c0f6237e86601ebfa981f0d0d352e40fdd31ca22404efee2b5840d4962c6"),
     "22ebc880bc066ce6": (                                       # Nehalem
-        "abe844deabc38bb245d3d57b6ad298b7d6ef81bc9a90f9270cbabd531d557916",
-        "8b3cef78d648b3868173c8109dd6c97d09428501eb158efc97a5c8f6d1b67282"),
+        "4e704601d1197ec25f97e180f3b0369d8ba92d5ee1ccb2c7b5a796f9fb15287f",
+        "6f2c8bd30c5c34b7972939e5ff9fd2f6703344cfbada496d60a2c1b3c7378b05"),
     "42cc3ddcbc3e9a98": (                                       # Prescott
-        "d8ccc0d81cdef065d7d8d530370eb1395602c355ca27af12d380b382efb3485f",
-        "5f76b591512bcc64ec62c56bd31b21b640a0af8a60ad7410a16cb8a08c55997d"),
+        "beac4a6e3f11d2dacc71d2b8f4fb6bbcffef187dce45dd5fae59751187f0cce6",
+        "5bdc4f4833ba3d09cd9b2b31e1408bd4e5825c8c1e694cfb9771754c84c78edb"),
 }
 
 

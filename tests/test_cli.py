@@ -669,6 +669,17 @@ def test_nonconvergence_exits_two(capsys, tmp_path):
     assert "non-convergence" in err
 
 
+def test_van_der_waals_only_equilibrium_exits_zero(capsys, tmp_path):
+    # U = B x^-6 - A x^-3 is least at x^3 = 2B/A; its phi' is of order
+    # 1e-8 at the converged radius, so a stop on |phi'| alone fails here
+    cfg = tmp_path / "vdw.toml"
+    cfg.write_text("[potential]\nbond_weight = 0.0\nvdw_A = 50.0\n"
+                   "vdw_B = 0.001\n")
+    eq = run_json(capsys, "--config", str(cfg), "equilibrium")["equilibrium"]
+    assert eq["s_o"] == pytest.approx((2.0 * 0.001 / 50.0) ** (1.0 / 3.0),
+                                      rel=1e-12)
+
+
 @pytest.mark.parametrize("line", ["vdw_B = 1.0945e+262", "vdw_B = 1e300",
                                   "sigma = 1e300"])
 def test_overflowing_parameter_prints_one_line(tmp_path, line):

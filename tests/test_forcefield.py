@@ -253,6 +253,15 @@ def test_tetraphosphorus_like_equilibrium_frozen_oracle():
     assert abs(scan_bisect_oracle(P4_LIKE) - P4_R_O) < 1e-10
 
 
+@pytest.mark.parametrize("c", [1e-10, 1e6, 1e10, 1e100])
+def test_equilibrium_radius_is_free_of_the_energy_scale(c):
+    # V -> cV scales phi' by c and leaves the radius as it is; so must the
+    # polish's stop
+    p = ff.PairPotential(bond_weight=c, vdw_A=2.0 * c, vdw_B=c,
+                         sigma=0.05 * c)
+    assert ff.find_equilibrium(p).r_o == P4_R_O
+
+
 def test_no_minimizer_raises():
     p = ff.PairPotential(bond_weight=0.0, vdw_A=1.0)   # purely attractive
     with pytest.raises(ff.ConvergenceError):

@@ -203,13 +203,22 @@ def _finite_classes(l_max):
 
 @pytest.mark.parametrize("l_max", [2, 4])
 def test_projectors_and_bases_equal_the_element_loop(l_max):
+    # eigh may pick any orthonormal basis of a degenerate range, so each
+    # mode's basis B is compared through its range projector B @ B.T
     for c in _finite_classes(l_max):
         con = ob.SymmetryConstraint(c, n_modes=8)
         want = _loop_projectors(c, 8)
         assert len(con.bases) == 9
         for m, exp in enumerate(want):
-            assert np.array_equal(con.bases[m], _loop_basis(exp)), (
+            b, e = con.bases[m], _loop_basis(exp)
+            assert b.shape == e.shape, (c.printed_form(), m)
+            assert np.max(np.abs(b @ b.T - e @ e.T)) < 1e-14, (
                 c.printed_form(), m)
+        # every angle is a multiple of 1/p turn: modes m and m - p share
+        # one basis object
+        p = math.lcm(*(angle.denominator for _, _, angle in c.elements()))
+        for m in range(p + 1, 9):
+            assert con.bases[m] is con.bases[m - p], (c.printed_form(), m)
         assert np.array_equal(con.modes, np.concatenate(
             [np.full(b.shape[1], m) for m, b in enumerate(con.bases)]))
 
@@ -651,6 +660,29 @@ def test_reflection_off_angle_zero_is_an_internal_error(eq, breathing_class,
     assert captured.out == ""
     assert captured.err.startswith("internal consistency failure: class "
                                    "shifted (S4 x D1) has a time reflection")
+
+
+class _DroppedElement(_ShiftedReflections):
+    """A finite class without its last element: no longer a group, so the
+    averages over its elements are no projectors."""
+
+    def elements(self):
+        return self.klass.elements()[:-1]
+
+
+def test_average_over_a_non_group_is_an_internal_error(u2, monkeypatch,
+                                                       capsys):
+    stub = _DroppedElement(u2.parse_class("(D3 x D1)"))
+    with pytest.raises(ArithmeticError,
+                       match="symmetry averaging did not yield a projector"):
+        ob.SymmetryConstraint(stub, n_modes=4)
+    monkeypatch.setattr(bu.Universe, "parse_class", lambda self, name: stub)
+    code = cli.main(["branch", "--class", "stub", "--j", "1", "--l", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal consistency failure: symmetry "
+                            "averaging did not yield a projector\n")
 
 
 def test_scaled_jacobian_has_full_column_rank(monkeypatch):
