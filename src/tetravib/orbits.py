@@ -175,24 +175,25 @@ class SymmetryConstraint:
                 "pick a finite class from the invariant")
         self.klass = klass
         self.n_modes = int(n_modes)
-        # one pass over the elements accumulates the sum of every residue
-        # r < p at once: the (cos, sin) blocks of residue r are
-        # [[c, s], [-s, c]] (x) rho for a shift and [[c, -s], [-s, -c]] (x)
-        # rho for a reflection, with (c, s) = (cos, sin)(2*pi*r*angle);
-        # mode 0 is the (cos, cos) block of r = 0
+        # one matrix product sums every residue r < p at once: the
+        # (cos, sin) blocks of residue r are [[c, s], [-s, c]] (x) rho for a
+        # shift and [[c, -s], [-s, -c]] (x) rho for a reflection, with
+        # (c, s) = (cos, sin)(2*pi*r*angle), so the (elements, 4 * residues)
+        # phase blocks times the (elements, 144) action matrices give the
+        # sums; mode 0 is the (cos, cos) block of r = 0
         elements = klass.elements()
-        p = math.lcm(*(angle.denominator for _, _, angle in elements))
+        perms, kinds, angles = zip(*elements)
+        p = math.lcm(*(angle.denominator for angle in angles))
         r = np.arange(min(p, self.n_modes + 1))
-        phase = np.multiply.outer([float(angle) for _, _, angle in elements],
+        phase = np.multiply.outer([float(angle) for angle in angles],
                                   2.0 * math.pi * r)
         cos, sin = np.cos(phase), np.sin(phase)
-        total = np.zeros((len(r), 2, 12, 2, 12))
-        for (perm, kind, _), c, s in zip(elements, cos, sin):
-            sign = 1.0 if kind == "rot" else -1.0
-            blocks = np.stack([c, sign * s, -s, sign * c], axis=1)
-            total += (blocks.reshape(-1, 2, 1, 2, 1)
-                      * action_matrix(perm).reshape(1, 1, 12, 1, 12))
-        total /= len(elements)
+        sign = np.where([kind == "rot" for kind in kinds], 1.0, -1.0)[:, None]
+        blocks = np.stack([cos, sign * sin, -sin, sign * cos], axis=2)
+        rho = np.stack([action_matrix(perm) for perm in perms])
+        total = (blocks.reshape(len(elements), -1).T
+                 @ rho.reshape(len(elements), 144)).reshape(-1, 2, 2, 12, 12)
+        total = total.transpose(0, 1, 3, 2, 4) / len(elements)
         p0 = COM_FREE @ total[0, 0, :, 0] @ COM_FREE
         free = np.kron(np.eye(2), COM_FREE)
         residues = _range_bases(free @ total.reshape(-1, 24, 24) @ free)
@@ -536,7 +537,10 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     The loop amplitude is the continuation parameter: each step asks the
     Gauss-Newton corrector for a symmetric loop of prescribed amplitude,
     solving simultaneously for the Fourier coefficients (in reduced
-    coordinates) and the frequency parameter lambda.  Steps halve on
+    coordinates) and the frequency parameter lambda.  Its seed is the
+    quadratic extrapolation of _predict through the equilibrium and the
+    last converged points, off by O(h^3) in the step h, so each point of
+    the default families takes at most one Newton step.  Steps halve on
     corrector failure; the branch stops once target_amplitude is reached.
     The corrector collocates 4 n_modes + 1 equispaced times, rounded up to
     a multiple of s for a class whose time action is D_s; each point's
@@ -626,12 +630,12 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     ceiling = target_amplitude * 1.0001
     target = min(FIRST_STEP, ceiling)
     step = step_size
-    x, lam = x0 + target * kdir, lam0
     failures = 0
     least, cond, tried = math.inf, None, (target, step)
     for _ in range(steps):
         tried = target, step
-        got, least, cond = correct(x, lam, target)
+        got, least, cond = correct(*_predict(history, target, x0, kdir, lam0),
+                                   target)
         if got is None:
             failures += 1
             if failures > 12:
@@ -639,7 +643,6 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             step *= 0.5
             if not history:
                 target *= 0.5
-                x, lam = x0 + target * kdir, lam0
                 continue
             target = history[-1][0] + step
         else:
@@ -657,7 +660,6 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         # squares underflow to 0 at the ceiling, leaves the target in place
         if not target > history[-1][0]:
             raise stuck("continuation stalled")
-        x, lam = _predict(history, target, x0, kdir, lam0)
     else:
         raise stuck("branch did not reach amplitude %g in %d steps of at "
                     "most step_size = %g" % (target_amplitude, steps,
@@ -666,12 +668,34 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
 
 
 def _predict(history, target, x0, kdir, lam0):
-    if len(history) >= 2:
-        (t1, x1, l1), (t2, x2, l2) = history[-2], history[-1]
-        w = (target - t2) / (t2 - t1)
-        return x2 + w * (x2 - x1), l2 + w * (l2 - l1)
-    t2, x2, l2 = history[-1]
-    return x0 + target * kdir, lam0 + (l2 - lam0) * (target / t2) ** 2
+    """The corrector's seed (x, lam) at amplitude `target`, from the
+    (target, x, lam) of the converged points in `history`, oldest first.
+
+    A Lyapunov family leaves the equilibrium x0 along the kernel direction
+    kdir: x(t) = x0 + t kdir + O(t^2) and lam(t) = lam0 + O(t^2).  With no
+    point the seed is that line and lam0.  With one point (t1, x1, lam1) it
+    is the quadratic through the equilibrium with slope kdir there and
+    through the point, x0 + t kdir + (t/t1)^2 (x1 - x0 - t1 kdir), and
+    lam0 + (lam1 - lam0) (t/t1)^2.  With more, it is the quadratic through
+    the last three nodes of (0, x0, lam0) + history, in Newton's
+    divided-difference form, which extrapolates equal nodes exactly.  Both
+    quadratics are exact on a branch quadratic in t, so the seed is off by
+    O(h^3) in the step h, and one Newton step takes it under newton_tol.
+    """
+    if not history:
+        return x0 + target * kdir, lam0
+    if len(history) == 1:
+        (t1, x1, l1), = history
+        w = (target / t1) ** 2
+        return (x0 + target * kdir + w * (x1 - x0 - t1 * kdir),
+                lam0 + (l1 - lam0) * w)
+    (ta, *a), (tb, *b), (tc, *c) = ([(0.0, x0, lam0)] + history)[-3:]
+
+    def extrapolate(ya, yb, yc):
+        d1 = (yc - yb) / (tc - tb)
+        d2 = (d1 - (yb - ya) / (tb - ta)) / (tc - ta)
+        return yc + (target - tc) * (d1 + (target - tb) * d2)
+    return tuple(map(extrapolate, a, b, c))
 
 
 def frequency_extrapolation(branch: Branch):

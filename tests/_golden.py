@@ -138,12 +138,12 @@ INVARIANTS_L16_SHA256 = (
 
 # sha256 of the stdout of the default `tetravib report`
 REPORT_SHA256 = (
-    "28f2a955b58a133ff281b06fffb943870533c9d03045d636b3409c5ba0a947d2")
+    "32c3aaf86386387c87bb9710b111be86f6f665f064ef729d8b4e5fd19fdc4387")
 
 # the same of `tetravib branch --class "(D3^Z1 x_D3 D3)" --j 1 --l 1` at
 # `[analysis] n_modes = 64`
 BRANCH_N64_SHA256 = (
-    "e9cf32ef55fef70e023ec1053e3908767055c90364a5120a23aa00c210a53fa5")
+    "e59bd8878f680a0fbb1a2323ea5b1093677bc77ccc159b4c9b439a8a1dbf774c")
 
 # Both sha256s above are those of the reference host's OpenBLAS kernel,
 # SkylakeX.  OpenBLAS picks its kernel by CPU, and dsyrk, dpotrf and dsyevd
@@ -171,17 +171,17 @@ FORCED_KERNELS = ("Haswell", "SandyBridge", "Nehalem", "Prescott")
 KERNEL_SHA256 = {
     "87739d5907da4d9f": (REPORT_SHA256, BRANCH_N64_SHA256),     # SkylakeX
     "93141406e1e7af40": (                                       # Haswell
-        "daa3a6dc25941734f1a8f9bbc93eba0e691d283eb5f0cb4e228c057259e62695",
-        "d94e0bc9e0b18da54a397e1d10b387fa242c1bed8f9a42ddf6c67b5afdf5ad56"),
+        "71d043ae5d6ca63daadd1bdce035ebbe0054c0754dba144daf9c2739082d47be",
+        "bbd0a0aebb46041650eb8ebd714862fc4f52ed08f63555151f2dd34ecf9a7d53"),
     "0ddd86936b14a184": (                                       # SandyBridge
-        "bf32b8ba05916a6a1539692c24b0e9c1647cb27cf3330a6b7b5e6b70410228c2",
-        "4050c0f6237e86601ebfa981f0d0d352e40fdd31ca22404efee2b5840d4962c6"),
+        "a4dc63cca602a7e900f84f6396d21e7bcec76e6da54146b3b0ba31efe418c51d",
+        "4c4165c1bdd5a36fefd04b91c8e14204e2630cd9661f286dde650fc68becd3e7"),
     "22ebc880bc066ce6": (                                       # Nehalem
-        "4e704601d1197ec25f97e180f3b0369d8ba92d5ee1ccb2c7b5a796f9fb15287f",
-        "6f2c8bd30c5c34b7972939e5ff9fd2f6703344cfbada496d60a2c1b3c7378b05"),
+        "990ff3d6611ce490ad276317af2bf9e681fbcbc44c0b92f7414a5991abfd948c",
+        "d8c7f69a0d5ee569208fe5e7ebdefa333a8917a5d24d59eeda0f566ced1c39de"),
     "42cc3ddcbc3e9a98": (                                       # Prescott
-        "beac4a6e3f11d2dacc71d2b8f4fb6bbcffef187dce45dd5fae59751187f0cce6",
-        "5bdc4f4833ba3d09cd9b2b31e1408bd4e5825c8c1e694cfb9771754c84c78edb"),
+        "3c6132ba0e78de2f2167484d4b20933f3f6098703f433bef285598d5213f5488",
+        "ccb31ec00bfdd8fd8153168adbfb8fe0deafb0d17f1075a393b1d2d9b13bc031"),
 }
 
 

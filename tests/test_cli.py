@@ -816,7 +816,7 @@ def test_default_report_corrector_work(default_report):
     # branches at n_modes 16 make exactly this much corrector work, and
     # each of their 77 points takes its residual from the corrector
     _, counts, _, _ = default_report
-    assert counts == {"hessian": 126, "gradient": 203}
+    assert counts == {"hessian": 66, "gradient": 143}
 
 
 @pytest.mark.parametrize("c", [1e-10, 1e100, 1e-300])

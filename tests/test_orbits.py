@@ -13,6 +13,8 @@ from tetravib.forcefield import (ConvergenceError, PairPotential,
                                  find_equilibrium, gradient, hessian)
 from tetravib.grouprep import COM_FREE, action_matrix, translation_basis
 
+from _golden import BRANCHES
+
 BOND = PairPotential()
 
 
@@ -807,6 +809,58 @@ def test_bond_breathing_ray_is_exactly_harmonic(eq, breathing_class):
     # nonlinear equation at any amplitude, not just to second order
     con = ob.SymmetryConstraint(breathing_class, n_modes=4)
     assert _kernel_residual(eq, con, 0, 1e-2) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# continuation: the predictor
+
+@pytest.mark.parametrize("targets", [
+    [0.001],                            # one point: through the equilibrium
+    [0.001, 0.006],                     # the equilibrium and two points
+    [0.001, 0.006, 0.011, 0.0135],      # the last three, after a halving
+    [0.002, 0.0025, 0.0045]])           # three points, uneven
+def test_predict_is_exact_on_a_quadratic_branch(targets):
+    # a branch x(t) = x0 + t kdir + t^2 w, lam(t) = lam0 + c t^2 is
+    # extrapolated to round-off from any history, evenly spaced or not
+    rng = np.random.default_rng(7)
+    x0, kdir, w = rng.standard_normal((3, 9))
+    lam0, c = 0.5, -0.7
+
+    def branch(t):
+        return x0 + t * kdir + t * t * w, lam0 + c * t * t
+
+    history = [(t, *branch(t)) for t in targets]
+    for target in (targets[-1] + 0.0025, targets[-1] + 0.005):
+        x, lam = ob._predict(history, target, x0, kdir, lam0)
+        want_x, want_lam = branch(target)
+        np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-14)
+        assert lam == pytest.approx(want_lam, rel=0.0, abs=1e-15)
+
+
+def test_predict_without_history_is_the_kernel_line():
+    x0, kdir = np.arange(4.0), np.ones(4)
+    x, lam = ob._predict([], 0.25, x0, kdir, 0.5)
+    assert np.array_equal(x, x0 + 0.25 * kdir) and lam == 0.5
+
+
+@pytest.mark.parametrize("name, j, l, n_modes", [
+    *((name, j, l, 16) for name, j, l, *_ in BRANCHES),
+    ("(D3^Z1 x_D3 D3)", 1, 1, 64)])
+def test_one_newton_step_per_branch_point(monkeypatch, u2, eq, name, j, l,
+                                          n_modes):
+    # the quadratic seed is off by O(h^3), so every point of the default
+    # families and of the 64-mode branch converges in at most one Newton
+    # step, one hessian call
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return hessian(*args)
+    monkeypatch.setattr(ob, "hessian", counting)
+    branch = ob.continue_branch(BOND, u2.parse_class(name), j, l,
+                                n_modes=n_modes, equilibrium=eq)
+    assert len(branch.points) == 11
+    assert len(calls) <= len(branch.points)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the per-layer counts of one default `report`
 COUNTS = {
-    "forcefield.hessian_calls": 126,
+    "forcefield.hessian_calls": 66,
     "burnside.classes": 207,
     "burnside.phi0_classes": 207,
     "burnside.n_count_calls": 156,
