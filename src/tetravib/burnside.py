@@ -864,17 +864,11 @@ class Universe:
         return codes
 
 
-def _largest_mode():
-    """Largest l_max whose universe keeps every element code, which lies
-    below 48 N (24 permutations, two kinds, N grid steps), inside the int64
-    arrays of the conjugator kernel."""
-    l_max = 0
-    while 48 * math.lcm(*_orders(l_max + 1)) < 2 ** 63:
-        l_max += 1
-    return l_max
-
-
-MAX_MODE = _largest_mode()
+# Largest l_max whose universe keeps every element code, which lies below
+# 48 N (24 permutations, two kinds, N = lcm(_orders(l_max)) grid steps),
+# inside the int64 arrays of the conjugator kernel: 48 lcm(_orders(40)) is
+# below 2**63 and 48 lcm(_orders(41)) is not.
+MAX_MODE = 40
 
 
 # ---------------------------------------------------------------------------

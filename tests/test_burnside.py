@@ -131,6 +131,15 @@ def test_universe_orders_and_unit(u1):
     assert u1.weyl(unit) == 1
 
 
+def test_max_mode_is_the_largest_with_int64_element_codes():
+    # element codes lie below 48 N, N = lcm(_orders(l_max)), and N only
+    # grows with l_max, so MAX_MODE is the last l_max below 2**63
+    def bound(l_max):
+        return 48 * math.lcm(*bu._orders(l_max))
+
+    assert bound(bu.MAX_MODE) < 2 ** 63 <= bound(bu.MAX_MODE + 1)
+
+
 @pytest.mark.parametrize("l_max, census", [
     (1, (12, 126)), (2, (24, 207)), (3, (72, 273)), (4, (144, 313)),
     (5, (720, 438))])

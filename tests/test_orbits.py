@@ -735,13 +735,45 @@ def test_normal_solve_reports_failure(a, b, trusted):
 
 
 def test_normal_solve_matches_least_squares():
+    # the second case has as many unknowns as 256 modes: 13 blocks
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((40, 6))
-    b = rng.standard_normal(40)
-    z, cond = ob._normal_solve(a.T @ a, a.T @ b)
-    want = np.linalg.lstsq(a, b, rcond=None)[0]
-    assert np.max(np.abs(z - want)) < 1e-12
-    assert 1.0 <= cond < 10.0
+    for rows, cols in ((40, 6), (1542, 771)):
+        a = rng.standard_normal((rows, cols))
+        b = rng.standard_normal(rows)
+        z, cond = ob._normal_solve(a.T @ a, a.T @ b)
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.max(np.abs(z - want)) < 1e-12
+        assert 1.0 <= cond < 10.0
+
+
+def _cholesky_factor(n, seed):
+    a = np.random.default_rng(seed).standard_normal((2 * n, n))
+    return np.linalg.cholesky(a.T @ a)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 195, 771])
+@pytest.mark.parametrize("lower", [True, False])
+def test_triangular_solve_matches_a_general_solve(n, lower):
+    # 65, 195 and 771 end in a partial block of 1, 3 and 3 rows
+    chol = _cholesky_factor(n, n)
+    t = chol if lower else chol.T
+    b = np.random.default_rng(n + 1).standard_normal(n)
+    z = ob._triangular_solve(t, b, lower)
+    want = np.linalg.solve(t, b)
+    assert np.max(np.abs(z - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 18, 51, 64])
+@pytest.mark.parametrize("lower", [True, False])
+def test_triangular_solve_in_one_block_is_one_general_solve(n, lower):
+    # up to SOLVE_BLOCK unknowns, every default family among them, the
+    # substitution is the single np.linalg.solve, bit for bit
+    assert n <= ob.SOLVE_BLOCK
+    chol = _cholesky_factor(n, n)
+    t = chol if lower else chol.T
+    b = np.random.default_rng(n + 1).standard_normal(n)
+    assert (ob._triangular_solve(t, b, lower).tobytes()
+            == np.linalg.solve(t, b).tobytes())
 
 
 def test_convergence_error_carries_diagnostics(eq, wave_class):
