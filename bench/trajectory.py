@@ -3,13 +3,14 @@ two checkouts, written to BENCH_<N>.json.
 
 Usage, from the root of a checkout:
 
-    python3 bench/trajectory.py --number N [--parent DIR] [--seconds S]
+    python3 bench/trajectory.py --number N [--parent DIR]
 
 For the checkout this script lives in (and, with --parent, for the checkout
 at DIR, a `git clone` of the parent commit), it
 
 - runs that checkout's `perfbench/run.py`, unchanged, with `--trace 0` on
-  each gated workload for S seconds and keeps the last line of its stdout,
+  each gated workload for BENCHMARK.json's `run_seconds` and keeps the last
+  line of its stdout,
   the JSON object {"correct", "attempted", "failed", "metrics"};
 - times one `tetravib branch` on BRANCH_CLASS at each n_modes of
   BRANCH_RUNS, in fresh processes: the medians of the wall time and of the
@@ -18,8 +19,9 @@ at DIR, a `git clone` of the parent commit), it
   of `tests/_golden.py`, the CPU count and `git rev-parse HEAD`.
 
 With two checkouts every measurement alternates between them, so that both
-see the same drift of the machine.  The environment is passed through as
-it is, with the checkout's `src` put on PYTHONPATH.  PYTHONPYCACHEPREFIX is
+see the same drift of the machine.  Each branch runs in the environment
+that the checkout's own `perfbench/run.py` gives its program (`program_env`:
+the checkout's `src` in front of PYTHONPATH).  PYTHONPYCACHEPREFIX is
 not set: under PYTHONDONTWRITEBYTECODE=1 an empty prefix would make every
 child compile the standard library as well.  The file is written at the
 root of this checkout.
@@ -28,9 +30,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import functools
 import importlib.util
 import json
 import os
+import runpy
 import statistics
 import subprocess
 import sys
@@ -44,14 +48,24 @@ BRANCH_CLASS = "(D3^Z1 x_D3 D3)"
 # n_modes: fresh-process runs whose medians are kept
 BRANCH_RUNS = {8: 5, 16: 5, 32: 5, 64: 5, 128: 3, 256: 3}
 SEED = 0
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    SECONDS = json.load(_fh)["run_seconds"]
+
+
+@functools.lru_cache(maxsize=None)
+def _perfbench_run(root):
+    """The globals of the checkout's perfbench/run.py, loaded, not run."""
+    bench = os.path.join(root, "perfbench")
+    sys.path.insert(0, bench)       # for its `import checks`
+    try:
+        return runpy.run_path(os.path.join(bench, "run.py"))
+    finally:
+        sys.path.remove(bench)
 
 
 def program_env(root, **extra):
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH"))
-        if p)
-    return env
+    """perfbench's environment for the program of the checkout at root."""
+    return dict(_perfbench_run(root)["program_env"](), **extra)
 
 
 def run_child(argv, env, cwd):
@@ -68,12 +82,12 @@ def run_child(argv, env, cwd):
     return code, out, wall, usage.ru_maxrss / 1024.0
 
 
-def perfbench(root, workload, seconds):
+def perfbench(root, workload):
     """The last-line JSON of one `perfbench/run.py --trace 0` run."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -127,7 +141,7 @@ def environment(root):
             if dirty.returncode == 0 else None}
 
 
-def trajectory(roots, seconds):
+def trajectory(roots):
     """{label: record} for the checkouts {label: root}, measured in turn."""
     out = {label: {"environment": environment(root), "perfbench": {},
                    "branch": {"class": BRANCH_CLASS, "n_modes": {}}}
@@ -135,8 +149,7 @@ def trajectory(roots, seconds):
     # perfbench's untimed warm-up import comes first, before any branch
     for workload in WORKLOADS:
         for label, root in roots.items():
-            out[label]["perfbench"][workload] = perfbench(root, workload,
-                                                          seconds)
+            out[label]["perfbench"][workload] = perfbench(root, workload)
     with tempfile.TemporaryDirectory() as tmp:
         for n_modes, runs in BRANCH_RUNS.items():
             config = os.path.join(tmp, "n%d.toml" % n_modes)
@@ -157,14 +170,12 @@ def main(argv=None):
     parser.add_argument("--number", type=int, required=True,
                         help="N of the BENCH_<N>.json written")
     parser.add_argument("--parent", help="root of a checkout of the parent")
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="run time of each perfbench run")
     args = parser.parse_args(argv)
     roots = {"change": ROOT}
     if args.parent:
         roots = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    record = {"number": args.number, "seconds": args.seconds,
-              "checkouts": trajectory(roots, args.seconds)}
+    record = {"number": args.number, "seconds": SECONDS,
+              "checkouts": trajectory(roots)}
     path = os.path.join(ROOT, "BENCH_%d.json" % args.number)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
