@@ -1,18 +1,21 @@
-"""The trajectory script's fresh-process branch timing and its environment
-record, on a small branch.
+"""The trajectory script's fresh-process samples and its environment
+record, on a small branch and small invariants.
 
 Run with `PYTHONPATH=src python -m pytest bench`.
 """
+import hashlib
 import os
 
 import trajectory
+from tetravib import cli
 
 
 def test_branch_samples_summarize_to_medians_and_one_digest(tmp_path):
     config = tmp_path / "n8.toml"
     config.write_text("[analysis]\nn_modes = 8\n")
-    samples = [trajectory.branch_sample(trajectory.ROOT, str(config))
-               for _ in range(2)]
+    argv = ["-m", "tetravib.cli", "--config", str(config),
+            *trajectory.SCALING["branch"][1]]
+    samples = [trajectory.sample(trajectory.ROOT, argv) for _ in range(2)]
     assert all(s["exit"] == 0 and s["wall_s"] > 0.0 and s["peak_rss_mb"] > 0
                for s in samples)
     summary = trajectory.summarize(samples + [dict(samples[0], exit=2)])
@@ -21,6 +24,21 @@ def test_branch_samples_summarize_to_medians_and_one_digest(tmp_path):
     assert len(summary["sha256"]) == 1
     assert min(s["wall_s"] for s in samples) <= summary["wall_s"] \
         <= max(s["wall_s"] for s in samples)
+
+
+def test_invariants_scaling_samples_each_l_max(tmp_path, monkeypatch,
+                                               capsys):
+    key, args, _ = trajectory.SCALING["invariants"]
+    monkeypatch.setitem(trajectory.SCALING, "invariants", (key, args, {2: 2}))
+    got = trajectory.scaling({"change": trajectory.ROOT}, "invariants",
+                             str(tmp_path))
+    summary = got["change"]["2"]
+    assert (summary["runs"], summary["failed"]) == (2, 0)
+    assert summary["wall_s"] > 0.0 and summary["peak_rss_mb"] > 0
+    # the sample ran `invariants` at l_max 2, the command line's default
+    assert cli.main(["invariants"]) == 0
+    want = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert summary["sha256"] == [want]
 
 
 def test_environment_names_the_kernel_and_the_interpreter():

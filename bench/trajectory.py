@@ -12,16 +12,22 @@ at DIR, a `git clone` of the parent commit), it
   each gated workload for BENCHMARK.json's `run_seconds` and keeps the last
   line of its stdout,
   the JSON object {"correct", "attempted", "failed", "metrics"};
-- times one `tetravib branch` on BRANCH_CLASS at each n_modes of
-  BRANCH_RUNS, in fresh processes: the medians of the wall time and of the
-  peak resident set (ru_maxrss), and the sha256 of the output;
+- splits start-up: fresh interpreters that run `pass`, `import numpy` and
+  `import tetravib.cli`, so that the last minus the second is tetravib's
+  own import (`import numpy` alone sizes OpenBLAS's thread pool, which
+  tetravib sets to one thread first);
+- times each command of SCALING at each value of the [analysis] setting it
+  scales with, in fresh processes: `tetravib branch` on BRANCH_CLASS over
+  n_modes and `tetravib invariants` over l_max;
 - records the interpreter, the numpy version, the BLAS kernel fingerprint
   of `tests/_golden.py`, the CPU count and `git rev-parse HEAD`.
 
-With two checkouts every measurement alternates between them, so that both
-see the same drift of the machine.  Each branch runs in the environment
-that the checkout's own `perfbench/run.py` gives its program (`program_env`:
-the checkout's `src` in front of PYTHONPATH).  PYTHONPYCACHEPREFIX is
+Each fresh-process sample keeps the medians of the wall time and of the
+peak resident set (ru_maxrss), and the sha256 of the output.  With two
+checkouts every measurement alternates between them, so that both see the
+same drift of the machine.  Each sample runs in the environment that the
+checkout's own `perfbench/run.py` gives its program (`program_env`: the
+checkout's `src` in front of PYTHONPATH).  PYTHONPYCACHEPREFIX is
 not set: under PYTHONDONTWRITEBYTECODE=1 an empty prefix would make every
 child compile the standard library as well.  The file is written at the
 root of this checkout.
@@ -45,8 +51,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WORKLOADS = ("report_default", "branch_n64")
 BRANCH_CLASS = "(D3^Z1 x_D3 D3)"
-# n_modes: fresh-process runs whose medians are kept
-BRANCH_RUNS = {8: 5, 16: 5, 32: 5, 64: 5, 128: 3, 256: 3}
+# command: (the [analysis] setting it scales with, its arguments,
+# {setting value: fresh-process runs whose medians are kept})
+SCALING = {
+    "branch": ("n_modes", ("branch", "--class", BRANCH_CLASS, "--j", "1",
+                           "--l", "1"),
+               {8: 5, 16: 5, 32: 5, 64: 5, 128: 3, 256: 3}),
+    "invariants": ("l_max", ("invariants",),
+                   {2: 5, 4: 5, 8: 5, 16: 5, 24: 3, 40: 3}),
+}
 SEED = 0
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
     SECONDS = json.load(_fh)["run_seconds"]
@@ -96,14 +109,38 @@ def perfbench(root, workload):
     return json.loads(lines[-1])
 
 
-def branch_sample(root, config):
-    """One fresh-process branch on BRANCH_CLASS under the config file."""
-    code, out, wall, rss = run_child(
-        [sys.executable, "-m", "tetravib.cli", "--config", config, "branch",
-         "--class", BRANCH_CLASS, "--j", "1", "--l", "1"],
-        program_env(root), root)
+def sample(root, argv):
+    """One fresh interpreter, in the checkout's program environment, run
+    with the arguments argv."""
+    code, out, wall, rss = run_child([sys.executable, *argv],
+                                     program_env(root), root)
     return {"exit": code, "wall_s": wall, "peak_rss_mb": rss,
             "sha256": hashlib.sha256(out).hexdigest()}
+
+
+def alternated(roots, argv, runs):
+    """{label: summary} of runs samples of argv per checkout {label: root},
+    taken in turn."""
+    samples = {label: [] for label in roots}
+    for _ in range(runs):
+        for label, root in roots.items():
+            samples[label].append(sample(root, argv))
+    return {label: summarize(samples[label]) for label in roots}
+
+
+def scaling(roots, command, tmp):
+    """{label: {value: summary}} of the SCALING command at each value of
+    its setting, with config files written to the directory tmp."""
+    key, args, runs = SCALING[command]
+    out = {label: {} for label in roots}
+    for value, n in runs.items():
+        config = os.path.join(tmp, "%s%d.toml" % (key, value))
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write("[analysis]\n%s = %d\n" % (key, value))
+        argv = ["-m", "tetravib.cli", "--config", config, *args]
+        for label, summary in alternated(roots, argv, n).items():
+            out[label][str(value)] = summary
+    return out
 
 
 def summarize(samples):
@@ -144,24 +181,20 @@ def environment(root):
 def trajectory(roots):
     """{label: record} for the checkouts {label: root}, measured in turn."""
     out = {label: {"environment": environment(root), "perfbench": {},
-                   "branch": {"class": BRANCH_CLASS, "n_modes": {}}}
+                   "startup": {}}
            for label, root in roots.items()}
-    # perfbench's untimed warm-up import comes first, before any branch
+    # perfbench's untimed warm-up import comes first, before any sample
     for workload in WORKLOADS:
         for label, root in roots.items():
             out[label]["perfbench"][workload] = perfbench(root, workload)
+    # 21 runs of each: a few ms of difference in start-up is resolved
+    for code in ("pass", "import numpy", "import tetravib.cli"):
+        for label, summary in alternated(roots, ["-c", code], 21).items():
+            out[label]["startup"][code] = summary
     with tempfile.TemporaryDirectory() as tmp:
-        for n_modes, runs in BRANCH_RUNS.items():
-            config = os.path.join(tmp, "n%d.toml" % n_modes)
-            with open(config, "w", encoding="utf-8") as fh:
-                fh.write("[analysis]\nn_modes = %d\n" % n_modes)
-            samples = {label: [] for label in roots}
-            for _ in range(runs):
-                for label, root in roots.items():
-                    samples[label].append(branch_sample(root, config))
-            for label in roots:
-                out[label]["branch"]["n_modes"][str(n_modes)] = summarize(
-                    samples[label])
+        for command, (key, args, _) in SCALING.items():
+            for label, values in scaling(roots, command, tmp).items():
+                out[label][command] = {"args": list(args), key: values}
     return out
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .burnside import MAX_MODE, AmalgamClass, BurnsideElement, Universe
 
@@ -36,8 +36,7 @@ class UsageError(ValueError):
     """A precondition on user-facing input was violated."""
 
 
-@dataclass(frozen=True)
-class CriticalNumber:
+class CriticalNumber(NamedTuple):
     """One element of the critical set, with every (j, l) that lands on it.
 
     key is the exact rational lambda^2 * mu_2 = l^2 / r_j of _ratio_keys, so
@@ -47,7 +46,7 @@ class CriticalNumber:
 
     value: float
     contributors: tuple
-    key: Fraction = field(compare=False)
+    key: Fraction
 
     @property
     def resonant(self):
@@ -130,15 +129,13 @@ def degree_below(lam: float, mu, l_max: int) -> BurnsideElement:
         [jl for c in crits if c.value < lam for jl in c.contributors])))
 
 
-@dataclass(frozen=True)
-class SymmetryDescription:
+class SymmetryDescription(NamedTuple):
     klass: AmalgamClass
     title: str
     text: str
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     critical: CriticalNumber
     lam_minus: float
     lam_plus: float
@@ -147,8 +144,7 @@ class InvariantReport:
     descriptions: tuple         # SymmetryDescription per maximal class
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One independent branch family: its symmetry class and starting mode."""
 
     klass: AmalgamClass

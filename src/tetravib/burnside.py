@@ -61,9 +61,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,8 +146,7 @@ def s4_subgroup_label(h) -> str:
     return label
 
 
-@dataclass(frozen=True)
-class S4SubgroupClass:
+class S4SubgroupClass(NamedTuple):
     label: str
     members: tuple          # all conjugate subgroups, as frozensets of indices
 
@@ -290,42 +289,47 @@ def _solve_isomorphisms(q1, q2):
 # amalgam classes
 
 
-@dataclass(eq=False)
 class AmalgamClass:
     """Conjugacy class of a closed subgroup of S4 x O(2): a finite class
     projecting onto the dihedral group K = D_d of O(2), or G = S4 x O(2).
 
-    rot_perms and refl_perms are the permutations paired with a rotation
-    and with a reflection of time: read off the elements of a finite class,
-    and all of S4 for G.
+    codes are its sorted element codes (None for G) and gens codes that
+    generate it.  rot_perms and refl_perms are the permutations paired with
+    a rotation and with a reflection of time: read off the elements of a
+    finite class, and all of S4 for G.
 
     K's printed name is D_d, or O2 for G, whose K_order is 0.  The universe
     holds one object per class, so two classes are equal when they are the
     same object.
     """
 
-    universe: "Universe" = field(repr=False)
-    index: int
-    codes: np.ndarray = field(repr=False)         # sorted; None for G
-    rot_perms: frozenset = field(repr=False)
-    refl_perms: frozenset = field(repr=False)
-    H_label: str
-    Z_label: str
-    R_label: str
-    L_label: str
-    K_order: int                                   # d; 0 for G
-    gens: tuple = field(repr=False, default=())    # codes generating it
+    def __init__(self, universe, index, codes, rot_perms, refl_perms,
+                 H_label, Z_label, R_label, L_label, K_order, gens=()):
+        self.universe, self.index, self.codes = universe, index, codes
+        self.rot_perms, self.refl_perms = rot_perms, refl_perms
+        self.H_label, self.Z_label = H_label, Z_label
+        self.R_label, self.L_label = R_label, L_label
+        self.K_order, self.gens = K_order, gens
+
+    def __repr__(self):
+        return "AmalgamClass(index=%d, %s)" % (self.index,
+                                               self.canonical_form())
 
     # -- naming ------------------------------------------------------------
 
-    def _k_name(self):
-        return "D%d" % self.K_order if self.is_finite else "O2"
+    def _k_name(self, k=1):
+        """K's name, with d multiplied by k."""
+        return "D%d" % (k * self.K_order) if self.is_finite else "O2"
 
     def canonical_form(self) -> str:
         """Fully explicit name (H^Z_R x_L K); see README for the grammar."""
+        return self._cover_form(1)
+
+    def _cover_form(self, k):
+        """canonical_form of the class named like this one with K = D_kd."""
         return "(%s^%s_%s x_%s %s)" % (
             self.H_label, self.Z_label, self.R_label, self.L_label,
-            self._k_name())
+            self._k_name(k))
 
     def printed_form(self) -> str:
         """Abbreviated name: direct products print as (H x K); Z is shown
@@ -838,8 +842,7 @@ class Universe:
         InternalError unless that class exists and its codes are the
         preimage's."""
         codes = self._fold_preimage(kl, k)
-        cover = self._name_index.get(
-            replace(kl, K_order=k * kl.K_order).canonical_form())
+        cover = self._name_index.get(kl._cover_form(k))
         if cover is None or not np.array_equal(cover.codes, codes):
             raise InternalError("the %d-fold cover of %s is not a class"
                                 % (k, kl))

@@ -142,12 +142,12 @@ def dumps(obj, indent=0) -> str:
         brackets = "{}"
         items = ["%s: %s" % (dumps(str(k)), dumps(v, deeper))
                  for k, v in sorted(obj.items())]
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):
         brackets = "[]"
         items = [dumps(v, deeper) for v in obj]
-    else:
-        raise ConfigError("unserializable object of type %s"
-                          % type(obj).__name__)
+    else:       # a record or an array: the report builder is at fault
+        raise burnside.InternalError("unserializable object of type %s"
+                                     % type(obj).__name__)
     if not items:
         return brackets
     if indent is None:
@@ -160,9 +160,11 @@ def dumps(obj, indent=0) -> str:
 def _csv_cell(v):
     if isinstance(v, float):
         return _format_float(v)
-    if isinstance(v, (list, tuple)):
+    if type(v) in (list, tuple):
         return "|".join(_csv_cell(x) for x in v)
-    return str(v)
+    if v is None or isinstance(v, (str, int)):
+        return str(v)
+    return dumps(v, None)       # a dict as JSON; any other type is refused
 
 
 def _to_csv(rows, fieldnames):
@@ -449,7 +451,7 @@ def _flatten(prefix, obj, rows):
     if isinstance(obj, dict):
         for k, v in sorted(obj.items()):
             _flatten(prefix + (str(k),), v, rows)
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):
         for i, v in enumerate(obj):
             _flatten(prefix + (str(i),), v, rows)
     else:

@@ -20,8 +20,8 @@ reflections, and translations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,9 @@ _BLOCK_SIGNS = np.einsum("pj,pk->jkp", INCIDENCE, INCIDENCE).reshape(16, 6)
 _BLOCK_SIGNS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class PairPotential:
+class PairPotential(namedtuple("PairPotential",
+                               ("bond_weight", "vdw_A", "vdw_B", "sigma"),
+                               defaults=(1.0, 0.0, 0.0, 0.0))):
     """Parameters of the pair interaction U(x).
 
     bond_weight scales the harmonic bond term, vdw_A / vdw_B are the
@@ -104,15 +105,16 @@ class PairPotential:
     repulsion strength.  At least one term must be active.
     """
 
-    bond_weight: float = 1.0
-    vdw_A: float = 0.0
-    vdw_B: float = 0.0
-    sigma: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.bond_weight == 0.0 and self.vdw_A == 0.0
-                and self.vdw_B == 0.0 and self.sigma == 0.0):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if all(term == 0.0 for term in self):
             raise DegenerateParameters("all pair potential terms vanish")
+        return self
+
+    # _replace builds through _make, which bypasses __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _check_domain(x):
@@ -218,8 +220,7 @@ def _radial_derivatives(p: PairPotential, r: float):
     return phi, dphi, d2phi
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(NamedTuple):
     """Tetrahedral critical point of V restricted to symmetric configurations.
 
     r_o      circumradius of the equilibrium tetrahedron
@@ -231,11 +232,11 @@ class EquilibriumResult:
     """
 
     r_o: float
-    u_o: np.ndarray = field(repr=False)
+    u_o: np.ndarray
     s_o: float
     nu0_sq: float
     mu: tuple
-    spectrum: SliceSpectrum = field(repr=False)
+    spectrum: SliceSpectrum
 
     @property
     def lam_critical(self):

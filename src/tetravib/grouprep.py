@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,8 +226,7 @@ def _test_vectors():
 TEST_VECTORS = _test_vectors()
 
 
-@dataclass(frozen=True)
-class SliceSpectrum:
+class SliceSpectrum(NamedTuple):
     """Spectrum of the Hessian split along the isotypic decomposition.
 
     mu            eigenvalues on the three vibrational components
@@ -239,7 +238,7 @@ class SliceSpectrum:
     mu: tuple
     slice_mults: tuple
     zero_modes: int
-    eigenvalues: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray
 
 
 # each eigenvalue lies this near its component's Rayleigh quotient, relatively

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FourierOrbit:
+class FourierOrbit(namedtuple("FourierOrbit",
+                              ("cos_coeffs", "sin_coeffs", "lam"))):
     """Loop t -> sum_m cos_coeffs[m] cos(mt) + sin_coeffs[m] sin(mt).
 
     Coefficient arrays have shape (n_modes + 1, 12); row 0 of sin_coeffs is
@@ -44,17 +45,17 @@ class FourierOrbit:
     problem (the orbit has period 2*pi*lam in physical time).
     """
 
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = np.asarray(self.cos_coeffs, dtype=float)
-        s = np.asarray(self.sin_coeffs, dtype=float)
+    def __new__(cls, cos_coeffs, sin_coeffs, lam):
+        c = np.asarray(cos_coeffs, dtype=float)
+        s = np.asarray(sin_coeffs, dtype=float)
         if c.shape != s.shape or c.ndim != 2 or c.shape[1] != 12:
             raise UsageError("coefficient arrays must both be (n_modes+1, 12)")
-        object.__setattr__(self, "cos_coeffs", c)
-        object.__setattr__(self, "sin_coeffs", s)
+        return super().__new__(cls, c, s, lam)
+
+    # _replace builds through _make, which bypasses __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n_modes(self):
@@ -310,16 +311,14 @@ def _relation_tables(klass, n_modes):
 # ---------------------------------------------------------------------------
 # branch continuation
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     amplitude: float
     lam: float
     residual: float
     predicate_residuals: tuple
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     klass: AmalgamClass
     j: int
     l: int

@@ -1,6 +1,6 @@
-import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -260,7 +260,7 @@ def test_class_stores_its_elements_once_as_a_sorted_read_only_array(l_max):
         with pytest.raises(ValueError):
             codes[0] = codes[-1]
     assert {"order", "H_set"}.isdisjoint(
-        f.name for f in dataclasses.fields(bu.AmalgamClass))
+        inspect.signature(bu.AmalgamClass).parameters)
     checked = 0
     for kl in u.phi0_classes():
         if kl.is_finite:
@@ -309,11 +309,12 @@ def test_a_class_is_one_object_found_by_its_name(u12):
     # parse_class is the one lookup, a class is equal only to itself, and
     # K's name follows from K_order
     assert not hasattr(bu.Universe, "find_class")
-    assert {"kind", "K_kind"}.isdisjoint(
-        f.name for f in dataclasses.fields(bu.AmalgamClass))
+    fields = inspect.signature(bu.AmalgamClass).parameters
+    assert {"kind", "K_kind"}.isdisjoint(fields)
     kl = u12.parse_class("(D3^Z1 x_D3 D3)")
-    copy = dataclasses.replace(kl)
-    assert copy != kl and len({kl, copy}) == 2
+    copy = bu.AmalgamClass(**{name: getattr(kl, name) for name in fields})
+    assert copy.canonical_form() == kl.canonical_form()
+    assert copy != kl and hash(copy) != hash(kl) and len({kl, copy}) == 2
     assert u12.unit is u12.parse_class("(S4^S4_S4 x_Z1 O2)")
 
 

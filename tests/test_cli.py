@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -508,6 +509,19 @@ def test_report_bytes_do_not_depend_on_the_hash_seed():
     assert outs[0] == outs[1]
 
 
+def test_cli_import_generates_no_dataclass():
+    # every invocation pays for its imports: the records are named tuples,
+    # so starting the command line neither imports dataclasses nor
+    # generates code for it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tetravib.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_csv_rendering_flattens_keys(capsys):
     code, out, err = run(capsys, "--format", "csv", "reps")
     assert code == 0
@@ -743,6 +757,22 @@ def test_fold_cover_fault_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal consistency failure" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("value", [
+    orbits.BranchPoint(0.05, 1.0, 1e-12, (0.0,)), np.zeros(2)],
+    ids=["record", "array"])
+def test_unserializable_result_exits_three(capsys, monkeypatch, fmt, value):
+    # a record or an array in a report is the builder's fault, not the
+    # user's: it is refused, not written as a list or as its str
+    monkeypatch.setitem(cli._COMMANDS, "reps",
+                        lambda args, config: {"rows": [value]})
+    code, out, err = run(capsys, "--format", fmt, "reps")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["internal consistency failure: "
+                                "unserializable object of type %s"
+                                % type(value).__name__]
 
 
 def test_full_report_smoke(capsys, tmp_path):

@@ -50,6 +50,21 @@ def test_pair_potential_domain_error():
 def test_degenerate_parameters_rejected():
     with pytest.raises(ff.DegenerateParameters):
         ff.PairPotential(bond_weight=0.0)
+    with pytest.raises(ff.DegenerateParameters):
+        ff.PairPotential(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ff.DegenerateParameters):
+        ff.PairPotential()._replace(bond_weight=0.0)
+
+
+def test_pair_potential_is_an_immutable_value():
+    p = ff.PairPotential()
+    assert p == ff.PairPotential(1.0, 0.0, 0.0, 0.0)
+    assert hash(p) == hash(ff.PairPotential(1.0, 0.0, 0.0, 0.0))
+    assert ff.PairPotential(sigma=0.5, bond_weight=0.0) == (0.0, 0.0, 0.0, 0.5)
+    with pytest.raises(AttributeError):
+        p.sigma = 1.0
+    with pytest.raises(AttributeError):
+        p.extra = 1.0
 
 
 def test_pair_potential_derivatives_match_finite_differences():

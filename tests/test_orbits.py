@@ -88,6 +88,15 @@ def test_orbit_shape_validation():
         ob.FourierOrbit(np.zeros((3, 12)), np.zeros((4, 12)), 1.0)
     with pytest.raises(UsageError):
         ob.FourierOrbit(np.zeros((3, 11)), np.zeros((3, 11)), 1.0)
+    # lists become float arrays, and the orbit is immutable
+    orbit = ob.FourierOrbit(cos_coeffs=[[1] * 12], sin_coeffs=[[0] * 12],
+                            lam=1.0)
+    assert orbit.cos_coeffs.dtype == float and orbit.n_modes == 0
+    assert orbit._replace(sin_coeffs=[[1] * 12]).sin_coeffs.dtype == float
+    with pytest.raises(UsageError):
+        orbit._replace(sin_coeffs=[[0] * 11])
+    with pytest.raises(AttributeError):
+        orbit.lam = 2.0
 
 
 def test_amplitude_closed_form():
