@@ -5,6 +5,11 @@ Run with `PYTHONPATH=src python -m pytest bench`.
 """
 import hashlib
 import os
+import runpy
+import subprocess
+import sys
+
+import pytest
 
 import trajectory
 from tetravib import cli
@@ -46,3 +51,26 @@ def test_environment_names_the_kernel_and_the_interpreter():
     assert len(env["kernel_fingerprint"]) == 16
     assert env["cpu_count"] == os.cpu_count()
     assert env["python"] and env["numpy"]
+
+
+@pytest.mark.parametrize("pythonpath", [None, os.pathsep.join(["a", "b"])])
+def test_program_env_is_perfbench_program_env(monkeypatch, pythonpath):
+    if pythonpath is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", pythonpath)
+    bench = os.path.join(trajectory.ROOT, "perfbench")
+    monkeypatch.syspath_prepend(bench)      # for its `import checks`
+    run = runpy.run_path(os.path.join(bench, "run.py"))
+    assert trajectory.program_env(trajectory.ROOT) == run["program_env"]()
+
+
+def test_program_env_leaves_numpy_unloaded():
+    # a child's ru_maxrss starts at the sampler's own peak, so the sampler
+    # must not carry numpy's pages into every sample
+    code = ("import sys, trajectory; trajectory.program_env(trajectory.ROOT); "
+            "print(sorted({'numpy', 'checks'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         cwd=os.path.dirname(trajectory.__file__),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["[]"]

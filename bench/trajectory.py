@@ -25,22 +25,26 @@ at DIR, a `git clone` of the parent commit), it
 Each fresh-process sample keeps the medians of the wall time and of the
 peak resident set (ru_maxrss), and the sha256 of the output.  With two
 checkouts every measurement alternates between them, so that both see the
-same drift of the machine.  Each sample runs in the environment that the
-checkout's own `perfbench/run.py` gives its program (`program_env`: the
-checkout's `src` in front of PYTHONPATH).  PYTHONPYCACHEPREFIX is
-not set: under PYTHONDONTWRITEBYTECODE=1 an empty prefix would make every
-child compile the standard library as well.  The file is written at the
-root of this checkout.
+same drift of the machine.  Each sample runs in the environment that
+`perfbench/run.py` gives its program (`program_env`: the checkout's `src`
+in front of PYTHONPATH).  PYTHONPYCACHEPREFIX is not set: under
+PYTHONDONTWRITEBYTECODE=1 an empty prefix would make every child compile
+the standard library as well.  The file is written at the root of this
+checkout.
+
+A child's ru_maxrss starts at the peak of the process that spawned it,
+since Linux keeps the high-water mark across the exec that follows
+subprocess's vfork.  So this script imports neither numpy nor perfbench,
+and a sample reads the child's own peak wherever that lies above this
+script's; the `pass` row reads this script's peak.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import functools
 import importlib.util
 import json
 import os
-import runpy
 import statistics
 import subprocess
 import sys
@@ -61,24 +65,21 @@ SCALING = {
                    {2: 5, 4: 5, 8: 5, 16: 5, 24: 3, 40: 3}),
 }
 SEED = 0
-with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
-    SECONDS = json.load(_fh)["run_seconds"]
 
 
-@functools.lru_cache(maxsize=None)
-def _perfbench_run(root):
-    """The globals of the checkout's perfbench/run.py, loaded, not run."""
-    bench = os.path.join(root, "perfbench")
-    sys.path.insert(0, bench)       # for its `import checks`
-    try:
-        return runpy.run_path(os.path.join(bench, "run.py"))
-    finally:
-        sys.path.remove(bench)
+def run_seconds():
+    """BENCHMARK.json's run_seconds: the length of each perfbench run."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)["run_seconds"]
 
 
 def program_env(root, **extra):
-    """perfbench's environment for the program of the checkout at root."""
-    return dict(_perfbench_run(root)["program_env"](), **extra)
+    """perfbench's environment for the program of the checkout at root:
+    root/src in front of PYTHONPATH, plus the variables extra."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def run_child(argv, env, cwd):
@@ -95,12 +96,13 @@ def run_child(argv, env, cwd):
     return code, out, wall, usage.ru_maxrss / 1024.0
 
 
-def perfbench(root, workload):
-    """The last-line JSON of one `perfbench/run.py --trace 0` run."""
+def perfbench(root, workload, seconds):
+    """The last-line JSON of one `perfbench/run.py --trace 0` run of
+    `seconds`."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -178,15 +180,17 @@ def environment(root):
             if dirty.returncode == 0 else None}
 
 
-def trajectory(roots):
-    """{label: record} for the checkouts {label: root}, measured in turn."""
+def trajectory(roots, seconds):
+    """{label: record} for the checkouts {label: root}, measured in turn,
+    with perfbench runs of `seconds`."""
     out = {label: {"environment": environment(root), "perfbench": {},
                    "startup": {}}
            for label, root in roots.items()}
     # perfbench's untimed warm-up import comes first, before any sample
     for workload in WORKLOADS:
         for label, root in roots.items():
-            out[label]["perfbench"][workload] = perfbench(root, workload)
+            out[label]["perfbench"][workload] = perfbench(root, workload,
+                                                          seconds)
     # 21 runs of each: a few ms of difference in start-up is resolved
     for code in ("pass", "import numpy", "import tetravib.cli"):
         for label, summary in alternated(roots, ["-c", code], 21).items():
@@ -207,8 +211,9 @@ def main(argv=None):
     roots = {"change": ROOT}
     if args.parent:
         roots = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    record = {"number": args.number, "seconds": SECONDS,
-              "checkouts": trajectory(roots)}
+    seconds = run_seconds()
+    record = {"number": args.number, "seconds": seconds,
+              "checkouts": trajectory(roots, seconds)}
     path = os.path.join(ROOT, "BENCH_%d.json" % args.number)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

@@ -23,17 +23,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .burnside import MAX_MODE, AmalgamClass, BurnsideElement, Universe
+from .burnside import AmalgamClass, BurnsideElement, Universe, UsageError
 
 __all__ = [
     "UsageError", "CriticalNumber", "InvariantReport", "Family",
     "SymmetryDescription", "critical_set", "degree_below",
     "invariant", "independent_families", "describe_symmetry",
 ]
-
-
-class UsageError(ValueError):
-    """A precondition on user-facing input was violated."""
 
 
 class CriticalNumber(NamedTuple):
@@ -106,14 +102,6 @@ def _critical_set(mu, l_max):
     return tuple(out)
 
 
-def _universe(l_max) -> Universe:
-    if l_max > MAX_MODE:
-        raise UsageError("Fourier mode %d is above %d, the largest whose "
-                         "element codes fit in 64-bit integers"
-                         % (l_max, MAX_MODE))
-    return Universe.for_l_max(l_max)
-
-
 def degree_below(lam: float, mu, l_max: int) -> BurnsideElement:
     """Product of the basic degrees of all loop components that are negative
     at lambda: the (j, l) with lambda_{j,l} < lambda and l <= l_max."""
@@ -124,7 +112,7 @@ def degree_below(lam: float, mu, l_max: int) -> BurnsideElement:
         if abs(lam - c.value) < 1e-9 * c.value:
             raise UsageError("lambda coincides with the critical number %g"
                              % c.value)
-    u = _universe(l_max)
+    u = Universe.for_l_max(l_max)
     return BurnsideElement(u, u.from_marks(u.degree_marks(
         [jl for c in crits if c.value < lam for jl in c.contributors])))
 
@@ -182,7 +170,7 @@ def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
     unseen = (l_max + 1) / math.sqrt(mu[0])
     if lam_plus >= unseen:
         raise UsageError("l_max too small to isolate this critical number")
-    u = _universe(l_max)
+    u = Universe.for_l_max(l_max)
     above, below = (u.degree_marks([jl for c in crits[:n]
                                     for jl in c.contributors])
                     for n in (pos + 1, pos))

@@ -71,14 +71,18 @@ from .grouprep import (S4, IDENTITY, pmul, pinv, cycle_type,
                        conjugacy_class_index, CHARACTER_TABLE)
 
 __all__ = [
-    "InternalError", "S4SubgroupClass", "enumerate_s4_subgroups",
-    "s4_subgroup_label", "AmalgamClass", "Universe", "BurnsideElement",
-    "MAX_MODE",
+    "InternalError", "UsageError", "S4SubgroupClass",
+    "enumerate_s4_subgroups", "s4_subgroup_label", "AmalgamClass",
+    "Universe", "BurnsideElement", "MAX_MODE",
 ]
 
 
 class InternalError(RuntimeError):
     """A consistency check inside the ring arithmetic failed."""
+
+
+class UsageError(ValueError):
+    """A precondition on user-facing input was violated."""
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +440,13 @@ def _perm_set(mask):
     return frozenset(p for p in range(24) if mask >> p & 1)
 
 
+# Largest l_max whose universe keeps every element code, which lies below
+# 48 N (24 permutations, two kinds, N = lcm(_orders(l_max)) grid steps),
+# inside the int64 arrays of the conjugator kernel: 48 lcm(_orders(40)) is
+# below 2**63 and 48 lcm(_orders(41)) is not.
+MAX_MODE = 40
+
+
 class Universe:
     """The classes of S4 x O(2) for the loop modes l = 1..l_max: every
     conjugacy class of closed subgroups whose O(2) projection is dihedral of
@@ -447,6 +458,12 @@ class Universe:
     _cache = {}
 
     def __init__(self, l_max):
+        if l_max < 1:
+            raise UsageError("l_max must be at least 1")
+        if l_max > MAX_MODE:
+            raise UsageError("Fourier mode %d is above %d, the largest whose "
+                             "element codes fit in 64-bit integers"
+                             % (l_max, MAX_MODE))
         self.orders = _orders(l_max)
         self.N = math.lcm(*self.orders)
         self.classes = []
@@ -460,7 +477,8 @@ class Universe:
 
     @classmethod
     def for_l_max(cls, l_max):
-        """The universe of l_max, built once."""
+        """The universe of l_max, built once; UsageError unless
+        1 <= l_max <= MAX_MODE."""
         if l_max not in cls._cache:
             cls._cache[l_max] = cls(l_max)
         return cls._cache[l_max]
@@ -750,7 +768,7 @@ class Universe:
         averages over the rotations of all classes, all five j at once; a
         full circle of rotations averages to zero, so G gets 0."""
         if not (0 <= j <= 4 and l >= 1):
-            raise ValueError("no loop mode (j, l) = (%r, %r)" % (j, l))
+            raise UsageError("no loop mode (j, l) = (%r, %r)" % (j, l))
         if l not in self._dims_memo:
             owner, cls, k, order = self._rotations
             cos = 2.0 * np.cos(2.0 * np.pi * l * k / self.N)
@@ -865,13 +883,6 @@ class Universe:
         if len(codes) != k * kl.order:
             raise InternalError("fold cover has wrong order (resolution?)")
         return codes
-
-
-# Largest l_max whose universe keeps every element code, which lies below
-# 48 N (24 permutations, two kinds, N = lcm(_orders(l_max)) grid steps),
-# inside the int64 arrays of the conjugator kernel: 48 lcm(_orders(40)) is
-# below 2**63 and 48 lcm(_orders(41)) is not.
-MAX_MODE = 40
 
 
 # ---------------------------------------------------------------------------

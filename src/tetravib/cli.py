@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import bifurcation, burnside, orbits
-from .bifurcation import UsageError
+from .burnside import UsageError
 from .forcefield import (ConvergenceError, DegenerateParameters, DomainError,
                          PairPotential, find_equilibrium)
 # slice_spectrum is not called here (find_equilibrium keeps its result), but
@@ -245,7 +245,7 @@ def _family_entry(f):
 
 def _invariant_reports(mu, l_max):
     # an l_max above MAX_MODE is a usage error, not a window to pass over
-    bifurcation._universe(l_max)
+    burnside.Universe.for_l_max(l_max)
     crits = bifurcation.critical_set(mu, l_max)
     reports = []
     for crit in crits:
@@ -303,7 +303,7 @@ def _cmd_reps(args, config):
 
 def _cmd_degrees(args, config):
     l_max = max(config.analysis["l_max"], args.l)
-    universe = bifurcation._universe(l_max)
+    universe = burnside.Universe.for_l_max(l_max)
     element = universe.basic_degree(args.j, args.l)
     return {"meta": _meta(args), "j": args.j, "l": args.l,
             "degree": _element_terms(element)}
@@ -348,7 +348,8 @@ def _cmd_branch(args, config):
     orbits.check_branch_request(args.j, args.l, config.analysis["n_modes"],
                                 args.steps)
     potential = config.potential()
-    universe = bifurcation._universe(max(config.analysis["l_max"], args.l))
+    universe = burnside.Universe.for_l_max(
+        max(config.analysis["l_max"], args.l))
     try:
         klass = universe.parse_class(args.klass)
     except KeyError:
@@ -490,8 +491,6 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else RunConfig()
         if args.format:
             config.output["format"] = args.format
-        if args.command == "degrees" and not (0 <= args.j <= 4 and args.l >= 1):
-            raise UsageError("degrees needs 0 <= j <= 4 and l >= 1")
         result = _COMMANDS[args.command](args, config)
         _write_output(_render(result, config.output["format"]), args, config)
         return 0

@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bifurcation import UsageError
-from .burnside import AmalgamClass, InternalError
+from .burnside import AmalgamClass, InternalError, UsageError
 from .forcefield import (ConvergenceError, PairPotential, find_equilibrium,
                          gradient, hessian, total_potential)
 from .grouprep import (COM_FREE, action_matrix, isotypic_projection,
@@ -488,10 +487,8 @@ class _NewtonSystem:
                               @ constraint.bases[0])
 
         # x0 is the equilibrium, the reference of the amplitude
-        n_modes = constraint.n_modes
-        self.x0 = constraint.pack(FourierOrbit(
-            np.vstack([u_o.reshape(12), np.zeros((n_modes, 12))]),
-            np.zeros((n_modes + 1, 12)), 0.0))
+        self.x0 = np.zeros(n_red)
+        self.x0[:k0] = constraint.bases[0].T @ u_o.reshape(12)
 
     def amplitude(self, x):
         return math.sqrt(float(self.h1 @ (x - self.x0) ** 2))
@@ -589,10 +586,8 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     x0, n_red, n_c = system.x0, system.n_red, system.n_c
 
     # the seed adds a sliver of the kernel direction to the equilibrium x0
-    kc = np.zeros((n_modes + 1, 12))
-    ks = np.zeros((n_modes + 1, 12))
-    kc[l], ks[l] = kernel[:12], kernel[12:]
-    kdir = constraint.pack(FourierOrbit(kc, ks, lam0))
+    kdir = np.zeros(n_red)
+    kdir[constraint.modes == l] = constraint.bases[l].T @ kernel
 
     def newton_step(x, lam, u, g, f):
         """Gauss-Newton step from the normal equations of the column-scaled

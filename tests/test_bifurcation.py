@@ -16,7 +16,7 @@ BOND_MU = (8.0, 4.0, 2.0)
 
 @pytest.fixture(scope="module")
 def u2():
-    return bf._universe(2)
+    return bu.Universe.for_l_max(2)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,8 @@ def test_critical_set_input_validation():
         bf.critical_set((2.0, 4.0, 8.0), l_max=2)
     with pytest.raises(bf.UsageError):
         bf.critical_set(BOND_MU, l_max=0)
+    # one class from the ring layer up, for library callers and the CLI
+    assert bf.UsageError is bu.UsageError and "UsageError" in bf.__all__
 
 
 @pytest.mark.parametrize("mu", [(math.inf, 4.0, 2.0), (8.0, 4.0, 1e-320)])
@@ -111,7 +113,7 @@ def test_generic_spectrum_runs_the_one_path(u2):
             (j, l, kl.printed_form()) for j, l, kl in want}
     # the classes left over are frequency covers, found on irrational keys
     by_mode = {r.critical.contributors: r for r in reports}
-    u4 = bf._universe(4)
+    u4 = bu.Universe.for_l_max(4)
     for l, name in ((2, "(S4 x D2)"), (4, "(S4 x D4)")):
         rep = by_mode[((0, l),)]
         assert rep.critical.key.denominator > 2 ** 40
@@ -126,7 +128,7 @@ def test_no_invariant_holds_g():
     for mu in ((8.0, 4.0, 2.0), (8.3, 4.0, 2.0),
                (8.0 * math.sqrt(2.0), 4.0, 2.0)):
         for l_max in (2, 4):
-            g = bf._universe(l_max).unit
+            g = bu.Universe.for_l_max(l_max).unit
             found = 0
             for c in bf.critical_set(mu, l_max):
                 try:

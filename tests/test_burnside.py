@@ -140,6 +140,26 @@ def test_max_mode_is_the_largest_with_int64_element_codes():
     assert bound(bu.MAX_MODE) < 2 ** 63 <= bound(bu.MAX_MODE + 1)
 
 
+@pytest.mark.parametrize("l_max, message", [
+    (bu.MAX_MODE + 1, "Fourier mode 41 is above 40, the largest whose "
+                      "element codes fit in 64-bit integers"),
+    (0, "l_max must be at least 1")], ids=["41", "0"])
+def test_universe_refuses_l_max_out_of_range(l_max, message):
+    # a universe beyond MAX_MODE would hold wrapped int64 codes, and one
+    # below 1 has no dihedral order; neither is built nor cached
+    with pytest.raises(bu.UsageError) as info:
+        bu.Universe.for_l_max(l_max)
+    assert str(info.value) == message
+    assert l_max not in bu.Universe._cache
+
+
+def test_basic_degree_refuses_a_mode_outside_the_loop_modes(u1):
+    with pytest.raises(bu.UsageError) as info:
+        u1.basic_degree(5, 1)
+    assert str(info.value) == "no loop mode (j, l) = (5, 1)"
+    assert issubclass(bu.UsageError, ValueError)
+
+
 @pytest.mark.parametrize("l_max, census", [
     (1, (12, 126)), (2, (24, 207)), (3, (72, 273)), (4, (144, 313)),
     (5, (720, 438))])

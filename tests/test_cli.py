@@ -316,10 +316,12 @@ def test_degrees_top_irrep(capsys):
 
 
 def test_degrees_rejects_bad_indices(capsys):
-    code, _, err = run(capsys, "degrees", "--j", "9", "--l", "1")
-    assert code == 1
-    code, _, err = run(capsys, "degrees", "--j", "0", "--l", "0")
-    assert code == 1
+    # the universe's basic degree refuses the mode itself
+    for j, l in (("9", "1"), ("0", "0")):
+        code, out, err = run(capsys, "degrees", "--j", j, "--l", l)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: no loop mode (j, l) = (%s, %s)"
+                                    % (j, l)]
 
 
 def test_invariants_first_critical(capsys):
@@ -340,7 +342,7 @@ def test_invariants_full_run_lists_seven_families(capsys):
     assert names.count("(S4 x D1)") == 1
     assert "(S4 x D2)" not in names        # frequency-doubled duplicate
     # canonical names parse back to the same classes
-    u = bf._universe(2)
+    u = bu.Universe.for_l_max(2)
     for f in doc["families"]:
         assert u.parse_class(f["canonical"]).printed_form() == f["class"]
 
@@ -582,7 +584,7 @@ def _no_universe(*args, **kwargs):
 ], ids=["steps0", "steps-1", "l40", "j3"])
 def test_branch_arguments_checked_before_universe(capsys, monkeypatch,
                                                   option, message):
-    monkeypatch.setattr(bf, "_universe", _no_universe)
+    monkeypatch.setattr(bu.Universe, "for_l_max", _no_universe)
     args = {"--j": "1", "--l": "1", "--steps": "40"}
     args[option[0]] = option[1]
     code, out, err = run(capsys, "branch", "--class", "(D3^Z1 x_D3 D3)",
@@ -600,9 +602,10 @@ def test_branch_arguments_checked_before_universe(capsys, monkeypatch,
 ], ids=["degrees", "branch", "invariants", "report"])
 def test_mode_beyond_int64_codes_exits_one(capsys, monkeypatch, tmp_path,
                                            config, argv):
-    # at l = 41 the element codes of the grid universe pass 2**63
+    # at l = 41 the element codes of the grid universe pass 2**63; the
+    # universe refuses that mode before it enumerates a class
     assert bu.MAX_MODE == 40
-    monkeypatch.setattr(bu.Universe, "for_l_max", _no_universe)
+    monkeypatch.setattr(bu.Universe, "_enumerate", _no_universe)
     cfg = tmp_path / "run.toml"
     cfg.write_text(config)
     code, out, err = run(capsys, "--config", str(cfg), *argv)
@@ -876,10 +879,10 @@ def test_default_report_derives_each_class_once(default_report):
     _, _, derived, _ = default_report
     distinct = {name: len({id(x) for x in kept})
                 for name, kept in derived.items()}
-    # orbits holds no name from bifurcation but UsageError, so no call to
+    # orbits holds no name from bifurcation, so no call to
     # describe_symmetry goes past the count
     assert {name for name, v in vars(orbits).items()
-            if getattr(v, "__module__", None) == bf.__name__} == {"UsageError"}
+            if getattr(v, "__module__", None) == bf.__name__} == set()
     assert len(derived["describe_symmetry"]) == 8
     assert distinct["elements"] == 7
     assert distinct["action_matrix"] == 24

@@ -11,7 +11,8 @@ import pytest
 
 import tetravib.orbits as ob
 from tetravib import cli
-from tetravib.bifurcation import _universe, independent_families
+from tetravib.bifurcation import independent_families
+from tetravib.burnside import Universe
 from tetravib.forcefield import PairPotential, find_equilibrium, gradient
 
 BOND = PairPotential()
@@ -24,7 +25,7 @@ BOUND = 1e-10
 @pytest.fixture(scope="module")
 def final_orbits():
     eq = find_equilibrium(BOND)
-    u2 = _universe(2)
+    u2 = Universe.for_l_max(2)
     families = independent_families(cli._invariant_reports(eq.mu, 2))
     assert len(families) == 7
     branches = [ob.continue_branch(BOND, fam.klass, fam.j, fam.l,

@@ -8,7 +8,7 @@ import pytest
 import tetravib.burnside as bu
 import tetravib.orbits as ob
 from tetravib import cli
-from tetravib.bifurcation import UsageError, _universe, independent_families
+from tetravib.bifurcation import UsageError, independent_families
 from tetravib.forcefield import (ConvergenceError, PairPotential,
                                  find_equilibrium, gradient, hessian)
 from tetravib.grouprep import COM_FREE, action_matrix, translation_basis
@@ -20,7 +20,7 @@ BOND = PairPotential()
 
 @pytest.fixture(scope="module")
 def u2():
-    return _universe(2)
+    return bu.Universe.for_l_max(2)
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +209,7 @@ def _loop_verify_predicates(orbit, klass, n_samples):
 
 
 def _finite_classes(l_max):
-    return [c for c in _universe(l_max).classes if c.is_finite]
+    return [c for c in bu.Universe.for_l_max(l_max).classes if c.is_finite]
 
 
 @pytest.mark.parametrize("l_max", [2, 4])
@@ -629,7 +629,7 @@ def test_every_finite_class_shifts_time_by_each_k_over_s():
     # being D_s, s = K_order: its shifts are exactly the k/s of a turn, and
     # its reflections sit at those same angles
     for l_max in (2, 4):
-        for c in _universe(l_max).classes:
+        for c in bu.Universe.for_l_max(l_max).classes:
             if c.is_finite:
                 turns = {Fraction(k, c.K_order) for k in range(c.K_order)}
                 for kind in ("rot", "refl"):
