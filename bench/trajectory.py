@@ -67,12 +67,6 @@ SCALING = {
 SEED = 0
 
 
-def run_seconds():
-    """BENCHMARK.json's run_seconds: the length of each perfbench run."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return json.load(fh)["run_seconds"]
-
-
 def program_env(root, **extra):
     """perfbench's environment for the program of the checkout at root:
     root/src in front of PYTHONPATH, plus the variables extra."""
@@ -211,7 +205,8 @@ def main(argv=None):
     roots = {"change": ROOT}
     if args.parent:
         roots = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    seconds = run_seconds()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
     record = {"number": args.number, "seconds": seconds,
               "checkouts": trajectory(roots, seconds)}
     path = os.path.join(ROOT, "BENCH_%d.json" % args.number)

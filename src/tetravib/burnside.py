@@ -440,13 +440,6 @@ def _perm_set(mask):
     return frozenset(p for p in range(24) if mask >> p & 1)
 
 
-# Largest l_max whose universe keeps every element code, which lies below
-# 48 N (24 permutations, two kinds, N = lcm(_orders(l_max)) grid steps),
-# inside the int64 arrays of the conjugator kernel: 48 lcm(_orders(40)) is
-# below 2**63 and 48 lcm(_orders(41)) is not.
-MAX_MODE = 40
-
-
 class Universe:
     """The classes of S4 x O(2) for the loop modes l = 1..l_max: every
     conjugacy class of closed subgroups whose O(2) projection is dihedral of
@@ -883,6 +876,13 @@ class Universe:
         if len(codes) != k * kl.order:
             raise InternalError("fold cover has wrong order (resolution?)")
         return codes
+
+
+# Largest l_max whose universe keeps every element code, which lies below
+# 48 N (24 permutations, two kinds, N = lcm(_orders(l_max)) grid steps),
+# inside the int64 arrays of the conjugator kernel: 48 lcm(_orders(40)) is
+# below 2**63 and 48 lcm(_orders(41)) is not.
+MAX_MODE = 40
 
 
 # ---------------------------------------------------------------------------
