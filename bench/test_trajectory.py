@@ -31,6 +31,30 @@ def test_branch_samples_summarize_to_medians_and_one_digest(tmp_path):
         <= max(s["wall_s"] for s in samples)
 
 
+def test_perfbench_runs_alternate_and_keep_medians(monkeypatch):
+    calls = []
+
+    def stub(root, workload, seconds):
+        calls.append((root, workload, seconds))
+        if len(calls) == 6:         # a run that printed nothing
+            return {"correct": False, "exit": 1, "stderr": "boom"}
+        return {"correct": True, "metrics": {
+            "wall_s": {"value": float(len(calls)), "unit": "s"},
+            "peak_rss_mb": {"value": 30.0 + len(calls), "unit": "MB"}}}
+
+    monkeypatch.setattr(trajectory, "perfbench", stub)
+    got = trajectory.perfbench_runs({"parent": "P", "change": "C"},
+                                    "branch_n64", 30)
+    assert calls == [(root, "branch_n64", 30)
+                     for root in ("P", "C", "C", "P", "P", "C")]
+    assert [r["metrics"]["wall_s"]["value"]
+            for r in got["parent"]["runs"]] == [1.0, 4.0, 5.0]
+    assert got["change"]["runs"][-1]["correct"] is False
+    assert got["parent"]["median"] == {"wall_s": 4.0, "peak_rss_mb": 34.0}
+    # calls 2 and 3; the sixth has no metrics
+    assert got["change"]["median"] == {"wall_s": 2.5, "peak_rss_mb": 32.5}
+
+
 def test_invariants_scaling_samples_each_l_max(tmp_path, monkeypatch,
                                                capsys):
     key, args, _ = trajectory.SCALING["invariants"]

@@ -8,10 +8,11 @@ Usage, from the root of a checkout:
 For the checkout this script lives in (and, with --parent, for the checkout
 at DIR, a `git clone` of the parent commit), it
 
-- runs that checkout's `perfbench/run.py`, unchanged, with `--trace 0` on
-  each gated workload for BENCHMARK.json's `run_seconds` and keeps the last
-  line of its stdout,
-  the JSON object {"correct", "attempted", "failed", "metrics"};
+- runs that checkout's `perfbench/run.py`, unchanged, with `--trace 0`
+  three times on each gated workload for BENCHMARK.json's `run_seconds`,
+  and keeps the last line of each run's stdout, the JSON object
+  {"correct", "attempted", "failed", "metrics"}, and the median of each
+  metric over the three;
 - splits start-up: fresh interpreters that run `pass`, `import numpy` and
   `import tetravib.cli`, so that the last minus the second is tetravib's
   own import (`import numpy` alone sizes OpenBLAS's thread pool, which
@@ -105,6 +106,30 @@ def perfbench(root, workload, seconds):
     return json.loads(lines[-1])
 
 
+def perfbench_runs(roots, workload, seconds):
+    """{label: {"runs": [last-line JSON, ...], "median": {metric: value}}}
+    of three perfbench runs of the workload per checkout {label: root}.
+    The order of the checkouts reverses after each round (parent, change,
+    change, parent, parent, change), so that a drift of the machine falls
+    on both alike.  A run that printed nothing has no metrics and counts
+    in no median."""
+    runs = {label: [] for label in roots}
+    order = list(roots)
+    for _ in range(3):
+        for label in order:
+            runs[label].append(perfbench(roots[label], workload, seconds))
+        order.reverse()
+    out = {}
+    for label, got in runs.items():
+        values = {}
+        for run in got:
+            for name, metric in run.get("metrics", {}).items():
+                values.setdefault(name, []).append(metric["value"])
+        out[label] = {"runs": got, "median": {
+            name: statistics.median(v) for name, v in values.items()}}
+    return out
+
+
 def sample(root, argv):
     """One fresh interpreter, in the checkout's program environment, run
     with the arguments argv."""
@@ -182,9 +207,8 @@ def trajectory(roots, seconds):
            for label, root in roots.items()}
     # perfbench's untimed warm-up import comes first, before any sample
     for workload in WORKLOADS:
-        for label, root in roots.items():
-            out[label]["perfbench"][workload] = perfbench(root, workload,
-                                                          seconds)
+        for label, runs in perfbench_runs(roots, workload, seconds).items():
+            out[label]["perfbench"][workload] = runs
     # 21 runs of each: a few ms of difference in start-up is resolved
     for code in ("pass", "import numpy", "import tetravib.cli"):
         for label, summary in alternated(roots, ["-c", code], 21).items():

@@ -345,8 +345,9 @@ def _parse_critical(text):
 
 
 def _cmd_branch(args, config):
-    orbits.check_branch_request(args.j, args.l, config.analysis["n_modes"],
-                                args.steps)
+    settings = {key: config.analysis[key] for key in (
+        "n_modes", "target_amplitude", "step_size", "newton_tol")}
+    orbits.check_branch_request(args.j, args.l, steps=args.steps, **settings)
     potential = config.potential()
     universe = burnside.Universe.for_l_max(
         max(config.analysis["l_max"], args.l))
@@ -354,13 +355,8 @@ def _cmd_branch(args, config):
         klass = universe.parse_class(args.klass)
     except KeyError:
         raise UsageError("unknown symmetry class %r" % args.klass)
-    branch = orbits.continue_branch(
-        potential, klass, args.j, args.l,
-        n_modes=config.analysis["n_modes"],
-        steps=args.steps,
-        target_amplitude=config.analysis["target_amplitude"],
-        step_size=config.analysis["step_size"],
-        newton_tol=config.analysis["newton_tol"])
+    branch = orbits.continue_branch(potential, klass, args.j, args.l,
+                                    steps=args.steps, **settings)
     rows = _branch_rows(branch)
     if config.output["format"] == "csv":
         text = _to_csv(rows, ["amplitude", "lambda", "residual",

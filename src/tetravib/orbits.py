@@ -534,16 +534,24 @@ class _NewtonSystem:
         return gram, rhs
 
 
-def check_branch_request(j: int, l: int, n_modes: int, steps: int) -> None:
+def check_branch_request(j: int, l: int, n_modes: int, steps: int,
+                         target_amplitude: float, step_size: float,
+                         newton_tol: float) -> None:
     """Raise UsageError unless continue_branch can serve (j, l) at this
-    truncation in `steps` steps; cheap, so callers run it before building
-    anything."""
+    truncation in `steps` steps with these settings; cheap, so callers run
+    it before building anything."""
     if not 0 <= j <= 2:
         raise UsageError("isotypic index j must be 0, 1 or 2")
     if not 1 <= l <= n_modes:
         raise UsageError("mode l must lie within the truncation")
+    if n_modes > MAX_N_MODES:
+        raise UsageError("n_modes must be at most %d" % MAX_N_MODES)
     if steps < 1:
         raise UsageError("steps must be at least 1")
+    for name, value in (("target_amplitude", target_amplitude),
+                        ("step_size", step_size), ("newton_tol", newton_tol)):
+        if not 0.0 < value < math.inf:
+            raise UsageError("%s must be positive and finite" % name)
 
 
 def continue_branch(potential: PairPotential, klass: AmalgamClass,
@@ -559,13 +567,16 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     coordinates) and the frequency parameter lambda.  Its seed is the
     quadratic extrapolation of _predict through the equilibrium and the
     last converged points, off by O(h^3) in the step h, so each point of
-    the default families takes at most one Newton step.  Steps halve on
-    corrector failure; the branch stops once target_amplitude is reached.
+    the default families takes at most one Newton step.  Each Newton step
+    is taken whole and evaluates one residual; a step that does not lower
+    |F| fails the attempt and halves the step, as a refused solve does.
+    The branch stops once target_amplitude is reached.
     The corrector collocates 4 n_modes + 1 equispaced times, rounded up to
     a multiple of s for a class whose time action is D_s; each point's
     residual is the RMS collocation residual on that grid.
     """
-    check_branch_request(j, l, n_modes, steps)
+    check_branch_request(j, l, n_modes, steps, target_amplitude, step_size,
+                         newton_tol)
     eq = equilibrium or find_equilibrium(potential)
     lam0 = l / math.sqrt(eq.mu[j])
 
@@ -589,18 +600,11 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     kdir = np.zeros(n_red)
     kdir[constraint.modes == l] = constraint.bases[l].T @ kernel
 
-    def newton_step(x, lam, u, g, f):
-        """Gauss-Newton step from the normal equations of the column-scaled
-        Jacobian, or None, and the condition estimate of the scaled
-        Jacobian."""
-        gram, rhs = system.normal_equations(x, lam, u, g, f)
-        z, cond = _normal_solve(gram, -rhs)
-        return (None if z is None else z * system.col_scale), cond
-
     def correct(x, lam, target):
         """Corrected (x, lam, its collocation residual) or None, the least
         collocation residual and the condition estimate of the last Newton
-        system (None if none)."""
+        system (None if none).  The Gauss-Newton steps come from the normal
+        equations of the column-scaled Jacobian."""
         f, u, g = system.residual(x, lam, target)
         least = math.inf
         cond = None
@@ -610,22 +614,16 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             least = min(least, norm_c)
             if norm_c < newton_tol and norm_all < 10.0 * newton_tol:
                 return (x, lam, norm_c), least, cond
-            step, cond = newton_step(x, lam, u, g, f)
-            if step is None:
-                return None, least, cond
-            scale = 1.0
-            for _ in range(8):
-                xn, ln = x + scale * step[:n_red], lam + scale * step[n_red]
-                fn, un, gn = system.residual(xn, ln, target)
-                if np.linalg.norm(fn) < norm_all:
-                    x, lam, f, u, g = xn, ln, fn, un, gn
-                    break
-                scale *= 0.5
-            else:
-                return None, least, cond
-        norm_c = float(np.linalg.norm(f[:n_c]))
-        return (((x, lam, norm_c) if norm_c < newton_tol else None),
-                min(least, norm_c), cond)
+            gram, rhs = system.normal_equations(x, lam, u, g, f)
+            z, cond = _normal_solve(gram, -rhs)
+            if z is None:
+                break
+            step = z * system.col_scale
+            x, lam = x + step[:n_red], lam + step[n_red]
+            f, u, g = system.residual(x, lam, target)
+            if not np.linalg.norm(f) < norm_all:
+                break
+        return None, least, cond
 
     def stuck(what):
         # the target and step of the last corrector call, not the next ones

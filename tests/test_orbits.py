@@ -806,6 +806,36 @@ def test_convergence_error_carries_diagnostics(eq, wave_class):
            d["newton_tol"]))
 
 
+def test_each_newton_step_evaluates_one_residual(monkeypatch, eq,
+                                                 wave_class):
+    # a Newton step that does not lower |F| fails the corrector call whole,
+    # with no shorter trial step: a residual (one gradient call) for each
+    # seed and one for each step taken.  An uphill solve makes every step
+    # fail, so the branch ends in repeated failures
+    calls = {"predict": 0, "step": 0, "gradient": 0}
+    predict, solve, grad = ob._predict, ob._normal_solve, ob.gradient
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def uphill(gram, rhs):
+        z, cond = solve(gram, rhs)
+        calls["step"] += z is not None
+        return (None if z is None else -z), cond
+
+    monkeypatch.setattr(ob, "_predict", counted("predict", predict))
+    monkeypatch.setattr(ob, "gradient", counted("gradient", grad))
+    monkeypatch.setattr(ob, "_normal_solve", uphill)
+    with pytest.raises(ConvergenceError, match="corrector failed repeatedly"):
+        ob.continue_branch(BOND, wave_class, 1, 1, n_modes=8,
+                           equilibrium=eq)
+    assert calls["gradient"] == calls["predict"] + calls["step"]
+    assert (calls["predict"], calls["step"]) == (16, 13)
+
+
 def test_step_budget_error_names_the_last_target_tried(eq, breathing_class):
     # three steps converge at 0.001, 0.006 and 0.011; the error names the
     # last of them, not the 0.016 that was never tried
@@ -1024,6 +1054,32 @@ def test_continue_branch_rejects_bad_modes(eq, breathing_class):
                                          r"\(1, 1\) critical mode"):
         ob.continue_branch(BOND, breathing_class, 1, 1, n_modes=4,
                            equilibrium=eq)
+
+
+def _built(*args, **kwargs):
+    raise AssertionError("the branch's equilibrium or constraint was built")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"target_amplitude": math.nan},
+     "target_amplitude must be positive and finite"),
+    ({"step_size": 0.0}, "step_size must be positive and finite"),
+    ({"target_amplitude": -1.0},
+     "target_amplitude must be positive and finite"),
+    ({"newton_tol": math.inf}, "newton_tol must be positive and finite"),
+    ({"n_modes": 257}, "n_modes must be at most 256"),
+], ids=["target-nan", "step-0", "target-negative", "tol-inf", "modes-257"])
+def test_continue_branch_checks_the_cli_settings(monkeypatch, wave_class,
+                                                 setting, message):
+    # the library refuses what RunConfig refuses, before anything is built,
+    # instead of ending in a ConvergenceError, returning points that no
+    # Newton step touched or building arrays above the mode cap
+    assert ob.MAX_N_MODES == 256
+    monkeypatch.setattr(ob, "find_equilibrium", _built)
+    monkeypatch.setattr(ob, "SymmetryConstraint", _built)
+    with pytest.raises(UsageError) as info:
+        ob.continue_branch(BOND, wave_class, 1, 1, **setting)
+    assert str(info.value) == message
 
 
 def test_continue_branch_requires_a_time_reflection(u2, eq):
