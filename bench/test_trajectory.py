@@ -55,6 +55,21 @@ def test_perfbench_runs_alternate_and_keep_medians(monkeypatch):
     assert got["change"]["median"] == {"wall_s": 2.5, "peak_rss_mb": 32.5}
 
 
+def test_alternated_samples_reverse_the_order_after_each_round(monkeypatch):
+    calls = []
+
+    def stub(root, argv):
+        calls.append(root)
+        return {"exit": 0, "wall_s": float(len(calls)), "peak_rss_mb": 30.0,
+                "sha256": "x"}
+
+    monkeypatch.setattr(trajectory, "sample", stub)
+    got = trajectory.alternated({"parent": "P", "change": "C"}, ["-c", ""], 5)
+    assert calls == ["P", "C", "C", "P", "P", "C", "C", "P", "P", "C"]
+    assert got["parent"]["wall_s"] == 5.0       # runs 1, 4, 5, 8 and 9
+    assert got["change"]["wall_s"] == 6.0       # runs 2, 3, 6, 7 and 10
+
+
 def test_invariants_scaling_samples_each_l_max(tmp_path, monkeypatch,
                                                capsys):
     key, args, _ = trajectory.SCALING["invariants"]

@@ -25,13 +25,13 @@ at DIR, a `git clone` of the parent commit), it
 
 Each fresh-process sample keeps the medians of the wall time and of the
 peak resident set (ru_maxrss), and the sha256 of the output.  With two
-checkouts every measurement alternates between them, so that both see the
-same drift of the machine.  Each sample runs in the environment that
-`perfbench/run.py` gives its program (`program_env`: the checkout's `src`
-in front of PYTHONPATH).  PYTHONPYCACHEPREFIX is not set: under
-PYTHONDONTWRITEBYTECODE=1 an empty prefix would make every child compile
-the standard library as well.  The file is written at the root of this
-checkout.
+checkouts every measurement alternates between them, in an order that
+reverses after each round, so that both see the same drift of the machine.
+Each sample runs in the environment that `perfbench/run.py` gives its
+program (`program_env`: the checkout's `src` in front of PYTHONPATH).
+PYTHONPYCACHEPREFIX is not set: under PYTHONDONTWRITEBYTECODE=1 an empty
+prefix would make every child compile the standard library as well.  The
+file is written at the root of this checkout.
 
 A child's ru_maxrss starts at the peak of the process that spawned it,
 since Linux keeps the high-water mark across the exec that follows
@@ -106,19 +106,25 @@ def perfbench(root, workload, seconds):
     return json.loads(lines[-1])
 
 
+def alternation(labels, rounds):
+    """The labels of `rounds` rounds, one run of each checkout a round, in
+    an order that reverses after each round (parent, change, change,
+    parent, parent, change, ...), so that a drift of the machine falls on
+    both alike."""
+    order = list(labels)
+    for _ in range(rounds):
+        yield from order
+        order.reverse()
+
+
 def perfbench_runs(roots, workload, seconds):
     """{label: {"runs": [last-line JSON, ...], "median": {metric: value}}}
-    of three perfbench runs of the workload per checkout {label: root}.
-    The order of the checkouts reverses after each round (parent, change,
-    change, parent, parent, change), so that a drift of the machine falls
-    on both alike.  A run that printed nothing has no metrics and counts
-    in no median."""
+    of three perfbench runs of the workload per checkout {label: root},
+    taken in alternation.  A run that printed nothing has no metrics and
+    counts in no median."""
     runs = {label: [] for label in roots}
-    order = list(roots)
-    for _ in range(3):
-        for label in order:
-            runs[label].append(perfbench(roots[label], workload, seconds))
-        order.reverse()
+    for label in alternation(roots, 3):
+        runs[label].append(perfbench(roots[label], workload, seconds))
     out = {}
     for label, got in runs.items():
         values = {}
@@ -141,11 +147,10 @@ def sample(root, argv):
 
 def alternated(roots, argv, runs):
     """{label: summary} of runs samples of argv per checkout {label: root},
-    taken in turn."""
+    taken in alternation."""
     samples = {label: [] for label in roots}
-    for _ in range(runs):
-        for label, root in roots.items():
-            samples[label].append(sample(root, argv))
+    for label in alternation(roots, runs):
+        samples[label].append(sample(roots[label], argv))
     return {label: summarize(samples[label]) for label in roots}
 
 

@@ -36,11 +36,13 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
+# the potential's and the corrector's defaults are the library's own
+_BRANCH_DEFAULTS = orbits.continue_branch.__kwdefaults__
+_CORRECTOR_KEYS = ("n_modes", "newton_tol", "target_amplitude", "step_size")
 _DEFAULTS = {
-    "potential": {"bond_weight": 1.0, "vdw_A": 0.0, "vdw_B": 0.0,
-                  "sigma": 0.0},
-    "analysis": {"l_max": 2, "n_modes": 16, "newton_tol": 1e-11,
-                 "target_amplitude": 0.05, "step_size": 5e-3},
+    "potential": PairPotential._field_defaults,
+    "analysis": {"l_max": 2,
+                 **{key: _BRANCH_DEFAULTS[key] for key in _CORRECTOR_KEYS}},
     "output": {"format": "json", "path": ""},
 }
 # every key takes values of its default's type
@@ -283,30 +285,25 @@ def _branch_summary(branch, potential):
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
-def _meta(args):
-    return {"seed": args.seed, "command": args.command}
-
-
 def _cmd_equilibrium(args, config):
     eq = find_equilibrium(config.potential())
-    return {"meta": _meta(args), "equilibrium": _equilibrium_report(eq)}
+    return {"equilibrium": _equilibrium_report(eq)}
 
 
 def _cmd_spectrum(args, config):
     eq = find_equilibrium(config.potential())
-    return {"meta": _meta(args), "spectrum": _spectrum_report(eq)}
+    return {"spectrum": _spectrum_report(eq)}
 
 
 def _cmd_reps(args, config):
-    return {"meta": _meta(args), "representation": _reps_report()}
+    return {"representation": _reps_report()}
 
 
 def _cmd_degrees(args, config):
     l_max = max(config.analysis["l_max"], args.l)
     universe = burnside.Universe.for_l_max(l_max)
     element = universe.basic_degree(args.j, args.l)
-    return {"meta": _meta(args), "j": args.j, "l": args.l,
-            "degree": _element_terms(element)}
+    return {"j": args.j, "l": args.l, "degree": _element_terms(element)}
 
 
 def _analysis(config, critical=None):
@@ -330,7 +327,6 @@ def _analysis(config, critical=None):
 def _cmd_invariants(args, config):
     _, _, reports, families = _analysis(config, args.critical)
     return {
-        "meta": _meta(args),
         "invariants": [_invariant_report(r) for r in reports],
         "families": [_family_entry(f) for f in families],
     }
@@ -344,9 +340,13 @@ def _parse_critical(text):
     return j, l
 
 
+def _settings(config):
+    """The corrector settings of continue_branch, from [analysis]."""
+    return {key: config.analysis[key] for key in _CORRECTOR_KEYS}
+
+
 def _cmd_branch(args, config):
-    settings = {key: config.analysis[key] for key in (
-        "n_modes", "target_amplitude", "step_size", "newton_tol")}
+    settings = _settings(config)
     orbits.check_branch_request(args.j, args.l, steps=args.steps, **settings)
     potential = config.potential()
     universe = burnside.Universe.for_l_max(
@@ -357,29 +357,17 @@ def _cmd_branch(args, config):
         raise UsageError("unknown symmetry class %r" % args.klass)
     branch = orbits.continue_branch(potential, klass, args.j, args.l,
                                     steps=args.steps, **settings)
-    rows = _branch_rows(branch)
-    if config.output["format"] == "csv":
-        text = _to_csv(rows, ["amplitude", "lambda", "residual",
-                              "predicate_residuals"])
-    else:
-        text = "".join(dumps(row, None) + "\n" for row in rows)
-    return text
+    return _branch_rows(branch)
 
 
 def _cmd_report(args, config):
     potential, eq, reports, families = _analysis(config)
     branches = []
     for fam in families:
-        branch = orbits.continue_branch(
-            potential, fam.klass, fam.j, fam.l,
-            n_modes=config.analysis["n_modes"],
-            target_amplitude=config.analysis["target_amplitude"],
-            step_size=config.analysis["step_size"],
-            newton_tol=config.analysis["newton_tol"],
-            equilibrium=eq)
+        branch = orbits.continue_branch(potential, fam.klass, fam.j, fam.l,
+                                        equilibrium=eq, **_settings(config))
         branches.append(_branch_summary(branch, potential))
     return {
-        "meta": _meta(args),
         "equilibrium": _equilibrium_report(eq),
         "spectrum": _spectrum_report(eq),
         "representation": _reps_report(),
@@ -429,7 +417,7 @@ def _build_parser():
                       help="symmetry class name (canonical or printed form)")
     p_br.add_argument("--j", type=int, required=True)
     p_br.add_argument("--l", type=int, required=True)
-    p_br.add_argument("--steps", type=int, default=40)
+    p_br.add_argument("--steps", type=int, default=_BRANCH_DEFAULTS["steps"])
     return parser
 
 
@@ -456,13 +444,16 @@ def _flatten(prefix, obj, rows):
 
 
 def _render(result, fmt):
-    if isinstance(result, str):            # subcommand produced final text
-        return result
+    """JSON or CSV of a report (a dict) or of rows (a list of dicts)."""
     if fmt == "json":
+        if isinstance(result, list):
+            return "".join(dumps(row, None) + "\n" for row in result)
         return dumps(result) + "\n"
-    rows = []
-    _flatten((), result, rows)
-    return _to_csv(rows, ["key", "value"])
+    rows = result
+    if isinstance(result, dict):
+        rows = []
+        _flatten((), result, rows)
+    return _to_csv(rows, list(rows[0]))
 
 
 def _write_output(text, args, config):
@@ -488,6 +479,8 @@ def main(argv=None) -> int:
         if args.format:
             config.output["format"] = args.format
         result = _COMMANDS[args.command](args, config)
+        if isinstance(result, dict):
+            result["meta"] = {"seed": args.seed, "command": args.command}
         _write_output(_render(result, config.output["format"]), args, config)
         return 0
     except (ConfigError, UsageError, DomainError, DegenerateParameters) as exc:

@@ -646,7 +646,6 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     target = min(FIRST_STEP, ceiling)
     step = step_size
     failures = 0
-    least, cond, tried = math.inf, None, (target, step)
     for _ in range(steps):
         tried = target, step
         got, least, cond = correct(*_predict(history, target, x0, kdir, lam0),

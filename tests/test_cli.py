@@ -19,6 +19,7 @@ import tetravib.bifurcation as bf
 import tetravib.burnside as bu
 import tetravib.grouprep as gr
 from tetravib import cli, orbits
+from tetravib.forcefield import PairPotential
 
 from _golden import (BRANCHES, INVARIANTS_L4_SHA256, INVARIANTS_L8_SHA256,
                      INVARIANTS_L16_SHA256, KERNEL_FINGERPRINT,
@@ -78,6 +79,18 @@ def test_readme_config_block_gives_the_defaults(tmp_path, capsys):
     code, out, err = run(capsys, "--config", str(path), "report")
     assert (code, err) == (0, "")
     assert out == run(capsys, "report")[1]
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the command line runs what the library runs when nothing is set: the
+    # potential's field defaults and continue_branch's keyword defaults
+    config, kw = cli.RunConfig(), orbits.continue_branch.__kwdefaults__
+    assert config.potential() == PairPotential()
+    assert config.analysis == {"l_max": 2, **{key: kw[key] for key in (
+        "n_modes", "newton_tol", "target_amplitude", "step_size")}}
+    args = cli._build_parser().parse_args(
+        ["branch", "--class", "(S4 x D1)", "--j", "0", "--l", "1"])
+    assert args.steps == kw["steps"] == 40
 
 
 def test_readme_command_line_block_runs(capsys):

@@ -8,7 +8,8 @@ import pytest
 import tetravib.burnside as bu
 import tetravib.orbits as ob
 from tetravib import cli
-from tetravib.bifurcation import UsageError, independent_families
+from tetravib.bifurcation import (UsageError, critical_set,
+                                  independent_families)
 from tetravib.forcefield import (ConvergenceError, PairPotential,
                                  find_equilibrium, gradient, hessian)
 from tetravib.grouprep import COM_FREE, action_matrix, translation_basis
@@ -1093,3 +1094,28 @@ def test_continue_branch_requires_a_time_reflection(u2, eq):
     continuous = u2.parse_class("(S4 x O2)")
     with pytest.raises(UsageError, match="continuous symmetry classes"):
         ob.continue_branch(BOND, continuous, 0, 1, n_modes=4, equilibrium=eq)
+
+
+def test_census_of_branch_requests_at_l_max_2(u2, eq):
+    # every request with a one-dimensional fixed space: a finite class, j at
+    # most 2 and l in {1, 2}.  Each ends in a branch or in one of the two
+    # named errors, and where the whole critical number leaves the class one
+    # dimension, d(H) = 1, the Lyapunov centre theorem inside Fix(H) gives a
+    # family, so the continuation must reach it
+    crit = {jl: c for c in critical_set(eq.mu, 4) for jl in c.contributors}
+    requests = [(kl, j, l) for kl in u2.classes if kl.is_finite
+                for j in range(3) for l in (1, 2)
+                if u2.fixed_point_dim(j, l, kl) == 1]
+    assert len(requests) == 191
+    simple = []
+    for kl, j, l in requests:
+        d = sum(u2.fixed_point_dim(jj, ll, kl)
+                for jj, ll in crit[j, l].contributors)
+        try:
+            got = ob.continue_branch(BOND, kl, j, l, equilibrium=eq)
+        except (UsageError, ConvergenceError) as exc:
+            got = exc
+        if d == 1:
+            simple.append((str(kl), j, l, type(got).__name__))
+    assert len(simple) == 122
+    assert [r for r in simple if r[3] != "Branch"] == []
