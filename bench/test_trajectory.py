@@ -70,6 +70,43 @@ def test_alternated_samples_reverse_the_order_after_each_round(monkeypatch):
     assert got["change"]["wall_s"] == 6.0       # runs 2, 3, 6, 7 and 10
 
 
+def test_paired_rows_flip_the_order_on_each_pair(monkeypatch):
+    calls = []
+
+    def stub(root, argv):
+        calls.append(root)
+        pair = (len(calls) - 1) // 2
+        # pair i: the parent takes 1 s, the change 1 + i/100 s; the change's
+        # run of the fourth pair fails
+        return {"exit": 2 if (pair, root) == (3, "C") else 0,
+                "wall_s": 1.0 + pair / 100 if root == "C" else 1.0,
+                "peak_rss_mb": 30.0, "sha256": "x"}
+
+    monkeypatch.setattr(trajectory, "sample", stub)
+    got = trajectory.paired({"parent": "P", "change": "C"}, ["-c", ""], 11)
+    assert calls == ["P", "C", "C", "P"] * 5 + ["P", "C"]
+    assert (got["parent"]["runs"], got["parent"]["failed"]) == (11, 0)
+    assert (got["change"]["runs"], got["change"]["failed"]) == (11, 1)
+    # ten ratios 1.00, 1.01, 1.02, 1.04, ..., 1.10: the interval runs from
+    # the second smallest to the second largest, as P(B <= 1) = 11/1024
+    # and P(B <= 2) = 56/1024 for B ~ Binomial(10, 1/2)
+    ratio = got["ratio"]
+    assert ratio["n"] == 10
+    assert ratio["median"] == pytest.approx(1.055)
+    assert (ratio["low"], ratio["high"]) == (pytest.approx(1.01),
+                                             pytest.approx(1.09))
+    # the first pair is a tie, and the change is slower in the others
+    assert got["change_won"] == 0
+
+
+@pytest.mark.parametrize("n, low, high", [
+    (5, None, None), (6, 0, 5), (10, 1, 8), (40, 13, 26)])
+def test_median_interval_takes_binomial_order_statistics(n, low, high):
+    got = trajectory.median_interval(range(n))
+    assert (got["n"], got["low"], got["high"]) == (n, low, high)
+    assert got["median"] == (n - 1) / 2
+
+
 def test_invariants_scaling_samples_each_l_max(tmp_path, monkeypatch,
                                                capsys):
     key, args, _ = trajectory.SCALING["invariants"]

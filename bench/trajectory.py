@@ -21,7 +21,13 @@ at DIR, a `git clone` of the parent commit), it
   scales with, in fresh processes: `tetravib branch` on BRANCH_CLASS over
   n_modes and `tetravib invariants` over l_max;
 - records the interpreter, the numpy version, the BLAS kernel fingerprint
-  of `tests/_golden.py`, the CPU count and `git rev-parse HEAD`.
+  of `tests/_golden.py`, the CPU count and `git rev-parse HEAD`;
+- with --parent, runs the command of each gated workload (PAIRED) as PAIRS
+  pairs of fresh processes, one per checkout a pair, and records the
+  per-side medians and the median of the change/parent wall-time ratio
+  over the pairs, with a 95 % interval on it.  Drift of the host over the
+  minutes of a perfbench run swamps a few per cent between whole runs;
+  within a pair both sides see the same drift.
 
 Each fresh-process sample keeps the medians of the wall time and of the
 peak resident set (ru_maxrss), and the sha256 of the output.  With two
@@ -45,6 +51,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -66,6 +73,15 @@ SCALING = {
                    {2: 5, 4: 5, 8: 5, 16: 5, 24: 3, 40: 3}),
 }
 SEED = 0
+# the command of each gated workload: (the [analysis] setting and value it
+# runs with, or None, and its arguments)
+PAIRED = {
+    "report": (None, ("report",)),
+    "branch_n64": (("n_modes", 64), SCALING["branch"][1]),
+}
+# an A/A test of 40 pairs on the 64-mode branch gave a ratio interquartile
+# range of 0.963 to 1.046, so about +-2.5 % on the median ratio
+PAIRS = 40
 
 
 def program_env(root, **extra):
@@ -145,13 +161,61 @@ def sample(root, argv):
             "sha256": hashlib.sha256(out).hexdigest()}
 
 
-def alternated(roots, argv, runs):
-    """{label: summary} of runs samples of argv per checkout {label: root},
-    taken in alternation."""
+def alternated_samples(roots, argv, runs):
+    """{label: [sample, ...]} of runs samples of argv per checkout
+    {label: root}, taken in alternation."""
     samples = {label: [] for label in roots}
     for label in alternation(roots, runs):
         samples[label].append(sample(roots[label], argv))
-    return {label: summarize(samples[label]) for label in roots}
+    return samples
+
+
+def alternated(roots, argv, runs):
+    """{label: summary} of runs samples of argv per checkout {label: root},
+    taken in alternation."""
+    return {label: summarize(got) for label, got in
+            alternated_samples(roots, argv, runs).items()}
+
+
+def median_interval(values, confidence=0.95):
+    """{"n", "median", "low", "high"} of values: the median, and the
+    distribution-free interval on it between the k-th smallest and the
+    k-th largest value, with k the largest at which a Binomial(n, 1/2)
+    falls below k with probability at most (1 - confidence) / 2.  low and
+    high are None where no k qualifies (n < 6 at 95 %)."""
+    xs = sorted(values)
+    n = len(xs)
+    k, below = 0, 0.0
+    while k < n and below + math.comb(n, k) / 2 ** n <= (1 - confidence) / 2:
+        below += math.comb(n, k) / 2 ** n
+        k += 1
+    return {"n": n, "median": statistics.median(xs) if xs else None,
+            "low": xs[k - 1] if k else None,
+            "high": xs[n - k] if k else None}
+
+
+def paired(roots, argv, pairs):
+    """{"parent": summary, "change": summary, "ratio": median_interval,
+    "change_won": count} of `pairs` pairs of samples of argv, one per
+    checkout a pair, the order flipping on each pair; the ratio is the
+    change's wall time over the parent's in each pair where both ran, and
+    the change wins a pair where the ratio is below 1."""
+    got = alternated_samples(roots, argv, pairs)
+    ratios = [c["wall_s"] / p["wall_s"]
+              for p, c in zip(got["parent"], got["change"])
+              if p["exit"] == c["exit"] == 0]
+    return {**{label: summarize(s) for label, s in got.items()},
+            "ratio": median_interval(ratios),
+            "change_won": sum(r < 1.0 for r in ratios)}
+
+
+def config_argv(tmp, key, value):
+    """--config and a file in the directory tmp that sets [analysis] key to
+    value."""
+    config = os.path.join(tmp, "%s%d.toml" % (key, value))
+    with open(config, "w", encoding="utf-8") as fh:
+        fh.write("[analysis]\n%s = %d\n" % (key, value))
+    return ["--config", config]
 
 
 def scaling(roots, command, tmp):
@@ -160,13 +224,25 @@ def scaling(roots, command, tmp):
     key, args, runs = SCALING[command]
     out = {label: {} for label in roots}
     for value, n in runs.items():
-        config = os.path.join(tmp, "%s%d.toml" % (key, value))
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write("[analysis]\n%s = %d\n" % (key, value))
-        argv = ["-m", "tetravib.cli", "--config", config, *args]
+        argv = ["-m", "tetravib.cli", *config_argv(tmp, key, value), *args]
         for label, summary in alternated(roots, argv, n).items():
             out[label][str(value)] = summary
     return out
+
+
+def paired_rows(roots):
+    """{workload: row} of the PAIRED commands, each run as PAIRS pairs of
+    the checkouts {"parent": root, "change": root}."""
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (setting, args) in PAIRED.items():
+            config = config_argv(tmp, *setting) if setting else []
+            argv = ["-m", "tetravib.cli", *config, *args]
+            rows[name] = {"args": list(args),
+                          "analysis": dict([setting] if setting else []),
+                          "pairs": PAIRS,
+                          **paired(roots, argv, PAIRS)}
+    return rows
 
 
 def summarize(samples):
@@ -238,6 +314,8 @@ def main(argv=None):
         seconds = json.load(fh)["run_seconds"]
     record = {"number": args.number, "seconds": seconds,
               "checkouts": trajectory(roots, seconds)}
+    if args.parent:
+        record["paired"] = paired_rows(roots)
     path = os.path.join(ROOT, "BENCH_%d.json" % args.number)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

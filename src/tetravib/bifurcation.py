@@ -28,7 +28,7 @@ from .burnside import AmalgamClass, BurnsideElement, Universe, UsageError
 __all__ = [
     "UsageError", "CriticalNumber", "InvariantReport", "Family",
     "SymmetryDescription", "critical_set", "degree_below",
-    "invariant", "independent_families", "describe_symmetry",
+    "invariant", "invariants", "independent_families", "describe_symmetry",
 ]
 
 
@@ -185,6 +185,20 @@ def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
     return InvariantReport(critical=crits[pos], lam_minus=lam_minus,
                            lam_plus=lam_plus, omega=omega, maximal=maximal,
                            descriptions=descriptions)
+
+
+def invariants(mu, l_max: int) -> tuple:
+    """The InvariantReport of every critical number that l_max isolates, in
+    rising order; UsageError unless 1 <= l_max <= burnside.MAX_MODE."""
+    # an l_max above MAX_MODE is a usage error, not a window to pass over
+    Universe.for_l_max(l_max)
+    reports = []
+    for crit in critical_set(mu, l_max):
+        try:
+            reports.append(invariant(crit, mu, l_max))
+        except UsageError:
+            continue            # not isolatable within this l_max window
+    return tuple(reports)
 
 
 def _integer_ratio(later: CriticalNumber, earlier: CriticalNumber):

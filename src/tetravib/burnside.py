@@ -746,28 +746,27 @@ class Universe:
 
     @cached_property
     def _rotations(self):
-        """Owner class (int32), character column (int8) and grid step of the
-        rotations of all finite classes; and class orders, 1 for G."""
+        """Slot 5 * owner class + character column (int32) and grid step of
+        the rotations of all finite classes; and class orders, 1 for G."""
         finite = [kl for kl in self.classes if kl.is_finite]
         p, kind, k = self.split(np.concatenate([kl.codes for kl in finite]))
         owner = np.repeat(np.int32([kl.index for kl in finite]),
                           [kl.order for kl in finite])
         rot = kind == 0
-        return (owner[rot], PERM_CLASS[p[rot]].astype(np.int8), k[rot],
+        return (5 * owner[rot] + PERM_CLASS[p[rot]].astype(np.int32), k[rot],
                 np.array([kl.order or 1 for kl in self.classes]))
 
     def _fixed_dims(self, j, l):
-        """dim V_{j,l}^L of every class L by class index: the character
-        averages over the rotations of all classes, all five j at once; a
-        full circle of rotations averages to zero, so G gets 0."""
+        """dim V_{j,l}^L of every class L by class index, all five j at
+        once: the character table times one cosine sum per slot, over the
+        class order; a full circle of rotations sums to zero, so G gets 0."""
         if not (0 <= j <= 4 and l >= 1):
             raise UsageError("no loop mode (j, l) = (%r, %r)" % (j, l))
         if l not in self._dims_memo:
-            owner, cls, k, order = self._rotations
+            slot, k, order = self._rotations
             cos = 2.0 * np.cos(2.0 * np.pi * l * k / self.N)
-            dim = np.array([np.bincount(owner, chi[cls] * cos,
-                                        minlength=len(order))
-                            for chi in CHARACTER_TABLE]) / order
+            sums = np.bincount(slot, cos, minlength=5 * len(order))
+            dim = CHARACTER_TABLE @ sums.reshape(-1, 5).T / order
             r = np.rint(dim)
             if np.abs(dim - r).max() > 1e-9:
                 raise InternalError("non-integer fixed-point dimension")

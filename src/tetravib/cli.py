@@ -245,19 +245,6 @@ def _family_entry(f):
             "critical_value": f.value}
 
 
-def _invariant_reports(mu, l_max):
-    # an l_max above MAX_MODE is a usage error, not a window to pass over
-    burnside.Universe.for_l_max(l_max)
-    crits = bifurcation.critical_set(mu, l_max)
-    reports = []
-    for crit in crits:
-        try:
-            reports.append(bifurcation.invariant(crit, mu, l_max))
-        except UsageError:
-            continue            # not isolatable within this l_max window
-    return reports
-
-
 def _branch_rows(branch):
     return [{"amplitude": p.amplitude, "lambda": p.lam,
              "residual": p.residual,
@@ -312,7 +299,7 @@ def _analysis(config, critical=None):
     potential = config.potential()
     eq = find_equilibrium(potential)
     l_max = config.analysis["l_max"]
-    reports = _invariant_reports(eq.mu, l_max)
+    reports = bifurcation.invariants(eq.mu, l_max)
     if critical is not None:
         j, l = critical
         picked = [r for r in reports if (j, l) in r.critical.contributors]
@@ -365,7 +352,7 @@ def _cmd_report(args, config):
     branches = []
     for fam in families:
         branch = orbits.continue_branch(potential, fam.klass, fam.j, fam.l,
-                                        equilibrium=eq, **_settings(config))
+                                        **_settings(config))
         branches.append(_branch_summary(branch, potential))
     return {
         "equilibrium": _equilibrium_report(eq),

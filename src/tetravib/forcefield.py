@@ -19,6 +19,7 @@ reflections, and translations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
@@ -252,9 +253,11 @@ class EquilibriumResult(NamedTuple):
 R_MIN, R_MAX, RADIAL_GRID, POLISH_TOL = 1e-3, 1e3, 4001, 1e-12
 
 
+@functools.lru_cache(maxsize=64)
 @np.errstate(over="ignore", invalid="ignore")
 def find_equilibrium(p: PairPotential) -> EquilibriumResult:
-    """Locate the tetrahedral equilibrium radius.
+    """Locate the tetrahedral equilibrium radius, once per potential; the
+    result is shared, so its arrays are read-only.
 
     Polishes the minimum of phi(r) = 6 U(8 r^2/3) on a logarithmic grid by
     Newton iteration on phi' until the Newton step |phi'/phi''| is below
@@ -310,5 +313,6 @@ def find_equilibrium(p: PairPotential) -> EquilibriumResult:
             raise ConvergenceError("slice spectrum disagrees with (4,2,1)*nu0^2",
                                    {"mu": mu, "spectrum_mu": tuple(spec.mu),
                                     "limit": 1e-8 * scale})
+    u_o.flags.writeable = spec.eigenvalues.flags.writeable = False
     return EquilibriumResult(r_o=float(r), u_o=u_o, s_o=float(s_o),
                              nu0_sq=float(nu0_sq), mu=mu, spectrum=spec)

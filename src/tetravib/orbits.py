@@ -556,9 +556,8 @@ def check_branch_request(j: int, l: int, n_modes: int, steps: int,
 
 def continue_branch(potential: PairPotential, klass: AmalgamClass,
                     j: int, l: int, *, n_modes: int = 16, steps: int = 40,
-                    target_amplitude: float = 0.05,
-                    step_size: float = 5e-3, newton_tol: float = 1e-11,
-                    equilibrium=None) -> Branch:
+                    target_amplitude: float = 0.05, step_size: float = 5e-3,
+                    newton_tol: float = 1e-11) -> Branch:
     """Follow one symmetric branch from the equilibrium up in amplitude.
 
     The loop amplitude is the continuation parameter: each step asks the
@@ -577,7 +576,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     """
     check_branch_request(j, l, n_modes, steps, target_amplitude, step_size,
                          newton_tol)
-    eq = equilibrium or find_equilibrium(potential)
+    eq = find_equilibrium(potential)
     lam0 = l / math.sqrt(eq.mu[j])
 
     constraint = SymmetryConstraint(klass, n_modes)

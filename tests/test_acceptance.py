@@ -43,8 +43,7 @@ def eq_bond():
 
 @pytest.fixture(scope="module")
 def invariant_reports(eq_bond):
-    crits = bf.critical_set(eq_bond.mu, l_max=2)
-    return [bf.invariant(c, eq_bond.mu, l_max=2) for c in crits[:3]]
+    return bf.invariants(eq_bond.mu, l_max=2)
 
 
 def test_criterion_1_spectrum_ratios():
@@ -166,7 +165,7 @@ def test_criterion_8_branch_confirmation(invariant_reports, eq_bond):
     for fam in families:
         name = fam.klass.printed_form()
         branch = ob.continue_branch(BOND, fam.klass, fam.j, fam.l,
-                                    n_modes=16, equilibrium=eq_bond)
+                                    n_modes=16)
         if branch.final_amplitude < 0.05:
             failures.append("%s amplitude %.3f" % (name,
                                                    branch.final_amplitude))

@@ -21,8 +21,7 @@ def u2():
 
 @pytest.fixture(scope="module")
 def reports():
-    crits = bf.critical_set(BOND_MU, l_max=2)
-    return [bf.invariant(c, BOND_MU, l_max=2) for c in crits[:3]]
+    return bf.invariants(BOND_MU, l_max=2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +99,7 @@ def test_generic_spectrum_runs_the_one_path(u2):
         crits = bf.critical_set(mu, l_max)
         assert len(crits) == n_crits and not any(c.resonant for c in crits)
         assert all(isinstance(c.key, Fraction) for c in crits)
-        reports = []
-        for c in crits:
-            try:
-                reports.append(bf.invariant(c, mu, l_max))
-            except bf.UsageError:
-                pass
+        reports = bf.invariants(mu, l_max)
         assert len(reports) == n_reports
         assert sum(len(r.maximal) for r in reports) == n_maximal
         fams = bf.independent_families(reports)
@@ -129,15 +123,11 @@ def test_no_invariant_holds_g():
                (8.0 * math.sqrt(2.0), 4.0, 2.0)):
         for l_max in (2, 4):
             g = bu.Universe.for_l_max(l_max).unit
-            found = 0
-            for c in bf.critical_set(mu, l_max):
-                try:
-                    omega = bf.invariant(c, mu, l_max).omega
-                except bf.UsageError:
-                    continue
-                assert omega and g.index not in omega.coeffs, (mu, l_max)
-                found += 1
-            assert found, (mu, l_max)
+            reports = bf.invariants(mu, l_max)
+            for rep in reports:
+                assert rep.omega and g.index not in rep.omega.coeffs, (
+                    mu, l_max)
+            assert reports, (mu, l_max)
 
 
 @pytest.mark.parametrize("mu, l_max, shared", [

@@ -19,7 +19,7 @@ import tetravib.bifurcation as bf
 import tetravib.burnside as bu
 import tetravib.grouprep as gr
 from tetravib import cli, orbits
-from tetravib.forcefield import PairPotential
+from tetravib.forcefield import PairPotential, find_equilibrium
 
 from _golden import (BRANCHES, INVARIANTS_L4_SHA256, INVARIANTS_L8_SHA256,
                      INVARIANTS_L16_SHA256, KERNEL_FINGERPRINT,
@@ -809,9 +809,9 @@ def default_report():
     through orbits.hessian and orbits.gradient while it ran; and every
     result of describe_symmetry, AmalgamClass.elements, action_matrix and
     isotypic_projection it asked for, kept alive so that distinct results
-    have distinct ids; and (computations, calls) of the cached critical set,
-    representation character and predicate tables, counted from empty
-    caches."""
+    have distinct ids; and (computations, calls) of the cached equilibrium,
+    critical set, representation character and predicate tables, counted
+    from empty caches."""
     counts = {"hessian": 0, "gradient": 0}
     derived = {"describe_symmetry": [], "elements": [], "action_matrix": [],
                "isotypic_projection": []}
@@ -843,7 +843,8 @@ def default_report():
             fn = keeping(name, getattr(gr, name))
             for module in (gr, orbits):
                 mp.setattr(module, name, fn)
-        cached = {"critical_set": bf._critical_set,
+        cached = {"find_equilibrium": find_equilibrium,
+                  "critical_set": bf._critical_set,
                   "representation_character": gr.representation_character,
                   "relation_tables": orbits._relation_tables}
         for fn in cached.values():
@@ -903,12 +904,14 @@ def test_default_report_derives_each_class_once(default_report):
 
 
 def test_default_report_computes_shared_inputs_once(default_report):
-    # the critical set serves _invariant_reports and each of the five
+    # the equilibrium serves the report and each of the seven branches; the
+    # critical set serves bifurcation.invariants and each of the five
     # invariant calls; the character serves reps and multiplicities; the
     # predicate tables are built once per branch class, seven, and read at
     # each of the 77 branch points
     _, _, _, builds = default_report
-    assert builds == {"critical_set": (1, 6),
+    assert builds == {"find_equilibrium": (1, 8),
+                      "critical_set": (1, 6),
                       "representation_character": (1, 2),
                       "relation_tables": (7, 77)}
 
@@ -920,6 +923,40 @@ def test_cached_results_are_read_only():
     chi = gr.representation_character()
     with pytest.raises(ValueError):
         chi[0] = 0.0
+    eq = find_equilibrium(PairPotential())
+    assert find_equilibrium(PairPotential(1.0, 0.0, 0.0, 0.0)) is eq
+    with pytest.raises(ValueError):
+        eq.u_o[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        eq.spectrum.eigenvalues[0] = 0.0
+
+
+@pytest.mark.parametrize("l_max", [2, 4, 8])
+def test_library_invariants_are_the_printed_invariants(capsys, tmp_path,
+                                                       l_max):
+    # bifurcation.invariants is the stage that `tetravib invariants` prints,
+    # report by report and in the same order
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("[analysis]\nl_max = %d\n" % l_max)
+    printed = run_json(capsys, "--config", str(cfg), "invariants")
+    reports = bf.invariants(find_equilibrium(PairPotential()).mu, l_max)
+    assert isinstance(reports, tuple)
+    assert [json.loads(cli.dumps(cli._invariant_report(r)))
+            for r in reports] == printed["invariants"]
+
+
+@pytest.mark.parametrize("l_max, message", [
+    (0, "l_max must be at least 1"),
+    (41, "Fourier mode 41 is above 40, the largest whose element codes fit "
+         "in 64-bit integers"),
+])
+def test_library_invariants_refuse_an_l_max_outside_the_window(
+        monkeypatch, l_max, message):
+    # refused before any class is enumerated, as the command line refuses
+    monkeypatch.setattr(bu.Universe, "_enumerate", _no_universe)
+    with pytest.raises(bf.UsageError) as info:
+        bf.invariants((8.0, 4.0, 2.0), l_max)
+    assert str(info.value) == message
 
 
 def test_default_report_branches_match_golden(default_report):

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import tetravib.orbits as ob
-from tetravib import cli
-from tetravib.bifurcation import independent_families
+from tetravib.bifurcation import independent_families, invariants
 from tetravib.burnside import Universe
 from tetravib.forcefield import PairPotential, find_equilibrium, gradient
 
@@ -26,13 +25,12 @@ BOUND = 1e-10
 def final_orbits():
     eq = find_equilibrium(BOND)
     u2 = Universe.for_l_max(2)
-    families = independent_families(cli._invariant_reports(eq.mu, 2))
+    families = independent_families(invariants(eq.mu, 2))
     assert len(families) == 7
-    branches = [ob.continue_branch(BOND, fam.klass, fam.j, fam.l,
-                                   equilibrium=eq) for fam in families]
+    branches = [ob.continue_branch(BOND, fam.klass, fam.j, fam.l)
+                for fam in families]
     branches.append(ob.continue_branch(
-        BOND, u2.parse_class("(D3^Z1 x_D3 D3)"), 1, 1, n_modes=64,
-        equilibrium=eq))
+        BOND, u2.parse_class("(D3^Z1 x_D3 D3)"), 1, 1, n_modes=64))
     return [b.orbit for b in branches]
 
 

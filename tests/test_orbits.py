@@ -9,7 +9,7 @@ import tetravib.burnside as bu
 import tetravib.orbits as ob
 from tetravib import cli
 from tetravib.bifurcation import (UsageError, critical_set,
-                                  independent_families)
+                                  independent_families, invariants)
 from tetravib.forcefield import (ConvergenceError, PairPotential,
                                  find_equilibrium, gradient, hessian)
 from tetravib.grouprep import COM_FREE, action_matrix, translation_basis
@@ -40,15 +40,13 @@ def wave_class(u2):
 
 
 @pytest.fixture(scope="module")
-def breathing_branch(eq, breathing_class):
-    return ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=8,
-                              equilibrium=eq)
+def breathing_branch(breathing_class):
+    return ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=8)
 
 
 @pytest.fixture(scope="module")
-def wave_branch(eq, wave_class):
-    return ob.continue_branch(BOND, wave_class, 1, 1, n_modes=8,
-                              equilibrium=eq)
+def wave_branch(wave_class):
+    return ob.continue_branch(BOND, wave_class, 1, 1, n_modes=8)
 
 
 def _random_orbit(n_modes, lam=1.0, seed=0, scale=1.0):
@@ -433,7 +431,7 @@ def test_half_grid_matches_full_grid(eq):
     # u'', on the collocation norm at the seed of (D3^Z1 x_D3 D3)).  Both an
     # odd M and an even M, where t = pi/s is its own mirror, occur with
     # s > 1; with s = 1, where the domain is the half grid, M = 65.
-    families = independent_families(cli._invariant_reports(eq.mu, 2))
+    families = independent_families(invariants(eq.mu, 2))
     assert len(families) == 7
     grids = set()
     for fam in families:
@@ -446,7 +444,7 @@ def test_half_grid_matches_full_grid(eq):
         grids.add((s > 1, m % 2))
         seed, lam0 = _seed(system, con, fam, eq)
         branch = ob.continue_branch(BOND, fam.klass, fam.j, fam.l,
-                                    n_modes=16, equilibrium=eq)
+                                    n_modes=16)
         for x, lam in ((seed, lam0), (con.pack(branch.orbit),
                                       branch.final_lam)):
             assert max(_full_grid_gaps(system, con, x, lam)) < 1e-12, (
@@ -469,7 +467,7 @@ def test_fundamental_domain_of_a_larger_shift_group_misses_the_sums(eq):
     # a turn, which the class lacks, gets J^T J wrong, while the class's own
     # domain [0, pi/s] gets it right
     fams = {f.klass.printed_form(): f for f in independent_families(
-        cli._invariant_reports(eq.mu, 2))}
+        invariants(eq.mu, 2))}
     for name in ("(D3^Z1 x_D3 D3)", "(D4^D2 x_Z2 D2)"):
         fam = fams[name]
         con = ob.SymmetryConstraint(fam.klass, 16)
@@ -487,7 +485,7 @@ def test_time_reversible_family_keeps_the_half_grid(eq):
     # weights are those of k = 0..N//2 on the N = 65 grid, bit for bit, on
     # both such default families
     families = [f for f in independent_families(
-        cli._invariant_reports(eq.mu, 2)) if f.klass.K_order == 1]
+        invariants(eq.mu, 2)) if f.klass.K_order == 1]
     assert {f.klass.printed_form() for f in families} == {
         "(S4 x D1)", "(D3 x D1)"}
     for fam in families:
@@ -560,7 +558,7 @@ def test_block_jacobian_equals_the_whole_array_formula(eq, monkeypatch,
     # the columns
     if one_byte_budget:
         monkeypatch.setattr(ob, "JACOBIAN_BLOCK_BYTES", 1)
-    families = independent_families(cli._invariant_reports(eq.mu, 2))
+    families = independent_families(invariants(eq.mu, 2))
     assert len(families) == 7
     for fam in families:
         con = ob.SymmetryConstraint(fam.klass, 16)
@@ -658,13 +656,13 @@ class _ShiftedReflections:
         return "shifted " + self.klass.printed_form()
 
 
-def test_reflection_off_angle_zero_is_an_internal_error(eq, breathing_class,
+def test_reflection_off_angle_zero_is_an_internal_error(breathing_class,
                                                         monkeypatch, capsys):
     stub = _ShiftedReflections(breathing_class)
     # still a group: the constraint's averages are projectors
     ob.SymmetryConstraint(stub, n_modes=4)
     with pytest.raises(bu.InternalError, match="none at angle 0"):
-        ob.continue_branch(BOND, stub, 0, 1, n_modes=4, equilibrium=eq)
+        ob.continue_branch(BOND, stub, 0, 1, n_modes=4)
     monkeypatch.setattr(bu.Universe, "parse_class", lambda self, name: stub)
     code = cli.main(["branch", "--class", "stub", "--j", "0", "--l", "1"])
     captured = capsys.readouterr()
@@ -715,12 +713,11 @@ def test_scaled_jacobian_has_full_column_rank(monkeypatch):
         return solve(gram, rhs)
 
     monkeypatch.setattr(ob, "_normal_solve", spy)
-    families = independent_families(cli._invariant_reports(eq.mu, 2))
+    families = independent_families(invariants(eq.mu, 2))
     assert len(families) == 7
     for fam in families:
         del seen[:]
-        ob.continue_branch(potential, fam.klass, fam.j, fam.l, n_modes=16,
-                           equilibrium=eq)
+        ob.continue_branch(potential, fam.klass, fam.j, fam.l, n_modes=16)
         assert seen, fam.klass.printed_form()
         for ev in seen:
             assert ev[0] > 0.0 and math.sqrt(ev[-1] / ev[0]) < 1e5, (
@@ -786,12 +783,11 @@ def test_triangular_solve_in_one_block_is_one_general_solve(n, lower):
             == np.linalg.solve(t, b).tobytes())
 
 
-def test_convergence_error_carries_diagnostics(eq, wave_class):
+def test_convergence_error_carries_diagnostics(wave_class):
     # two modes cannot carry the wave far: its truncation floor meets
     # newton_tol near amplitude 0.0012
     with pytest.raises(ConvergenceError) as info:
-        ob.continue_branch(BOND, wave_class, 1, 1, n_modes=2,
-                           equilibrium=eq)
+        ob.continue_branch(BOND, wave_class, 1, 1, n_modes=2)
     d = info.value.diagnostics
     assert set(d) == {"class", "target", "step", "smallest_residual",
                       "newton_tol", "condition"}
@@ -807,8 +803,7 @@ def test_convergence_error_carries_diagnostics(eq, wave_class):
            d["newton_tol"]))
 
 
-def test_each_newton_step_evaluates_one_residual(monkeypatch, eq,
-                                                 wave_class):
+def test_each_newton_step_evaluates_one_residual(monkeypatch, wave_class):
     # a Newton step that does not lower |F| fails the corrector call whole,
     # with no shorter trial step: a residual (one gradient call) for each
     # seed and one for each step taken.  An uphill solve makes every step
@@ -831,18 +826,16 @@ def test_each_newton_step_evaluates_one_residual(monkeypatch, eq,
     monkeypatch.setattr(ob, "gradient", counted("gradient", grad))
     monkeypatch.setattr(ob, "_normal_solve", uphill)
     with pytest.raises(ConvergenceError, match="corrector failed repeatedly"):
-        ob.continue_branch(BOND, wave_class, 1, 1, n_modes=8,
-                           equilibrium=eq)
+        ob.continue_branch(BOND, wave_class, 1, 1, n_modes=8)
     assert calls["gradient"] == calls["predict"] + calls["step"]
     assert (calls["predict"], calls["step"]) == (16, 13)
 
 
-def test_step_budget_error_names_the_last_target_tried(eq, breathing_class):
+def test_step_budget_error_names_the_last_target_tried(breathing_class):
     # three steps converge at 0.001, 0.006 and 0.011; the error names the
     # last of them, not the 0.016 that was never tried
     with pytest.raises(ConvergenceError) as info:
-        ob.continue_branch(BOND, breathing_class, 0, 1, steps=3,
-                           equilibrium=eq)
+        ob.continue_branch(BOND, breathing_class, 0, 1, steps=3)
     d = info.value.diagnostics
     assert d["target"] == pytest.approx(0.011, abs=1e-15)
     assert d["step"] == 0.005
@@ -918,7 +911,7 @@ def test_predict_without_history_is_the_kernel_line():
 @pytest.mark.parametrize("name, j, l, n_modes", [
     *((name, j, l, 16) for name, j, l, *_ in BRANCHES),
     ("(D3^Z1 x_D3 D3)", 1, 1, 64)])
-def test_one_newton_step_per_branch_point(monkeypatch, u2, eq, name, j, l,
+def test_one_newton_step_per_branch_point(monkeypatch, u2, name, j, l,
                                           n_modes):
     # the quadratic seed is off by O(h^3), so every point of the default
     # families and of the 64-mode branch converges in at most one Newton
@@ -930,7 +923,7 @@ def test_one_newton_step_per_branch_point(monkeypatch, u2, eq, name, j, l,
         return hessian(*args)
     monkeypatch.setattr(ob, "hessian", counting)
     branch = ob.continue_branch(BOND, u2.parse_class(name), j, l,
-                                n_modes=n_modes, equilibrium=eq)
+                                n_modes=n_modes)
     assert len(branch.points) == 11
     assert len(calls) <= len(branch.points)
 
@@ -1023,7 +1016,7 @@ def test_wave_frequency_extrapolates_to_critical(eq, wave_branch):
 # ---------------------------------------------------------------------------
 # truncation quality
 
-def test_breathing_branch_is_spectrally_converged(eq, breathing_class,
+def test_breathing_branch_is_spectrally_converged(breathing_class,
                                                   breathing_branch):
     orbit = breathing_branch.orbit
     head = float(np.max(np.abs(orbit.cos_coeffs[1])))
@@ -1031,8 +1024,7 @@ def test_breathing_branch_is_spectrally_converged(eq, breathing_class,
     assert tail < 1e-8 * head
     # residual sampled off the collocation grid stays small
     assert ob.residual(orbit, BOND, n_points=129) < 1e-8
-    fine = ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=16,
-                              equilibrium=eq)
+    fine = ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=16)
     assert ob.frequency_extrapolation(fine) == pytest.approx(
         ob.frequency_extrapolation(breathing_branch), abs=1e-8)
 
@@ -1040,21 +1032,17 @@ def test_breathing_branch_is_spectrally_converged(eq, breathing_class,
 # ---------------------------------------------------------------------------
 # input validation
 
-def test_continue_branch_rejects_bad_modes(eq, breathing_class):
+def test_continue_branch_rejects_bad_modes(breathing_class):
     with pytest.raises(UsageError):
-        ob.continue_branch(BOND, breathing_class, 5, 1, n_modes=4,
-                           equilibrium=eq)
+        ob.continue_branch(BOND, breathing_class, 5, 1, n_modes=4)
     with pytest.raises(UsageError):
-        ob.continue_branch(BOND, breathing_class, 0, 0, n_modes=4,
-                           equilibrium=eq)
+        ob.continue_branch(BOND, breathing_class, 0, 0, n_modes=4)
     with pytest.raises(UsageError, match="steps must be at least 1"):
-        ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=4, steps=0,
-                           equilibrium=eq)
+        ob.continue_branch(BOND, breathing_class, 0, 1, n_modes=4, steps=0)
     # the breathing class fixes nothing in the j = 1 isotypic component
     with pytest.raises(UsageError, match=r"no fixed directions in the "
                                          r"\(1, 1\) critical mode"):
-        ob.continue_branch(BOND, breathing_class, 1, 1, n_modes=4,
-                           equilibrium=eq)
+        ob.continue_branch(BOND, breathing_class, 1, 1, n_modes=4)
 
 
 def _built(*args, **kwargs):
@@ -1083,7 +1071,7 @@ def test_continue_branch_checks_the_cli_settings(monkeypatch, wave_class,
     assert str(info.value) == message
 
 
-def test_continue_branch_requires_a_time_reflection(u2, eq):
+def test_continue_branch_requires_a_time_reflection(u2):
     # every finite class of the universe projects onto a dihedral group, so
     # it holds a time reflection and one at angle 0 for the half
     # collocation grid; G keeps its own message
@@ -1093,7 +1081,7 @@ def test_continue_branch_requires_a_time_reflection(u2, eq):
                        for _, kind, angle in kl.elements()), str(kl)
     continuous = u2.parse_class("(S4 x O2)")
     with pytest.raises(UsageError, match="continuous symmetry classes"):
-        ob.continue_branch(BOND, continuous, 0, 1, n_modes=4, equilibrium=eq)
+        ob.continue_branch(BOND, continuous, 0, 1, n_modes=4)
 
 
 def test_census_of_branch_requests_at_l_max_2(u2, eq):
@@ -1112,7 +1100,7 @@ def test_census_of_branch_requests_at_l_max_2(u2, eq):
         d = sum(u2.fixed_point_dim(jj, ll, kl)
                 for jj, ll in crit[j, l].contributors)
         try:
-            got = ob.continue_branch(BOND, kl, j, l, equilibrium=eq)
+            got = ob.continue_branch(BOND, kl, j, l)
         except (UsageError, ConvergenceError) as exc:
             got = exc
         if d == 1:

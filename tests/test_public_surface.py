@@ -27,7 +27,7 @@ def test_every_all_entry_resolves(name):
 def test_library_settings_are_the_cli_settings():
     # a setting with one value in use is a module constant, so the only
     # parameters with defaults of the library's public functions are those
-    # of continue_branch that the CLI sets, and its equilibrium
+    # of continue_branch that the CLI sets
     found = []
     for name in MODULES[:-1]:
         module = importlib.import_module("tetravib." + name)
@@ -38,8 +38,7 @@ def test_library_settings_are_the_cli_settings():
                           inspect.signature(fn).parameters.values()
                           if p.default is not p.empty]
     assert found == ["orbits.continue_branch." + p for p in (
-        "n_modes", "steps", "target_amplitude", "step_size", "newton_tol",
-        "equilibrium")]
+        "n_modes", "steps", "target_amplitude", "step_size", "newton_tol")]
 
 
 def test_every_package_import_is_public():
