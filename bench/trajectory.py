@@ -177,16 +177,16 @@ def alternated(roots, argv, runs):
             alternated_samples(roots, argv, runs).items()}
 
 
-def median_interval(values, confidence=0.95):
+def median_interval(values):
     """{"n", "median", "low", "high"} of values: the median, and the
-    distribution-free interval on it between the k-th smallest and the
+    distribution-free 95 % interval on it between the k-th smallest and the
     k-th largest value, with k the largest at which a Binomial(n, 1/2)
-    falls below k with probability at most (1 - confidence) / 2.  low and
-    high are None where no k qualifies (n < 6 at 95 %)."""
+    falls below k with probability at most 2.5 %.  low and high are None
+    where no k qualifies (n < 6)."""
     xs = sorted(values)
     n = len(xs)
     k, below = 0, 0.0
-    while k < n and below + math.comb(n, k) / 2 ** n <= (1 - confidence) / 2:
+    while k < n and below + math.comb(n, k) / 2 ** n <= 0.025:
         below += math.comb(n, k) / 2 ** n
         k += 1
     return {"n": n, "median": statistics.median(xs) if xs else None,
