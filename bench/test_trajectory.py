@@ -99,6 +99,18 @@ def test_paired_rows_flip_the_order_on_each_pair(monkeypatch):
     assert got["change_won"] == 0
 
 
+def test_startup_rows_split_import_from_shutdown():
+    # the import row minus the shutdown row is the interpreter's shutdown
+    # with tetravib loaded: the same import, ended before finalization
+    _, _, imports, shutdown = trajectory.STARTUP
+    assert shutdown == imports + ", os; os._exit(0)"
+    empty = hashlib.sha256(b"").hexdigest()
+    for code in trajectory.STARTUP:
+        got = trajectory.sample(trajectory.ROOT, ["-c", code])
+        assert (got["exit"], got["sha256"]) == (0, empty), code
+        assert got["wall_s"] > 0.0 and got["peak_rss_mb"] > 0
+
+
 @pytest.mark.parametrize("n, low, high", [
     (5, None, None), (6, 0, 5), (10, 1, 8), (40, 13, 26)])
 def test_median_interval_takes_binomial_order_statistics(n, low, high):

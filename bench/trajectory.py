@@ -13,10 +13,12 @@ at DIR, a `git clone` of the parent commit), it
   and keeps the last line of each run's stdout, the JSON object
   {"correct", "attempted", "failed", "metrics"}, and the median of each
   metric over the three;
-- splits start-up: fresh interpreters that run `pass`, `import numpy` and
-  `import tetravib.cli`, so that the last minus the second is tetravib's
+- splits start-up and shutdown: fresh interpreters that run the codes of
+  STARTUP, `pass`, `import numpy`, `import tetravib.cli` and that import
+  ended by `os._exit(0)`, so that the third minus the second is tetravib's
   own import (`import numpy` alone sizes OpenBLAS's thread pool, which
-  tetravib sets to one thread first);
+  tetravib sets to one thread first) and the third minus the fourth is the
+  interpreter's shutdown with tetravib loaded;
 - times each command of SCALING at each value of the [analysis] setting it
   scales with, in fresh processes: `tetravib branch` on BRANCH_CLASS over
   n_modes and `tetravib invariants` over l_max;
@@ -73,6 +75,9 @@ SCALING = {
                    {2: 5, 4: 5, 8: 5, 16: 5, 24: 3, 40: 3}),
 }
 SEED = 0
+# the start-up split: each row's code, run in a fresh interpreter
+STARTUP = ("pass", "import numpy", "import tetravib.cli",
+           "import tetravib.cli, os; os._exit(0)")
 # the command of each gated workload: (the [analysis] setting and value it
 # runs with, or None, and its arguments)
 PAIRED = {
@@ -291,7 +296,7 @@ def trajectory(roots, seconds):
         for label, runs in perfbench_runs(roots, workload, seconds).items():
             out[label]["perfbench"][workload] = runs
     # 21 runs of each: a few ms of difference in start-up is resolved
-    for code in ("pass", "import numpy", "import tetravib.cli"):
+    for code in STARTUP:
         for label, summary in alternated(roots, ["-c", code], 21).items():
             out[label]["startup"][code] = summary
     with tempfile.TemporaryDirectory() as tmp:

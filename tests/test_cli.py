@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tomllib
 
 import numpy as np
 import pytest
@@ -535,6 +538,57 @@ def test_cli_import_generates_no_dataclass():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # only the process entry freezes; in-process callers keep theirs
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, "reps")[0] == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+# a process that reports, after the entry has exited, how many objects the
+# collector holds frozen
+_FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "from tetravib import cli\n"
+    "atexit.register(lambda: sys.stderr.write("
+    "'frozen %d\\n' % gc.get_freeze_count()))\n"
+    "cli.run()\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("reps",),
+    ("branch", "--class", "nonsense", "--j", "1", "--l", "1"),
+    ("nonsense",)], ids=["exit0", "usage_error", "parser_error"])
+def test_process_entry_freezes_the_collector_before_exit(capsys, argv):
+    try:
+        want = cli.main(list(argv))
+    except SystemExit as exc:               # the parser's own exit
+        want = exc.code
+    captured = capsys.readouterr()
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    *err, probe = proc.stderr.splitlines(keepends=True)
+    assert (proc.returncode, proc.stdout, "".join(err)) == \
+        (want, captured.out, captured.err)
+    assert re.fullmatch(r"frozen (\d+)\n", probe)
+    assert int(probe.split()[1]) > 0
+
+
+def test_console_script_is_the_main_block_entry():
+    root = os.path.dirname(os.path.dirname(__file__))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["tetravib"]
+    module, name = target.split(":")
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == ["%s()" % name]
+    assert module == cli.__name__ and callable(getattr(cli, name))
 
 
 def test_csv_rendering_flattens_keys(capsys):
