@@ -220,14 +220,10 @@ def independent_families(reports) -> tuple:
     for rep in reports:
         u = rep.omega.universe
         for kl, coeff in rep.maximal:
-            doubled = False
-            for earlier in families:
-                k = _integer_ratio(rep.critical, earlier.critical)
-                if (k is not None and earlier.klass.universe is u
-                        and u.fold_cover(earlier.klass, k) is kl):
-                    doubled = True
-                    break
-            if doubled:
+            if any((k := _integer_ratio(rep.critical, earlier.critical))
+                   is not None and earlier.klass.universe is u
+                   and u.fold_cover(earlier.klass, k) is kl
+                   for earlier in families):
                 continue
             j, l = _mode_of(u, kl, rep.critical)
             families.append(Family(klass=kl, coefficient=coeff,

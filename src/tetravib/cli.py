@@ -248,8 +248,8 @@ def _family_entry(f):
 
 def _branch_rows(branch):
     return [{"amplitude": p.amplitude, "lambda": p.lam,
-             "residual": p.residual,
-             "predicate_residuals": list(p.predicate_residuals)}
+             "residual": p.residual, "predicate_residuals": list(
+                 orbits.verify_predicates(p.orbit, branch.klass))}
             for p in branch.points]
 
 
@@ -263,7 +263,8 @@ def _branch_summary(branch, potential):
         "final_amplitude": last.amplitude,
         "final_lambda": last.lam,
         "final_residual": last.residual,
-        "max_predicate_residual": max(last.predicate_residuals),
+        "max_predicate_residual": max(
+            orbits.verify_predicates(branch.orbit, branch.klass)),
         "energy_spread": spread,
         "brake": branch.klass.brake,
         "frequency_extrapolation": orbits.frequency_extrapolation(branch),

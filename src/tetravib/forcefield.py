@@ -22,12 +22,12 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:                       # grouprep imports this module
-    from .grouprep import SliceSpectrum
+from . import grouprep
+from .grouprep import TETRAHEDRON
 
 __all__ = [
     "DomainError",
@@ -67,15 +67,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
 
-
-# Vertices of the regular tetrahedron with unit circumradius, centre of mass
-# at the origin.  Rows are the four particle positions.
-TETRAHEDRON = np.array([
-    [0.0, 0.0, 1.0],
-    [2.0 * math.sqrt(2.0) / 3.0, 0.0, -1.0 / 3.0],
-    [-math.sqrt(2.0) / 3.0, math.sqrt(6.0) / 3.0, -1.0 / 3.0],
-    [-math.sqrt(2.0) / 3.0, -math.sqrt(6.0) / 3.0, -1.0 / 3.0],
-])
 
 # The six unordered particle pairs, and the squared edge length of TETRAHEDRON:
 # |gamma_j - gamma_k|^2 = 2 - 2*(-1/3) = 8/3 for every pair.
@@ -237,7 +228,7 @@ class EquilibriumResult(NamedTuple):
     s_o: float
     nu0_sq: float
     mu: tuple
-    spectrum: SliceSpectrum
+    spectrum: grouprep.SliceSpectrum
 
     @property
     def lam_critical(self):
@@ -306,8 +297,7 @@ def find_equilibrium(p: PairPotential) -> EquilibriumResult:
     mu = (4.0 * float(nu0_sq), 2.0 * float(nu0_sq), 1.0 * float(nu0_sq))
 
     # cross-validate the closed-form mu_j against the actual Hessian spectrum
-    from .grouprep import slice_spectrum
-    spec = slice_spectrum(hessian(p, u_o), u_o)
+    spec = grouprep.slice_spectrum(hessian(p, u_o), u_o)
     for a_val, b_val in zip(spec.mu, mu):
         if abs(a_val - b_val) > 1e-8 * scale:
             raise ConvergenceError("slice spectrum disagrees with (4,2,1)*nu0^2",

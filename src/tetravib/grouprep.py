@@ -18,18 +18,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forcefield import TETRAHEDRON
-
 __all__ = [
-    "S4", "IDENTITY", "pmul", "pinv", "cycle_type", "conjugacy_class_index",
-    "CLASS_ORDER", "CLASS_SIZES", "CHARACTER_TABLE", "IRREP_DIMS",
-    "realization", "act", "action_matrix",
+    "TETRAHEDRON", "S4", "IDENTITY", "pmul", "pinv", "cycle_type",
+    "conjugacy_class_index", "CLASS_ORDER", "CLASS_SIZES", "CHARACTER_TABLE",
+    "IRREP_DIMS", "realization", "act", "action_matrix",
     "representation_character", "multiplicities", "isotypic_projection",
     "projection_ranks", "SO3_GENERATORS", "tangent_basis",
     "translation_basis", "COM_FREE", "centre_of_mass_free_basis",
     "SliceSpectrum", "slice_spectrum",
     "TEST_VECTORS",
 ]
+
+# Vertices of the regular tetrahedron with unit circumradius, centre of mass
+# at the origin.  Rows are the four particle positions.
+TETRAHEDRON = np.array([
+    [0.0, 0.0, 1.0],
+    [2.0 * np.sqrt(2.0) / 3.0, 0.0, -1.0 / 3.0],
+    [-np.sqrt(2.0) / 3.0, np.sqrt(6.0) / 3.0, -1.0 / 3.0],
+    [-np.sqrt(2.0) / 3.0, -np.sqrt(6.0) / 3.0, -1.0 / 3.0],
+])
 
 IDENTITY = (0, 1, 2, 3)
 S4 = tuple(sorted(itertools.permutations(range(4))))
@@ -139,13 +146,9 @@ def _action_matrix(p):
 def representation_character():
     """Character of the 12-dimensional configuration representation, one
     value per conjugacy class; built once, read-only."""
-    chi = np.zeros(5)
-    counts = np.zeros(5)
-    for p in S4:
-        c = conjugacy_class_index(p)
-        chi[c] += np.trace(action_matrix(p))
-        counts[c] += 1
-    chi /= counts
+    classes = [conjugacy_class_index(p) for p in S4]
+    chi = (np.bincount(classes, [np.trace(action_matrix(p)) for p in S4], 5)
+           / np.bincount(classes, minlength=5))
     chi.flags.writeable = False
     return chi
 

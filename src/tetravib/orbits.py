@@ -293,18 +293,15 @@ def _relation_tables(klass, n_modes):
     PREDICATE_SAMPLES equispaced times t; the same of the moved times s of
     every relation of the class, stacked; and the stack of their transposed
     spatial matrices; read-only."""
-    ts = _collocation_times(PREDICATE_SAMPLES)
-
-    def moved(kind, angle):
-        tau = 2.0 * math.pi * float(angle)
-        return ts + tau if kind == "rot" else -ts - tau
-
-    cos, sin, rho = zip(*[
-        (*_trig(moved(kind, angle), n_modes), action_matrix(perm))
-        for perm, kind, angle in klass.elements()[1:]])
-    return tuple(map(_read_only, (
-        *_trig(ts, n_modes), np.concatenate(cos), np.concatenate(sin),
-        np.stack(rho).swapaxes(1, 2))))
+    perms, kinds, angles = zip(*klass.elements())
+    # s = t + tau or -(t + tau), -t - tau exactly; the identity's s is t
+    sign = np.where(np.array(kinds) == "rot", 1.0, -1.0)[:, None]
+    tau = 2.0 * math.pi * np.array(angles, dtype=float)[:, None]
+    cos, sin = _trig(sign * (_collocation_times(PREDICATE_SAMPLES) + tau),
+                     n_modes)
+    rho = np.stack([action_matrix(perm) for perm in perms[1:]]).swapaxes(1, 2)
+    n = PREDICATE_SAMPLES
+    return tuple(map(_read_only, (cos[:n], sin[:n], cos[n:], sin[n:], rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +311,7 @@ class BranchPoint(NamedTuple):
     amplitude: float
     lam: float
     residual: float
-    predicate_residuals: tuple
+    orbit: FourierOrbit
 
 
 class Branch(NamedTuple):
@@ -322,7 +319,10 @@ class Branch(NamedTuple):
     j: int
     l: int
     points: tuple
-    orbit: FourierOrbit
+
+    @property
+    def orbit(self):
+        return self.points[-1].orbit
 
     @property
     def final_amplitude(self):
@@ -572,7 +572,8 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
     The branch stops once target_amplitude is reached.
     The corrector collocates 4 n_modes + 1 equispaced times, rounded up to
     a multiple of s for a class whose time action is D_s; each point's
-    residual is the RMS collocation residual on that grid.
+    residual is the RMS collocation residual on that grid.  Each point
+    keeps its loop, which verify_predicates checks against the class.
     """
     check_branch_request(j, l, n_modes, steps, target_amplitude, step_size,
                          newton_tol)
@@ -660,11 +661,9 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
             target = history[-1][0] + step
         else:
             x, lam, res = got
-            orbit = constraint.unpack(x, lam)
-            preds = verify_predicates(orbit, klass)
             points.append(BranchPoint(amplitude=system.amplitude(x), lam=lam,
                                       residual=res,
-                                      predicate_residuals=preds))
+                                      orbit=constraint.unpack(x, lam)))
             history.append((target, x, lam))
             if points[-1].amplitude >= target_amplitude:
                 break
@@ -677,7 +676,7 @@ def continue_branch(potential: PairPotential, klass: AmalgamClass,
         raise stuck("branch did not reach amplitude %g in %d steps of at "
                     "most step_size = %g" % (target_amplitude, steps,
                                              step_size))
-    return Branch(klass=klass, j=j, l=l, points=tuple(points), orbit=orbit)
+    return Branch(klass=klass, j=j, l=l, points=tuple(points))
 
 
 def _predict(history, target, x0, kdir, lam0):

@@ -172,7 +172,8 @@ def test_criterion_8_branch_confirmation(invariant_reports, eq_bond):
         res = max(p.residual for p in branch.points)
         if res >= 1e-9:
             failures.append("%s residual %.2e" % (name, res))
-        pred = max(max(p.predicate_residuals) for p in branch.points)
+        pred = max(max(ob.verify_predicates(p.orbit, branch.klass))
+                   for p in branch.points)
         if pred >= 1e-8:
             failures.append("%s predicate %.2e" % (name, pred))
         _, spread = ob.energy_profile(branch.orbit, BOND)

@@ -940,8 +940,8 @@ def test_report_is_free_of_the_potential_scale(tmp_path, capsys,
 def test_default_report_derives_each_class_once(default_report):
     # one description per maximal class of the five invariants (the seven
     # families and the dropped frequency-doubled breathing class); one
-    # element list per branch class, whose relations every branch point
-    # checks; one action matrix per permutation and at most one projection
+    # element list per branch class, whose relations the report checks at
+    # its last point; one action matrix per permutation and at most one projection
     # per irreducible
     _, _, derived, _ = default_report
     distinct = {name: len({id(x) for x in kept})
@@ -960,13 +960,13 @@ def test_default_report_computes_shared_inputs_once(default_report):
     # the equilibrium serves the report and each of the seven branches; the
     # critical set serves bifurcation.invariants and each of the five
     # invariant calls; the character serves reps and multiplicities; the
-    # predicate tables are built once per branch class, seven, and read at
-    # each of the 77 branch points
+    # predicate tables are built once per branch class, seven, and read
+    # only at the last point of each branch, the one the report prints
     _, _, _, builds = default_report
     assert builds == {"find_equilibrium": (1, 8),
                       "critical_set": (1, 6),
                       "representation_character": (1, 2),
-                      "relation_tables": (7, 77)}
+                      "relation_tables": (7, 7)}
 
 
 def test_cached_results_are_read_only():

@@ -935,7 +935,8 @@ def test_breathing_branch_reaches_target(breathing_branch):
     b = breathing_branch
     assert b.final_amplitude >= 0.05
     assert all(p.residual < 1e-9 for p in b.points)
-    assert all(max(p.predicate_residuals) < 1e-8 for p in b.points)
+    assert all(max(ob.verify_predicates(p.orbit, b.klass)) < 1e-8
+               for p in b.points)
 
 
 def test_breathing_branch_conserves_energy(breathing_branch):
@@ -978,7 +979,8 @@ def test_wave_branch_reaches_target(wave_branch):
     b = wave_branch
     assert b.final_amplitude >= 0.05
     assert all(p.residual < 1e-9 for p in b.points)
-    assert all(max(p.predicate_residuals) < 1e-8 for p in b.points)
+    assert all(max(ob.verify_predicates(p.orbit, b.klass)) < 1e-8
+               for p in b.points)
 
 
 def test_wave_is_not_a_brake_orbit(wave_branch):
