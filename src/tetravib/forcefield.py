@@ -273,9 +273,10 @@ def find_equilibrium(p: PairPotential) -> EquilibriumResult:
         if abs(step) < 1e-16 * max(1.0, r):
             break
     # the Newton step |phi'/phi''| is the distance to the root, unchanged
-    # by V -> cV, where phi' alone scales with c
+    # by V -> cV, where phi' alone scales with c; a phi'' that overflows
+    # would pass any phi', so it fails the polish
     _, dphi, d2phi = _radial_derivatives(p, r)
-    if not (abs(dphi) < POLISH_TOL * max(1.0, r) * d2phi):
+    if not abs(dphi) < POLISH_TOL * max(1.0, r) * d2phi < math.inf:
         raise ConvergenceError("Newton polish stalled at |phi'|=%g" % abs(dphi),
                                {"r": r, "abs_dphi": abs(dphi),
                                 "tol": POLISH_TOL})
@@ -289,7 +290,7 @@ def find_equilibrium(p: PairPotential) -> EquilibriumResult:
     u_o = r * TETRAHEDRON
     g = gradient(p, u_o)
     scale = max(1.0, abs(nu0_sq)) * max(1.0, r)
-    g_norm = float(np.linalg.norm(g))
+    g_norm = math.hypot(*g.ravel())     # squares nothing, so cannot overflow
     if g_norm > 1e-10 * scale:
         raise ConvergenceError("gradient at the symmetric equilibrium is not zero",
                                {"r": r, "gradient_norm": g_norm,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +34,9 @@ __all__ = [
 # at the origin.  Rows are the four particle positions.
 TETRAHEDRON = np.array([
     [0.0, 0.0, 1.0],
-    [2.0 * np.sqrt(2.0) / 3.0, 0.0, -1.0 / 3.0],
-    [-np.sqrt(2.0) / 3.0, np.sqrt(6.0) / 3.0, -1.0 / 3.0],
-    [-np.sqrt(2.0) / 3.0, -np.sqrt(6.0) / 3.0, -1.0 / 3.0],
+    [2.0 * math.sqrt(2.0) / 3.0, 0.0, -1.0 / 3.0],
+    [-math.sqrt(2.0) / 3.0, math.sqrt(6.0) / 3.0, -1.0 / 3.0],
+    [-math.sqrt(2.0) / 3.0, -math.sqrt(6.0) / 3.0, -1.0 / 3.0],
 ])
 
 IDENTITY = (0, 1, 2, 3)
@@ -269,8 +270,9 @@ def slice_spectrum(hess: np.ndarray, u_o: np.ndarray) -> SliceSpectrum:
     # rotational tangent vectors must exhaust the kernel
     tb = tangent_basis(u_o)
     for row in tb:
-        r = hess @ row
-        if np.linalg.norm(r) > 1e-7 * scale * max(np.linalg.norm(row), 1.0):
+        # hypot squares nothing, so a large Hessian cannot overflow it
+        if (math.hypot(*hess @ row)
+                > 1e-7 * scale * max(math.hypot(*row), 1.0)):
             raise ArithmeticError("rotation tangent vector not annihilated")
 
     # Rayleigh quotients on the probe vectors give the mu_j independently.

@@ -509,14 +509,15 @@ class _NewtonSystem:
         product of the amplitude and gauge rows, plus that of each row block
         of the collocation rows, built in turn in self.buf."""
         buf, n_red, D, msq = self.buf, self.n_red, self.D, self.msq
-        tail = np.vstack([np.append(self.h1 * (x - self.x0)
-                                    / self.amplitude(x), 0.0),
-                          self.gauge]) * self.col_scale
         weighted = (lam ** 2 * self.weight)[:, :, None] * hessian(
             self.potential, u)
         lam_col = 2.0 * lam * self.weight * g
-        # an overflow leaves non-finite sums, which _normal_solve rejects
+        # an overflow, or an amplitude that underflows to 0, leaves
+        # non-finite sums, which _normal_solve rejects
         with np.errstate(all="ignore"):
+            tail = np.vstack([np.append(self.h1 * (x - self.x0)
+                                        / self.amplitude(x), 0.0),
+                              self.gauge]) * self.col_scale
             gram, rhs = tail.T @ tail, tail.T @ f[self.n_c:]
         for b in range(0, len(D), self.block):
             blk = slice(b, b + self.block)

@@ -196,39 +196,85 @@ def _config_text(entries):
     return body.encode(), any(v in ("true", "false") for _, v in entries)
 
 
-# each key at most once and each section under one header: TOML rejects
-# a repeated key or table before any value is checked
-_SCHEMA_LINES = st.lists(st.tuples(st.sampled_from(_SCHEMA_KEYS), _VALUES),
-                         max_size=4, unique_by=lambda e: e[0]).map(_config_text)
-
-
-@settings(database=None, derandomize=True, deadline=None, max_examples=300,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.one_of(st.binary(max_size=80).map(lambda b: (b, False)),
-                      _SCHEMA_LINES))
-@example(case=(b"[potential]\nbond_weight = 1.0\xff\n", False))
-@example(case=(b"[potential]\nbond_weight = true\n", True))
-@example(case=(b'[output]\npath = "/"\n', False))   # names a directory
-def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys, case):
-    body, has_boolean = case
-    monkeypatch.setenv("TETRAVIB_OUTPUT_DIR", str(tmp_path))
-    path = tmp_path / "fuzz.toml"
-    path.write_bytes(body)
-    code, _, err = run(capsys, "--config", str(path), "equilibrium")
-    assert code in (0, 1, 2)
-    if code:
-        prefix = "error: " if code == 1 else "non-convergence: "
-        assert err.splitlines()[-1].startswith(prefix)
-    if has_boolean:                     # no key takes a boolean
-        assert code == 1
-
-
 def _not_an_integer(text):
     try:
         int(text)
     except ValueError:
         return True
     return False
+
+
+# The two keys that size a run take small integers or a value of another
+# type, so that every command stays fast (branch runs with --steps 5).  A
+# float key mostly takes a float within 16 times its default (within 16 of
+# 0 for a default of 0), either sign.
+_SIZES = {"l_max": st.integers(-2, 4), "n_modes": st.integers(-1, 12)}
+
+
+def _key_values(section, key):
+    default = cli._DEFAULTS[section][key]
+    if key in _SIZES:
+        return st.one_of(_SIZES[key].map(str),
+                         _VALUES.filter(_not_an_integer))
+    if isinstance(default, float):
+        bound = 16.0 * (abs(default) or 1.0)
+        return st.one_of(st.floats(-bound, bound).map(repr), _VALUES)
+    return _VALUES
+
+
+# each key at most once and each section under one header: TOML rejects
+# a repeated key or table before any value is checked
+_SCHEMA_LINES = st.lists(
+    st.one_of([st.tuples(st.just(key), _key_values(*key))
+               for key in _SCHEMA_KEYS]),
+    max_size=4, unique_by=lambda e: e[0]).map(_config_text)
+
+# each command that reads the configuration, as a fuzzed config runs it
+_CONFIG_COMMANDS = (
+    ("equilibrium",), ("spectrum",), ("degrees", "--j", "1", "--l", "2"),
+    ("invariants",), ("invariants", "--critical", "1,1"), ("report",),
+    ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1",
+     "--steps", "5"),
+    ("branch", "--class", "(S4 x D1)", "--j", "0", "--l", "1",
+     "--steps", "5"))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(st.binary(max_size=80).map(lambda b: (b, False)),
+                      _SCHEMA_LINES),
+       command=st.sampled_from(_CONFIG_COMMANDS))
+@example(case=(b"[potential]\nbond_weight = 1.0\xff\n", False),
+         command=("equilibrium",))
+@example(case=(b"[potential]\nbond_weight = true\n", True),
+         command=("equilibrium",))
+@example(case=(b'[output]\npath = "/"\n', False),    # names a directory
+         command=("equilibrium",))
+# phi'' of the radial polish overflows at the largest float
+@example(case=(b"[potential]\nbond_weight = 1.7976931348623157e+308\n",
+               False), command=("spectrum",))
+# the amplitude row divides by an amplitude whose square underflows
+@example(case=(b"[analysis]\ntarget_amplitude = 1e-300\n"
+               b"newton_tol = 1e-300\n", False),
+         command=_CONFIG_COMMANDS[-1])
+# squares of the gradient overflow, yet V -> cV moves no radius
+@example(case=(b"[potential]\nbond_weight = 1e170\n", False),
+         command=("report",))
+def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys, case,
+                                     command):
+    body, has_boolean = case
+    monkeypatch.setenv("TETRAVIB_OUTPUT_DIR", str(tmp_path))
+    path = tmp_path / "fuzz.toml"
+    path.write_bytes(body)
+    code, _, err = run(capsys, "--config", str(path), *command)
+    assert code in (0, 1, 2)
+    # one line on a failure, with its exit code's prefix; none on success
+    assert len(err.splitlines()) == (code != 0), err
+    if code:
+        prefix = "error: " if code == 1 else "non-convergence: "
+        assert err.startswith(prefix)
+    if has_boolean:                     # no key takes a boolean
+        assert code == 1
 
 
 # argv from the CLI's own words, small integers and free text.  Integers
@@ -917,6 +963,33 @@ def test_default_report_corrector_work(default_report):
     # each of their 77 points takes its residual from the corrector
     _, counts, _, _ = default_report
     assert counts == {"hessian": 66, "gradient": 143}
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "spectrum", "report"])
+def test_overflowing_potential_exits_two_in_one_line(tmp_path, capsys,
+                                                     command):
+    # the radial polish's phi'' overflows at the largest bond weight
+    cfg = tmp_path / "huge.toml"
+    cfg.write_text("[potential]\nbond_weight = 1.7976931348623157e+308\n")
+    code, out, err = run(capsys, "--config", str(cfg), command)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("non-convergence: Newton polish stalled")
+
+
+def test_underflowing_amplitude_exits_two_in_one_line(tmp_path, capsys):
+    # the square of a target amplitude of 1e-300 underflows, and the
+    # amplitude row of the normal equations divides by it: no warning may
+    # come before the one line (the test suite makes a RuntimeWarning an
+    # error)
+    cfg = tmp_path / "tiny.toml"
+    cfg.write_text("[analysis]\ntarget_amplitude = 1e-300\n"
+                   "newton_tol = 1e-300\n")
+    code, out, err = run(capsys, "--config", str(cfg), "branch", "--class",
+                         "(S4 x D1)", "--j", "0", "--l", "1", "--steps", "5")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("non-convergence: ")
 
 
 @pytest.mark.parametrize("c", [1e-10, 1e100, 1e-300])

@@ -268,13 +268,22 @@ def test_tetraphosphorus_like_equilibrium_frozen_oracle():
     assert abs(scan_bisect_oracle(P4_LIKE) - P4_R_O) < 1e-10
 
 
-@pytest.mark.parametrize("c", [1e-10, 1e6, 1e10, 1e100])
+@pytest.mark.parametrize("c", [1e-10, 1e6, 1e10, 1e100, 1e170, 1e250])
 def test_equilibrium_radius_is_free_of_the_energy_scale(c):
     # V -> cV scales phi' by c and leaves the radius as it is; so must the
-    # polish's stop
+    # polish's stop, and the checks of the gradient and of the spectrum,
+    # though from c of about 1e150 the squares of their entries overflow
     p = ff.PairPotential(bond_weight=c, vdw_A=2.0 * c, vdw_B=c,
                          sigma=0.05 * c)
     assert ff.find_equilibrium(p).r_o == P4_R_O
+
+
+def test_overflowing_curvature_fails_the_polish():
+    # at the largest float phi'' overflows, and an infinite phi'' would
+    # pass any phi'
+    p = ff.PairPotential(bond_weight=np.finfo(float).max)
+    with pytest.raises(ff.ConvergenceError, match="Newton polish stalled"):
+        ff.find_equilibrium(p)
 
 
 def test_no_minimizer_raises():

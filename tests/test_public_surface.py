@@ -2,6 +2,8 @@
 resolves, and the README's library example runs as printed."""
 import ast
 import contextlib
+import glob
+import graphlib
 import importlib
 import inspect
 import io
@@ -16,6 +18,8 @@ from _golden import BRANCHES
 
 MODULES = ("forcefield", "grouprep", "burnside", "bifurcation", "orbits", "cli")
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
+                   "tetravib")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -63,3 +67,42 @@ def test_readme_library_example_runs():
     # one line per family: its class, final amplitude and final lambda
     names = [line.rsplit(" ", 2)[0] for line in out.getvalue().splitlines()]
     assert names == [b[0] for b in BRANCHES]
+
+
+def _relative_imports():
+    """{module: the package modules it imports outside any function} and
+    the (module, function) pairs whose body imports from the package, over
+    every module in src/tetravib."""
+    graph, local = {}, []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = function or node.name
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if function:
+                local.append((module, function))
+            else:
+                graph[module] |= ({a.name for a in node.names}
+                                  if node.module is None
+                                  else {node.module.split(".")[0]})
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        graph[module] = set()
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read()), module, None)
+    return graph, local
+
+
+def test_no_function_imports_from_the_package():
+    # an import inside a function hides a dependency from the module graph
+    assert _relative_imports()[1] == []
+
+
+def test_module_imports_form_no_cycle():
+    graph = _relative_imports()[0]
+    assert set(graph) == set(MODULES) | {"__init__"}
+    # static_order raises CycleError, naming the cycle, if there is one
+    assert len(list(graphlib.TopologicalSorter(graph).static_order())) == 7
