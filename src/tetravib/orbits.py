@@ -294,7 +294,7 @@ def _relation_tables(klass, n_modes):
     every relation of the class, stacked; and the stack of their transposed
     spatial matrices; read-only."""
     perms, kinds, angles = zip(*klass.elements())
-    # s = t + tau or -(t + tau), -t - tau exactly; the identity's s is t
+    # s = t + tau, or -(t + tau) = -t - tau exactly; the identity's s is t
     sign = np.where(np.array(kinds) == "rot", 1.0, -1.0)[:, None]
     tau = 2.0 * math.pi * np.array(angles, dtype=float)[:, None]
     cos, sin = _trig(sign * (_collocation_times(PREDICATE_SAMPLES) + tau),
