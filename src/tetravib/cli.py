@@ -9,6 +9,7 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import io
 import math
@@ -378,7 +379,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "error: %s\n" % " ".join(message.splitlines()))
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The parser, built on the first call; each subcommand's handler is
+    its `run` default."""
     parser = _Parser(prog="tetravib",
                      description="Symmetric vibration and bifurcation "
                                  "analysis of the four-particle molecule.")
@@ -391,34 +395,28 @@ def _build_parser():
                         help="override output.format")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("equilibrium", "spectrum", "reps", "report"):
-        sub.add_parser(name)
+    sub.add_parser("equilibrium").set_defaults(run=_cmd_equilibrium)
+    sub.add_parser("spectrum").set_defaults(run=_cmd_spectrum)
+    sub.add_parser("reps").set_defaults(run=_cmd_reps)
+    sub.add_parser("report").set_defaults(run=_cmd_report)
     p_deg = sub.add_parser("degrees")
+    p_deg.set_defaults(run=_cmd_degrees)
     p_deg.add_argument("--j", type=int, required=True,
                        help="isotypic index 0..4")
     p_deg.add_argument("--l", type=int, required=True, help="Fourier mode")
     p_inv = sub.add_parser("invariants")
+    p_inv.set_defaults(run=_cmd_invariants)
     p_inv.add_argument("--critical", type=_parse_critical, default=None,
                        metavar="J,L", help="single critical number, by one "
                                            "contributing mode")
     p_br = sub.add_parser("branch")
+    p_br.set_defaults(run=_cmd_branch)
     p_br.add_argument("--class", dest="klass", required=True,
                       help="symmetry class name (canonical or printed form)")
     p_br.add_argument("--j", type=int, required=True)
     p_br.add_argument("--l", type=int, required=True)
     p_br.add_argument("--steps", type=int, default=_BRANCH_DEFAULTS["steps"])
     return parser
-
-
-_COMMANDS = {
-    "equilibrium": _cmd_equilibrium,
-    "spectrum": _cmd_spectrum,
-    "reps": _cmd_reps,
-    "degrees": _cmd_degrees,
-    "invariants": _cmd_invariants,
-    "branch": _cmd_branch,
-    "report": _cmd_report,
-}
 
 
 def _flatten(prefix, obj, rows):
@@ -445,8 +443,8 @@ def _render(result, fmt):
     return _to_csv(rows, list(rows[0]))
 
 
-def _write_output(text, args, config):
-    path = args.output or config.output["path"]
+def _write_output(text, config):
+    path = config.output["path"]
     if not path:
         sys.stdout.write(text)
         return
@@ -461,16 +459,17 @@ def _write_output(text, args, config):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else RunConfig()
         if args.format:
             config.output["format"] = args.format
-        result = _COMMANDS[args.command](args, config)
+        if args.output:
+            config.output["path"] = args.output
+        result = args.run(args, config)
         if isinstance(result, dict):
             result["meta"] = {"seed": args.seed, "command": args.command}
-        _write_output(_render(result, config.output["format"]), args, config)
+        _write_output(_render(result, config.output["format"]), config)
         return 0
     except (ConfigError, UsageError, DomainError, DegenerateParameters) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -209,6 +209,14 @@ def test_invariant_rejects_last_window_critical():
         bf.invariant(crits[-1], BOND_MU, l_max=2)
 
 
+def test_invariant_rejects_a_critical_number_of_a_wider_window():
+    # 4/sqrt(mu_2), the largest critical number at l_max = 4, is none at 2
+    crit = bf.critical_set(BOND_MU, l_max=4)[-1]
+    with pytest.raises(bf.UsageError, match="^not a critical number for "
+                                            "these eigenvalues$"):
+        bf.invariant(crit, BOND_MU, l_max=2)
+
+
 def test_invariant_of_generic_potential_matches_bond_only(u2):
     eq = find_equilibrium(PairPotential(1.0, 2.0, 1.0, 0.05))
     crits = bf.critical_set(eq.mu, l_max=2)
@@ -237,6 +245,14 @@ def test_family_coefficients_all_nonzero(reports):
     for f in bf.independent_families(reports):
         assert f.coefficient != 0
         assert f.critical.value == pytest.approx(f.l / math.sqrt(BOND_MU[f.j]))
+
+
+def test_family_needs_a_fixed_direction_on_its_modes(reports, u2):
+    # G, which no invariant holds, fixes no direction of any loop mode
+    report = reports[0]._replace(maximal=((u2.unit, 1),))
+    with pytest.raises(bf.UsageError, match="^class has no fixed directions "
+                                            "on the critical modes$"):
+        bf.independent_families([report])
 
 
 # ---------------------------------------------------------------------------

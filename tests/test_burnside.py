@@ -471,6 +471,79 @@ def test_column_faults_on_a_count_off_the_normalizer_cosets(monkeypatch):
         u.n_count(u.parse_class("(Z1 x D1)"), high)
 
 
+def test_column_faults_on_a_mark_off_the_weyl_multiples(monkeypatch):
+    # half an order more conjugators at a class outside the subgroup: the
+    # count still divides by the order, but a mark of 1 is no multiple of
+    # |W((Z1 x D1))| = 48, so the conjugators cannot fill whole cosets
+    kernel = bu.Universe._conjugator_counts
+
+    def one_mark_more(self, rows, high):
+        counts = kernel(self, rows, high)
+        counts[np.flatnonzero(counts == 0)[0]] += high.order // 2
+        return counts
+    monkeypatch.setattr(bu.Universe, "_conjugator_counts", one_mark_more)
+    u = bu.Universe(1)              # a fresh universe, no column cached
+    with pytest.raises(bu.InternalError, match=r"^conjugators into "
+                       r"\(Z1 x D1\) do not fill normalizer cosets$"):
+        u.weyl(u.parse_class("(Z1 x D1)"))
+
+
+def test_subgroup_label_faults_on_an_impossible_order():
+    # Lagrange: no subgroup of S4 has 5 elements
+    with pytest.raises(bu.InternalError,
+                       match="^impossible subgroup order 5$"):
+        bu.s4_subgroup_label(frozenset(range(5)))
+
+
+def test_coset_group_faults_without_two_generators():
+    # (Z2)^3, the codes 0..7 under xor, needs three generators
+    q = bu._CosetGroup(bu._group(range(8), np.bitwise_xor), [0])
+    with pytest.raises(bu.InternalError,
+                       match="^quotient group is not 2-generated$"):
+        q.generating_words
+
+
+def test_fixed_dims_fault_on_a_non_integer_dimension(monkeypatch):
+    # half the character table gives half of an odd dimension somewhere
+    monkeypatch.setattr(bu, "CHARACTER_TABLE", CHARACTER_TABLE / 2)
+    u = bu.Universe(1)              # a fresh universe, no dimension cached
+    with pytest.raises(bu.InternalError,
+                       match="^non-integer fixed-point dimension$"):
+        u.fixed_point_dim(0, 1, u.parse_class("(S4 x D1)"))
+
+
+def test_g_has_no_element_list_and_no_fold_cover(u1):
+    with pytest.raises(ValueError, match="^G has no finite element list$"):
+        u1.unit.elements()
+    with pytest.raises(ValueError, match="^G has no fold cover preimage$"):
+        u1.fold_cover(u1.unit, 2)
+
+
+def test_from_marks_refuses_a_vector_of_the_wrong_length(u1):
+    with pytest.raises(ValueError, match="^mark vector has the wrong length$"):
+        u1.from_marks([0] * (len(u1.classes) + 1))
+
+
+def test_ring_operations_refuse_foreign_operands(u1, u12):
+    d = u1.basic_degree(0, 1)
+    with pytest.raises(TypeError, match="^expected a ring element$"):
+        d + 1
+    with pytest.raises(ValueError,
+                       match="^elements from different universes$"):
+        d * u12.basic_degree(0, 1)
+
+
+def test_class_repr_and_element_hash(u1, u12):
+    kl = u1.parse_class("(S4 x D1)")
+    assert repr(kl) == "AmalgamClass(index=%d, (S4^S4_S4 x_Z1 D1))" % kl.index
+    a, b = (bu.BurnsideElement(u1, {kl.index: 2}) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the same coefficients in another universe are another element
+    other = bu.BurnsideElement(u12, {u12.parse_class("(S4 x D1)").index: 2})
+    assert a != other and len({a, other}) == 2
+
+
 @pytest.mark.parametrize("l_max", [1, 2, 4])
 def test_normalizers_match_per_pair_reference(l_max):
     u = bu.Universe.for_l_max(l_max)

@@ -586,6 +586,21 @@ def test_cli_import_generates_no_dataclass():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_parser_is_built_once_per_process_and_not_at_import(capsys):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tetravib.cli as cli; "
+         "print(cli._build_parser.cache_info().misses)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+    cli._build_parser.cache_clear()
+    for _ in range(50):
+        assert run(capsys, "reps")[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+
+
 def test_main_leaves_the_collector_as_it_found_it(capsys):
     # only the process entry freezes; in-process callers keep theirs
     before = gc.isenabled(), gc.get_freeze_count()
@@ -672,6 +687,23 @@ def test_output_file_and_dir_override(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "--output", str(target), "reps")
     assert code == 0
     assert (redirect / "out.json").read_text() == target.read_text()
+
+
+def test_output_options_override_the_config(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text('[output]\nformat = "csv"\npath = "configured.out"\n')
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "--config", str(cfg), "reps") == (0, "", "")
+    configured = (tmp_path / "configured.out").read_text()
+    assert configured.startswith("key,value\n")
+    # an empty --output leaves the configured path
+    assert run(capsys, "--config", str(cfg), "--output", "", "--format",
+               "json", "reps") == (0, "", "")
+    doc = json.loads((tmp_path / "configured.out").read_text())
+    assert doc["meta"] == {"seed": None, "command": "reps"}
+    assert run(capsys, "--config", str(cfg), "--output", "given.out",
+               "reps") == (0, "", "")
+    assert (tmp_path / "given.out").read_text() == configured
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +909,20 @@ def test_step_budget_message_names_step_size(capsys, tmp_path):
         "0.196 (step 0.005): smallest collocation residual ")
 
 
+def test_step_below_the_target_resolution_stalls(capsys, tmp_path):
+    # after the first point at 0.001, a step of 1e-300 leaves the target
+    cfg = tmp_path / "tiny.toml"
+    cfg.write_text("[analysis]\nstep_size = 1e-300\n")
+    code, out, err = run(capsys, "--config", str(cfg), "branch", "--class",
+                         "(S4 x D1)", "--j", "0", "--l", "1")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "non-convergence: continuation stalled on class (S4 x D1) at target "
+        "amplitude 0.001 (step 1e-300): smallest collocation residual ")
+
+
 def test_fold_cover_fault_exits_three(capsys, monkeypatch):
     def broken(self, kl, k):
         raise bu.InternalError("fold cover has wrong order (resolution?)")
@@ -894,13 +940,29 @@ def test_fold_cover_fault_exits_three(capsys, monkeypatch):
 def test_unserializable_result_exits_three(capsys, monkeypatch, fmt, value):
     # a record or an array in a report is the builder's fault, not the
     # user's: it is refused, not written as a list or as its str
-    monkeypatch.setitem(cli._COMMANDS, "reps",
-                        lambda args, config: {"rows": [value]})
+    monkeypatch.setattr(cli, "_reps_report", lambda: {"rows": [value]})
     code, out, err = run(capsys, "--format", fmt, "reps")
     assert (code, out) == (3, "")
     assert err.splitlines() == ["internal consistency failure: "
                                 "unserializable object of type %s"
                                 % type(value).__name__]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_float_in_a_report_exits_three(capsys, monkeypatch, fmt,
+                                                  value):
+    monkeypatch.setattr(cli, "_reps_report", lambda: {"x": value})
+    code, out, err = run(capsys, "--format", fmt, "reps")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["internal consistency failure: "
+                                "non-finite float in report"]
+
+
+def test_empty_containers_serialize_as_empty_brackets():
+    assert cli.dumps({"a": [], "b": {}, "c": ()}) == (
+        '{\n  "a": [],\n  "b": {},\n  "c": []\n}')
+    assert cli.dumps([[], {}], None) == "[[], {}]"
 
 
 def test_full_report_smoke(capsys, tmp_path):

@@ -304,6 +304,61 @@ def test_equilibrium_errors_carry_diagnostics(monkeypatch):
     assert str(info.value) == "Newton polish stalled at |phi'|=%g" % d["abs_dphi"]
 
 
+# find_equilibrium past its cache, which holds only successes
+_solve = ff.find_equilibrium.__wrapped__
+
+
+def test_positions_of_the_wrong_shape_are_refused():
+    with pytest.raises(ValueError, match=r"^expected positions of shape "
+                                         r"\(\.\.\., 4, 3\)$"):
+        ff.gradient(ff.PairPotential(), np.zeros((3, 3)))
+
+
+def test_concave_iterate_stops_the_polish(monkeypatch):
+    monkeypatch.setattr(ff, "_radial_derivatives",
+                        lambda p, r: (0.0, 1.0, -1.0))
+    with pytest.raises(ff.ConvergenceError, match="^radial energy is not "
+                                                  "convex at the iterate$"):
+        _solve(ff.PairPotential())
+
+
+def test_concave_pair_potential_at_the_radius_is_refused(monkeypatch):
+    # the polish alone implies U''(s_o) > 0 (phi' = 32 r U' and
+    # phi'' = 6 c^2 U'' + 32 U'), so the radius is forced here: the grid
+    # point nearest 10, where U = x^-6 - x^-3 is concave
+    monkeypatch.setattr(ff, "radial_energy", lambda p, r: (r - 10.0) ** 2)
+    monkeypatch.setattr(ff, "_radial_derivatives",
+                        lambda p, r: (0.0, 0.0, 1.0))
+    with pytest.raises(ff.ConvergenceError, match=r"^U''\(s_o\) <= 0: "
+                                                  "radius is not a stable "
+                                                  "minimum$") as info:
+        _solve(ff.PairPotential(bond_weight=0.0, vdw_A=1.0, vdw_B=1.0))
+    assert info.value.diagnostics["d2u"] < 0.0
+
+
+def test_gradient_off_zero_at_the_radius_is_refused(monkeypatch):
+    monkeypatch.setattr(ff, "gradient", lambda p, u: np.ones((4, 3)))
+    with pytest.raises(ff.ConvergenceError, match="^gradient at the "
+                                                  "symmetric equilibrium is "
+                                                  "not zero$") as info:
+        _solve(ff.PairPotential())
+    assert info.value.diagnostics["gradient_norm"] == math.sqrt(12.0)
+
+
+def test_hessian_off_the_closed_form_spectrum_is_refused(monkeypatch):
+    # twice the Hessian passes its own checks, but its mu_j are twice
+    # (4, 2, 1) nu0^2
+    hessian = ff.hessian
+    monkeypatch.setattr(ff, "hessian", lambda p, u: 2.0 * hessian(p, u))
+    with pytest.raises(ff.ConvergenceError, match=r"^slice spectrum "
+                                                  r"disagrees with "
+                                                  r"\(4,2,1\)\*nu0\^2$"
+                       ) as info:
+        _solve(ff.PairPotential())
+    d = info.value.diagnostics
+    assert d["spectrum_mu"] == pytest.approx([2.0 * m for m in d["mu"]])
+
+
 def test_radial_energy_consistency():
     p = P4_LIKE
     for r in (0.4, 0.8, 1.5):

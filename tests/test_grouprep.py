@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from tetravib import forcefield as ff
 from tetravib import grouprep as gr
@@ -195,3 +196,33 @@ def test_hessian_is_scalar_on_each_slice_component():
         restricted = cols.T @ m @ cols
         resid = np.abs(restricted - eq.mu[j] * np.eye(cols.shape[1])).max()
         assert resid < 1e-10 * max(1.0, eq.nu0_sq)
+
+
+def test_multiplicities_fault_on_a_non_integer_character(monkeypatch):
+    chi = gr.representation_character()
+    monkeypatch.setattr(gr, "representation_character", lambda: chi + 0.5)
+    with pytest.raises(ArithmeticError, match="^non-integer irreducible "
+                                              "multiplicities$"):
+        gr.multiplicities()
+
+
+def test_slice_spectrum_faults_on_a_moved_rotation():
+    # the identity Hessian moves every rotation tangent
+    eq = ff.find_equilibrium(ff.PairPotential())
+    with pytest.raises(ArithmeticError, match="^rotation tangent vector not "
+                                              "annihilated$"):
+        gr.slice_spectrum(np.eye(12), eq.u_o)
+
+
+def test_slice_spectrum_faults_on_an_eigenvalue_off_its_rayleigh_quotient():
+    # a push along a direction of the E component orthogonal to its probe
+    # vector splits the doublet, while the probe's quotient stays mu_2
+    p = ff.PairPotential()
+    eq = ff.find_equilibrium(p)
+    probe = gr.TEST_VECTORS[2]
+    w = gr.isotypic_projection(2) @ np.arange(12.0)
+    w -= (w @ probe) / (probe @ probe) * probe
+    hess = ff.hessian(p, eq.u_o) + np.outer(w, w) / (w @ w)
+    with pytest.raises(ArithmeticError, match="^eigenvalue/Rayleigh mismatch "
+                                              "on component 2$"):
+        gr.slice_spectrum(hess, eq.u_o)

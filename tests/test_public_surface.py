@@ -1,6 +1,7 @@
 """The public surface: every name a module exports or the package imports
 resolves, and the README's library example runs as printed."""
 import ast
+import builtins
 import contextlib
 import glob
 import graphlib
@@ -106,3 +107,72 @@ def test_module_imports_form_no_cycle():
     assert set(graph) == set(MODULES) | {"__init__"}
     # static_order raises CycleError, naming the cycle, if there is one
     assert len(list(graphlib.TopologicalSorter(graph).static_order())) == 7
+
+
+# raises of a class that cli.main maps to no exit code: guards of library
+# misuse that no command reaches, and those that a caller turns into a
+# mapped error (parse_class's KeyError, argparse's ArgumentTypeError and
+# the three of continue_branch's stuck(), which returns a ConvergenceError)
+UNMAPPED_RAISES = sorted([
+    ("burnside", "AmalgamClass._elements", "ValueError"),
+    ("burnside", "Universe.parse_class", "KeyError"),
+    ("burnside", "Universe.from_marks", "ValueError"),
+    ("burnside", "Universe._fold_preimage", "ValueError"),
+    ("burnside", "BurnsideElement._check", "TypeError"),
+    ("burnside", "BurnsideElement._check", "ValueError"),
+    ("forcefield", "_positions", "ValueError"),
+    ("cli", "_parse_critical", "ArgumentTypeError"),
+    *[("orbits", "continue_branch", "stuck")] * 3,
+])
+
+
+def _resolve(module, node):
+    """The object an expression of names and attributes names in a module,
+    or None."""
+    if isinstance(node, ast.Name):
+        return getattr(module, node.id, getattr(builtins, node.id, None))
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(module, node.value), node.attr, None)
+    return None
+
+
+def _raises(tree):
+    """(qualified name of the enclosing function, raised expression) of
+    every raise statement in a module."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            out.append((".".join(scope), exc))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(tree, ())
+    return out
+
+
+def test_every_raise_is_mapped_to_an_exit_code():
+    # a new guard raises a class that main turns into exit 1, 2 or 3, or
+    # joins the list above
+    cli = importlib.import_module("tetravib.cli")
+    with open(cli.__file__, encoding="utf-8") as fh:
+        main = next(node for node in ast.parse(fh.read()).body
+                    if getattr(node, "name", None) == "main")
+    caught = [h.type for h in ast.walk(main)
+              if isinstance(h, ast.excepthandler)]
+    mapped = tuple(_resolve(cli, name) for node in caught
+                   for name in getattr(node, "elts", [node]))
+    assert mapped and all(isinstance(c, type) for c in mapped)
+    unmapped = []
+    for name in MODULES:
+        module = importlib.import_module("tetravib." + name)
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for scope, exc in _raises(tree):
+            cls = _resolve(module, exc)
+            if not (isinstance(cls, type) and issubclass(cls, mapped)):
+                unmapped.append((name, scope,
+                                 ast.unparse(exc).split(".")[-1]))
+    assert sorted(unmapped) == UNMAPPED_RAISES
