@@ -230,7 +230,7 @@ _SCHEMA_LINES = st.lists(
     max_size=4, unique_by=lambda e: e[0]).map(_config_text)
 
 # each command that reads the configuration, as a fuzzed config runs it
-_CONFIG_COMMANDS = (
+_CONFIG_ARGVS = (
     ("equilibrium",), ("spectrum",), ("degrees", "--j", "1", "--l", "2"),
     ("invariants",), ("invariants", "--critical", "1,1"), ("report",),
     ("branch", "--class", "(D3^Z1 x_D3 D3)", "--j", "1", "--l", "1",
@@ -243,7 +243,7 @@ _CONFIG_COMMANDS = (
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.one_of(st.binary(max_size=80).map(lambda b: (b, False)),
                       _SCHEMA_LINES),
-       command=st.sampled_from(_CONFIG_COMMANDS))
+       command=st.sampled_from(_CONFIG_ARGVS))
 @example(case=(b"[potential]\nbond_weight = 1.0\xff\n", False),
          command=("equilibrium",))
 @example(case=(b"[potential]\nbond_weight = true\n", True),
@@ -256,7 +256,7 @@ _CONFIG_COMMANDS = (
 # the amplitude row divides by an amplitude whose square underflows
 @example(case=(b"[analysis]\ntarget_amplitude = 1e-300\n"
                b"newton_tol = 1e-300\n", False),
-         command=_CONFIG_COMMANDS[-1])
+         command=_CONFIG_ARGVS[-1])
 # squares of the gradient overflow, yet V -> cV moves no radius
 @example(case=(b"[potential]\nbond_weight = 1e170\n", False),
          command=("report",))
