@@ -146,6 +146,19 @@ class Family(NamedTuple):
         return self.critical.value
 
 
+def _window(crits, pos, mu, l_max):
+    """(lam_minus, lam_plus), the geometric midpoints of the gaps next to
+    crits[pos], or None unless l_max isolates it: it is not the largest and
+    no mode above l_max lies below lam_plus."""
+    if pos + 1 == len(crits):
+        return None
+    lam_plus = math.sqrt(crits[pos].value * crits[pos + 1].value)
+    if lam_plus >= (l_max + 1) / math.sqrt(mu[0]):
+        return None
+    return (math.sqrt(crits[pos - 1].value * crits[pos].value) if pos > 0
+            else 0.5 * crits[pos].value), lam_plus
+
+
 def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
     """Bifurcation invariant at one critical number.
 
@@ -155,21 +168,13 @@ def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
     degree below).  Both degrees are taken in mark coordinates, where the
     jump is the difference of two sign vectors."""
     crits = critical_set(mu, l_max)
-    values = [c.value for c in crits]
-    keys = [c.key for c in crits]
-    if critical.key not in keys:
+    pos = {c.key: i for i, c in enumerate(crits)}.get(critical.key)
+    if pos is None:
         raise UsageError("not a critical number for these eigenvalues")
-    pos = keys.index(critical.key)
-    if pos + 1 == len(values):
-        raise UsageError("critical number is the largest below the mode "
-                         "cutoff; raise l_max to isolate it")
-    lam_minus = (math.sqrt(values[pos - 1] * values[pos]) if pos > 0
-                 else 0.5 * values[pos])
-    lam_plus = math.sqrt(values[pos] * values[pos + 1])
-    # modes beyond l_max must not sneak into the straddling window
-    unseen = (l_max + 1) / math.sqrt(mu[0])
-    if lam_plus >= unseen:
-        raise UsageError("l_max too small to isolate this critical number")
+    window = _window(crits, pos, mu, l_max)
+    if window is None:
+        raise UsageError("l_max=%d does not isolate the critical number %g"
+                         % (l_max, crits[pos].value))
     u = Universe.for_l_max(l_max)
     above, below = (u.degree_marks([jl for c in crits[:n]
                                     for jl in c.contributors])
@@ -182,23 +187,18 @@ def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
         if not any(other is not kl and c2 and u.leq(kl, other)
                    for other, c2 in terms))
     descriptions = tuple(describe_symmetry(kl) for kl, _ in maximal)
-    return InvariantReport(critical=crits[pos], lam_minus=lam_minus,
-                           lam_plus=lam_plus, omega=omega, maximal=maximal,
+    return InvariantReport(critical=crits[pos], lam_minus=window[0],
+                           lam_plus=window[1], omega=omega, maximal=maximal,
                            descriptions=descriptions)
 
 
 def invariants(mu, l_max: int) -> tuple:
     """The InvariantReport of every critical number that l_max isolates, in
-    rising order; UsageError unless 1 <= l_max <= burnside.MAX_MODE."""
-    # an l_max above MAX_MODE is a usage error, not a window to pass over
-    Universe.for_l_max(l_max)
-    reports = []
-    for crit in critical_set(mu, l_max):
-        try:
-            reports.append(invariant(crit, mu, l_max))
-        except UsageError:
-            continue            # not isolatable within this l_max window
-    return tuple(reports)
+    rising order.  For l_max >= 2 the smallest is isolated, and its invariant
+    builds the universe: UsageError unless 1 <= l_max <= burnside.MAX_MODE."""
+    crits = critical_set(mu, l_max)
+    return tuple(invariant(c, mu, l_max) for pos, c in enumerate(crits)
+                 if _window(crits, pos, mu, l_max) is not None)
 
 
 def _integer_ratio(later: CriticalNumber, earlier: CriticalNumber):

@@ -689,7 +689,7 @@ class Universe:
         only lookup of a class."""
         kl = self._name_index.get(text.strip())
         if kl is None:
-            raise KeyError("unknown class string %r" % text)
+            raise UsageError("unknown symmetry class %r" % text)
         return kl
 
     # -- the table of marks: Weyl groups, containment counts ---------------

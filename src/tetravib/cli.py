@@ -339,12 +339,8 @@ def _cmd_branch(args, config):
     settings = _settings(config)
     orbits.check_branch_request(args.j, args.l, steps=args.steps, **settings)
     potential = config.potential()
-    universe = burnside.Universe.for_l_max(
-        max(config.analysis["l_max"], args.l))
-    try:
-        klass = universe.parse_class(args.klass)
-    except KeyError:
-        raise UsageError("unknown symmetry class %r" % args.klass)
+    klass = burnside.Universe.for_l_max(
+        max(config.analysis["l_max"], args.l)).parse_class(args.klass)
     branch = orbits.continue_branch(potential, klass, args.j, args.l,
                                     steps=args.steps, **settings)
     return _branch_rows(branch)

@@ -204,9 +204,14 @@ def test_invariant_window_brackets_critical(reports):
 
 
 def test_invariant_rejects_last_window_critical():
+    # the largest critical number, and the one whose window would reach
+    # 3/sqrt(mu_0), where the first mode above l_max lies
     crits = bf.critical_set(BOND_MU, l_max=2)
-    with pytest.raises(bf.UsageError):
-        bf.invariant(crits[-1], BOND_MU, l_max=2)
+    for crit in crits[-2:]:
+        with pytest.raises(bf.UsageError) as info:
+            bf.invariant(crit, BOND_MU, l_max=2)
+        assert str(info.value) == ("l_max=2 does not isolate the critical "
+                                   "number %g" % crit.value)
 
 
 def test_invariant_rejects_a_critical_number_of_a_wider_window():

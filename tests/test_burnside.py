@@ -321,8 +321,9 @@ def test_name_round_trip_every_class(l_max):
     for kl in u.all_classes():
         assert u.parse_class(kl.canonical_form()) is kl
         assert u.parse_class(kl.printed_form()) is kl
-    with pytest.raises(KeyError):
+    with pytest.raises(bu.UsageError) as info:
         u.parse_class("(S9 x D1)")
+    assert str(info.value) == "unknown symmetry class '(S9 x D1)'"
 
 
 def test_a_class_is_one_object_found_by_its_name(u12):
@@ -359,8 +360,9 @@ def test_classes_holding_so2_other_than_g_are_unknown(u12, name):
     # SO(2) fixes no vector of a loop mode l >= 1, so such a class never
     # carries a coefficient and the universe leaves it out, as it leaves
     # out the Z_n classes
-    with pytest.raises(KeyError):
+    with pytest.raises(bu.UsageError) as info:
         u12.parse_class(name)
+    assert str(info.value) == "unknown symmetry class %r" % name
 
 
 def test_finite_classes_and_g_span_a_subring_with_unit_g():

@@ -1059,7 +1059,7 @@ def test_report_is_free_of_the_potential_scale(tmp_path, capsys,
 
 
 def test_default_report_derives_each_class_once(default_report):
-    # one description per maximal class of the five invariants (the seven
+    # one description per maximal class of the three invariants (the seven
     # families and the dropped frequency-doubled breathing class); one
     # element list per branch class, whose relations the report checks at
     # its last point; one action matrix per permutation and at most one
@@ -1079,13 +1079,13 @@ def test_default_report_derives_each_class_once(default_report):
 
 def test_default_report_computes_shared_inputs_once(default_report):
     # the equilibrium serves the report and each of the seven branches; the
-    # critical set serves bifurcation.invariants and each of the five
+    # critical set serves bifurcation.invariants and each of the three
     # invariant calls; the character serves reps and multiplicities; the
     # predicate tables are built once per branch class, seven, and read
     # only at the last point of each branch, the one the report prints
     _, _, _, builds = default_report
     assert builds == {"find_equilibrium": (1, 8),
-                      "critical_set": (1, 6),
+                      "critical_set": (1, 4),
                       "representation_character": (1, 2),
                       "relation_tables": (7, 7)}
 
@@ -1131,6 +1131,18 @@ def test_library_invariants_refuse_an_l_max_outside_the_window(
     with pytest.raises(bf.UsageError) as info:
         bf.invariants((8.0, 4.0, 2.0), l_max)
     assert str(info.value) == message
+
+
+def test_a_usage_error_inside_an_isolated_invariant_reaches_main(
+        monkeypatch, capsys):
+    # invariants leaves out only the critical numbers that l_max does not
+    # isolate; any other usage error ends the run with its one-line message
+    def refuse(kl):
+        raise bf.UsageError("no description")
+    monkeypatch.setattr(bf, "describe_symmetry", refuse)
+    with pytest.raises(bf.UsageError, match="^no description$"):
+        bf.invariants((8.0, 4.0, 2.0), 2)
+    assert run(capsys, "report") == (1, "", "error: no description\n")
 
 
 def test_default_report_branches_match_golden(default_report):

@@ -111,11 +111,10 @@ def test_module_imports_form_no_cycle():
 
 # raises of a class that cli.main maps to no exit code: guards of library
 # misuse that no command reaches, and those that a caller turns into a
-# mapped error (parse_class's KeyError, argparse's ArgumentTypeError and
-# the three of continue_branch's stuck(), which returns a ConvergenceError)
+# mapped error (argparse's ArgumentTypeError and the three of
+# continue_branch's stuck(), which returns a ConvergenceError)
 UNMAPPED_RAISES = sorted([
     ("burnside", "AmalgamClass._elements", "ValueError"),
-    ("burnside", "Universe.parse_class", "KeyError"),
     ("burnside", "Universe.from_marks", "ValueError"),
     ("burnside", "Universe._fold_preimage", "ValueError"),
     ("burnside", "BurnsideElement._check", "TypeError"),
@@ -136,17 +135,16 @@ def _resolve(module, node):
     return None
 
 
-def _raises(tree):
-    """(qualified name of the enclosing function, raised expression) of
-    every raise statement in a module."""
+def _scoped(tree, kind):
+    """(qualified name of the enclosing function, node) of every node of
+    type `kind` in a module."""
     out = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Raise):
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            out.append((".".join(scope), exc))
+        if isinstance(node, kind):
+            out.append((".".join(scope), node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
     visit(tree, ())
@@ -170,9 +168,35 @@ def test_every_raise_is_mapped_to_an_exit_code():
         module = importlib.import_module("tetravib." + name)
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        for scope, exc in _raises(tree):
+        for scope, node in _scoped(tree, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             cls = _resolve(module, exc)
             if not (isinstance(cls, type) and issubclass(cls, mapped)):
                 unmapped.append((name, scope,
                                  ast.unparse(exc).split(".")[-1]))
     assert sorted(unmapped) == UNMAPPED_RAISES
+
+
+# handlers below cli.main that end in no raise: each turns a numeric failure
+# into a value that the code after it acts on
+SWALLOWING_HANDLERS = sorted([
+    # an integer beyond float range becomes inf, which the next line refuses
+    ("cli", "RunConfig.__init__", "OverflowError"),
+    # a refused solve returns no step, so the corrector halves it
+    ("orbits", "_normal_solve", "np.linalg.LinAlgError"),
+])
+
+
+def test_no_handler_below_main_swallows_an_error():
+    # an error raised below cli.main reaches it, raised again or as a mapped
+    # error, unless its handler is listed above
+    swallowing = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for scope, handler in _scoped(tree, ast.ExceptHandler):
+            if ((module, scope) != ("cli", "main")
+                    and not isinstance(handler.body[-1], ast.Raise)):
+                swallowing.append((module, scope, ast.unparse(handler.type)))
+    assert sorted(swallowing) == SWALLOWING_HANDLERS

@@ -16,7 +16,7 @@ COUNTS = {
     "burnside.n_count_calls": 156,
     "burnside.n_count_pairs": 156,
     "burnside.fold_cover_calls": 2,
-    "bifurcation.invariant_calls": 5,
+    "bifurcation.invariant_calls": 3,
     "bifurcation.families": 7,
     "orbits.branch_points": 77,
 }
