@@ -78,7 +78,7 @@ def _ratio_keys(mu, l_max):
 
 def critical_set(mu, l_max: int) -> tuple:
     """Sorted critical numbers l/sqrt(mu_j) for j = 0, 1, 2 and l <= l_max,
-    as a tuple computed once per (mu, l_max)."""
+    built once per (mu, l_max); UsageError unless 1 <= l_max <= MAX_MODE."""
     return _critical_set(tuple(mu), l_max)
 
 
@@ -88,8 +88,7 @@ def _critical_set(mu, l_max):
         raise UsageError("slice eigenvalues must satisfy 0 < mu_2 < mu_1 < mu_0")
     if not (math.isfinite(mu[0]) and math.isfinite(mu[0] / mu[2])):
         raise UsageError("slice eigenvalues and their ratios must be finite")
-    if l_max < 1:
-        raise UsageError("l_max must be at least 1")
+    Universe.check_l_max(l_max)     # before any work that grows with l_max
     ratios = _ratio_keys(mu, l_max)
     crits = {}      # lambda^2 * mu_2 -> (value of its first mode, modes)
     for j in range(3):
@@ -194,8 +193,7 @@ def invariant(critical: CriticalNumber, mu, l_max: int) -> InvariantReport:
 
 def invariants(mu, l_max: int) -> tuple:
     """The InvariantReport of every critical number that l_max isolates, in
-    rising order.  For l_max >= 2 the smallest is isolated, and its invariant
-    builds the universe: UsageError unless 1 <= l_max <= burnside.MAX_MODE."""
+    rising order; critical_set refuses an l_max outside 1..MAX_MODE."""
     crits = critical_set(mu, l_max)
     return tuple(invariant(c, mu, l_max) for pos, c in enumerate(crits)
                  if _window(crits, pos, mu, l_max) is not None)

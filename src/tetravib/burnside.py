@@ -451,12 +451,7 @@ class Universe:
     _cache = {}
 
     def __init__(self, l_max):
-        if l_max < 1:
-            raise UsageError("l_max must be at least 1")
-        if l_max > MAX_MODE:
-            raise UsageError("Fourier mode %d is above %d, the largest whose "
-                             "element codes fit in 64-bit integers"
-                             % (l_max, MAX_MODE))
+        self.check_l_max(l_max)
         self.orders = _orders(l_max)
         self.N = math.lcm(*self.orders)
         self.classes = []
@@ -475,6 +470,16 @@ class Universe:
         if l_max not in cls._cache:
             cls._cache[l_max] = cls(l_max)
         return cls._cache[l_max]
+
+    @staticmethod
+    def check_l_max(l_max):
+        """UsageError unless 1 <= l_max <= MAX_MODE."""
+        if l_max < 1:
+            raise UsageError("l_max must be at least 1")
+        if l_max > MAX_MODE:
+            raise UsageError("Fourier mode %d is above %d, the largest whose "
+                             "element codes fit in 64-bit integers"
+                             % (l_max, MAX_MODE))
 
     # -- element arithmetic --------------------------------------------------
 

@@ -1133,6 +1133,27 @@ def test_library_invariants_refuse_an_l_max_outside_the_window(
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("argv", [("invariants",), ("report",)])
+def test_l_max_far_above_the_cap_is_refused_before_the_critical_set(
+        capsys, monkeypatch, tmp_path, argv):
+    # the critical set keys 3 * l_max modes: 10**7 of them would take
+    # minutes and gigabytes before a universe could refuse the mode
+    def no_keys(*args):
+        raise AssertionError("critical numbers were keyed")
+    monkeypatch.setattr(bf, "_ratio_keys", no_keys)
+    monkeypatch.setattr(bu.Universe, "_enumerate", _no_universe)
+    message = ("Fourier mode 10000000 is above 40, the largest whose element "
+               "codes fit in 64-bit integers")
+    for call in (bf.critical_set, bf.invariants):
+        with pytest.raises(bf.UsageError) as info:
+            call((8.0, 4.0, 2.0), 10 ** 7)
+        assert str(info.value) == message
+    cfg = tmp_path / "run.toml"
+    cfg.write_text("[analysis]\nl_max = 10000000\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 def test_a_usage_error_inside_an_isolated_invariant_reaches_main(
         monkeypatch, capsys):
     # invariants leaves out only the critical numbers that l_max does not
