@@ -21,8 +21,8 @@ All O(2) data is kept exact.  Every finite class projects onto a dihedral
 D_d, so it holds a reflection; all its rotation angles and reflection-axis
 parameters live on a rational grid (multiples of 1/N turns), and
 conjugations that matter shift axis parameters by multiples of 1/N as well,
-so conjugacy, normalizers and containment counts over the full group reduce
-to finite exact computations on the grid.
+so conjugacy, normalizers and containment counts over the full group, and
+fixed-point dimensions, reduce to finite exact computations on the grid.
 
 Element encoding inside a grid universe: code = perm_index * 2N + kind * N + k
 with kind 0 a rotation by k/N turns and kind 1 the reflection with axis
@@ -103,6 +103,8 @@ CONJ_BITS = np.left_shift(1, CONJ).astype(np.int64)
 # the conjugator kernel takes candidates in batches of about this many; in
 # one batch, `invariants` peaks 10-20 % higher in RSS at l_max 8 to 24
 BATCH = 2 ** 14
+# 2cos(2 pi x / 12) at x = 0, 3, 4, 6, 8 and 9, the phases _cosets admits
+TWO_COS = np.array([2, 0, 0, 0, -1, 0, -2, 0, -1, 0, 0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -750,32 +752,40 @@ class Universe:
     # -- fixed point dimensions ----------------------------------------------
 
     @cached_property
-    def _rotations(self):
-        """Slot 5 * owner class + character column (int32) and grid step of
-        the rotations of all finite classes; and class orders, 1 for G."""
-        finite = [kl for kl in self.classes if kl.is_finite]
-        p, kind, k = self.split(np.concatenate([kl.codes for kl in finite]))
-        owner = np.repeat(np.int32([kl.index for kl in finite]),
-                          [kl.order for kl in finite])
-        rot = kind == 0
-        return (5 * owner[rot] + PERM_CLASS[p[rot]].astype(np.int32), k[rot],
-                np.array([kl.order or 1 for kl in self.classes]))
+    def _cosets(self):
+        """One row per finite class L and permutation p paired with rotations,
+        a coset t + i/m turns (i < m) of Z_m sorted from t < 1/m: the slot 5
+        L.index + PERM_CLASS[p], m and the phase 12 m t; and |L|, 1 for G."""
+        order = np.array([kl.order for kl in self.classes])
+        codes = np.concatenate([kl.codes for kl in self.classes if kl.order])
+        rot = codes % (2 * self.N) < self.N
+        p, _, k = self.split(codes[rot])
+        key = 24 * np.repeat(np.arange(len(order)), order)[rot] + p
+        rows, first, m = np.unique(key, return_index=True, return_counts=True)
+        # Z_m holds (p, t)^ord p, so the phase is a multiple of 12 / ord p;
+        # 12 k over N/m, since 12 m k overflows int64 at l_max = 40
+        phase, rem = np.divmod(12 * k[first], self.N // m)
+        if (rem | phase % 3 * (phase % 4)).any():
+            raise InternalError("rotation coset off the twelfth-turn grid")
+        return (5 * (rows // 24) + PERM_CLASS[rows % 24], m, phase,
+                np.maximum(order, 1))
 
     def _fixed_dims(self, j, l):
         """dim V_{j,l}^L of every class L by class index, all five j at
-        once: the character table times one cosine sum per slot, over the
-        class order; a full circle of rotations sums to zero, so G gets 0."""
+        once: the character table times one trace sum per slot, over the
+        class order.  A coset's traces 2cos(2 pi l t) sum to m TWO_COS[l/m
+        phase mod 12] if m divides l, else to 0; a reflection's are 0."""
         if not (0 <= j <= 4 and l >= 1):
             raise UsageError("no loop mode (j, l) = (%r, %r)" % (j, l))
         if l not in self._dims_memo:
-            slot, k, order = self._rotations
-            cos = 2.0 * np.cos(2.0 * np.pi * l * k / self.N)
-            sums = np.bincount(slot, cos, minlength=5 * len(order))
-            dim = CHARACTER_TABLE @ sums.reshape(-1, 5).T / order
-            r = np.rint(dim)
-            if np.abs(dim - r).max() > 1e-9:
+            slot, m, phase, order = self._cosets
+            trace = np.where(l % m, 0, m * TWO_COS[l // m * phase % 12])
+            # bincount's float64 sums of these small integers are exact
+            sums = np.bincount(slot, trace, 5 * len(order)).reshape(-1, 5)
+            dim, rem = np.divmod(CHARACTER_TABLE @ sums.T, order)
+            if rem.any():
                 raise InternalError("non-integer fixed-point dimension")
-            self._dims_memo[l] = r.astype(np.int64)
+            self._dims_memo[l] = dim.astype(np.int64)
         return self._dims_memo[l][j]
 
     def fixed_point_dim(self, j, l, kl):

@@ -655,24 +655,68 @@ def test_degree_display_order_matches_reference(u12):
 # ---------------------------------------------------------------------------
 # fixed point dimensions
 
-def _manual_fixdim(u, codes, j, l):
-    total = 0.0
-    for e in codes:
-        p, kind, k = u.split(e)
-        if kind == 0:
-            chi = int(CHARACTER_TABLE[j][bu.PERM_CLASS[p]])
-            total += chi * 2.0 * math.cos(2.0 * math.pi * l * k / u.N)
-    return total / len(codes)
+def _cosine_dims(u, code_sets, l_top):
+    """The cosine formula, kept here as the oracle of the exact rule: the
+    dimension fixed by each set of element codes in the (j, l) loop mode,
+    the character average of the traces 2cos(2 pi l t) of its rotations,
+    as floats of shape (l_top, 5, sets) for l = 1..l_top."""
+    p, kind, k = u.split(np.concatenate(code_sets))
+    sizes = np.array([len(c) for c in code_sets])
+    slot = 5 * np.repeat(np.arange(len(sizes)), sizes) + bu.PERM_CLASS[p]
+    dims = []
+    for l in range(1, l_top + 1):
+        trace = np.where(kind == 0, 2 * np.cos(2 * np.pi * l * k / u.N), 0)
+        sums = np.bincount(slot, trace, 5 * len(sizes)).reshape(-1, 5)
+        dims.append(CHARACTER_TABLE @ sums.T / sizes)
+    return np.array(dims)
 
 
-def test_fixed_point_dim_matches_character_average(u1):
-    for kl in u1.phi0_classes():
-        if not kl.is_finite:
-            continue
-        for j, l in ((0, 1), (1, 1), (2, 1)):
-            manual = _manual_fixdim(u1, kl.codes, j, l)
-            assert abs(manual - round(manual)) < 1e-9
-            assert u1.fixed_point_dim(j, l, kl) == round(manual)
+def _check_against_cosines(u, l_top):
+    exact = np.array([[u._fixed_dims(j, l) for j in range(5)]
+                      for l in range(1, l_top + 1)])
+    finite = [kl for kl in u.classes if kl.is_finite]
+    oracle = _cosine_dims(u, [kl.codes for kl in finite], l_top)
+    assert np.abs(exact[:, :, [kl.index for kl in finite]] - oracle
+                  ).max() < 1e-9
+    # SO(2) fixes no vector of a loop mode
+    assert not exact[:, :, u.unit.index].any()
+
+
+# every l <= 3 l_max + 2 at l_max 1, 2, 4 and 8, and l <= 16 at 16
+@pytest.mark.parametrize("l_max, l_top",
+                         [(1, 5), (2, 8), (4, 14), (8, 26), (16, 16)])
+def test_fixed_dims_match_the_cosine_oracle(l_max, l_top):
+    _check_against_cosines(bu.Universe(l_max), l_top)
+
+
+@pytest.mark.parametrize("x", [0, 3, 4, 6, 8, 9])
+def test_cosine_oracle_catches_one_wrong_trace(monkeypatch, x):
+    # 48 is a multiple of 2 |R| for every R, and |L| = 2 |R| m, so every
+    # patched dimension stays an integer: only the oracle can tell
+    table = bu.TWO_COS.copy()
+    table[x] += 48
+    monkeypatch.setattr(bu, "TWO_COS", table)
+    with pytest.raises(AssertionError):
+        _check_against_cosines(bu.Universe(2), 8)
+
+
+def test_rotation_coset_off_the_twelfth_turn_grid_exits_three(monkeypatch,
+                                                             capsys):
+    u = bu.Universe(2)              # a fresh universe, no coset table built
+    kl = u.parse_class("(D1 x D1)")
+    p, kind, _ = u.split(kl.codes)
+    # (transposition, 0) becomes (transposition, 1/24 turn), 1/2 twelfth
+    monkeypatch.setattr(kl, "codes", kl.codes + ((p != bu.ID_PERM)
+                                                 & (kind == 0)))
+    with pytest.raises(bu.InternalError,
+                       match="^rotation coset off the twelfth-turn grid$"):
+        u.fixed_point_dim(0, 1, kl)
+    monkeypatch.setitem(bu.Universe._cache, 2, u)
+    code = cli.main(["degrees", "--j", "0", "--l", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("internal consistency failure: rotation coset "
+                            "off the twelfth-turn grid\n")
 
 
 def test_fixed_point_dim_constant_on_conjugates(u1):
@@ -680,11 +724,11 @@ def test_fixed_point_dim_constant_on_conjugates(u1):
     for name in ("(S4 x D1)", "(D2^D1 x_Z2 D2)", "(D3^Z1 x_D3 D3)"):
         kl = u1.parse_class(name)
         base = u1.fixed_point_dim(1, 1, kl)
-        images = {frozenset(per_pair.conj_apply(u1, t, e) for e in kl.codes)
-                  for t in triples}
-        assert len(images) > 1
-        for codes in images:
-            assert abs(_manual_fixdim(u1, codes, 1, 1) - base) < 1e-9
+        images = [[per_pair.conj_apply(u1, t, e) for e in kl.codes]
+                  for t in triples]
+        assert len({frozenset(c) for c in images}) > 1
+        dims = _cosine_dims(u1, images, 1)[0, 1]
+        assert np.abs(dims - base).max() < 1e-9
 
 
 def test_fixed_point_dim_examples(u12):

@@ -200,3 +200,23 @@ def test_no_handler_below_main_swallows_an_error():
                     and not isinstance(handler.body[-1], ast.Raise)):
                 swallowing.append((module, scope, ast.unparse(handler.type)))
     assert sorted(swallowing) == SWALLOWING_HANDLERS
+
+
+def test_the_ring_module_holds_no_float_arithmetic():
+    # the ring is exact integer arithmetic: a float path into burnside.py,
+    # such as a cosine sum rounded to an integer, needs one of these
+    with open(os.path.join(SRC, "burnside.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("cos", "sin", "rint", "round"):
+                found.append(ast.unparse(node))
+        if getattr(node, "id", getattr(node, "attr", None)) == "pi":
+            found.append(ast.unparse(node))
+        if isinstance(node, ast.alias) and node.name == "pi":
+            found.append(node.name)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(repr(node.value))
+    assert found == []
